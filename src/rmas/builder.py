@@ -5,15 +5,15 @@ conformance vs. constraints alone), how service results are chosen (finite
 pools vs. commitment tuples), whether dense comparisons run on the carrier or
 on maintained lessThan facts, and where fresh values come from (synthesis vs.
 recycling of passive objects).  Exploration is a breadth-first closure with
-canonical state deduplication; repeated builds are byte-identical, regardless
-of the worker count.
+canonical state deduplication; repeated builds are byte-identical.  Every
+query a build evaluates is compiled once, when the builder is made, and the
+indexes over the databases one step reads live for that step only.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Iterable, Iterator, Optional, Union
@@ -25,6 +25,7 @@ from .data import (
     DataObject,
     Fact,
     UNDEF,
+    UnknownRelation,
     carrier_less,
     conforms,
     fact_key,
@@ -44,7 +45,7 @@ from .commitments import (
     enumerate_dense_commitments,
     enumerate_equality_commitments,
 )
-from .model import CallTerm, RmasSpec, UpdateRule, initial_data_domain
+from .model import CallTerm, CommRule, RmasSpec, UpdateRule, initial_data_domain
 from .queries import CarrierOrder, Const, FactOrder, Param, Var, lessthan_rel
 from .shallow import is_accessory, is_shallow
 
@@ -85,7 +86,6 @@ class BuildConfig:
     max_depth: Optional[int] = None
     # finite result pools per type name (concrete-bounded / shallow modes)
     pools: dict = field(default_factory=dict)
-    workers: int = 1
 
     def __post_init__(self) -> None:
         if self.mode not in MODES:
@@ -171,9 +171,6 @@ class TransitionSystem:
     mode: str = MODE_CONCRETE
     stats: dict = field(default_factory=dict)
 
-    def successors(self, sid: int) -> list[int]:
-        return sorted({d for (s, d) in self.edges if s == sid})
-
 
 # ---------------------------------------------------------------------------
 # Pending facts: facts that may still embed service-call tokens
@@ -226,27 +223,33 @@ class Builder:
         self.unordered_types = [
             t for t in sorted(spec.types) if t not in self.dense_types
         ]
-        self.comm_types: dict[tuple[str, int], dict[str, str]] = {}
-        self.cond_types: dict[tuple[str, str, int], dict[str, str]] = {}
-        self.guard_types: dict[tuple[str, str, int], dict[str, str]] = {}
-        self.constraint_types: dict[tuple[str, int], dict[str, str]] = {}
-        self.rules_by_msg: dict[tuple[str, str, str], list[tuple[int, UpdateRule]]] = {}
+        # every query is compiled once, here; `step_successors` only runs plans
+        self.comm_plans: dict[str, list[tuple[CommRule, Q.Plan]]] = {}
+        self.rules_by_msg: dict[tuple[str, str, str], list[tuple[UpdateRule, Q.Plan]]] = {}
+        self.guard_plans: dict[tuple[str, str], list[Q.Plan]] = {}
+        self.constraint_plans: dict[str, list[Q.Plan]] = {}
         for sname, ag in spec.agent_specs.items():
             ctx = spec.schema_context(ag)
-            for i, rule in enumerate(ag.comm_rules):
-                seeds = self._comm_seeds(rule)
-                self.comm_types[(sname, i)] = _typed(rule.query, ctx, seeds)
-            for i, rule in enumerate(ag.update_rules):
+            self.comm_plans[sname] = [
+                (rule, Q.compile_query(rule.query, _typed(rule.query, ctx, self._comm_seeds(rule))))
+                for rule in ag.comm_rules
+            ]
+            for rule in ag.update_rules:
                 seeds = self._rule_seeds(rule)
-                self.cond_types[(sname, rule.message, i)] = _typed(rule.condition, ctx, seeds)
+                plan = Q.compile_query(rule.condition, _typed(rule.condition, ctx, seeds),
+                                       inputs=seeds)
                 self.rules_by_msg.setdefault((sname, rule.direction, rule.message), []).append(
-                    (i, rule))
+                    (rule, plan))
             for aname, act in ag.actions.items():
                 ptypes = {p: spec.facets[f].base_type for p, f in act.params}
-                for j, eff in enumerate(act.effects):
-                    self.guard_types[(sname, aname, j)] = _typed(eff.guard, ctx, {}, ptypes)
-            for i, c in enumerate(ag.constraints):
-                self.constraint_types[(sname, i)] = _typed(c, ctx, {})
+                self.guard_plans[(sname, aname)] = [
+                    Q.compile_query(eff.guard, _typed(eff.guard, ctx, {}, ptypes))
+                    for eff in act.effects
+                ]
+            self.constraint_plans[sname] = [
+                Q.compile_query(c, _typed(c, ctx, {})) for c in ag.constraints
+            ]
+        self._step: Optional[_StepCache] = None
 
     def _comm_seeds(self, rule) -> dict[str, str]:
         msg = self.spec.messages[rule.message]
@@ -295,16 +298,13 @@ class Builder:
 
     # -- query plumbing -----------------------------------------------------------
 
-    def _order(self, state: SystemState):
-        if self.flat:
-            return FactOrder(state.order_db or Database())
-        return CarrierOrder()
-
-    def _answers(self, q, db, order, var_types, binding=None):
-        return Q.eval_query(q, db, order, var_types, self.const_domain, binding)
-
-    def _holds(self, q, db, order, var_types, binding=None) -> bool:
-        return bool(self._answers(q, db, order, var_types, binding))
+    def _cache(self, state: SystemState) -> "_StepCache":
+        """The caches of the step expanding state, or fresh ones for a call
+        made outside `step_successors`."""
+        step = self._step
+        if step is None or step.state is not state:
+            step = _StepCache(self, state)
+        return step
 
     # -- figure building blocks ----------------------------------------------------
 
@@ -328,14 +328,12 @@ class Builder:
         self, state: SystemState, sender: DataObject, sname: str,
         active: set[DataObject],
     ) -> list[tuple[str, tuple[DataObject, ...], DataObject]]:
-        ag = self.spec.agent_specs[sname]
-        db = state.db(sender)
-        order = self._order(state)
+        step = self._cache(state)
+        db = step.index(state.db(sender))
         out: set[tuple[str, tuple[DataObject, ...], DataObject]] = set()
-        for i, rule in enumerate(ag.comm_rules):
-            var_types = self.comm_types[(sname, i)]
+        for rule, plan in self.comm_plans[sname]:
             msg = self.spec.messages[rule.message]
-            for theta in self._answers(rule.query, db, order, var_types):
+            for theta in Q.eval_query(plan, db, step.order):
                 target = theta.get(rule.target_var)
                 if target is None or target not in active:
                     continue
@@ -355,14 +353,13 @@ class Builder:
         message: str, payload: tuple[DataObject, ...], peer: DataObject,
     ) -> list[tuple[str, tuple[DataObject, ...]]]:
         ag = self.spec.agent_specs[sname]
-        db = state.db(agent)
-        order = self._order(state)
+        step = self._cache(state)
+        db = step.index(state.db(agent))
         out: set[tuple[str, tuple[DataObject, ...]]] = set()
-        for i, rule in self.rules_by_msg.get((sname, direction, message), ()):
+        for rule, plan in self.rules_by_msg.get((sname, direction, message), ()):
             binding = {rule.peer_var: peer}
             binding.update(dict(zip(rule.payload_vars, payload)))
-            var_types = self.cond_types[(sname, message, i)]
-            if not self._holds(rule.condition, db, order, var_types, binding):
+            if not Q.eval_query(plan, db, step.order, binding=binding):
                 continue
             act = ag.actions[rule.action]
             args = tuple(
@@ -380,17 +377,15 @@ class Builder:
         instances: list[tuple[str, tuple[DataObject, ...]]],
     ) -> tuple[set[Fact], set[PendingFact]]:
         ag = self.spec.agent_specs[sname]
-        db = state.db(agent)
-        order = self._order(state)
+        step = self._cache(state)
+        db = step.index(state.db(agent))
         to_del: set[Fact] = set()
         to_add: set[PendingFact] = set()
         for aname, args in instances:
             act = ag.actions[aname]
             values = {p: v for (p, _), v in zip(act.params, args)}
-            for j, eff in enumerate(act.effects):
-                guard = Q.substitute_params(eff.guard, values)
-                var_types = self.guard_types[(sname, aname, j)]
-                for theta in self._answers(guard, db, order, var_types):
+            for eff, plan in zip(act.effects, self.guard_plans[(sname, aname)]):
+                for theta in Q.eval_query(plan, db, step.order, params=values):
                     for tpl in eff.adds:
                         to_add.add(_ground_template(tpl, theta, values))
                     for tpl in eff.dels:
@@ -432,10 +427,10 @@ class Builder:
 
     def _commitment_branches(self, state, calls, used_snapshot):
         spec = self.spec
+        step = self._cache(state)
         adom_by_type: dict[str, list] = {}
         for t in sorted(spec.types):
-            objs = {o for o in self.const_domain.get(t, frozenset())}
-            objs |= state.adom(t)
+            objs = step.active(t)
             toks = {
                 tok for tok in calls
                 if spec.facets[spec.services[tok.service].output_facet].base_type == t
@@ -443,7 +438,7 @@ class Builder:
             adom_by_type[t] = sorted(objs, key=DataObject.sort_key) + sorted(
                 toks, key=CallToken.sort_key)
 
-        order = self._order(state)
+        order = step.order
         per_type: list[tuple[str, bool, list]] = []
         for t in self.unordered_types:
             toks_here = [e for e in adom_by_type[t] if isinstance(e, CallToken)]
@@ -469,21 +464,20 @@ class Builder:
                     h.equality[t] = c
             reservoirs = {}
             for t in names:
-                reservoirs[t] = self._reservoir(t, h, state, used_snapshot)
+                reservoirs[t] = self._reservoir(t, h, step, used_snapshot)
             policy = MIDPOINT if self.config.mode == MODE_FB else OPAQUE
             sigma = assign_results(h, reservoirs, policy)
             order_full = self._rebuild_order(h, sigma) if self.flat else None
             yield sigma, order_full
 
-    def _reservoir(self, t: str, h: CommitmentTuple, state: SystemState, used_snapshot):
+    def _reservoir(self, t: str, h: CommitmentTuple, step: "_StepCache", used_snapshot):
         carrier = self.spec.types[t].carrier
         if self.config.mode != MODE_ABSTRACT:
             return SynthesisReservoir(t, carrier)
         commitment = h.dense.get(t)
         cells = commitment.partition.cells if commitment else h.equality[t].cells
         free = sum(1 for c in cells if cell_object(c) is None)
-        active = state.adom(t) | set(self.const_domain.get(t, frozenset()))
-        passive = used_snapshot.get(t, set()) - active
+        passive = used_snapshot.get(t, set()) - step.active(t)
         if free <= len(passive) and free > 0:
             return PoolReservoir(passive)
         return SynthesisReservoir(t, carrier)
@@ -511,16 +505,21 @@ class Builder:
         self, state: SystemState, used_snapshot: Optional[dict[str, set[DataObject]]] = None,
     ) -> list[SystemState]:
         used_snapshot = used_snapshot or {}
-        cur_as = self.current_agents(state)
-        active = {a for a, _ in cur_as}
-        out: list[SystemState] = []
-        for sender, s_spec in cur_as:
-            for message, payload, target in self.enabled_messages(state, sender, s_spec, active):
-                t_spec = dict(cur_as)[target]
-                out.extend(self._exchange(
-                    state, sender, s_spec, target, t_spec, message, payload,
-                    cur_as, used_snapshot))
-        return out
+        self._step = _StepCache(self, state)
+        try:
+            cur_as = self.current_agents(state)
+            active = {a for a, _ in cur_as}
+            out: list[SystemState] = []
+            for sender, s_spec in cur_as:
+                for message, payload, target in self.enabled_messages(
+                        state, sender, s_spec, active):
+                    t_spec = dict(cur_as)[target]
+                    out.extend(self._exchange(
+                        state, sender, s_spec, target, t_spec, message, payload,
+                        cur_as, used_snapshot))
+            return out
+        finally:
+            self._step = None
 
     def _exchange(
         self, state, sender, s_spec, target, t_spec, message, payload, cur_as,
@@ -593,11 +592,9 @@ class Builder:
             order_db = None
             if self.flat:
                 # persisting objects: previous state, next state, constants
-                keep = state.adom()
+                keep = set(self._cache(state).objects())
                 for d in dbs.values():
                     keep |= d.adom()
-                for objs in self.const_domain.values():
-                    keep |= set(objs)
                 order_db = Database.of(
                     f for f in (order_full or Database()).facts
                     if f[1][0] in keep and f[1][1] in keep
@@ -611,11 +608,11 @@ class Builder:
             try:
                 if conforms(ag.schema, cand, self.spec.facets, self.spec.types):
                     return False
-            except Exception:
+            except UnknownRelation:
                 return False
-        for i, c in enumerate(ag.constraints):
-            var_types = self.constraint_types[(sname, i)]
-            if not self._holds(c, cand, order, var_types):
+        db = Q.DbIndex(cand, self.const_domain)
+        for plan in self.constraint_plans[sname]:
+            if not Q.eval_query(plan, db, order):
                 return False
         return True
 
@@ -651,25 +648,14 @@ class Builder:
         depth = 0
         peak = 1
         truncated = False
-        workers = max(1, self.config.workers)
         while frontier:
             if self.config.max_depth is not None and depth >= self.config.max_depth:
                 truncated = True
                 break
             snapshot = {t: set(s) for t, s in used.items()}
-
-            def expand(sid: int):
-                return sid, self.step_successors(ts.states[sid], snapshot)
-
-            if workers > 1:
-                with ThreadPoolExecutor(max_workers=workers) as pool:
-                    results = list(pool.map(expand, frontier))
-            else:
-                results = [expand(sid) for sid in frontier]
-
             next_frontier: list[int] = []
-            for sid, succs in results:
-                for succ in succs:
+            for sid in frontier:
+                for succ in self.step_successors(ts.states[sid], snapshot):
                     self._check_bound(succ)
                     key = state_key(succ)
                     tid = index.get(key)
@@ -705,6 +691,44 @@ class Builder:
             "depth": depth,
         }
         return ts
+
+
+class _StepCache:
+    """What one exploration step reuses: the state's order source and an
+    index per database it reads, each built on first use and dropped with
+    the step, so no retained state carries them."""
+
+    def __init__(self, builder: Builder, state: SystemState) -> None:
+        self.state = state
+        self.const_domain = builder.const_domain
+        self.order = FactOrder(state.order_db or Database()) if builder.flat else CarrierOrder()
+        self._indexes: dict[int, Q.DbIndex] = {}  # by id; each index holds its database
+        self._active: dict[str, set[DataObject]] = {}
+        self._objects: Optional[set[DataObject]] = None
+
+    def index(self, db: Database) -> Q.DbIndex:
+        ix = self._indexes.get(id(db))
+        if ix is None:
+            ix = self._indexes[id(db)] = Q.DbIndex(db, self.const_domain)
+        return ix
+
+    def active(self, t: str) -> set[DataObject]:
+        """Objects of type t in the state or among the constants; do not mutate."""
+        objs = self._active.get(t)
+        if objs is None:
+            objs = set(self.const_domain.get(t, frozenset()))
+            for _, db in self.state.agent_dbs:
+                objs |= self.index(db).adom(t)
+            self._active[t] = objs
+        return objs
+
+    def objects(self) -> set[DataObject]:
+        """Every object of the state and every constant; do not mutate."""
+        if self._objects is None:
+            self._objects = self.state.adom()
+            for objs in self.const_domain.values():
+                self._objects |= objs
+        return self._objects
 
 
 def _member(spec: RmasSpec, facet_name: str, obj: DataObject) -> bool:

@@ -149,7 +149,6 @@ def _build_config(args, spec: RmasSpec) -> BuildConfig:
         raise CliError(f"unknown mode {mode!r}", EXIT_USAGE)
     pool_entries = list(file_cfg.get("pools", []))
     pool_entries += args.pool or []
-    workers = int(os.environ.get("RMAS_THREADS", "1") or "1")
 
     def pick(flag, key):
         return flag if flag is not None else file_cfg.get(key)
@@ -160,7 +159,6 @@ def _build_config(args, spec: RmasSpec) -> BuildConfig:
         max_states=pick(args.max_states, "max_states"),
         max_depth=pick(args.max_depth, "max_depth"),
         pools=_parse_pools(spec, pool_entries),
-        workers=max(1, workers),
     )
 
 

@@ -79,12 +79,32 @@ def builtin_types() -> dict[str, DataTypeDef]:
     }
 
 
-@dataclass(frozen=True, order=False)
+@dataclass(frozen=True, slots=True)
 class DataObject:
-    """A typed constant.  Equality is (type, literal) equality."""
+    """A typed constant.  Equality is (type, literal) equality.
+
+    Objects are hashed and sorted far more often than they are created, so
+    the hash and the sort key are each computed once, on first use.
+    """
 
     type_name: str
     value: Literal
+    _hash: Optional[int] = field(default=None, init=False, repr=False, compare=False)
+    _key: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
+
+    def __hash__(self) -> int:
+        h = self._hash
+        if h is None:
+            h = hash((self.type_name, self.value))
+            object.__setattr__(self, "_hash", h)
+        return h
+
+    def __eq__(self, other) -> bool:
+        if self is other:
+            return True
+        if other.__class__ is not DataObject:
+            return NotImplemented
+        return self.type_name == other.type_name and self.value == other.value
 
     def is_undef(self) -> bool:
         return isinstance(self.value, Undef)
@@ -92,11 +112,16 @@ class DataObject:
     def sort_key(self):
         # Canonical, semantics-free ordering used for deterministic output:
         # undef first, then literals by their natural order within the carrier.
-        if isinstance(self.value, Undef):
-            return (self.type_name, 0, "")
-        if isinstance(self.value, str):
-            return (self.type_name, 1, self.value)
-        return (self.type_name, 2, Fraction(self.value))
+        key = self._key
+        if key is None:
+            if isinstance(self.value, Undef):
+                key = (self.type_name, 0, "")
+            elif isinstance(self.value, str):
+                key = (self.type_name, 1, self.value)
+            else:
+                key = (self.type_name, 2, Fraction(self.value))
+            object.__setattr__(self, "_key", key)
+        return key
 
     def __repr__(self) -> str:
         return f"{self.value!r}:{self.type_name}"
@@ -150,22 +175,6 @@ def carrier_succ(a: DataObject, b: DataObject) -> bool:
     if a.type_name != b.type_name or a.is_undef() or b.is_undef():
         return False
     return a.value == b.value + 1
-
-
-class NameAllocator:
-    """Issues fresh symbolic tokens with monotonically increasing ordinals.
-
-    Fresh tokens carry a '~' prefix so they can never collide with declared
-    identifiers; one allocator per build keeps repeated runs reproducible.
-    """
-
-    def __init__(self) -> None:
-        self._counters: dict[str, int] = {}
-
-    def fresh(self, prefix: str) -> str:
-        n = self._counters.get(prefix, 0) + 1
-        self._counters[prefix] = n
-        return f"~{prefix}{n}"
 
 
 # ---------------------------------------------------------------------------
@@ -354,9 +363,6 @@ class Database:
     def has(self, rel: str, args: tuple[DataObject, ...]) -> bool:
         return (rel, args) in self.facts
 
-    def relations(self) -> set[str]:
-        return {r for (r, _) in self.facts}
-
     def adom(self, type_name: Optional[str] = None) -> set[DataObject]:
         objs = {o for (_, args) in self.facts for o in args}
         if type_name is None:
@@ -366,9 +372,6 @@ class Database:
     def apply(self, adds: Iterable[Fact], dels: Iterable[Fact]) -> "Database":
         # Parallel update with priority to additions.
         return Database(frozenset((self.facts - frozenset(dels)) | frozenset(adds)))
-
-    def union(self, other: "Database") -> "Database":
-        return Database(self.facts | other.facts)
 
     def canonical(self) -> list[Fact]:
         return sorted(self.facts, key=fact_key)

@@ -1,17 +1,29 @@
-"""First-order queries over typed databases.
+"""First-order queries over typed databases, compiled into plans.
 
 Quantification always ranges over the active domain of the queried database
 plus the constants of the initial data domain (the specs we accept are
 domain-independent by construction, and relativization enforces it).
 Dense comparisons are answered either from the rigid carrier order or from an
 explicit lessThan fact database, depending on the order source.
+
+`compile_query` turns a query into a Plan once, for a fixed set of variables
+the caller pre-binds and with one slot per parameter: every variable
+occurrence becomes a slot of an environment list, each node's free variables
+and binder types are fixed, a Forall becomes a negated Exists, and each
+conjunction runs its tests as soon as their variables are bound and its
+binding atoms before the filters that need them.  A plan is a chain of
+closures in continuation-passing style (Neumann, VLDB 2011, in Python): each
+node extends the environment and calls the next one.  `eval_query` runs a
+plan, or compiles a query on the spot, over a DbIndex: the facts of one
+database grouped by relation and hashed on bound argument positions, with
+its active domain and sorted quantifier ranges, each built on first use.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from typing import Iterator, Optional, Union
+from operator import itemgetter
+from typing import Callable, Iterable, Iterator, Optional, Union
 
 from .data import (
     Database,
@@ -219,16 +231,6 @@ def constants(q: Query) -> set[DataObject]:
         for t in terms:
             if isinstance(t, Const):
                 out.add(t.obj)
-    return out
-
-
-def params(q: Query) -> set[str]:
-    out: set[str] = set()
-    for a in atoms(q):
-        terms = a.terms if isinstance(a, RelAtom) else (a.left, a.right)
-        for t in terms:
-            if isinstance(t, Param):
-                out.add(t.name)
     return out
 
 
@@ -467,10 +469,6 @@ class FactOrder:
 
     def __init__(self, order_db: Database) -> None:
         self.order_db = order_db
-        self._mentioned: dict[str, set[DataObject]] = {}
-        for rel, args in order_db:
-            t = rel[len(LESSTHAN_PREFIX):]
-            self._mentioned.setdefault(t, set()).update(args)
 
     def less(self, type_name: str, a: DataObject, b: DataObject) -> bool:
         if a == b:
@@ -494,228 +492,555 @@ OrderSource = Union[CarrierOrder, FactOrder]
 
 
 # ---------------------------------------------------------------------------
-# Evaluation
+# Evaluation: database indexes, query plans and their compiler
 
 Binding = dict[str, DataObject]
 
 
-@dataclass
-class EvalContext:
-    db: Database
-    order: OrderSource
-    var_types: dict[str, str]
-    # per-type constants of the initial data domain, merged into quantifier
-    # ranges alongside the database's active domain
-    const_domain: dict[str, frozenset[DataObject]]
+class DbIndex:
+    """Lookup structures over one database, each built on first use.
 
-    def universe(self, var: str) -> list[DataObject]:
-        t = self.var_types.get(var)
+    `rows` groups the facts by relation, `probe` hashes one relation's facts
+    on some argument positions, and `universe` is the sorted range of a
+    variable of a type: the database's active domain of that type plus the
+    type's constants from `const_domain`.  The database itself stores none of
+    this; an index lives as long as its owner keeps it.
+    """
+
+    __slots__ = ("db", "const_domain", "_rows", "_probes", "_adom", "_members", "_universes")
+
+    def __init__(self, db: Database, const_domain: dict[str, frozenset[DataObject]]) -> None:
+        self.db = db
+        self.const_domain = const_domain
+        self._rows: Optional[dict[str, list]] = None
+        self._probes: dict[tuple, dict] = {}
+        self._adom: Optional[dict[str, set[DataObject]]] = None
+        self._members: dict[str, set[DataObject]] = {}
+        self._universes: dict[str, list[DataObject]] = {}
+
+    def rows(self, rel: str) -> list[tuple[DataObject, ...]]:
+        if self._rows is None:
+            self._rows = {}
+            for r, args in self.db.facts:
+                bucket = self._rows.get(r)
+                if bucket is None:
+                    self._rows[r] = [args]
+                else:
+                    bucket.append(args)
+        return self._rows.get(rel, [])
+
+    def probe(self, rel: str, positions: tuple[int, ...], key) -> list[tuple[DataObject, ...]]:
+        """Facts of rel whose arguments at positions are key (a bare object
+        for one position, a tuple for several)."""
+        table = self._probes.get((rel, positions))
+        if table is None:
+            table = {}
+            get = itemgetter(*positions)
+            for args in self.rows(rel):
+                k = get(args)
+                bucket = table.get(k)
+                if bucket is None:
+                    table[k] = [args]
+                else:
+                    bucket.append(args)
+            self._probes[(rel, positions)] = table
+        return table.get(key, [])
+
+    def adom(self, type_name: str) -> set[DataObject]:
+        """Objects of a type occurring in the database; do not mutate."""
+        if self._adom is None:
+            self._adom = {}
+            for o in {o for _, args in self.db.facts for o in args}:
+                objs = self._adom.get(o.type_name)
+                if objs is None:
+                    self._adom[o.type_name] = {o}
+                else:
+                    objs.add(o)
+        return self._adom.get(type_name, set())
+
+    def members(self, type_name: str) -> set[DataObject]:
+        """The range of a variable of a type, as a set; do not mutate."""
+        objs = self._members.get(type_name)
+        if objs is None:
+            objs = self.adom(type_name) | self.const_domain.get(type_name, frozenset())
+            self._members[type_name] = objs
+        return objs
+
+    def universe(self, type_name: str) -> list[DataObject]:
+        """The range of a variable of a type, in canonical order."""
+        objs = self._universes.get(type_name)
+        if objs is None:
+            objs = sorted(self.members(type_name), key=DataObject.sort_key)
+            self._universes[type_name] = objs
+        return objs
+
+
+class _Run:
+    """What one evaluation of a plan reads: the index, the order and the
+    answers found so far."""
+
+    __slots__ = ("index", "facts", "less", "less_fact", "out", "seen")
+
+    def __init__(self, index: DbIndex, order: OrderSource) -> None:
+        self.index = index
+        self.facts = index.db.facts
+        self.less = order.less
+        # lessThan fact atoms fall back to the carrier order outside flat modes
+        self.less_fact = order.less if isinstance(order, FactOrder) else _CARRIER.less
+        self.out: list[tuple] = []
+        self.seen: set[tuple] = set()
+
+
+_CARRIER = CarrierOrder()
+
+
+def _stop(run: _Run, env: list) -> bool:
+    """The continuation of a membership test: the first answer ends the search."""
+    return True
+
+
+class Plan:
+    """A query compiled once, evaluated by `eval_query` many times.
+
+    Every variable and parameter occurrence is resolved to a slot of one
+    environment list.  `inputs` are the free variables each evaluation binds
+    through `binding` and `params` the parameters it fills through `params`;
+    the answers bind `outputs`, all free variables in sorted order.
+    """
+
+    __slots__ = ("inputs", "params", "outputs", "_nslots", "_in_slots", "_produced",
+                 "_par_slots", "_run", "_test")
+
+    def answers(self, index: DbIndex, order: OrderSource, binding: Binding,
+                params: dict[str, DataObject]) -> list[Binding]:
+        env: list = [None] * self._nslots
+        for v, s in self._in_slots:
+            if v not in binding:
+                raise QueryError(f"input variable {v!r} is not bound")
+            env[s] = binding[v]
+        for v in binding:
+            if v in self._produced:
+                raise QueryError(f"variable {v!r} is bound but the plan computes it")
+        for p, s in self._par_slots:
+            if p not in params:
+                raise QueryError(f"unsubstituted parameter ${p} at evaluation time")
+            env[s] = params[p]
+        run = _Run(index, order)
+        if self._test is not None:
+            if not self._test(run, env):
+                return []
+            return [{v: env[s] for v, s in self._in_slots}]
+        self._run(run, env)
+        names = self.outputs
+        return [dict(zip(names, key)) for key in run.out]
+
+
+def compile_query(q: Query, var_types: dict[str, str], inputs: Iterable[str] = ()) -> Plan:
+    """Compile q into a plan whose evaluations pre-bind `inputs` (names that
+    are not free in q are ignored) and fill every parameter of q."""
+    c = _Compiler(var_types)
+    plan = Plan()
+    plan.outputs = tuple(sorted(c.names(q)))
+    scope = {v: c.slot(v) for v in plan.outputs}
+    wanted = set(inputs)
+    plan.inputs = tuple(v for v in plan.outputs if v in wanted)
+    plan.params = tuple(sorted(_param_names(q)))
+    c.params = {p: c.slot("$" + p, typed=False) for p in plan.params}
+    plan._in_slots = tuple((v, scope[v]) for v in plan.inputs)
+    plan._produced = frozenset(plan.outputs) - set(plan.inputs)
+    plan._par_slots = tuple(c.params.items())
+    bound = frozenset(scope[v] for v in plan.inputs) | frozenset(c.params.values())
+    plan._run = plan._test = None
+    if c.free(q, scope) <= bound:
+        plan._test = c.test(q, scope, bound)
+    else:
+        plan._run = c.node(q, scope, bound, _emit(tuple(scope[v] for v in plan.outputs)))
+    plan._nslots = len(c.slot_names)
+    return plan
+
+
+def _emit(slots: tuple[int, ...]):
+    get = _tuple_getter(slots)
+
+    def emit(run: _Run, env: list) -> bool:
+        key = get(env)
+        if key not in run.seen:
+            run.seen.add(key)
+            run.out.append(key)
+        return False
+
+    return emit
+
+
+def _tuple_getter(slots: tuple[int, ...]):
+    if len(slots) == 1:
+        (s,) = slots
+        return lambda env: (env[s],)
+    return itemgetter(*slots)
+
+
+def _param_names(q: Query) -> set[str]:
+    return {t.name for a in atoms(q)
+            for t in (a.terms if isinstance(a, RelAtom) else (a.left, a.right))
+            if isinstance(t, Param)}
+
+
+# A compiled node is a function (run, env) -> bool.  It calls its
+# continuation once for every way the node extends env, with all of the
+# node's free variables bound, and returns True as soon as a continuation
+# does (a test found its witness).  Which slots are bound where is decided
+# here, once, so nodes never look a variable up by name.
+Node = Callable[[_Run, list], bool]
+
+
+class _Compiler:
+    def __init__(self, var_types: dict[str, str]) -> None:
+        self.var_types = var_types
+        self.slot_names: list[str] = []
+        self.slot_types: list[Optional[str]] = []
+        self.params: dict[str, int] = {}
+        self._names: dict[int, tuple[Query, frozenset[str]]] = {}
+
+    def slot(self, name: str, typed: bool = True) -> int:
+        self.slot_names.append(name)
+        self.slot_types.append(self.var_types.get(name) if typed else None)
+        return len(self.slot_names) - 1
+
+    def type_of(self, slot: int) -> str:
+        t = self.slot_types[slot]
         if t is None:
-            raise QueryError(f"no type for variable {var!r}")
-        objs = self.db.adom(t) | set(self.const_domain.get(t, frozenset()))
-        return sorted(objs, key=DataObject.sort_key)
+            raise QueryError(f"no type for variable {self.slot_names[slot]!r}")
+        return t
+
+    def free(self, q: Query, scope: dict[str, int]) -> frozenset[int]:
+        return frozenset(scope[v] for v in self.names(q))
+
+    def names(self, q: Query) -> frozenset[str]:
+        """free_vars(q), computed once per node of this compilation."""
+        hit = self._names.get(id(q))
+        if hit is None:
+            if isinstance(q, (And, Or)):
+                names = frozenset().union(*map(self.names, q.parts))
+            elif isinstance(q, Not):
+                names = self.names(q.body)
+            elif isinstance(q, (Exists, Forall)):
+                names = self.names(q.body) - {q.var}
+            else:
+                names = frozenset(free_vars(q))
+            hit = self._names[id(q)] = (q, names)  # holding q keeps its id unique
+        return hit[1]
+
+    def ranges_var(self, q: Query) -> bool:
+        """Forall x. b with x free in b is Not(Exists x. Not b): the answers
+        of Not b bind x.  Without x in b, Forall still ranges x over its
+        universe (true when it is empty) whereas Exists would not."""
+        return isinstance(q, Forall) and q.var in self.names(q.body)
+
+    def negate(self, q: Query) -> Query:
+        """A query equivalent to Not(q), with the negation pushed through Or,
+        Not and Forall so that relation atoms end up as binders."""
+        if isinstance(q, Not):
+            return q.body
+        if isinstance(q, Or):
+            return And(tuple(self.negate(p) for p in q.parts))
+        if self.ranges_var(q):
+            return Exists(q.var, self.negate(q.body))
+        return Not(q)
+
+    def term(self, t: Term, scope: dict[str, int]) -> tuple[bool, object]:
+        """(True, slot) for a variable or parameter, (False, obj) for a constant."""
+        if isinstance(t, Var):
+            return True, scope[t.name]
+        if isinstance(t, Param):
+            return True, self.params[t.name]
+        return False, t.obj
+
+    def getter(self, t: Term, scope: dict[str, int]) -> Callable[[list], DataObject]:
+        is_slot, x = self.term(t, scope)
+        if is_slot:
+            return itemgetter(x)
+        return lambda env: x
+
+    # -- tests: every free variable bound -------------------------------------
+
+    def test(self, q: Query, scope: dict[str, int], bound: frozenset[int]) -> Node:
+        if isinstance(q, TrueQ):
+            return _stop
+        if isinstance(q, RelAtom):
+            fact = (q.name, tuple(t.obj for t in q.terms)) \
+                if all(isinstance(t, Const) for t in q.terms) else None
+            if fact is not None:
+                return lambda run, env: fact in run.facts
+            name = q.name
+            getters = [self.term(t, scope) for t in q.terms]
+            if all(is_slot for is_slot, _ in getters):
+                args = _tuple_getter(tuple(s for _, s in getters))
+                return lambda run, env: (name, args(env)) in run.facts
+            return lambda run, env: (name, tuple(
+                env[x] if is_slot else x for is_slot, x in getters)) in run.facts
+        if isinstance(q, (EqAtom, LessAtom, LessFactAtom, SuccAtom)):
+            a, b = self.getter(q.left, scope), self.getter(q.right, scope)
+            t = getattr(q, "type_name", None)
+            if isinstance(q, EqAtom):
+                return lambda run, env: a(env) == b(env)
+            if isinstance(q, LessAtom):
+                return lambda run, env: run.less(t, a(env), b(env))
+            if isinstance(q, LessFactAtom):
+                return lambda run, env: run.less_fact(t, a(env), b(env))
+            return lambda run, env: carrier_succ(a(env), b(env))
+        if isinstance(q, Not):
+            body = self.test(q.body, scope, bound)
+            return lambda run, env: not body(run, env)
+        if isinstance(q, (And, Or)):
+            parts = [self.test(p, scope, bound) for p in q.parts]
+            if isinstance(q, And):
+                return lambda run, env: all(p(run, env) for p in parts)
+            return lambda run, env: any(p(run, env) for p in parts)
+        if isinstance(q, Exists):
+            inner, body = self.binders(q, scope)
+            return self.node(body, inner, bound, _stop)
+        if self.ranges_var(q):
+            return self.test(Not(Exists(q.var, self.negate(q.body))), scope, bound)
+        if isinstance(q, Forall):
+            t, body = self.type_of(self.slot(q.var)), self.test(q.body, scope, bound)
+            return lambda run, env: not run.index.universe(t) or body(run, env)
+        raise QueryError(f"unknown query node {q!r}")
+
+    # -- nodes that bind variables -------------------------------------------
+
+    def node(self, q: Query, scope: dict[str, int], bound: frozenset[int], cont: Node) -> Node:
+        free = self.free(q, scope)
+        if free <= bound:
+            if isinstance(q, TrueQ):
+                return cont
+            test = self.test(q, scope, bound)
+            if cont is _stop:
+                return test
+            return lambda run, env: test(run, env) and cont(run, env)
+        if isinstance(q, RelAtom):
+            return self.relation(q, scope, bound, cont)
+        if isinstance(q, EqAtom):
+            return self.equality(q, scope, bound, cont)
+        if isinstance(q, And):
+            return self.conjunction(q, scope, bound, cont)
+        if isinstance(q, Or):
+            return self.disjunction(q, scope, bound, cont)
+        if isinstance(q, Exists):
+            return self.exists(q, scope, bound, cont)
+        if self.ranges_var(q):
+            return self.node(Not(Exists(q.var, self.negate(q.body))), scope, bound, cont)
+        # comparisons, negations and vacuous Forall: range the unbound
+        # variables over their universes, then test
+        return self.enumerate(sorted(free - bound), self.node(q, scope, bound | free, cont))
+
+    def enumerate(self, slots: list[int], cont: Node) -> Node:
+        for s in reversed(slots):
+            cont = self._enumerate_one(s, self.type_of(s), cont)
+        return cont
+
+    @staticmethod
+    def _enumerate_one(s: int, t: str, cont: Node) -> Node:
+        def fn(run: _Run, env: list) -> bool:
+            for o in run.index.universe(t):
+                env[s] = o
+                if cont(run, env):
+                    return True
+            return False
+
+        return fn
+
+    def relation(self, q: RelAtom, scope, bound, cont: Node) -> Node:
+        name = q.name
+        probe_pos: list[int] = []
+        probe_terms: list[tuple[bool, object]] = []
+        binds: list[tuple[int, int]] = []  # (position, slot)
+        repeats: list[tuple[int, int]] = []  # (position, earlier position) of one new variable
+        first: dict[int, int] = {}
+        for i, t in enumerate(q.terms):
+            is_slot, x = self.term(t, scope)
+            if is_slot and x not in bound:
+                if x in first:
+                    repeats.append((i, first[x]))
+                else:
+                    first[x] = i
+                    binds.append((i, x))
+            else:
+                probe_pos.append(i)
+                probe_terms.append((is_slot, x))
+
+        def scan(run: _Run, env: list, rows) -> bool:
+            for args in rows:
+                if repeats and any(args[i] != args[j] for i, j in repeats):
+                    continue
+                for i, s in binds:
+                    env[s] = args[i]
+                if cont(run, env):
+                    return True
+            return False
+
+        if not probe_pos:
+            return lambda run, env: scan(run, env, run.index.rows(name))
+        positions = tuple(probe_pos)
+        if len(probe_terms) == 1:
+            ((is_slot, x),) = probe_terms
+            key = itemgetter(x) if is_slot else (lambda env: x)
+        else:
+            key = lambda env: tuple(env[x] if is_slot else x for is_slot, x in probe_terms)
+        return lambda run, env: scan(run, env, run.index.probe(name, positions, key(env)))
+
+    def equality(self, q: EqAtom, scope, bound, cont: Node) -> Node:
+        (l_slot, l), (r_slot, r) = self.term(q.left, scope), self.term(q.right, scope)
+        l_free = l_slot and l not in bound
+        r_free = r_slot and r not in bound
+        if l_free and r_free:
+            if l == r:
+                return self.enumerate([l], cont)
+            t = self.type_of(l)
+            if self.type_of(r) != t:
+                return lambda run, env: False  # objects of two types are never equal
+
+            def both(run: _Run, env: list) -> bool:
+                for o in run.index.universe(t):
+                    env[l] = env[r] = o
+                    if cont(run, env):
+                        return True
+                return False
+
+            return both
+        target, source = (l, q.right) if l_free else (r, q.left)
+        get, t = self.getter(source, scope), self.type_of(target)
+
+        def one(run: _Run, env: list) -> bool:
+            o = get(env)
+            if o in run.index.members(t):
+                env[target] = o
+                return cont(run, env)
+            return False
+
+        return one
+
+    def conjunction(self, q: And, scope, bound, cont: Node) -> Node:
+        parts = []
+        for p in q.parts:
+            parts.extend(p.parts if isinstance(p, And) else (p,))
+        order, bounds = [], []
+        todo = [(p, self.free(p, scope)) for p in parts]
+        while todo:
+            pick = min(todo, key=lambda pf: self._rank(pf[0], pf[1], scope, bound))
+            todo = [pf for pf in todo if pf is not pick]
+            order.append(pick[0])
+            bounds.append(bound)
+            bound = bound | pick[1]
+        for p, b in zip(reversed(order), reversed(bounds)):
+            cont = self.node(p, scope, b, cont)
+        return cont
+
+    def _rank(self, q: Query, free: frozenset[int], scope, bound: frozenset[int]) -> int:
+        """Which conjunct runs next: tests first, then the parts that bind
+        variables cheaply, and last those that range over universes."""
+        if free <= bound:
+            return 0
+        if isinstance(q, EqAtom):
+            sides = [self.term(t, scope) for t in (q.left, q.right)]
+            if any(not is_slot or x in bound for is_slot, x in sides):
+                return 1
+        if isinstance(q, RelAtom):
+            return 2
+        if isinstance(q, (And, Or, Exists)):
+            return 3
+        return 4
+
+    def disjunction(self, q: Or, scope, bound, cont: Node) -> Node:
+        out = sorted(self.free(q, scope) - bound)
+        seen = self.slot("|or", typed=False)
+        after = self._dedup(tuple(out), seen, cont)
+        parts = [
+            self.node(p, scope, bound,
+                      self.enumerate([s for s in out if s not in self.free(p, scope)], after))
+            for p in q.parts
+        ]
+
+        def fn(run: _Run, env: list) -> bool:
+            env[seen] = set()
+            for p in parts:
+                if p(run, env):
+                    return True
+            return False
+
+        return fn
+
+    def binders(self, q: Exists, scope: dict[str, int]) -> tuple[dict[str, int], Query]:
+        """A nested chain of Exists as one scope with a slot per binder."""
+        inner = dict(scope)
+        while isinstance(q, Exists):
+            inner[q.var] = self.slot(q.var)
+            q = q.body
+        return inner, q
+
+    def exists(self, q: Exists, scope, bound, cont: Node) -> Node:
+        out = tuple(sorted(self.free(q, scope) - bound))
+        inner, body = self.binders(q, scope)
+        seen = self.slot("|exists", typed=False)
+        body_fn = self.node(body, inner, bound, self._dedup(out, seen, cont))
+
+        def fn(run: _Run, env: list) -> bool:
+            env[seen] = set()
+            return body_fn(run, env)
+
+        return fn
+
+    @staticmethod
+    def _dedup(slots: tuple[int, ...], seen: int, cont: Node) -> Node:
+        """Pass each distinct binding of slots on once per entry of the node
+        owning the `seen` slot."""
+        key = itemgetter(*slots)
+
+        def fn(run: _Run, env: list) -> bool:
+            k = key(env)
+            done = env[seen]
+            if k in done:
+                return False
+            done.add(k)
+            return cont(run, env)
+
+        return fn
 
 
 def eval_query(
-    q: Query,
-    db: Database,
+    q: Union[Query, Plan],
+    db: Union[Database, DbIndex],
     order: OrderSource,
-    var_types: dict[str, str],
-    const_domain: dict[str, frozenset[DataObject]],
+    var_types: Optional[dict[str, str]] = None,
+    const_domain: Optional[dict[str, frozenset[DataObject]]] = None,
     binding: Optional[Binding] = None,
+    params: Optional[dict[str, DataObject]] = None,
 ) -> list[Binding]:
     """Answers of q over db: one total substitution per free variable.
 
     A boolean query returns [{}] for true and [] for false.  `binding` may
-    pre-bind some free variables.
+    pre-bind some free variables and `params` fills the parameters.  A plain
+    Query is compiled on the spot with `var_types`, its inputs being the
+    variables of `binding`; a Plan must be given exactly its inputs.  A
+    Database is indexed on the spot with `const_domain`; a DbIndex brings its
+    own constants.
     """
-    ctx = EvalContext(db, order, var_types, const_domain)
-    env: Binding = dict(binding or {})
-    fv = free_vars(q)
-    seen: set[tuple] = set()
-    out: list[Binding] = []
-    for ans in _answers(q, env, ctx):
-        restricted = {v: ans[v] for v in fv}
-        rkey = tuple(sorted((v, o.sort_key()) for v, o in restricted.items()))
-        if rkey not in seen:
-            seen.add(rkey)
-            out.append(restricted)
-    return out
+    binding = binding or {}
+    if not isinstance(q, Plan):
+        q = compile_query(q, var_types or {}, binding)
+    if not isinstance(db, DbIndex):
+        db = DbIndex(db, const_domain or {})
+    return q.answers(db, order, binding, params or {})
 
 
 def holds(
-    q: Query,
-    db: Database,
+    q: Union[Query, Plan],
+    db: Union[Database, DbIndex],
     order: OrderSource,
-    var_types: dict[str, str],
-    const_domain: dict[str, frozenset[DataObject]],
+    var_types: Optional[dict[str, str]] = None,
+    const_domain: Optional[dict[str, frozenset[DataObject]]] = None,
     binding: Optional[Binding] = None,
 ) -> bool:
     return bool(eval_query(q, db, order, var_types, const_domain, binding))
-
-
-def _resolve(t: Term, env: Binding) -> Optional[DataObject]:
-    if isinstance(t, Const):
-        return t.obj
-    if isinstance(t, Var):
-        return env.get(t.name)
-    raise QueryError(f"unsubstituted parameter {t!r} at evaluation time")
-
-
-def _extend_unbound(q: Query, env: Binding, ctx: EvalContext) -> Iterator[Binding]:
-    """Enumerate env extensions covering all free variables of q."""
-    missing = sorted(v for v in free_vars(q) if v not in env)
-    if not missing:
-        yield env
-        return
-    pools = [ctx.universe(v) for v in missing]
-    for combo in itertools.product(*pools):
-        e = dict(env)
-        e.update(dict(zip(missing, combo)))
-        yield e
-
-
-def _answers(q: Query, env: Binding, ctx: EvalContext) -> Iterator[Binding]:
-    """Yield extensions of env that bind all free vars of q and satisfy it."""
-    if isinstance(q, TrueQ):
-        yield env
-        return
-
-    if isinstance(q, RelAtom):
-        for args in ctx.db.facts_for(q.name):
-            e = dict(env)
-            ok = True
-            for t, obj in zip(q.terms, args):
-                if isinstance(t, Const):
-                    if t.obj != obj:
-                        ok = False
-                        break
-                elif isinstance(t, Var):
-                    bound = e.get(t.name)
-                    if bound is None:
-                        e[t.name] = obj
-                    elif bound != obj:
-                        ok = False
-                        break
-                else:
-                    raise QueryError(f"unsubstituted parameter {t!r}")
-            if ok:
-                yield e
-        return
-
-    if isinstance(q, EqAtom):
-        lv, rv = _resolve(q.left, env), _resolve(q.right, env)
-        if lv is not None and rv is not None:
-            if lv == rv:
-                yield env
-        elif lv is not None and isinstance(q.right, Var):
-            # variables range over the active domain plus initial constants
-            if lv in ctx.universe(q.right.name):
-                e = dict(env)
-                e[q.right.name] = lv
-                yield e
-        elif rv is not None and isinstance(q.left, Var):
-            if rv in ctx.universe(q.left.name):
-                e = dict(env)
-                e[q.left.name] = rv
-                yield e
-        else:
-            # both sides unbound variables: enumerate one side
-            for e in _extend_unbound(q, env, ctx):
-                if _resolve(q.left, e) == _resolve(q.right, e):
-                    yield e
-        return
-
-    if isinstance(q, (LessAtom, LessFactAtom, SuccAtom)):
-        for e in _extend_unbound(q, env, ctx):
-            a, b = _resolve(q.left, e), _resolve(q.right, e)
-            assert a is not None and b is not None
-            if isinstance(q, SuccAtom):
-                if carrier_succ(a, b):
-                    yield e
-            elif isinstance(q, LessFactAtom):
-                if isinstance(ctx.order, FactOrder):
-                    if ctx.order.less(q.type_name, a, b):
-                        yield e
-                elif carrier_less(a, b):
-                    yield e
-            else:
-                if ctx.order.less(q.type_name, a, b):
-                    yield e
-        return
-
-    if isinstance(q, And):
-        def chain(i: int, e: Binding) -> Iterator[Binding]:
-            if i == len(q.parts):
-                yield e
-                return
-            for e2 in _answers(q.parts[i], e, ctx):
-                yield from chain(i + 1, e2)
-
-        yield from chain(0, env)
-        return
-
-    if isinstance(q, Or):
-        seen: set[tuple] = set()
-        fv = sorted(free_vars(q))
-        for p in q.parts:
-            for e in _answers(p, env, ctx):
-                for full in _extend_missing(fv, e, ctx):
-                    key = tuple(full[v].sort_key() for v in fv)
-                    if key not in seen:
-                        seen.add(key)
-                        yield full
-        return
-
-    if isinstance(q, Not):
-        for e in _extend_unbound(q, env, ctx):
-            if not any(True for _ in _answers(q.body, e, ctx)):
-                yield e
-        return
-
-    if isinstance(q, Exists):
-        outer = env.get(q.var)
-        base = {k: v for k, v in env.items() if k != q.var}
-        seen = set()
-        fv = sorted(free_vars(q))
-        for e in _answers(q.body, base, ctx):
-            out = {k: v for k, v in e.items() if k != q.var}
-            if outer is not None:
-                out[q.var] = outer
-            for full in _extend_missing(fv, out, ctx):
-                key = tuple(full[v].sort_key() for v in fv)
-                if key not in seen:
-                    seen.add(key)
-                    yield full
-        return
-
-    if isinstance(q, Forall):
-        for e in _extend_unbound(q, env, ctx):
-            base = {k: v for k, v in e.items() if k != q.var}
-            ok = True
-            for obj in ctx.universe(q.var):
-                inner = dict(base)
-                inner[q.var] = obj
-                if not any(True for _ in _answers(q.body, inner, ctx)):
-                    ok = False
-                    break
-            if ok:
-                yield e
-        return
-
-    raise QueryError(f"unknown query node {q!r}")
-
-
-def _extend_missing(fv: list[str], env: Binding, ctx: EvalContext) -> Iterator[Binding]:
-    missing = [v for v in fv if v not in env]
-    if not missing:
-        yield env
-        return
-    pools = [ctx.universe(v) for v in missing]
-    for combo in itertools.product(*pools):
-        e = dict(env)
-        e.update(dict(zip(missing, combo)))
-        yield e
 
 
 # ---------------------------------------------------------------------------

@@ -228,6 +228,37 @@ class TestStepSuccessors:
         assert s1.db(agent("bob")) == s0.db(agent("bob"))  # rolled back
         assert ("Waiting", ()) in s1.db(agent("alice")).facts  # committed
 
+    def _ask_ticket_with_bogus_fact(self, ticket_spec):
+        b = Builder(ticket_spec, BuildConfig(mode=MODE_CONCRETE,
+                                             pools=rational_pool("Real", [1, 2])))
+        s0 = b.initial_state()
+        dbs = {a: d for a, d in s0.agent_dbs}
+        dbs[agent("inst")] = s0.inst_db().apply(adds=[("Bogus", (agent("c1"),))], dels=[])
+        state = make_state(dbs, None)
+        return b, state, lambda: b._exchange(
+            state, agent("c1"), "client", agent("inst"), "instSpec",
+            "askTicket", (), b.current_agents(state), {})
+
+    def test_out_of_schema_fact_rolls_back(self, ticket_spec):
+        # every candidate of inst keeps the fact of a relation outside its
+        # schema, so conformance rejects each branch and inst keeps its db
+        b, state, exchange = self._ask_ticket_with_bogus_fact(ticket_spec)
+        succs = exchange()
+        assert succs
+        assert all(s.db(agent("inst")) == state.inst_db() for s in succs)
+        assert not b._acceptable("instSpec", state.inst_db(), Q.CarrierOrder())
+
+    def test_other_conformance_errors_propagate(self, ticket_spec, monkeypatch):
+        import rmas.builder as builder_module
+
+        def broken(*args):
+            raise RuntimeError("engine bug")
+
+        _, _, exchange = self._ask_ticket_with_bogus_fact(ticket_spec)
+        monkeypatch.setattr(builder_module, "conforms", broken)
+        with pytest.raises(RuntimeError, match="engine bug"):
+            exchange()
+
 
 class TestBuild:
     def test_no_comm_rules_single_state(self):
@@ -391,10 +422,22 @@ class TestDeterminism:
         assert [state_key(s) for s in a.states] == [state_key(s) for s in b.states]
         assert a.edges == b.edges
 
-    def test_workers_do_not_change_the_result(self, ticket_spec):
-        a = build_transition_system(ticket_spec, BuildConfig(mode=MODE_ABSTRACT, workers=1))
-        b = build_transition_system(ticket_spec, BuildConfig(mode=MODE_ABSTRACT, workers=4))
-        assert export_jsonl(a) == export_jsonl(b)
+    @pytest.mark.parametrize("mode", [MODE_CONCRETE, MODE_ABSTRACT, MODE_FB_FLAT])
+    def test_queries_compiled_once_per_builder(self, ticket_spec, monkeypatch, mode):
+        compiled = []
+        compile_query = Q.compile_query
+        monkeypatch.setattr(Q, "compile_query",
+                            lambda q, *a, **k: compiled.append(q) or compile_query(q, *a, **k))
+        b = Builder(ticket_spec, BuildConfig(mode=mode, max_states=60,
+                                             pools=rational_pool("Real", [1, 2])))
+        # one plan per comm rule, update rule, effect guard and constraint
+        assert len(compiled) == sum(
+            len(ag.comm_rules) + len(ag.update_rules) + len(ag.constraints)
+            + sum(len(act.effects) for act in ag.actions.values())
+            for ag in b.spec.agent_specs.values())
+        before = len(compiled)
+        assert len(b.build().states) > 10
+        assert len(compiled) == before  # none per state
 
     def test_fb_successor_count_bounded_by_bell_product(self, ticket_spec):
         from oracles import bell

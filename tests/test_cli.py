@@ -168,6 +168,18 @@ class TestDeterminism:
         assert f1.read_bytes() == f2.read_bytes()
         assert r1.stderr == r2.stderr
 
+    def test_thread_variable_is_ignored(self, tmp_path):
+        # exploration is single-threaded; a stale RMAS_THREADS, even one
+        # that is not a number, changes nothing
+        out = tmp_path / "ts.jsonl"
+        r = run_cli("--report", "json", "build", TICKET, "--mode", "abstract-recycle",
+                    "--out", str(out), env_extra={"RMAS_THREADS": "two"})
+        assert r.returncode == 0, r.stderr
+        rec = json.loads(r.stderr)
+        assert rec["exit"] == 0
+        assert rec["result"]["states"] > 1
+        assert out.read_bytes()
+
     def test_verify_reports_identical(self):
         r1 = run_cli("--report", "json", "verify", TICKET, SAFETY,
                      "--mode", "abstract-recycle")

@@ -136,6 +136,34 @@ class TestEval:
             eval_query(q, Database(), FactOrder(order_db), {}, NO_CONSTS)
 
 
+class TestPlanShapes:
+    """Node shapes the random generators below rarely reach."""
+
+    def agree(self, q, db, types, consts=NO_CONSTS):
+        got = eval_query(q, db, CarrierOrder(), types, consts)
+        want = naive_eval(q, db, CarrierOrder(), types, consts)
+        key = lambda row: tuple(sorted((k, v.sort_key()) for k, v in row.items()))
+        assert sorted(map(key, got)) == sorted(map(key, want))
+        return got
+
+    def test_repeated_variable_in_one_atom(self):
+        db = Database.of([("P", (r(1), r(2))), ("P", (r(3), r(3)))])
+        got = self.agree(Q.RelAtom("P", (Var("x"), Var("x"))), db, {"x": "Rat"})
+        assert got == [{"x": r(3)}]
+
+    def test_equality_of_two_unbound_variables(self):
+        db = Database.of([("S", (r(1),)), ("S", (r(2),))])
+        q = Q.q_and(Q.EqAtom(Var("x"), Var("y")), Q.Not(Q.RelAtom("S", (Var("y"),))))
+        got = self.agree(q, db, {"x": "Rat", "y": "Rat"}, {"Rat": frozenset({r(1), r(5)})})
+        assert got == [{"x": r(5), "y": r(5)}]
+
+    def test_forall_without_its_variable_over_an_empty_universe(self):
+        # the universe of x is empty, so the universal holds vacuously
+        q = Q.Forall("x", Q.q_false())
+        assert self.agree(q, Database(), {"x": "Rat"}) == [{}]
+        assert self.agree(q, Database.of([("S", (r(1),))]), {"x": "Rat"}) == []
+
+
 class TestFlatten:
     def test_less_atom_rewritten(self):
         q = Q.LessAtom("Rat", Var("x"), Var("y"))
@@ -301,3 +329,165 @@ def test_carrier_equals_flat_on_full_order_restriction():
             tuple(sorted((k, v.sort_key()) for k, v in row.items())) for row in rows
         )
         assert canon(got) == canon(want)
+
+
+# ---------------------------------------------------------------------------
+# Randomized equivalence of compiled plans with the naive evaluator, on the
+# shapes the builder's queries take: binder names reused in nested scopes,
+# parameter slots, pre-bound variables, lessThan fact atoms, and conjunctions
+# whose filters come before their binders
+
+# a binder name always has the same type, as typechecking demands
+BINDERS = [("x", "Rat"), ("u", "Rat"), ("w", "Str")]
+PARAM_TYPES = {"p": "Rat", "ps": "Str"}
+CONSTS = {"Rat": frozenset({r(0), r(1), r(2)}), "Str": frozenset({s("a")})}
+
+
+def random_plan_query(rng, depth, scope, *, params=False, fact_less=False):
+    """A random query over R, S; binders reuse the names of BINDERS, and
+    `guarded` conjunctions put a filter on a variable before the atom that
+    binds it."""
+    kinds = ["R", "S", "eq", "less"]
+    if depth > 0:
+        kinds += ["not", "and", "or", "exists", "forall", "guarded", "guarded"]
+
+    def term(type_name):
+        pool = [Var(v) for v, t in scope if t == type_name]
+        if type_name == "Rat":
+            pool += [Const(r(i)) for i in range(3)] + ([Q.Param("p")] if params else [])
+        else:
+            pool += [Const(s("a"))] + ([Q.Param("ps")] if params else [])
+        return rng.choice(pool)
+
+    def less(a, b):
+        return Q.LessFactAtom("Rat", a, b) if fact_less else Q.LessAtom("Rat", a, b)
+
+    kind = rng.choice(kinds)
+    if kind == "R":
+        return Q.RelAtom("R", (term("Str"), term("Rat")))
+    if kind == "S":
+        return Q.RelAtom("S", (term("Rat"),))
+    if kind == "eq":
+        return Q.EqAtom(term("Rat"), term("Rat"))
+    if kind == "less":
+        return less(term("Rat"), term("Rat"))
+    sub = lambda sc: random_plan_query(rng, depth - 1, sc, params=params, fact_less=fact_less)
+    if kind == "not":
+        return Q.Not(sub(scope))
+    if kind in ("and", "or"):
+        parts = (sub(scope), sub(scope))
+        return Q.And(parts) if kind == "and" else Q.Or(parts)
+    v, t = rng.choice(BINDERS)
+    inner = scope + [(v, t)]
+    if kind == "guarded":
+        v, inner = "u", scope + [("u", "Rat")]
+        binder = rng.choice([Q.RelAtom("S", (Var(v),)), Q.RelAtom("R", (Const(s("a")), Var(v)))])
+        filt = rng.choice([
+            less(Var(v), rng.choice([Var(v), Const(r(1))])),
+            Q.Not(sub(inner)),
+            Q.EqAtom(Var(v), Const(r(rng.randint(0, 3)))),
+        ])
+        body = Q.And((filt, binder))
+        return Q.Exists(v, body) if rng.random() < 0.5 else body
+    return (Q.Exists if kind == "exists" else Q.Forall)(v, sub(inner))
+
+
+def canon(rows):
+    return sorted(tuple(sorted((k, v.sort_key()) for k, v in row.items())) for row in rows)
+
+
+def typed_random_cases(seed, n, **opts):
+    """(query, its variable types, a database) triples that typecheck."""
+    rng = random.Random(seed)
+    for _ in range(n):
+        scope = [rng.choice(BINDERS[:2])] if rng.random() < 0.7 else []
+        q = random_plan_query(rng, 3, list(scope), **opts)
+        try:
+            types = dict(scope)
+            types.update(typecheck_query(q, CTX, param_types=PARAM_TYPES,
+                                         seed_types=dict(scope)))
+        except IncompatibleQuery:
+            continue
+        yield rng, q, types, random_db(rng)
+
+
+def test_reused_binder_names_match_naive():
+    checked = shadowed = 0
+    for _, q, types, db in typed_random_cases(31, 300):
+        names = [n.var for n in _subqueries(q) if isinstance(n, (Q.Exists, Q.Forall))]
+        shadowed += len(names) != len(set(names)) or bool(set(names) & free_vars(q))
+        got = eval_query(q, db, CarrierOrder(), types, CONSTS)
+        assert canon(got) == canon(naive_eval(q, db, CarrierOrder(), types, CONSTS)), q
+        checked += 1
+    assert checked > 150 and shadowed > 20
+
+
+def test_parameter_slots_match_substitution():
+    checked = 0
+    for rng, q, types, db in typed_random_cases(37, 300, params=True):
+        plan = Q.compile_query(q, types)
+        for _ in range(2):
+            values = {"p": rng.choice([r(0), r(2), r(7)]), "ps": rng.choice([s("a"), s("b")])}
+            ground = Q.substitute_params(q, values)
+            got = eval_query(plan, db, CarrierOrder(), const_domain=CONSTS, params=values)
+            assert canon(got) == canon(naive_eval(ground, db, CarrierOrder(), types, CONSTS)), q
+            assert canon(got) == canon(eval_query(ground, db, CarrierOrder(), types, CONSTS))
+        checked += 1
+    assert checked > 150
+
+
+def test_prebound_binding_matches_naive():
+    checked = 0
+    for rng, q, types, db in typed_random_cases(41, 400):
+        fv = free_vars(q)
+        if not fv:
+            continue
+        # a value outside the universe too, as a message payload may be;
+        # and a variable the query does not mention, which is ignored
+        binding = {v: rng.choice([r(1), r(3), r(7)]) for v in fv if rng.random() < 0.7}
+        binding["zz"] = s("b")
+        plan = Q.compile_query(q, types, inputs=binding)
+        got = eval_query(plan, db, CarrierOrder(), const_domain=CONSTS, binding=binding)
+        want = naive_eval(q, db, CarrierOrder(), types, CONSTS, binding)
+        assert canon(got) == canon(want), (q, binding)
+        checked += 1
+    assert checked > 100
+
+
+def test_less_fact_atoms_under_a_total_fact_order_match_naive():
+    checked = 0
+    for rng, q, types, db in typed_random_cases(43, 300, fact_less=True):
+        # a random strict total order on the universe, not the carrier's
+        objs = sorted(db.adom("Rat") | CONSTS["Rat"], key=DataObject.sort_key)
+        rng.shuffle(objs)
+        order = FactOrder(Database.of(
+            (lessthan_rel("Rat"), (a, b)) for a, b in itertools.combinations(objs, 2)))
+        got = eval_query(q, db, order, types, CONSTS)
+        assert canon(got) == canon(naive_eval(q, db, order, types, CONSTS)), q
+        checked += 1
+    assert checked > 150
+
+
+def test_filter_before_binder_matches_naive():
+    db = Database.of([("S", (r(1),)), ("S", (r(3),)), ("R", (s("a"), r(2)))])
+    # the filter names v before S binds it: v ranges over S, not the universe
+    q = Q.And((Q.LessAtom("Rat", Var("v"), Const(r(2))), Q.RelAtom("S", (Var("v"),))))
+    types = {"v": "Rat"}
+    got = eval_query(q, db, CarrierOrder(), types, CONSTS)
+    assert got == [{"v": r(1)}]
+    assert canon(got) == canon(naive_eval(q, db, CarrierOrder(), types, CONSTS))
+    guarded = 0
+    for _, q, types, db in typed_random_cases(47, 300):
+        guarded += any(isinstance(n, Q.And) and not isinstance(n.parts[0], Q.RelAtom)
+                       for n in _subqueries(q))
+        got = eval_query(q, db, CarrierOrder(), types, CONSTS)
+        assert canon(got) == canon(naive_eval(q, db, CarrierOrder(), types, CONSTS)), q
+    assert guarded > 50
+
+
+def _subqueries(q):
+    yield q
+    for p in getattr(q, "parts", ()):
+        yield from _subqueries(p)
+    if hasattr(q, "body"):
+        yield from _subqueries(q.body)
