@@ -41,7 +41,7 @@ from .generators import (
     parse_counter_program,
 )
 from .model import RmasSpec, install_institutional
-from .mucalc import PropError, flatten_property, model_check, parse_property
+from .mucalc import PropError, check_closed, flatten_property, model_check, parse_property
 from .shallow import compile_shallow, is_shallow
 from .wellformed import check_well_formed
 
@@ -248,6 +248,7 @@ def cmd_verify(args, report: Report) -> int:
         built_spec = compile_shallow(spec)
     try:
         prop = parse_property(_read(args.property), built_spec)
+        check_closed(prop)
         if config.flat:
             prop = flatten_property(prop)
     except (ParseError, PropError) as e:

@@ -3,15 +3,16 @@
 Properties query named agents' databases (`R@a(x, y)`), quantify over objects
 live in the current state, and wrap modal steps in liveness guards so that
 quantified data survives exactly as long as it persists in some database.
-Fixpoints are computed by Kleene iteration over sets of (state, assignment)
-pairs.
+Fixpoints are computed by Kleene iteration; each approximant maps every
+assignment of the free variables to the bitmask of the states where it holds.
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional
+from typing import Callable, Iterable, Iterator, Optional
 
 from .data import AGENT_TYPE, INST_NAME, Database, DataObject, carrier_less, carrier_succ, mk_symbol
 from . import model as M
@@ -152,11 +153,24 @@ def p_or(*parts: Prop) -> Prop:
 def children(p: Prop) -> tuple[Prop, ...]:
     if isinstance(p, (PAnd, POr)):
         return p.parts
-    if isinstance(p, PNot):
-        return (p.body,)
-    if isinstance(p, (PExists, PForall, PMu, PNu, PDiamond, PBox)):
+    if isinstance(p, (PNot, PExists, PForall, PMu, PNu, PDiamond, PBox)):
         return (p.body,)
     return ()
+
+
+def rebuild(p: Prop, f: Callable[[Prop], Prop]) -> Prop:
+    """p of the same kind, with f applied to each of its children."""
+    if isinstance(p, (PAnd, POr)):
+        return type(p)(tuple(f(c) for c in p.parts))
+    if isinstance(p, PNot):
+        return PNot(f(p.body))
+    if isinstance(p, (PExists, PForall)):
+        return type(p)(p.var, p.type_name, f(p.body))
+    if isinstance(p, (PMu, PNu)):
+        return type(p)(p.var, f(p.body))
+    if isinstance(p, (PDiamond, PBox)):
+        return type(p)(p.guards, f(p.body))
+    return p
 
 
 def free_vars_plus(p: Prop, binder_fv: dict[str, frozenset[str]]) -> frozenset[str]:
@@ -416,18 +430,8 @@ class _PropResolver:
         if isinstance(p, CmpAtom):
             return CmpAtom(p.op, p.type_name, conv(p.left), conv(p.right))
         if isinstance(p, (PExists, PForall)):
-            return type(p)(p.var, p.type_name, self._convert_names(p.body, bound | {p.var}))
-        if isinstance(p, PNot):
-            return PNot(self._convert_names(p.body, bound))
-        if isinstance(p, PAnd):
-            return PAnd(tuple(self._convert_names(c, bound) for c in p.parts))
-        if isinstance(p, POr):
-            return POr(tuple(self._convert_names(c, bound) for c in p.parts))
-        if isinstance(p, (PMu, PNu)):
-            return type(p)(p.var, self._convert_names(p.body, bound))
-        if isinstance(p, (PDiamond, PBox)):
-            return type(p)(p.guards, self._convert_names(p.body, bound))
-        return p
+            bound = bound | {p.var}
+        return rebuild(p, lambda c: self._convert_names(c, bound))
 
     def _check_monotone(self, p: Prop, positive: bool = True) -> None:
         if isinstance(p, PVar):
@@ -509,17 +513,7 @@ class _PropResolver:
             if t is None:
                 raise PropError(f"cannot infer the type of quantified variable {p.var!r}")
             return type(p)(p.var, t, self._finish(p.body))
-        if isinstance(p, PNot):
-            return PNot(self._finish(p.body))
-        if isinstance(p, PAnd):
-            return PAnd(tuple(self._finish(c) for c in p.parts))
-        if isinstance(p, POr):
-            return POr(tuple(self._finish(c) for c in p.parts))
-        if isinstance(p, (PMu, PNu)):
-            return type(p)(p.var, self._finish(p.body))
-        if isinstance(p, (PDiamond, PBox)):
-            return type(p)(p.guards, self._finish(p.body))
-        return p
+        return rebuild(p, self._finish)
 
     def _finish_term(self, t: Term, type_name: str) -> Term:
         if isinstance(t, Const) and t.obj.type_name.startswith("?"):
@@ -583,19 +577,7 @@ def flatten_property(p: Prop) -> Prop:
         if p.op == "succ":
             raise SuccNotFlattenable("succ atoms cannot be flattened")
         return p
-    if isinstance(p, PNot):
-        return PNot(flatten_property(p.body))
-    if isinstance(p, PAnd):
-        return PAnd(tuple(flatten_property(c) for c in p.parts))
-    if isinstance(p, POr):
-        return POr(tuple(flatten_property(c) for c in p.parts))
-    if isinstance(p, (PExists, PForall)):
-        return type(p)(p.var, p.type_name, flatten_property(p.body))
-    if isinstance(p, (PMu, PNu)):
-        return type(p)(p.var, flatten_property(p.body))
-    if isinstance(p, (PDiamond, PBox)):
-        return type(p)(p.guards, flatten_property(p.body))
-    return p
+    return rebuild(p, flatten_property)
 
 
 # ---------------------------------------------------------------------------
@@ -610,250 +592,325 @@ class Verdict:
 
 
 class ModelChecker:
+    """Set-at-a-time evaluation over one transition system.
+
+    An extension maps each assignment (a tuple of objects, one for each
+    variable of `dom`, drawn from the per-type universe) to the bitmask of the
+    states where the formula holds under it: bit `sid` stands for
+    `ts.states[sid]`.  Assignments whose mask is zero are left out, so two
+    extensions are equal exactly when they are equal dicts.  Extensions are
+    shared, never mutated after they are returned.
+    """
+
     def __init__(self, ts: TransitionSystem, spec: RmasSpec) -> None:
         self.ts = ts
-        self.spec = spec
-        self.const_domain = initial_data_domain(spec)
-        self.inst = mk_symbol(AGENT_TYPE, INST_NAME)
-        self.n = len(ts.states)
-        self.succ: dict[int, list[int]] = {i: [] for i in range(self.n)}
+        n = len(ts.states)
+        self.full = (1 << n) - 1
+        # pred[sid]: the states with an edge into sid
+        self.pred = [0] * n
         for a, b in ts.edges:
-            self.succ[a].append(b)
-        # global object universe per type: everything stored anywhere plus
-        # the initial constants
-        self.universe: dict[str, list[DataObject]] = {}
-        objs: dict[str, set[DataObject]] = {}
-        for t, cs in self.const_domain.items():
-            objs.setdefault(t, set()).update(cs)
-        for s in ts.states:
-            for o in s.adom():
-                objs.setdefault(o.type_name, set()).add(o)
-        for t, os in objs.items():
-            self.universe[t] = sorted(os, key=DataObject.sort_key)
-        # live objects per (state, type): the current active domain
-        self.live: list[dict[str, set[DataObject]]] = []
-        for s in ts.states:
-            per: dict[str, set[DataObject]] = {}
-            for o in s.adom():
-                per.setdefault(o.type_name, set()).add(o)
-            self.live.append(per)
-        self.active: list[set[DataObject]] = []
-        for s in ts.states:
-            inst_db = s.db(self.inst)
+            self.pred[b] |= 1 << a
+        inst = mk_symbol(AGENT_TYPE, INST_NAME)
+        # the states where each object is live, for every object stored
+        # anywhere and every initial constant
+        live: dict[DataObject, int] = dict.fromkeys(
+            (o for cs in initial_data_domain(spec).values() for o in cs), 0)
+        # States share the databases of the agents a step leaves alone, so
+        # each distinct database is read once, with the mask of the states
+        # that hold it: `held` for any agent, `placed` for an agent
+        # registered there (an Agent fact in inst's database).
+        held: dict[int, list] = {}  # id(db) -> [db, states]
+        placed: dict[tuple, list] = {}  # (agent, id(db)) -> [agent, db, states]
+        for sid, s in enumerate(ts.states):
+            bit = 1 << sid
+            inst_db = s.db(inst)
             agents = {args[0] for args in inst_db.facts_for(M.AGENT_REL)} if inst_db else set()
-            self.active.append(agents)
-        self._atom_cache: dict = {}
+            for agent, db in s.agent_dbs:
+                got = held.get(id(db))
+                if got is None:
+                    got = held[id(db)] = [db, 0]
+                got[1] |= bit
+                if agent in agents:
+                    got = placed.get((agent, id(db)))
+                    if got is None:
+                        got = placed[(agent, id(db))] = [agent, db, 0]
+                    got[2] |= bit
+        for db, states in held.values():
+            for o in {o for _, args in db.facts for o in args}:
+                live[o] = live.get(o, 0) | states
+        self.placed: list[tuple[DataObject, Database, int]] = [
+            tuple(got) for got in placed.values()]
+        # per type: the universe in canonical order, and each object's live mask
+        self.live: dict[str, dict[DataObject, int]] = {}
+        for o in sorted(live, key=DataObject.sort_key):
+            self.live.setdefault(o.type_name, {})[o] = live[o]
+        self.universe = {t: list(per) for t, per in self.live.items()}
+        self._atoms: dict[tuple, dict[tuple, int]] = {}
+        self._tops: dict[tuple[str, ...], dict[tuple, int]] = {}
         self.iterations = 0
 
-    # -- spaces ----------------------------------------------------------------
+    # -- assignments -------------------------------------------------------------
 
-    def _space(self, dom: tuple[str, ...], var_types: dict[str, str]) -> set:
-        pools = [self.universe.get(var_types[v], []) for v in dom]
-        out = set()
-        for sid in range(self.n):
-            for combo in itertools.product(*pools):
-                out.add((sid, combo))
+    def _pools(self, dom: tuple[str, ...], var_types: dict[str, str]) -> list[list[DataObject]]:
+        return [self.universe.get(var_types[v], []) for v in dom]
+
+    def _top(self, dom: tuple[str, ...], var_types: dict[str, str]) -> dict[tuple, int]:
+        """Every assignment over dom, true in every state."""
+        types = tuple(var_types[v] for v in dom)
+        out = self._tops.get(types)
+        if out is None:
+            full = self.full
+            out = {c: full for c in itertools.product(*self._pools(dom, var_types))} if full else {}
+            self._tops[types] = out
+        return out
+
+    def _pre(self, m: int) -> int:
+        """The states with a successor in m."""
+        out = 0
+        pred = self.pred
+        for sid in _bits(m):
+            out |= pred[sid]
         return out
 
     # -- atoms -------------------------------------------------------------------
 
-    def _atom_rows(self, atom: Prop) -> dict[int, list[dict[str, DataObject]]]:
-        key = id(atom)
-        rows = self._atom_cache.get(key)
-        if rows is not None:
-            return rows
-        rows = {sid: self._atom_rows_at(atom, sid) for sid in range(self.n)}
-        self._atom_cache[key] = rows
-        return rows
-
-    def _atom_rows_at(self, atom: Prop, sid: int) -> list[dict[str, DataObject]]:
-        s = self.ts.states[sid]
-        out: list[dict[str, DataObject]] = []
+    def _atom_rows(self, atom: Prop) -> tuple[tuple[str, ...], dict[tuple, int]]:
+        """The atom's variables, and the states where it holds under each
+        binding of them (only bindings that hold somewhere)."""
+        rows: dict[tuple, int] = {}
+        if isinstance(atom, LiveAtom):
+            for o, m in self.live.get(atom.type_name, {}).items():
+                if m:
+                    rows[(o,)] = m
+            return (atom.var,), rows
         if isinstance(atom, LocAtom):
-            if isinstance(atom.loc, Const):
-                candidates = [atom.loc.obj]
-            else:
-                candidates = sorted(self.active[sid], key=DataObject.sort_key)
-            for agent in candidates:
-                if agent not in self.active[sid]:
-                    continue
-                db = s.db(agent)
-                if db is None:
+            terms = (atom.loc,) + atom.terms
+            names = _term_vars(terms)
+            loc = atom.loc.obj if isinstance(atom.loc, Const) else None
+            # distinct variables and no constants in the terms: a fact's
+            # arguments are the row
+            plain = len(names) == len(atom.terms) + (loc is None)
+            for agent, db, states in self.placed:
+                if loc is not None and agent != loc:
                     continue
                 for args in db.facts_for(atom.name):
-                    theta: dict[str, DataObject] = {}
-                    if isinstance(atom.loc, Var):
-                        theta[atom.loc.name] = agent
-                    ok = True
-                    for t, obj in zip(atom.terms, args):
-                        if isinstance(t, Const):
-                            if t.obj != obj:
-                                ok = False
-                                break
-                        else:
-                            prev = theta.get(t.name)
-                            if prev is None:
-                                theta[t.name] = obj
-                            elif prev != obj:
-                                ok = False
-                                break
-                    if ok:
-                        out.append(theta)
-            return _dedup(out)
-        if isinstance(atom, LiveAtom):
-            return [{atom.var: o} for o in sorted(self.live[sid].get(atom.type_name, ()),
-                                                  key=DataObject.sort_key)]
+                    if plain:
+                        row = args if loc is not None else (agent,) + args
+                    else:
+                        row = _match(names, terms, (agent,) + args)
+                        if row is None:
+                            continue
+                    rows[row] = rows.get(row, 0) | states
+            return names, rows
         if isinstance(atom, CmpAtom):
-            pools: list[list[DataObject]] = []
-            vars_: list[str] = []
-            for side in (atom.left, atom.right):
-                if isinstance(side, Var) and side.name not in vars_:
-                    vars_.append(side.name)
-                    pools.append(self.universe.get(atom.type_name, []))
-            for combo in itertools.product(*pools):
-                theta = dict(zip(vars_, combo))
-                a = theta[atom.left.name] if isinstance(atom.left, Var) else atom.left.obj
-                b = theta[atom.right.name] if isinstance(atom.right, Var) else atom.right.obj
-                if self._cmp(atom, a, b, sid):
-                    out.append(theta)
-            return out
+            sides = (atom.left, atom.right)
+            names = _term_vars(sides)
+            pool = self.universe.get(atom.type_name, [])
+            if atom.op != "lessfact":
+                # eq, less and succ do not depend on the state
+                test = {"eq": operator.eq, "less": carrier_less,
+                        "succ": carrier_succ}[atom.op]
+                for row in itertools.product(pool, repeat=len(names)):
+                    theta = dict(zip(names, row))
+                    a, b = (theta[t.name] if isinstance(t, Var) else t.obj for t in sides)
+                    if test(a, b):
+                        rows[row] = self.full
+                return names, rows
+            # lessfact: the state's lessThan facts between universe objects
+            members = set(pool)
+            rel = lessthan_rel(atom.type_name)
+            for sid, s in enumerate(self.ts.states):
+                if s.order_db is None:
+                    continue
+                bit = 1 << sid
+                for pair in s.order_db.facts_for(rel):
+                    if pair[0] == pair[1]:
+                        continue
+                    row = _match(names, sides, pair)
+                    if row is not None and members.issuperset(row):
+                        rows[row] = rows.get(row, 0) | bit
+            return names, rows
         raise PropError(f"not an atom: {atom!r}")
 
-    def _cmp(self, atom: CmpAtom, a: DataObject, b: DataObject, sid: int) -> bool:
-        if atom.op == "eq":
-            return a == b
-        if atom.op == "less":
-            return carrier_less(a, b)
-        if atom.op == "succ":
-            return carrier_succ(a, b)
-        # lessfact: consult the state's order database
-        order_db = self.ts.states[sid].order_db or Database()
-        if a == b:
-            return False
-        return order_db.has(lessthan_rel(atom.type_name), (a, b))
+    def _atom(self, atom: Prop, dom: tuple[str, ...], var_types: dict[str, str]) -> dict:
+        """The atom's rows expanded over the variables of dom it leaves free;
+        computed once per atom, as an atom's dom is fixed by its position."""
+        key = (id(atom), dom, tuple(var_types[v] for v in dom))
+        out = self._atoms.get(key)
+        if out is not None:
+            return out
+        names, rows = self._atom_rows(atom)
+        unbound = set(names).difference(dom)
+        if unbound:
+            raise PropError(f"property must be closed; free variables {sorted(unbound)}")
+        slots = [names.index(v) if v in names else -1 for v in dom]
+        pools = self._pools(dom, var_types)
+        out = {}
+        for row, m in rows.items():
+            for c in itertools.product(*[(row[i],) if i >= 0 else pool
+                                         for i, pool in zip(slots, pools)]):
+                out[c] = m
+        self._atoms[key] = out
+        return out
 
     # -- evaluation -----------------------------------------------------------------
 
     def eval(self, p: Prop, dom: tuple[str, ...], var_types: dict[str, str],
-             env: dict[str, tuple[tuple[str, ...], set]]) -> set:
+             env: dict[str, tuple[tuple[str, ...], dict]]) -> dict[tuple, int]:
         if isinstance(p, PTrue):
-            return self._space(dom, var_types)
+            return self._top(dom, var_types)
         if isinstance(p, (LocAtom, CmpAtom, LiveAtom)):
-            rows = self._atom_rows(p)
-            out = set()
-            missing_pools = {
-                v: self.universe.get(var_types[v], []) for v in dom
-            }
-            for sid, thetas in rows.items():
-                for theta in thetas:
-                    pools = [
-                        [theta[v]] if v in theta else missing_pools[v] for v in dom
-                    ]
-                    for combo in itertools.product(*pools):
-                        out.add((sid, combo))
-            return out
+            return self._atom(p, dom, var_types)
         if isinstance(p, PNot):
-            return self._space(dom, var_types) - self.eval(p.body, dom, var_types, env)
+            body = self.eval(p.body, dom, var_types, env)
+            full = self.full
+            out = {}
+            for c in self._top(dom, var_types):
+                m = full ^ body.get(c, 0)
+                if m:
+                    out[c] = m
+            return out
         if isinstance(p, PAnd):
-            out = None
-            for c in p.parts:
+            if not p.parts:
+                return self._top(dom, var_types)
+            out = self.eval(p.parts[0], dom, var_types, env)
+            for c in p.parts[1:]:
                 e = self.eval(c, dom, var_types, env)
-                out = e if out is None else out & e
-            return out if out is not None else self._space(dom, var_types)
+                small, big = (out, e) if len(out) <= len(e) else (e, out)
+                out = {}
+                for a, m in small.items():
+                    m &= big.get(a, 0)
+                    if m:
+                        out[a] = m
+            return out
         if isinstance(p, POr):
-            out: set = set()
+            out = {}
             for c in p.parts:
-                out |= self.eval(c, dom, var_types, env)
+                for a, m in self.eval(c, dom, var_types, env).items():
+                    out[a] = out.get(a, 0) | m
             return out
         if isinstance(p, (PExists, PForall)):
-            inner_dom = dom + (p.var,)
-            vt = dict(var_types)
-            vt[p.var] = p.type_name
-            body = self.eval(p.body, inner_dom, vt, env)
-            out = set()
+            body = self.eval(p.body, dom + (p.var,), {**var_types, p.var: p.type_name}, env)
+            live = self.live.get(p.type_name, {})
+            out = {}
             if isinstance(p, PExists):
-                for (sid, combo) in body:
-                    if combo[-1] in self.live[sid].get(p.type_name, ()):
-                        out.add((sid, combo[:-1]))
+                for c, m in body.items():
+                    m &= live.get(c[-1], 0)
+                    if m:
+                        c = c[:-1]
+                        out[c] = out.get(c, 0) | m
                 return out
-            # forall: live-relativized universal quantification
-            for sid in range(self.n):
-                live = sorted(self.live[sid].get(p.type_name, ()), key=DataObject.sort_key)
-                pools = [self.universe.get(var_types[v], []) for v in dom]
-                for combo in itertools.product(*pools):
-                    if all((sid, combo + (o,)) in body for o in live):
-                        out.add((sid, combo))
+            # forall, relativized to live objects: holds where the body holds
+            # for every object live there
+            full = self.full
+            # each object live somewhere, with the states where it is not
+            dead = [(o, full ^ m) for o, m in live.items() if m]
+            for c in self._top(dom, var_types):
+                m = full
+                for o, off in dead:
+                    m &= body.get(c + (o,), 0) | off
+                    if not m:
+                        break
+                if m:
+                    out[c] = m
             return out
         if isinstance(p, (PDiamond, PBox)):
             body = self.eval(p.body, dom, var_types, env)
-            out = set()
-            pos = {v: i for i, v in enumerate(dom)}
-            for sid in range(self.n):
-                nxt = self.succ.get(sid, [])
-                pools = [self.universe.get(var_types[v], []) for v in dom]
-                for combo in itertools.product(*pools):
-                    ok = True
-                    for v, t in p.guards:
-                        if combo[pos[v]] not in self.live[sid].get(t, ()):
-                            ok = False
-                            break
-                    if not ok:
-                        continue
-                    if isinstance(p, PDiamond):
-                        if any((n2, combo) in body for n2 in nxt):
-                            out.add((sid, combo))
-                    else:
-                        if all((n2, combo) in body for n2 in nxt):
-                            out.add((sid, combo))
+            guards = [(dom.index(v), self.live.get(t, {})) for v, t in p.guards]
+            full = self.full
+            pre: dict[int, int] = {}  # many assignments share a mask
+            out = {}
+            if isinstance(p, PDiamond):
+                for c, on in body.items():
+                    m = pre.get(on)
+                    if m is None:
+                        m = pre[on] = self._pre(on)
+                    for i, live in guards:
+                        m &= live.get(c[i], 0)
+                    if m:
+                        out[c] = m
+                return out
+            # box: the guarded states with no successor outside body
+            for c in self._top(dom, var_types):
+                off = full ^ body.get(c, 0)
+                m = pre.get(off)
+                if m is None:
+                    m = pre[off] = full ^ self._pre(off)
+                for i, live in guards:
+                    m &= live.get(c[i], 0)
+                if m:
+                    out[c] = m
             return out
         if isinstance(p, PVar):
             bdom, ext = env[p.name]
             k = len(bdom)
             assert dom[:k] == bdom
             if len(dom) == k:
-                return set(ext)
-            pools = [self.universe.get(var_types[v], []) for v in dom[k:]]
-            out = set()
-            for (sid, combo) in ext:
-                for extra in itertools.product(*pools):
-                    out.add((sid, combo + extra))
-            return out
+                return ext
+            pools = self._pools(dom[k:], var_types)
+            return {c + extra: m for c, m in ext.items() for extra in itertools.product(*pools)}
         if isinstance(p, (PMu, PNu)):
-            if isinstance(p, PMu):
-                cur: set = set()
-            else:
-                cur = self._space(dom, var_types)
+            cur = {} if isinstance(p, PMu) else self._top(dom, var_types)
             while True:
                 self.iterations += 1
-                env2 = dict(env)
-                env2[p.var] = (dom, cur)
-                nxt = self.eval(p.body, dom, var_types, env2)
+                nxt = self.eval(p.body, dom, var_types, {**env, p.var: (dom, cur)})
                 if nxt == cur:
                     return cur
                 cur = nxt
         raise PropError(f"unknown property node {p!r}")
 
 
+def _term_vars(terms: Iterable[Term]) -> tuple[str, ...]:
+    return tuple(dict.fromkeys(t.name for t in terms if isinstance(t, Var)))
+
+
+def _match(names: tuple[str, ...], terms: tuple[Term, ...],
+           args: tuple[DataObject, ...]) -> Optional[tuple[DataObject, ...]]:
+    """The binding of names under which terms denote args, or None."""
+    theta: dict[str, DataObject] = {}
+    for t, obj in zip(terms, args):
+        if isinstance(t, Const):
+            if t.obj != obj:
+                return None
+        elif theta.setdefault(t.name, obj) != obj:
+            return None
+    return tuple(theta[v] for v in names)
+
+
+def check_closed(prop: Prop) -> None:
+    """Raise PropError unless prop has no free first-order variable and every
+    fixpoint variable is bound by an enclosing mu or nu."""
+    free = free_vars_plus(prop, compute_binder_fv(prop))
+    if free:
+        raise PropError(f"property must be closed; free variables {sorted(free)}")
+
+    def walk(p: Prop, bound: frozenset[str]) -> None:
+        if isinstance(p, PVar) and p.name not in bound:
+            raise PropError(f"fixpoint variable {p.name!r} is not bound by mu or nu")
+        if isinstance(p, (PMu, PNu)):
+            bound = bound | {p.var}
+        for c in children(p):
+            walk(c, bound)
+
+    walk(prop, frozenset())
+
+
 def model_check(ts: TransitionSystem, spec: RmasSpec, prop: Prop) -> Verdict:
     """Evaluate a closed property at the initial state."""
+    check_closed(prop)
     checker = ModelChecker(ts, spec)
-    binder_fv = compute_binder_fv(prop)
-    if free_vars_plus(prop, binder_fv):
-        raise PropError("property must be closed")
-    ext = checker.eval(prop, (), {}, {})
+    mask = checker.eval(prop, (), {}, {}).get((), 0)
     return Verdict(
-        truth=(ts.initial, ()) in ext,
-        extension=frozenset(ext),
+        truth=bool(mask >> ts.initial & 1),
+        extension=frozenset((sid, ()) for sid in _bits(mask)),
         iterations=checker.iterations,
     )
 
 
-def _dedup(rows: list[dict[str, DataObject]]) -> list[dict[str, DataObject]]:
-    seen = set()
-    out = []
-    for r in rows:
-        key = tuple(sorted((k, v.sort_key()) for k, v in r.items()))
-        if key not in seen:
-            seen.add(key)
-            out.append(r)
-    return out
+def _bits(m: int) -> Iterator[int]:
+    """The positions of the set bits of m, lowest first."""
+    digits = bin(m)[:1:-1]
+    i = digits.find("1")
+    while i >= 0:
+        yield i
+        i = digits.find("1", i + 1)

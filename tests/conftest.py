@@ -1,4 +1,7 @@
+import os
 import pathlib
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -7,7 +10,21 @@ from rmas import install_institutional, parse_spec
 from rmas.data import DataObject
 from rmas.shallow import compile_shallow
 
-CORPUS = pathlib.Path(__file__).resolve().parent.parent / "corpus"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+CORPUS = ROOT / "corpus"
+
+
+def run_cli(*args, env_extra=None):
+    """`python -m rmas.cli ARGS` from the repository root, importing rmas
+    from `src/` whether or not the package is installed."""
+    env = dict(os.environ)
+    env.pop("RMAS_THREADS", None)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    if env_extra:
+        env.update(env_extra)
+    return subprocess.run([sys.executable, "-m", "rmas.cli", *args],
+                          capture_output=True, cwd=str(ROOT), env=env)
 
 
 def load_corpus(name: str):

@@ -10,9 +10,10 @@ import itertools
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional
 
-from rmas import queries as Q
+from rmas import mucalc, queries as Q
 from rmas.builder import BuildConfig, Builder, SystemState, make_state
-from rmas.data import Database, DataObject
+from rmas.data import (AGENT_TYPE, INST_NAME, Database, DataObject, carrier_less,
+                       carrier_succ, mk_symbol)
 from rmas.model import ON_RECEIVE, ON_SEND, RmasSpec
 import rmas.model as M
 
@@ -119,6 +120,165 @@ def _naive_holds(q, db, order, var_types, const_domain, theta) -> bool:
             results.append(_naive_holds(q.body, db, order, var_types, const_domain, theta2))
         return any(results) if isinstance(q, Q.Exists) else all(results)
     raise AssertionError(f"unknown node {q!r}")
+
+
+# ---------------------------------------------------------------------------
+# Naive mu-calculus model checking: every extension is a set of
+# (state id, assignment) pairs over the global object universe
+
+
+def naive_model_check(ts, spec: RmasSpec, prop) -> "mucalc.Verdict":
+    """The property at the initial state, by Kleene iteration over sets of
+    (state, assignment) pairs; same `truth`, `extension` and `iterations`
+    contract as `mucalc.model_check`."""
+    checker = NaiveChecker(ts, spec)
+    ext = checker.eval(prop, (), {}, {})
+    return mucalc.Verdict(
+        truth=(ts.initial, ()) in ext,
+        extension=frozenset(ext),
+        iterations=checker.iterations,
+    )
+
+
+class NaiveChecker:
+    """`eval` returns the set of (state id, assignment) pairs where a
+    formula holds; assignments are tuples over `dom`."""
+
+    def __init__(self, ts, spec: RmasSpec) -> None:
+        self.ts = ts
+        self.n = len(ts.states)
+        self.succ: dict[int, list[int]] = {i: [] for i in range(self.n)}
+        for a, b in ts.edges:
+            self.succ[a].append(b)
+        objs: dict[str, set[DataObject]] = {}
+        for t, cs in M.initial_data_domain(spec).items():
+            objs.setdefault(t, set()).update(cs)
+        for s in ts.states:
+            for o in s.adom():
+                objs.setdefault(o.type_name, set()).add(o)
+        self.universe = {t: sorted(os, key=DataObject.sort_key) for t, os in objs.items()}
+        self.live: list[dict[str, set[DataObject]]] = []
+        self.active: list[set[DataObject]] = []
+        inst = mk_symbol(AGENT_TYPE, INST_NAME)
+        for s in ts.states:
+            per: dict[str, set[DataObject]] = {}
+            for o in s.adom():
+                per.setdefault(o.type_name, set()).add(o)
+            self.live.append(per)
+            inst_db = s.db(inst)
+            self.active.append(
+                {args[0] for args in inst_db.facts_for(M.AGENT_REL)} if inst_db else set())
+        self.iterations = 0
+
+    def space(self, dom, var_types) -> set:
+        pools = [self.universe.get(var_types[v], []) for v in dom]
+        return {(sid, combo) for sid in range(self.n) for combo in itertools.product(*pools)}
+
+    def atom_rows(self, atom, sid: int) -> list[dict[str, DataObject]]:
+        s = self.ts.states[sid]
+        out: list[dict[str, DataObject]] = []
+        if isinstance(atom, mucalc.LocAtom):
+            agents = [atom.loc.obj] if isinstance(atom.loc, Q.Const) else self.active[sid]
+            for agent in agents:
+                db = s.db(agent) if agent in self.active[sid] else None
+                for args in (db.facts_for(atom.name) if db is not None else ()):
+                    theta: dict[str, DataObject] = {}
+                    if isinstance(atom.loc, Q.Var):
+                        theta[atom.loc.name] = agent
+                    ok = True
+                    for t, obj in zip(atom.terms, args):
+                        if isinstance(t, Q.Const):
+                            ok = ok and t.obj == obj
+                        elif theta.setdefault(t.name, obj) != obj:
+                            ok = False
+                    if ok and theta not in out:
+                        out.append(theta)
+            return out
+        if isinstance(atom, mucalc.LiveAtom):
+            return [{atom.var: o} for o in self.live[sid].get(atom.type_name, ())]
+        if isinstance(atom, mucalc.CmpAtom):
+            vars_ = []
+            for side in (atom.left, atom.right):
+                if isinstance(side, Q.Var) and side.name not in vars_:
+                    vars_.append(side.name)
+            pool = self.universe.get(atom.type_name, [])
+            for combo in itertools.product(*(pool for _ in vars_)):
+                theta = dict(zip(vars_, combo))
+                a, b = (theta[t.name] if isinstance(t, Q.Var) else t.obj
+                        for t in (atom.left, atom.right))
+                if atom.op == "eq":
+                    holds = a == b
+                elif atom.op == "less":
+                    holds = carrier_less(a, b)
+                elif atom.op == "succ":
+                    holds = carrier_succ(a, b)
+                else:
+                    order_db = s.order_db or Database()
+                    holds = a != b and order_db.has(Q.lessthan_rel(atom.type_name), (a, b))
+                if holds:
+                    out.append(theta)
+            return out
+        raise AssertionError(f"not an atom: {atom!r}")
+
+    def eval(self, p, dom, var_types, env) -> set:
+        pools = [self.universe.get(var_types[v], []) for v in dom]
+        if isinstance(p, mucalc.PTrue):
+            return self.space(dom, var_types)
+        if isinstance(p, (mucalc.LocAtom, mucalc.CmpAtom, mucalc.LiveAtom)):
+            out = set()
+            for sid in range(self.n):
+                for theta in self.atom_rows(p, sid):
+                    picks = [[theta[v]] if v in theta else pool for v, pool in zip(dom, pools)]
+                    out |= {(sid, combo) for combo in itertools.product(*picks)}
+            return out
+        if isinstance(p, mucalc.PNot):
+            return self.space(dom, var_types) - self.eval(p.body, dom, var_types, env)
+        if isinstance(p, mucalc.PAnd):
+            if not p.parts:
+                return self.space(dom, var_types)
+            return set.intersection(*(self.eval(c, dom, var_types, env) for c in p.parts))
+        if isinstance(p, mucalc.POr):
+            out = set()
+            for c in p.parts:
+                out |= self.eval(c, dom, var_types, env)
+            return out
+        if isinstance(p, (mucalc.PExists, mucalc.PForall)):
+            body = self.eval(p.body, dom + (p.var,), {**var_types, p.var: p.type_name}, env)
+            if isinstance(p, mucalc.PExists):
+                return {(sid, combo[:-1]) for (sid, combo) in body
+                        if combo[-1] in self.live[sid].get(p.type_name, ())}
+            return {(sid, combo) for sid in range(self.n)
+                    for combo in itertools.product(*pools)
+                    if all((sid, combo + (o,)) in body
+                           for o in self.live[sid].get(p.type_name, ()))}
+        if isinstance(p, (mucalc.PDiamond, mucalc.PBox)):
+            body = self.eval(p.body, dom, var_types, env)
+            pos = {v: i for i, v in enumerate(dom)}
+            some = isinstance(p, mucalc.PDiamond)
+            out = set()
+            for sid in range(self.n):
+                for combo in itertools.product(*pools):
+                    if not all(combo[pos[v]] in self.live[sid].get(t, ()) for v, t in p.guards):
+                        continue
+                    hits = [(n2, combo) in body for n2 in self.succ[sid]]
+                    if (any(hits) if some else all(hits)):
+                        out.add((sid, combo))
+            return out
+        if isinstance(p, mucalc.PVar):
+            bdom, ext = env[p.name]
+            k = len(bdom)
+            assert dom[:k] == bdom
+            return {(sid, combo + extra) for (sid, combo) in ext
+                    for extra in itertools.product(*pools[k:])}
+        if isinstance(p, (mucalc.PMu, mucalc.PNu)):
+            cur = set() if isinstance(p, mucalc.PMu) else self.space(dom, var_types)
+            while True:
+                self.iterations += 1
+                nxt = self.eval(p.body, dom, var_types, {**env, p.var: (dom, cur)})
+                if nxt == cur:
+                    return cur
+                cur = nxt
+        raise AssertionError(f"unknown property node {p!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -7,11 +7,7 @@ tolerance is exact (verdict agreement means 100% agreement).
 import itertools
 import json
 import math
-import os
-import pathlib
 import random
-import subprocess
-import sys
 from dataclasses import replace
 from fractions import Fraction
 
@@ -38,7 +34,7 @@ from rmas.mucalc import flatten_property, model_check, parse_property
 from rmas.shallow import compile_shallow
 from rmas.generators import MBUFFER, NEWM, OLDM
 
-from conftest import CORPUS, load_corpus, prop_paths, rational_pool
+from conftest import CORPUS, load_corpus, prop_paths, rational_pool, run_cli
 from oracles import (
     ag_oracle,
     bell,
@@ -48,21 +44,10 @@ from oracles import (
     queue_simulate,
 )
 
-PKG = pathlib.Path(__file__).resolve().parent.parent
-
 
 def report(criterion: int, description: str, ok: bool):
     print(f"{'PASS' if ok else 'FAIL'} criterion {criterion}: {description}")
     assert ok, f"criterion {criterion}: {description}"
-
-
-def run_cli(*args, env_extra=None):
-    env = dict(os.environ)
-    env.pop("RMAS_THREADS", None)
-    if env_extra:
-        env.update(env_extra)
-    return subprocess.run([sys.executable, "-m", "rmas.cli", *args],
-                          capture_output=True, cwd=str(PKG), env=env)
 
 
 def pools_for(name: str):

@@ -1,26 +1,8 @@
 import json
-import os
-import pathlib
-import subprocess
-import sys
 
 import pytest
 
-from conftest import CORPUS
-
-PKG = pathlib.Path(__file__).resolve().parent.parent
-
-
-def run_cli(*args, env_extra=None):
-    env = dict(os.environ)
-    env.pop("RMAS_THREADS", None)
-    if env_extra:
-        env.update(env_extra)
-    return subprocess.run(
-        [sys.executable, "-m", "rmas.cli", *args],
-        capture_output=True, cwd=str(PKG), env=env,
-    )
-
+from conftest import CORPUS, run_cli
 
 TICKET = str(CORPUS / "ticket_mutex.rmas")
 PING = str(CORPUS / "ping.rmas")
@@ -100,6 +82,19 @@ class TestVerify:
     def test_false_property_exit_ten(self):
         out = run_cli("verify", TICKET, NO_AGENTS, "--mode", "abstract-recycle")
         assert out.returncode == 10
+
+    def test_open_property_exits_two_before_the_build(self, tmp_path):
+        prop_file = tmp_path / "open.mlp"
+        prop_file.write_text("Got@alice(g)\n")
+        out = run_cli("--report", "json", "verify", PING, str(prop_file),
+                      "--mode", "abstract-recycle")
+        assert out.returncode == 2
+        assert b"Traceback" not in out.stderr
+        report = json.loads(out.stderr)
+        assert report["exit"] == 2
+        assert "must be closed" in report["result"]["error"]
+        assert "'g'" in report["result"]["error"]
+        assert "states" not in report["result"]  # refused before the build
 
     def test_counter_machine_halting_pipeline(self, tmp_path):
         spec_file = tmp_path / "cm.rmas"

@@ -3,17 +3,20 @@ import random
 import pytest
 
 from rmas.builder import BuildConfig, TransitionSystem, build_transition_system, make_state
-from rmas.data import Database, DataObject, mk_symbol
+from rmas.data import Database, DataObject, mk_integer, mk_rational, mk_symbol
 from rmas.dsl import ParseError, parse_spec
 from rmas.model import install_institutional
 from rmas.mucalc import (
+    ModelChecker,
     CmpAtom,
+    LiveAtom,
     LocAtom,
     NonMonotoneFixpoint,
     PAnd,
     PBox,
     PDiamond,
     PExists,
+    PForall,
     PMu,
     PNot,
     PNu,
@@ -23,13 +26,18 @@ from rmas.mucalc import (
     PVar,
     SuccNotFlattenable,
     UnguardedModalVariables,
+    check_closed,
+    children,
     flatten_property,
     model_check,
     parse_property,
+    rebuild,
 )
-from rmas.queries import Const, Var
+from rmas.queries import Const, Var, lessthan_rel
+from rmas.shallow import compile_shallow
 
-from oracles import ag_oracle, ef_oracle
+from conftest import load_corpus, prop_paths
+from oracles import NaiveChecker, ag_oracle, ef_oracle, naive_model_check
 
 # a minimal system whose union schema provides propositional (0-ary) atoms
 PROP_SPEC = install_institutional(parse_spec("""
@@ -225,6 +233,17 @@ class TestModelCheck:
         with pytest.raises(PropError):
             model_check(make_ts([()], []), PROP_SPEC, LocAtom("p", (), Var("somewhere")))
 
+    def test_unbound_fixpoint_variable_rejected(self):
+        # Z has no enclosing mu/nu: it has no free first-order variable, but
+        # it is not closed either
+        for bad in (PVar("Z"), PMu("Y", POr((PVar("Y"), PDiamond((), PVar("Z"))))),
+                    PAnd((PNu("Z", PVar("Z")), PVar("Z")))):
+            with pytest.raises(PropError, match="'Z' is not bound"):
+                check_closed(bad)
+            with pytest.raises(PropError, match="'Z' is not bound"):
+                model_check(make_ts([()], []), PROP_SPEC, bad)
+        check_closed(PNu("Z", PAnd((PVar("Z"), PMu("Y", PVar("Z"))))))
+
     def test_iteration_count_bounded_by_state_space(self):
         ts = make_ts([(), (), (), ("p",)], [(0, 1), (1, 2), (2, 3), (3, 0)])
         p = parse_property("mu Z. p@inst | <>Z", PROP_SPEC)
@@ -314,3 +333,276 @@ class TestOracleAgreement:
             assert lhs == rhs
             checked += 1
         assert checked == 100
+
+
+class TestRebuild:
+    def test_identity_and_replacement_on_every_node_kind(self):
+        a, b = LocAtom("p", (), Const(INST)), LocAtom("q", (), Const(INST))
+        nodes = [PNot(a), PAnd((a, b)), POr((a, b)), PExists("x", "agent", a),
+                 PForall("x", "agent", a), PMu("Z", a), PNu("Z", a),
+                 PDiamond((("x", "agent"),), a), PBox((), a)]
+        swap = lambda c: b if c == a else a
+        for node in nodes:
+            assert rebuild(node, lambda c: c) == node
+            swapped = rebuild(node, swap)
+            assert type(swapped) is type(node)
+            assert children(swapped) == tuple(swap(c) for c in children(node))
+            assert rebuild(swapped, swap) == node
+        for leaf in (a, PTrue(), PVar("Z"), LiveAtom("agent", "x")):
+            assert rebuild(leaf, swap) is leaf
+
+
+# ---------------------------------------------------------------------------
+# Differential tests: the bitset checker against the set-of-pairs oracle
+
+
+def _same_as_naive(ts, spec, prop):
+    got = model_check(ts, spec, prop)
+    want = naive_model_check(ts, spec, prop)
+    assert (got.truth, got.extension, got.iterations) == \
+        (want.truth, want.extension, want.iterations), prop
+
+
+class TestNaiveAgreementOnCorpus:
+    @pytest.mark.parametrize("mode,max_states", [("abstract-recycle", None), ("fb-flat", 60)])
+    def test_ticket_properties(self, mode, max_states):
+        spec = compile_shallow(load_corpus("ticket_mutex"))
+        config = BuildConfig(mode=mode, max_states=max_states)
+        ts = build_transition_system(spec, config)
+        ops = set()
+        for path in prop_paths("ticket_mutex"):
+            prop = parse_property(path.read_text(), spec)
+            if config.flat:
+                prop = flatten_property(prop)
+            ops |= _cmp_ops(prop)
+            _same_as_naive(ts, spec, prop)
+        assert ("lessfact" in ops) == config.flat
+
+    def test_ping_properties(self, ping_shallow):
+        ts = build_transition_system(ping_shallow, BuildConfig(mode="abstract-recycle"))
+        for path in prop_paths("ping"):
+            _same_as_naive(ts, ping_shallow, parse_property(path.read_text(), ping_shallow))
+
+
+def _cmp_ops(p) -> set:
+    own = {p.op} if isinstance(p, CmpAtom) else set()
+    return own.union(*(_cmp_ops(c) for c in children(p)))
+
+
+DATA_SPEC = install_institutional(parse_spec("""
+type Str string
+type Num rational with less
+type Cnt integer with succ
+facet SF of Str init { "k" }
+facet NF of Num
+facet CF of Cnt
+agent b : worker
+spec instSpec institutional {
+  relation R(SF)
+  relation S(AF, SF)
+  relation T(SF, SF)
+  relation N(NF)
+  relation C(CF)
+  relation p()
+}
+spec worker {
+  relation W(SF)
+}
+"""))
+
+B = mk_symbol("agent", "b")
+WORKER = mk_symbol("spec", "worker")
+STRS = [DataObject("Str", v) for v in ("k", "s1", "s2", "s3")]
+NUMS = [mk_rational("Num", v) for v in (1, 2, 3)]
+CNTS = [mk_integer("Cnt", v) for v in (0, 1, 2)]
+POOLS = {"Str": STRS, "Num": NUMS, "Cnt": CNTS, "agent": [INST, B]}
+
+
+def random_data_ts(rng: random.Random, n_states: int) -> TransitionSystem:
+    """States whose databases carry objects: b registered or not, with or
+    without a database, and random lessThan facts over Num."""
+
+    def some(pool, p=0.4):
+        return [o for o in pool if rng.random() < p]
+
+    states = []
+    for _ in range(n_states):
+        facts = list(BASE_FACTS)
+        if rng.random() < 0.7:
+            facts += [("Agent", (B,)), ("hasSpec", (B, WORKER))]
+        facts += [("R", (s,)) for s in some(STRS[1:])]
+        facts += [("S", (a, s)) for a in (INST, B) for s in some(STRS[1:], 0.25)]
+        facts += [("T", (s, t)) for s in STRS[1:] for t in some(STRS[1:], 0.2)]
+        facts += [("N", (x,)) for x in some(NUMS)]
+        facts += [("C", (x,)) for x in some(CNTS)]
+        if rng.random() < 0.5:
+            facts.append(("p", ()))
+        dbs = {INST: Database.of(facts)}
+        if rng.random() < 0.8:
+            dbs[B] = Database.of([("MyName", (B,))] + [("W", (s,)) for s in some(STRS)])
+        order = Database.of((lessthan_rel("Num"), (x, y))
+                            for x in NUMS for y in NUMS if rng.random() < 0.3)
+        states.append(make_state(dbs, order))
+    ts = TransitionSystem()
+    ts.states = states
+    ts.edges = sorted({(i, j) for i in range(n_states) for j in range(n_states)
+                       if rng.random() < 0.3})
+    return ts
+
+
+def random_data_prop(rng: random.Random, depth: int, scope: dict, fix: tuple):
+    """A closed-by-construction formula: first-order variables come from
+    `scope` (name -> type, in quantifier order), fixpoint variables from
+    `fix`, and no fixpoint variable occurs under a negation."""
+
+    def term(t):
+        names = [v for v, vt in scope.items() if vt == t]
+        if names and rng.random() < 0.75:
+            return Var(rng.choice(names))
+        return Const(rng.choice(POOLS[t]))
+
+    def leaf():
+        kind = rng.choice(["R", "S", "T", "W", "p", "N", "live", "eq", "cmp", "true", "var"])
+        if kind == "var" and fix:
+            return PVar(rng.choice(fix))
+        if kind in ("R", "N"):
+            return LocAtom(kind, (term("Str" if kind == "R" else "Num"),), Const(INST))
+        if kind == "S":
+            return LocAtom("S", (term("agent"), term("Str")), Const(INST))
+        if kind == "T":
+            x = term("Str")
+            return LocAtom("T", (x, x if rng.random() < 0.3 else term("Str")), Const(INST))
+        if kind == "W":
+            return LocAtom("W", (term("Str"),), term("agent"))
+        if kind == "live" and scope:
+            v = rng.choice(list(scope))
+            return LiveAtom(scope[v], v)
+        if kind == "eq":
+            t = rng.choice(["Str", "agent"])
+            return CmpAtom("eq", t, term(t), term(t))
+        if kind == "cmp":
+            op, t = rng.choice([("less", "Num"), ("lessfact", "Num"), ("succ", "Cnt")])
+            return CmpAtom(op, t, term(t), term(t))
+        if kind == "true":
+            return PTrue()
+        return LocAtom("p", (), Const(INST))
+
+    if depth == 0:
+        return leaf()
+    sub = lambda scope=scope, fix=fix: random_data_prop(rng, depth - 1, scope, fix)
+    kind = rng.choice(["and", "or", "not", "exists", "forall", "dia", "box", "mu", "nu", "leaf"])
+    if kind in ("and", "or"):
+        return (PAnd if kind == "and" else POr)((sub(), sub()))
+    if kind == "not":
+        return PNot(sub(fix=()))
+    if kind in ("exists", "forall"):
+        v = f"x{len(scope)}"
+        t = rng.choice(["Str", "Num", "Cnt", "agent"])
+        return (PExists if kind == "exists" else PForall)(v, t, sub(scope={**scope, v: t}))
+    if kind in ("dia", "box"):
+        guards = tuple((v, t) for v, t in scope.items() if rng.random() < 0.8)
+        return (PDiamond if kind == "dia" else PBox)(guards, sub())
+    if kind in ("mu", "nu"):
+        z = f"Z{len(fix)}"
+        return (PMu if kind == "mu" else PNu)(z, sub(fix=fix + (z,)))
+    return leaf()
+
+
+class TestNaiveAgreementOnRandomSystems:
+    def test_random_formulas_with_data(self):
+        rng = random.Random(20261018)
+        shapes = set()
+        for _ in range(120):
+            ts = random_data_ts(rng, rng.randint(1, 5))
+            prop = random_data_prop(rng, rng.randint(2, 5), {}, ())
+            check_closed(prop)
+            _same_as_naive(ts, DATA_SPEC, prop)
+            shapes |= {type(n).__name__ for n, _ in _scoped_nodes(prop, {})}
+        assert shapes >= {"PExists", "PForall", "PDiamond", "PBox", "PMu", "PNu", "PVar"}
+
+    def test_nested_fixpoints_with_free_variables(self):
+        # the inner fixpoints' bodies mention the quantified x: their
+        # extensions range over assignments to x
+        rng = random.Random(7)
+        templates = [
+            lambda body: PNu("Z", PAnd((
+                PForall("x", "Str", POr((PNot(LocAtom("R", (Var("x"),), Const(INST))),
+                                         PMu("Y", body)))),
+                PBox((), PVar("Z"))))),
+            lambda body: PMu("Z", POr((
+                PExists("x", "Str", PAnd((LiveAtom("Str", "x"), PNu("Y", body)))),
+                PDiamond((), PVar("Z"))))),
+        ]
+        checked = 0
+        for _ in range(60):
+            ts = random_data_ts(rng, rng.randint(2, 5))
+            inner = random_data_prop(rng, rng.randint(1, 3), {"x": "Str"}, ("Y",))
+            # the guard re-tests x at every step of the fixpoint
+            guarded = rng.choice([PDiamond, PBox])((("x", "Str"),), PVar("Y"))
+            body = rng.choice([POr, PAnd])((inner, guarded))
+            for make in templates:
+                _same_as_naive(ts, DATA_SPEC, make(body))
+                checked += 1
+        assert checked == 120
+
+
+class TestNaiveAgreementOnOpenFormulas:
+    def test_every_subformula_extension(self):
+        # whole extensions over assignments to free variables, not only the
+        # closed formula's states
+        rng = random.Random(11)
+        scope = {"x0": "Str", "x1": "Num", "x2": "agent"}
+        dom = tuple(scope)
+        for _ in range(80):
+            ts = random_data_ts(rng, rng.randint(1, 4))
+            prop = random_data_prop(rng, rng.randint(1, 4), scope, ())
+            got = ModelChecker(ts, DATA_SPEC)
+            want = NaiveChecker(ts, DATA_SPEC)
+            for node, node_scope in _scoped_nodes(prop, scope):
+                if _free_fixpoint_vars(node):
+                    continue
+                node_dom = tuple(node_scope)
+                ext = got.eval(node, node_dom, node_scope, {})
+                assert all(ext.values())
+                pairs = {(sid, c) for c, m in ext.items()
+                         for sid in range(len(ts.states)) if m >> sid & 1}
+                assert pairs == want.eval(node, node_dom, node_scope, {}), node
+            assert got.iterations == want.iterations
+
+    def test_atoms_over_order_facts_and_repeated_variables(self):
+        x, y = Var("x"), Var("y")
+        atoms = [CmpAtom("lessfact", "Num", x, x), CmpAtom("lessfact", "Num", x, y),
+                 CmpAtom("lessfact", "Num", Const(NUMS[0]), y), CmpAtom("less", "Num", x, y),
+                 CmpAtom("succ", "Cnt", x, x), LocAtom("T", (x, x), Const(INST)),
+                 LocAtom("T", (x, Const(STRS[1])), Const(INST))]
+        rng = random.Random(3)
+        for _ in range(30):
+            ts = random_data_ts(rng, rng.randint(1, 4))
+            for atom in atoms:
+                t = atom.type_name if isinstance(atom, CmpAtom) else "Str"
+                scope = {"x": t, "y": t}
+                got = ModelChecker(ts, DATA_SPEC).eval(atom, ("x", "y"), scope, {})
+                pairs = {(sid, c) for c, m in got.items()
+                         for sid in range(len(ts.states)) if m >> sid & 1}
+                assert pairs == NaiveChecker(ts, DATA_SPEC).eval(atom, ("x", "y"), scope, {})
+
+    def test_unbound_atom_variable_rejected(self):
+        ts = random_data_ts(random.Random(1), 2)
+        with pytest.raises(PropError, match="free variables"):
+            ModelChecker(ts, DATA_SPEC).eval(LocAtom("R", (Var("x"),), Const(INST)), (), {}, {})
+
+
+def _scoped_nodes(p, scope: dict):
+    """Every subformula with its variables in scope, in quantifier order."""
+    yield p, scope
+    if isinstance(p, (PExists, PForall)):
+        scope = {**scope, p.var: p.type_name}
+    for c in children(p):
+        yield from _scoped_nodes(c, scope)
+
+
+def _free_fixpoint_vars(p) -> set:
+    if isinstance(p, PVar):
+        return {p.name}
+    inner = set().union(*(_free_fixpoint_vars(c) for c in children(p)))
+    return inner - {p.var} if isinstance(p, (PMu, PNu)) else inner
