@@ -4,8 +4,8 @@ The modes differ only in how they validate candidate databases (schema
 conformance vs. constraints alone), how service results are chosen (finite
 pools vs. commitment tuples), whether dense comparisons run on the carrier or
 on maintained lessThan facts, and where fresh values come from (synthesis vs.
-recycling of passive objects).  Exploration is a breadth-first closure with
-canonical state deduplication; repeated builds are byte-identical.  Every
+recycling of passive objects).  Exploration is a breadth-first closure that
+merges states with equal fact sets; repeated builds are byte-identical.  Every
 query a build evaluates is compiled once, when the builder is made, and the
 indexes over the databases one step reads live for that step only.
 """
@@ -28,7 +28,6 @@ from .data import (
     UnknownRelation,
     carrier_less,
     conforms,
-    fact_key,
     mk_symbol,
 )
 from . import model as M
@@ -42,6 +41,7 @@ from .commitments import (
     SynthesisReservoir,
     assign_results,
     cell_object,
+    check_total_order,
     enumerate_dense_commitments,
     enumerate_equality_commitments,
 )
@@ -57,6 +57,8 @@ MODE_FB_FLAT = "fb-flat"
 MODE_ABSTRACT = "abstract-recycle"
 
 MODES = (MODE_CONCRETE, MODE_SHALLOW, MODE_FB, MODE_FB_FLAT, MODE_ABSTRACT)
+
+INST = mk_symbol(AGENT_TYPE, INST_NAME)
 
 
 class BuildError(Exception):
@@ -122,7 +124,7 @@ class SystemState:
         return [name for name, _ in self.agent_dbs]
 
     def inst_db(self) -> Database:
-        d = self.db(mk_symbol(AGENT_TYPE, INST_NAME))
+        d = self.db(INST)
         if d is None:
             raise BuildError("institutional agent missing from state")
         return d
@@ -139,27 +141,15 @@ def make_state(dbs: dict[DataObject, Database], order_db: Optional[Database]) ->
     return SystemState(items, order_db)
 
 
-def _obj_token(o: DataObject) -> str:
-    if o.is_undef():
-        return f"{o.type_name}#?"
-    if isinstance(o.value, str):
-        return f"{o.type_name}#s{o.value}"
-    return f"{o.type_name}#n{o.value}"
-
-
-def state_key(state: SystemState) -> bytes:
-    """Canonical byte key: equal keys iff equal active-agent databases and
-    order facts, under canonical fact ordering."""
-    parts: list[str] = []
-    for name, db in state.agent_dbs:
-        parts.append("@" + _obj_token(name))
-        for rel, args in db.canonical():
-            parts.append(rel + "(" + ",".join(_obj_token(a) for a in args) + ")")
-    if state.order_db is not None:
-        parts.append("@<")
-        for rel, args in state.order_db.canonical():
-            parts.append(rel + "(" + ",".join(_obj_token(a) for a in args) + ")")
-    return "\n".join(parts).encode()
+def state_key(state: SystemState) -> tuple:
+    """Dedup key: ((agent, fact set) per active agent, order fact set or
+    None without an order database).  Equal keys iff the same agents hold
+    the same facts and the order facts are the same.  The key holds the
+    state's own frozensets, so it copies no fact, and a database reused from
+    the parent state hashes at no cost: a frozenset caches its hash."""
+    order = state.order_db
+    return (tuple((name, db.facts) for name, db in state.agent_dbs),
+            None if order is None else order.facts)
 
 
 @dataclass
@@ -179,18 +169,9 @@ PendingArg = Union[DataObject, CallToken]
 PendingFact = tuple[str, tuple[PendingArg, ...]]
 
 
-def _pending_calls(facts: Iterable[PendingFact]) -> set[CallToken]:
-    out: set[CallToken] = set()
-    for _, args in facts:
-        out |= {a for a in args if isinstance(a, CallToken)}
-    return out
-
-
-def _substitute(facts: Iterable[PendingFact], sigma: dict[CallToken, DataObject]) -> frozenset[Fact]:
-    out = set()
-    for rel, args in facts:
-        out.add((rel, tuple(sigma[a] if isinstance(a, CallToken) else a for a in args)))
-    return frozenset(out)
+def _substitute(facts: Iterable[PendingFact], sigma: dict[CallToken, DataObject]) -> set[Fact]:
+    return {(rel, tuple(sigma[a] if isinstance(a, CallToken) else a for a in args))
+            for rel, args in facts}
 
 
 # ---------------------------------------------------------------------------
@@ -269,12 +250,11 @@ class Builder:
 
     def initial_state(self) -> SystemState:
         spec = self.spec
-        inst_obj = mk_symbol(AGENT_TYPE, INST_NAME)
         d0_inst = spec.inst_spec.initial_db
-        dbs: dict[DataObject, Database] = {inst_obj: d0_inst}
+        dbs: dict[DataObject, Database] = {INST: d0_inst}
         for args in d0_inst.facts_for(M.HASSPEC_REL):
             agent, spec_obj = args
-            if agent == inst_obj:
+            if agent == INST:
                 continue
             sname = spec_obj.value
             ag = spec.agent_specs.get(sname)
@@ -286,15 +266,10 @@ class Builder:
         return make_state(dbs, order_db)
 
     def _initial_order_db(self) -> Database:
-        facts: set[Fact] = set()
-        for t in self.dense_types:
-            objs = sorted(self.const_domain.get(t, frozenset()), key=DataObject.sort_key)
-            for a, b in itertools.combinations(objs, 2):
-                if carrier_less(a, b):
-                    facts.add((lessthan_rel(t), (a, b)))
-                elif carrier_less(b, a):
-                    facts.add((lessthan_rel(t), (b, a)))
-        return Database.of(facts)
+        # on a dense type's carrier the canonical sort is the carrier order
+        return _order_db({t: sorted(self.const_domain.get(t, frozenset()),
+                                    key=DataObject.sort_key)
+                          for t in self.dense_types})
 
     # -- query plumbing -----------------------------------------------------------
 
@@ -329,7 +304,7 @@ class Builder:
         active: set[DataObject],
     ) -> list[tuple[str, tuple[DataObject, ...], DataObject]]:
         step = self._cache(state)
-        db = step.index(state.db(sender))
+        db = step.index(step.dbs[sender])
         out: set[tuple[str, tuple[DataObject, ...], DataObject]] = set()
         for rule, plan in self.comm_plans[sname]:
             msg = self.spec.messages[rule.message]
@@ -354,7 +329,7 @@ class Builder:
     ) -> list[tuple[str, tuple[DataObject, ...]]]:
         ag = self.spec.agent_specs[sname]
         step = self._cache(state)
-        db = step.index(state.db(agent))
+        db = step.index(step.dbs[agent])
         out: set[tuple[str, tuple[DataObject, ...]]] = set()
         for rule, plan in self.rules_by_msg.get((sname, direction, message), ()):
             binding = {rule.peer_var: peer}
@@ -378,7 +353,7 @@ class Builder:
     ) -> tuple[set[Fact], set[PendingFact]]:
         ag = self.spec.agent_specs[sname]
         step = self._cache(state)
-        db = step.index(state.db(agent))
+        db = step.index(step.dbs[agent])
         to_del: set[Fact] = set()
         to_add: set[PendingFact] = set()
         for aname, args in instances:
@@ -426,48 +401,41 @@ class Builder:
             yield dict(zip(tokens, combo)), None
 
     def _commitment_branches(self, state, calls, used_snapshot):
-        spec = self.spec
+        """One branch per commitment tuple over the types that receive a call
+        result.  A step without calls has the one branch that substitutes
+        nothing and keeps the step's order."""
         step = self._cache(state)
-        adom_by_type: dict[str, list] = {}
-        for t in sorted(spec.types):
-            objs = step.active(t)
-            toks = {
-                tok for tok in calls
-                if spec.facets[spec.services[tok.service].output_facet].base_type == t
-            }
-            adom_by_type[t] = sorted(objs, key=DataObject.sort_key) + sorted(
-                toks, key=CallToken.sort_key)
+        seqs, order_now = step.dense_order()
+        if not calls:
+            yield {}, order_now
+            return
+        spec = self.spec
+        toks: dict[str, list[CallToken]] = {}
+        for tok in sorted(calls, key=CallToken.sort_key):
+            t = spec.facets[spec.services[tok.service].output_facet].base_type
+            toks.setdefault(t, []).append(tok)
 
-        order = step.order
         per_type: list[tuple[str, bool, list]] = []
-        for t in self.unordered_types:
-            toks_here = [e for e in adom_by_type[t] if isinstance(e, CallToken)]
-            if not toks_here:
-                continue
-            per_type.append((t, False, list(enumerate_equality_commitments(adom_by_type[t]))))
-        for t in self.dense_types:
-            if self.flat:
-                lt = lambda a, b, _t=t: order.less(_t, a, b)
-            else:
-                lt = carrier_less
-            per_type.append((t, True, list(enumerate_dense_commitments(adom_by_type[t], lt))))
+        for t in self.unordered_types + self.dense_types:
+            if t in toks:
+                elems = sorted(step.active(t), key=DataObject.sort_key) + toks[t]
+                dense = t in seqs
+                per_type.append((t, dense, list(
+                    enumerate_dense_commitments(elems, step.less(t)) if dense
+                    else enumerate_equality_commitments(elems))))
 
-        names = [t for t, _, _ in per_type]
-        dense_flags = [d for _, d, _ in per_type]
-        pools = [cs for _, _, cs in per_type]
-        for combo in itertools.product(*pools):
+        policy = MIDPOINT if self.config.mode == MODE_FB else OPAQUE
+        for combo in itertools.product(*(cs for _, _, cs in per_type)):
             h = CommitmentTuple()
-            for t, is_dense, c in zip(names, dense_flags, combo):
+            for (t, is_dense, _), c in zip(per_type, combo):
                 if is_dense:
                     h.dense[t] = c
                 else:
                     h.equality[t] = c
-            reservoirs = {}
-            for t in names:
-                reservoirs[t] = self._reservoir(t, h, step, used_snapshot)
-            policy = MIDPOINT if self.config.mode == MODE_FB else OPAQUE
+            reservoirs = {t: self._reservoir(t, h, step, used_snapshot)
+                          for t, _, _ in per_type}
             sigma = assign_results(h, reservoirs, policy)
-            order_full = self._rebuild_order(h, sigma) if self.flat else None
+            order_full = self._rebuild_order(h, sigma, seqs) if self.flat else None
             yield sigma, order_full
 
     def _reservoir(self, t: str, h: CommitmentTuple, step: "_StepCache", used_snapshot):
@@ -482,22 +450,19 @@ class Builder:
             return PoolReservoir(passive)
         return SynthesisReservoir(t, carrier)
 
-    def _rebuild_order(self, h: CommitmentTuple, sigma) -> Database:
-        facts: set[Fact] = set()
+    def _rebuild_order(self, h: CommitmentTuple, sigma, seqs) -> Database:
+        """The order after one branch: each committed dense type in its
+        committed order, every other one as the step's `seqs` order it."""
+        seqs = dict(seqs)
         for t, commitment in h.dense.items():
-            rel = lessthan_rel(t)
             seq = []
             for cell in commitment.pos:
                 obj = cell_object(cell)
                 if obj is None:
-                    tok = next(e for e in cell if isinstance(e, CallToken))
-                    obj = sigma[tok]
+                    obj = sigma[next(e for e in cell if isinstance(e, CallToken))]
                 seq.append(obj)
-            for i, a in enumerate(seq):
-                for b in seq[i + 1:]:
-                    if a != b:
-                        facts.add((rel, (a, b)))
-        return Database.of(facts)
+            seqs[t] = seq
+        return _order_db(seqs)
 
     # -- one exploration step ------------------------------------------------------------
 
@@ -508,24 +473,23 @@ class Builder:
         self._step = _StepCache(self, state)
         try:
             cur_as = self.current_agents(state)
-            active = {a for a, _ in cur_as}
+            specs = dict(cur_as)
+            active = set(specs)
             out: list[SystemState] = []
             for sender, s_spec in cur_as:
                 for message, payload, target in self.enabled_messages(
                         state, sender, s_spec, active):
-                    t_spec = dict(cur_as)[target]
+                    t_spec = specs[target]
                     out.extend(self._exchange(
                         state, sender, s_spec, target, t_spec, message, payload,
-                        cur_as, used_snapshot))
+                        used_snapshot))
             return out
         finally:
             self._step = None
 
     def _exchange(
-        self, state, sender, s_spec, target, t_spec, message, payload, cur_as,
-        used_snapshot,
+        self, state, sender, s_spec, target, t_spec, message, payload, used_snapshot,
     ) -> list[SystemState]:
-        inst_obj = mk_symbol(AGENT_TYPE, INST_NAME)
         acts_send = self.collect_reactions(
             state, sender, s_spec, M.ON_SEND, message, payload, target)
         acts_recv = self.collect_reactions(
@@ -535,15 +499,24 @@ class Builder:
         else:
             participants = [(sender, s_spec, acts_send), (target, t_spec, acts_recv)]
 
-        pend: dict[DataObject, set[PendingFact]] = {}
+        # per participant: its next database without the facts that carry a
+        # call token (the state's own if unchanged), and those facts
+        step = self._cache(state)
+        pend: dict[DataObject, tuple[Database, list[PendingFact]]] = {}
+        calls: set[CallToken] = set()
         for agent, sname, acts in participants:
             to_del, to_add = self.get_facts(state, agent, sname, acts)
-            base = {(r, a) for (r, a) in state.db(agent).facts if (r, a) not in to_del}
-            pend[agent] = base | to_add
-
-        calls = set()
-        for facts in pend.values():
-            calls |= _pending_calls(facts)
+            db = step.dbs[agent]
+            ground = set(db.facts - to_del)
+            tokened = []
+            for fact in to_add:
+                toks = [a for a in fact[1] if isinstance(a, CallToken)]
+                if toks:
+                    tokened.append(fact)
+                    calls.update(toks)
+                else:
+                    ground.add(fact)
+            pend[agent] = (db if ground == db.facts else Database(frozenset(ground)), tokened)
 
         if self.config.check_conformance:
             for tok in sorted(calls, key=CallToken.sort_key):
@@ -554,52 +527,48 @@ class Builder:
 
         out: list[SystemState] = []
         for sigma, order_full in self._sigma_branches(state, calls, used_snapshot):
-            new_dbs: dict[DataObject, Database] = {}
+            # a participant whose candidate breaks a constraint keeps its
+            # database; an unchanged one keeps it either way
+            dbs = dict(step.dbs)
             order = FactOrder(order_full) if self.flat else CarrierOrder()
             for agent, sname, _ in participants:
-                cand = Database(_substitute(pend[agent], sigma))
-                if self._acceptable(sname, cand, order):
-                    new_dbs[agent] = cand
-                else:
-                    new_dbs[agent] = state.db(agent)
+                ground, tokened = pend[agent]
+                cand = Database(ground.facts | _substitute(tokened, sigma)) if tokened else ground
+                if cand is not dbs[agent] and self._acceptable(sname, cand, order):
+                    dbs[agent] = cand
+            # only a change to inst's database can change the active agents
+            same_agents = dbs[INST] is step.dbs[INST]
+            if not same_agents:
+                dbs = self._registered(dbs, step.dbs)
 
-            # determine the possibly-changed set of active agents
-            if sender == inst_obj or target == inst_obj:
-                inst_db = new_dbs.get(inst_obj, state.inst_db())
-                new_as = []
-                for args in inst_db.facts_for(M.HASSPEC_REL):
-                    sname = args[1].value
-                    if sname not in self.spec.agent_specs:
-                        raise BuildError(f"agent {args[0]!r} bound to unknown spec {sname!r}")
-                    new_as.append((args[0], sname))
-            else:
-                new_as = list(cur_as)
-            if inst_obj not in {a for a, _ in new_as}:
-                raise BuildError("institutional agent was removed")
-
-            dbs: dict[DataObject, Database] = {}
-            cur_names = {a for a, _ in cur_as}
-            for agent, sname in new_as:
-                if agent in new_dbs:
-                    dbs[agent] = new_dbs[agent]
-                elif agent not in cur_names:
-                    ag = self.spec.agent_specs[sname]
-                    dbs[agent] = ag.initial_db.apply(
-                        adds=[(M.MYNAME_REL, (agent,))], dels=[])
-                else:
-                    dbs[agent] = state.db(agent)
-
-            order_db = None
-            if self.flat:
-                # persisting objects: previous state, next state, constants
-                keep = set(self._cache(state).objects())
-                for d in dbs.values():
-                    keep |= d.adom()
+            order_db = order_full
+            if self.flat and sigma:
+                # persisting objects: previous state, next state, constants;
+                # without results, the order holds no other objects
+                keep = set(step.objects())
+                for agent, d in dbs.items():
+                    if d is not step.dbs.get(agent):
+                        keep |= d.adom()
                 order_db = Database.of(
-                    f for f in (order_full or Database()).facts
-                    if f[1][0] in keep and f[1][1] in keep
-                )
-            out.append(make_state(dbs, order_db))
+                    f for f in order_full.facts if f[1][0] in keep and f[1][1] in keep)
+            # the same agents are still in the state's order
+            out.append(SystemState(tuple(dbs.items()), order_db) if same_agents
+                       else make_state(dbs, order_db))
+        return out
+
+    def _registered(self, dbs, cur_dbs):
+        """The databases of the agents that inst's new database registers;
+        a newly registered agent starts from its spec's initial database."""
+        out: dict[DataObject, Database] = {}
+        for agent, spec_obj in dbs[INST].facts_for(M.HASSPEC_REL):
+            sname = spec_obj.value
+            if sname not in self.spec.agent_specs:
+                raise BuildError(f"agent {agent!r} bound to unknown spec {sname!r}")
+            out[agent] = dbs[agent] if agent in cur_dbs else \
+                self.spec.agent_specs[sname].initial_db.apply(
+                    adds=[(M.MYNAME_REL, (agent,))], dels=[])
+        if INST not in out:
+            raise BuildError("institutional agent was removed")
         return out
 
     def _acceptable(self, sname: str, cand: Database, order) -> bool:
@@ -678,11 +647,14 @@ class Builder:
         ts.edges = sorted(edges)
         ts.truncated = truncated
         max_adom = 0
+        sized: set[int] = set()  # ids of databases already measured; states share them
         for s in ts.states:
             for _, db in s.agent_dbs:
-                objs = {o for (rel, args) in db.facts if not is_accessory(rel)
-                        for o in args}
-                max_adom = max(max_adom, len(objs))
+                if id(db) not in sized:
+                    sized.add(id(db))
+                    objs = {o for (rel, args) in db.facts if not is_accessory(rel)
+                            for o in args}
+                    max_adom = max(max_adom, len(objs))
         ts.stats = {
             "states": len(ts.states),
             "edges": len(ts.edges),
@@ -694,17 +666,22 @@ class Builder:
 
 
 class _StepCache:
-    """What one exploration step reuses: the state's order source and an
-    index per database it reads, each built on first use and dropped with
-    the step, so no retained state carries them."""
+    """What one exploration step reuses: the state's databases by agent, its
+    order source, an index per database it reads and the order of its dense
+    objects, each built on first use and dropped with the step, so no
+    retained state carries them."""
 
     def __init__(self, builder: Builder, state: SystemState) -> None:
         self.state = state
+        self.dbs = dict(state.agent_dbs)
         self.const_domain = builder.const_domain
+        self.dense_types = builder.dense_types
+        self.flat = builder.flat
         self.order = FactOrder(state.order_db or Database()) if builder.flat else CarrierOrder()
         self._indexes: dict[int, Q.DbIndex] = {}  # by id; each index holds its database
         self._active: dict[str, set[DataObject]] = {}
         self._objects: Optional[set[DataObject]] = None
+        self._dense_order: Optional[tuple[dict[str, list[DataObject]], Optional[Database]]] = None
 
     def index(self, db: Database) -> Q.DbIndex:
         ix = self._indexes.get(id(db))
@@ -729,6 +706,35 @@ class _StepCache:
             for objs in self.const_domain.values():
                 self._objects |= objs
         return self._objects
+
+    def dense_order(self) -> tuple[dict[str, list[DataObject]], Optional[Database]]:
+        """The active objects of each dense type, lowest first, and in flat
+        modes the lessThan database over them.  Raises InconsistentOrder
+        (or MissingOrderFacts) if the state does not order them totally."""
+        if self._dense_order is None:
+            seqs = {t: check_total_order(sorted(self.active(t), key=DataObject.sort_key),
+                                         self.less(t))
+                    for t in self.dense_types}
+            self._dense_order = (seqs, _order_db(seqs) if self.flat else None)
+        return self._dense_order
+
+    def less(self, t: str):
+        """The state's strict order on dense type t."""
+        if self.flat:
+            return lambda a, b: self.order.less(t, a, b)
+        return carrier_less
+
+
+def _order_db(seqs: dict[str, list[DataObject]]) -> Database:
+    """The lessThan facts of each dense type's sequence, lowest first."""
+    facts: set[Fact] = set()
+    for t, seq in seqs.items():
+        rel = lessthan_rel(t)
+        for i, a in enumerate(seq):
+            for b in seq[i + 1:]:
+                if a != b:
+                    facts.add((rel, (a, b)))
+    return Database.of(facts)
 
 
 def _member(spec: RmasSpec, facet_name: str, obj: DataObject) -> bool:

@@ -3,10 +3,11 @@
 Every run emits a reproducible report (input digests, effective config,
 result); exit codes are a total function of the outcome:
 
-    0  success / property holds        4  state bound exceeded
-    1  usage error                     5  successor relation rejected
-    2  parse or resolution failure     6  well-formedness findings
+    0  success / property holds        5  successor relation rejected
+    1  usage error                     6  well-formedness findings
+    2  parse or resolution failure     7  engine error (order, reservoir, build)
     3  exploration truncated          10  property violated
+    4  state bound exceeded
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from .data import DataObject, INTEGER, RATIONAL, mk_integer, mk_rational
 from .dsl import ParseError, parse_spec, serialize_spec
 from .builder import (
     BuildConfig,
+    BuildError,
     ConfigError,
     MODE_CONCRETE,
     MODES,
@@ -40,8 +42,10 @@ from .generators import (
     counter_machine_to_rmas,
     parse_counter_program,
 )
+from .commitments import CommitmentError
 from .model import RmasSpec, install_institutional
 from .mucalc import PropError, check_closed, flatten_property, model_check, parse_property
+from .queries import MissingOrderFacts
 from .shallow import compile_shallow, is_shallow
 from .wellformed import check_well_formed
 
@@ -52,6 +56,7 @@ EXIT_TRUNCATED = 3
 EXIT_BOUND = 4
 EXIT_SUCC = 5
 EXIT_FINDINGS = 6
+EXIT_ENGINE = 7
 EXIT_FALSE = 10
 
 
@@ -179,14 +184,22 @@ def _run_build(spec: RmasSpec, config: BuildConfig, report: Report) -> Transitio
     if config.mode != MODE_CONCRETE and not is_shallow(spec):
         built_spec = compile_shallow(spec)
         report.data["result"]["compiled"] = True
+    return _build(built_spec, config, report)
+
+
+def _build(spec: RmasSpec, config: BuildConfig, report: Report) -> TransitionSystem:
+    """Build and report the stats; every build failure becomes a CliError
+    with its exit code."""
     try:
-        ts = build_transition_system(built_spec, config)
+        ts = build_transition_system(spec, config)
     except StateBoundExceeded as e:
         raise CliError(str(e), EXIT_BOUND)
     except SuccRejected as e:
         raise CliError(str(e), EXIT_SUCC)
     except ConfigError as e:
         raise CliError(str(e), EXIT_USAGE)
+    except (BuildError, CommitmentError, MissingOrderFacts) as e:
+        raise CliError(f"{type(e).__name__}: {e}", EXIT_ENGINE)
     report.data["result"].update(ts.stats)
     report.data["result"]["truncated"] = ts.truncated
     return ts
@@ -253,16 +266,7 @@ def cmd_verify(args, report: Report) -> int:
             prop = flatten_property(prop)
     except (ParseError, PropError) as e:
         raise CliError(f"{args.property}: {e}", EXIT_PARSE)
-    try:
-        ts = build_transition_system(built_spec, config)
-    except StateBoundExceeded as e:
-        raise CliError(str(e), EXIT_BOUND)
-    except SuccRejected as e:
-        raise CliError(str(e), EXIT_SUCC)
-    except ConfigError as e:
-        raise CliError(str(e), EXIT_USAGE)
-    report.data["result"].update(ts.stats)
-    report.data["result"]["truncated"] = ts.truncated
+    ts = _build(built_spec, config, report)
     if ts.truncated:
         return EXIT_TRUNCATED
     verdict = model_check(ts, built_spec, prop)

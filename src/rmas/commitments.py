@@ -165,19 +165,11 @@ def enumerate_dense_commitments(
     from the carrier or from maintained lessThan facts.
     """
     objs, _ = _split(S)
-    for a, b in itertools.combinations(objs, 2):
-        ab, ba = less(a, b), less(b, a)
-        if ab == ba:
-            raise InconsistentOrder(f"{a!r} and {b!r} are unordered" if not ab else
-                                    f"{a!r} and {b!r} are ordered both ways")
-    for d in objs:
-        if less(d, d):
-            raise InconsistentOrder(f"{d!r} compares below itself")
-
+    rank = {d: i for i, d in enumerate(check_total_order(objs, less))}
     for partition in enumerate_equality_commitments(S):
         bound = [c for c in partition.cells if cell_object(c) is not None]
         free = [c for c in partition.cells if cell_object(c) is None]
-        bound.sort(key=lambda c: _rank(cell_object(c), objs, less))
+        bound.sort(key=lambda c: rank[cell_object(c)])
         n = len(bound) + len(free)
         for positions in itertools.combinations(range(n), len(free)):
             for perm in itertools.permutations(free):
@@ -191,8 +183,24 @@ def enumerate_dense_commitments(
                 yield DenselyOrderedCommitment(partition, tuple(seq))
 
 
-def _rank(d: DataObject, objs: list[DataObject], less) -> int:
-    return sum(1 for o in objs if less(o, d))
+def check_total_order(
+    objs: list[DataObject], less: Callable[[DataObject, DataObject], bool],
+) -> list[DataObject]:
+    """objs ranked by `less`, after checking that it is a strict total order
+    on them; raises InconsistentOrder for a pair ordered both ways or neither
+    way, or an object below itself.  Ranking counts the objects below each
+    and keeps ties in the given order."""
+    below = dict.fromkeys(objs, 0)
+    for a, b in itertools.combinations(objs, 2):
+        ab, ba = less(a, b), less(b, a)
+        if ab == ba:
+            raise InconsistentOrder(f"{a!r} and {b!r} are unordered" if not ab else
+                                    f"{a!r} and {b!r} are ordered both ways")
+        below[b if ab else a] += 1
+    for d in objs:
+        if less(d, d):
+            raise InconsistentOrder(f"{d!r} compares below itself")
+    return sorted(objs, key=below.__getitem__)
 
 
 # ---------------------------------------------------------------------------
@@ -206,14 +214,6 @@ class CommitmentTuple:
 
     equality: dict[str, EqualityCommitment] = field(default_factory=dict)
     dense: dict[str, DenselyOrderedCommitment] = field(default_factory=dict)
-
-    def call_tokens(self) -> set[CallToken]:
-        out: set[CallToken] = set()
-        for c in self.equality.values():
-            out |= {e for e in c.elements() if isinstance(e, CallToken)}
-        for h in self.dense.values():
-            out |= {e for e in h.partition.elements() if isinstance(e, CallToken)}
-        return out
 
 
 class PoolReservoir:

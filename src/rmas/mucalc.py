@@ -173,9 +173,9 @@ def rebuild(p: Prop, f: Callable[[Prop], Prop]) -> Prop:
     return p
 
 
-def free_vars_plus(p: Prop, binder_fv: dict[str, frozenset[str]]) -> frozenset[str]:
-    """Free first-order variables, substituting bounding formulas for
-    fixpoint variables (binder_fv maps Z to the fv of its binder body)."""
+def free_vars_plus(p: Prop, env: dict[str, frozenset[str]]) -> frozenset[str]:
+    """Free first-order variables, a fixpoint variable standing for those of
+    its nearest enclosing binder (env maps the binders in scope to theirs)."""
     if isinstance(p, LocAtom):
         out = {t.name for t in p.terms if isinstance(t, Var)}
         if isinstance(p.loc, Var):
@@ -186,37 +186,26 @@ def free_vars_plus(p: Prop, binder_fv: dict[str, frozenset[str]]) -> frozenset[s
     if isinstance(p, LiveAtom):
         return frozenset({p.var})
     if isinstance(p, PVar):
-        return binder_fv.get(p.name, frozenset())
+        return env.get(p.name, frozenset())
     if isinstance(p, (PExists, PForall)):
-        return free_vars_plus(p.body, binder_fv) - {p.var}
+        return free_vars_plus(p.body, env) - {p.var}
+    if isinstance(p, (PMu, PNu)):
+        return binder_fv(p, env)
     out: frozenset[str] = frozenset()
     for c in children(p):
-        out |= free_vars_plus(c, binder_fv)
+        out |= free_vars_plus(c, env)
     return out
 
 
-def compute_binder_fv(p: Prop) -> dict[str, frozenset[str]]:
-    binder_fv: dict[str, frozenset[str]] = {}
-
-    def binders(p: Prop) -> Iterator[tuple[str, Prop]]:
-        if isinstance(p, (PMu, PNu)):
-            yield (p.var, p.body)
-        for c in children(p):
-            yield from binders(c)
-
-    pairs = list(binders(p))
-    for v, _ in pairs:
-        binder_fv[v] = frozenset()
-    for _ in range(len(pairs) + 1):
-        changed = False
-        for v, body in pairs:
-            fv = free_vars_plus(body, binder_fv)
-            if fv != binder_fv[v]:
-                binder_fv[v] = fv
-                changed = True
-        if not changed:
-            break
-    return binder_fv
+def binder_fv(p: Prop, env: dict[str, frozenset[str]]) -> frozenset[str]:
+    """The free first-order variables of a mu/nu formula: the least set its
+    body has when the binder's own variable stands for that set."""
+    fv: frozenset[str] = frozenset()
+    while True:
+        nxt = free_vars_plus(p.body, {**env, p.var: fv})
+        if nxt == fv:
+            return fv
+        fv = nxt
 
 
 # ---------------------------------------------------------------------------
@@ -414,8 +403,7 @@ class _PropResolver:
             if self.var_types == before:
                 break
         prop = self._finish(prop)
-        binder_fv = compute_binder_fv(prop)
-        prop = self._guard_modalities(prop, binder_fv, guards=frozenset())
+        prop = self._guard_modalities(prop, {}, guards=frozenset())
         return prop
 
     # name -> constant conversion, respecting quantifier scope
@@ -523,28 +511,31 @@ class _PropResolver:
         return t
 
     # attach live guards to modalities; reject unguarded free variables
-    def _guard_modalities(self, p: Prop, binder_fv, guards: frozenset[str]) -> Prop:
+    def _guard_modalities(self, p: Prop, env, guards: frozenset[str]) -> Prop:
+        """env maps each fixpoint variable in scope to its binder's free
+        first-order variables."""
         if isinstance(p, PAnd):
             local = guards | self._guarded_by(p.parts)
-            return PAnd(tuple(self._guard_modalities(c, binder_fv, local) for c in p.parts))
+            return PAnd(tuple(self._guard_modalities(c, env, local) for c in p.parts))
         if isinstance(p, (PDiamond, PBox)):
-            need = sorted(free_vars_plus(p.body, binder_fv))
+            need = sorted(free_vars_plus(p.body, env))
             missing = [v for v in need if v not in guards]
             if missing:
                 raise UnguardedModalVariables(
                     f"variables {missing} are free under a modality but not "
                     f"guarded by a conjoined live or positive atom")
             gs = tuple((v, self.var_types[v]) for v in need)
-            return type(p)(gs, self._guard_modalities(p.body, binder_fv, frozenset()))
+            return type(p)(gs, self._guard_modalities(p.body, env, frozenset()))
         if isinstance(p, PNot):
-            return PNot(self._guard_modalities(p.body, binder_fv, frozenset()))
+            return PNot(self._guard_modalities(p.body, env, frozenset()))
         if isinstance(p, POr):
-            return POr(tuple(self._guard_modalities(c, binder_fv, frozenset()) for c in p.parts))
+            return POr(tuple(self._guard_modalities(c, env, frozenset()) for c in p.parts))
         if isinstance(p, (PExists, PForall)):
             return type(p)(p.var, p.type_name,
-                           self._guard_modalities(p.body, binder_fv, guards))
+                           self._guard_modalities(p.body, env, guards))
         if isinstance(p, (PMu, PNu)):
-            return type(p)(p.var, self._guard_modalities(p.body, binder_fv, guards))
+            inner = {**env, p.var: binder_fv(p, env)}
+            return type(p)(p.var, self._guard_modalities(p.body, inner, guards))
         return p
 
     def _guarded_by(self, parts: Iterable[Prop]) -> frozenset[str]:
@@ -880,7 +871,7 @@ def _match(names: tuple[str, ...], terms: tuple[Term, ...],
 def check_closed(prop: Prop) -> None:
     """Raise PropError unless prop has no free first-order variable and every
     fixpoint variable is bound by an enclosing mu or nu."""
-    free = free_vars_plus(prop, compute_binder_fv(prop))
+    free = free_vars_plus(prop, {})
     if free:
         raise PropError(f"property must be closed; free variables {sorted(free)}")
 

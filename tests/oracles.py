@@ -282,6 +282,33 @@ class NaiveChecker:
 
 
 # ---------------------------------------------------------------------------
+# State identity as a canonical byte string
+
+
+def _obj_token(o: DataObject) -> str:
+    if o.is_undef():
+        return f"{o.type_name}#?"
+    if isinstance(o.value, str):
+        return f"{o.type_name}#s{o.value}"
+    return f"{o.type_name}#n{o.value}"
+
+
+def canonical_state_bytes(state: SystemState) -> bytes:
+    """Every agent's facts and the order facts, sorted and serialised: two
+    states are the same state iff these bytes are equal."""
+    parts: list[str] = []
+    for name, db in state.agent_dbs:
+        parts.append("@" + _obj_token(name))
+        for rel, args in db.canonical():
+            parts.append(rel + "(" + ",".join(_obj_token(a) for a in args) + ")")
+    if state.order_db is not None:
+        parts.append("@<")
+        for rel, args in state.order_db.canonical():
+            parts.append(rel + "(" + ",".join(_obj_token(a) for a in args) + ")")
+    return "\n".join(parts).encode()
+
+
+# ---------------------------------------------------------------------------
 # Graph reachability / safety over a transition system
 
 

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+import rmas.builder as B
 from rmas import queries as Q
 from rmas.builder import (
     BuildConfig,
@@ -24,14 +25,21 @@ from rmas.builder import (
     make_state,
     state_key,
 )
-from rmas.commitments import CallToken
+from rmas.commitments import CallToken, InconsistentOrder
 from rmas.data import Database, DataObject, mk_rational, mk_symbol
 from rmas.dsl import parse_spec
-from rmas.generators import counter_machine_to_rmas, parse_counter_program
+from rmas.generators import (
+    ASYNC_ORDERED,
+    async_to_sync,
+    counter_machine_to_rmas,
+    parse_counter_program,
+)
 from rmas.model import ON_RECEIVE, ON_SEND, install_institutional
-from rmas.queries import lessthan_rel
+from rmas.queries import MissingOrderFacts, lessthan_rel
+from rmas.shallow import compile_shallow
 
-from conftest import load_corpus, rational_pool
+from conftest import CORPUS, load_corpus, rational_pool
+from oracles import canonical_state_bytes
 
 
 def rt(v):
@@ -180,7 +188,7 @@ class TestStepSuccessors:
         state = make_state(dbs, order)
         succs = b._exchange(
             state, agent("c1"), "client", agent("inst"), "instSpec",
-            "askTicket", (), b.current_agents(state), {})
+            "askTicket", (), {})
         assert len(succs) == 5
         # the ordering constraint commits only the above-everything branch;
         # the four rejected branches all roll back to the source state
@@ -204,7 +212,7 @@ class TestStepSuccessors:
         # ordering constraint, so inst must roll back
         succs = b._exchange(
             state, agent("c1"), "client", agent("inst"), "instSpec",
-            "askTicket", (), b.current_agents(state), {})
+            "askTicket", (), {})
         assert len(succs) == 1
         assert succs[0].db(agent("inst")) == inst_db
 
@@ -223,7 +231,7 @@ class TestStepSuccessors:
         s0 = b.initial_state()
         succs = b._exchange(
             s0, agent("alice"), "pinger", agent("bob"), "ponger",
-            "ping", (DataObject("Str", "hi"),), b.current_agents(s0), {})
+            "ping", (DataObject("Str", "hi"),), {})
         (s1,) = succs
         assert s1.db(agent("bob")) == s0.db(agent("bob"))  # rolled back
         assert ("Waiting", ()) in s1.db(agent("alice")).facts  # committed
@@ -237,7 +245,7 @@ class TestStepSuccessors:
         state = make_state(dbs, None)
         return b, state, lambda: b._exchange(
             state, agent("c1"), "client", agent("inst"), "instSpec",
-            "askTicket", (), b.current_agents(state), {})
+            "askTicket", (), {})
 
     def test_out_of_schema_fact_rolls_back(self, ticket_spec):
         # every candidate of inst keeps the fact of a relation outside its
@@ -511,3 +519,116 @@ class TestExport:
     def test_unknown_format(self, ticket_abstract_ts):
         with pytest.raises(ConfigError):
             export(ticket_abstract_ts, "xml")
+
+
+def _ticket3_spec():
+    text = (CORPUS / "ticket_mutex.rmas").read_text()
+    decl = "agent c1 : client\nagent c2 : client\n"
+    assert decl in text
+    return install_institutional(parse_spec(text.replace(
+        decl, decl + "agent c3 : client\n")))
+
+
+def _ping_ordered(ping_spec):
+    return compile_shallow(async_to_sync(ping_spec, ASYNC_ORDERED))
+
+
+def _dedup_builds(ticket_spec, ping_spec):
+    return [
+        ("ticket-abstract", ticket_spec, BuildConfig(mode=MODE_ABSTRACT)),
+        ("ticket-flat-200", ticket_spec, BuildConfig(mode=MODE_FB_FLAT, max_states=200)),
+        ("ping-ordered", _ping_ordered(ping_spec), BuildConfig(mode=MODE_ABSTRACT)),
+    ]
+
+
+class TestStateKeyAgainstBytes:
+    """`state_key` must split states exactly as the sorted byte serialisation
+    of all their facts does, and dedup by either must give the same system."""
+
+    def test_same_partition_of_every_successor(self, ticket_spec, ping_spec, monkeypatch):
+        key = B.state_key
+        for name, spec, cfg in _dedup_builds(ticket_spec, ping_spec):
+            seen = []
+            with monkeypatch.context() as m:
+                m.setattr(B, "state_key", lambda s: seen.append(s) or key(s))
+                ts = build_transition_system(spec, cfg)
+            pairs = {(key(s), canonical_state_bytes(s)) for s in seen}
+            keys = {k for k, _ in pairs}
+            assert len(seen) > len(ts.states), name  # duplicates were met
+            assert len(keys) == len(pairs) == len({b for _, b in pairs}), name
+            assert len(keys) >= len(ts.states), name
+
+    def test_byte_keyed_build_exports_the_same_bytes(self, ticket_spec, ping_spec,
+                                                      monkeypatch):
+        for name, spec, cfg in _dedup_builds(ticket_spec, ping_spec):
+            want = export_jsonl(build_transition_system(spec, cfg))
+            with monkeypatch.context() as m:
+                m.setattr(B, "state_key", canonical_state_bytes)
+                got = export_jsonl(build_transition_system(spec, cfg))
+            assert got == want, name
+
+
+class TestCommitmentsOnlyForCalls:
+    def test_enumerators_see_calls_and_every_commitment_is_assigned(self, monkeypatch):
+        counts = {"enumerated": 0, "assigned": 0}
+
+        def counting(enum):
+            def wrapper(elems, *args):
+                elems = list(elems)
+                assert any(isinstance(e, CallToken) for e in elems)
+                for h in enum(elems, *args):
+                    counts["enumerated"] += 1
+                    yield h
+            return wrapper
+
+        assign = B.assign_results
+
+        def counting_assign(*args):
+            counts["assigned"] += 1
+            return assign(*args)
+
+        monkeypatch.setattr(B, "enumerate_dense_commitments",
+                            counting(B.enumerate_dense_commitments))
+        monkeypatch.setattr(B, "enumerate_equality_commitments",
+                            counting(B.enumerate_equality_commitments))
+        monkeypatch.setattr(B, "assign_results", counting_assign)
+        ts = build_transition_system(_ticket3_spec(), BuildConfig(mode=MODE_ABSTRACT))
+        assert (len(ts.states), len(ts.edges)) == (895, 2517)
+        # the ticket spec has one service, so one commitment per branch
+        assert counts["enumerated"] == counts["assigned"] > 0
+        # most exchanges issue no call and enumerate nothing
+        assert counts["assigned"] < len(ts.edges)
+
+    def _two_ticket_state(self, b, order_facts):
+        """c1 alone is registered and may only ask for a ticket, which inst
+        refuses without a call because c1 holds two tickets already."""
+        s0 = b.initial_state()
+        inst_db = Database.of(
+            [f for f in s0.inst_db().facts
+             if not (f[0] in ("Agent", "hasSpec") and f[1][0] == agent("c2"))]
+            + [("hasTicket", (agent("c1"), rt(1))), ("hasTicket", (agent("c1"), rt(2)))])
+        dbs = {a: d for a, d in s0.agent_dbs if a != agent("c2")}
+        dbs[agent("inst")] = inst_db
+        state = make_state(dbs, Database.of(order_facts))
+        cur = b.current_agents(state)
+        active = {a for a, _ in cur}
+        msgs = [(s, m) for s, sn in cur for m in b.enabled_messages(state, s, sn, active)]
+        assert msgs == [(agent("c1"), ("askTicket", (), agent("inst")))]
+        _, to_add = b.get_facts(state, agent("inst"), "instSpec", b.collect_reactions(
+            state, agent("inst"), "instSpec", ON_RECEIVE, "askTicket", (), agent("c1")))
+        assert not to_add
+        return state
+
+    def test_call_free_step_still_checks_the_order(self, ticket_spec):
+        lt = lessthan_rel("Real")
+        b = Builder(ticket_spec, BuildConfig(mode=MODE_FB_FLAT))
+        both_ways = self._two_ticket_state(
+            b, [(lt, (rt(1), rt(2))), (lt, (rt(2), rt(1)))])
+        with pytest.raises(InconsistentOrder):
+            b.step_successors(both_ways)
+        unordered = self._two_ticket_state(b, [])
+        with pytest.raises(MissingOrderFacts):
+            b.step_successors(unordered)
+        ordered = self._two_ticket_state(b, [(lt, (rt(1), rt(2)))])
+        (succ,) = b.step_successors(ordered)
+        assert succ.order_db.facts == ordered.order_db.facts

@@ -2,11 +2,17 @@ import json
 
 import pytest
 
+from rmas import cli
+from rmas.builder import BuildError
+from rmas.commitments import InconsistentOrder, ReservoirExhausted
+from rmas.queries import MissingOrderFacts
+
 from conftest import CORPUS, run_cli
 
 TICKET = str(CORPUS / "ticket_mutex.rmas")
 PING = str(CORPUS / "ping.rmas")
 SAFETY = str(CORPUS / "props" / "ticket_mutex" / "safety.mlp")
+REACH_GOT = str(CORPUS / "props" / "ping" / "reach_got.mlp")
 NO_AGENTS = str(CORPUS / "props" / "ticket_mutex" / "no_agents.mlp")
 HALTS = str(CORPUS / "programs" / "halts.cm")
 LOOPS = str(CORPUS / "programs" / "loops.cm")
@@ -117,6 +123,34 @@ class TestVerify:
                       "--mode", "concrete-bounded", "--max-depth", "50",
                       "--pool", pool)
         assert out.returncode in (3, 10)
+
+
+class TestEngineErrors:
+    ERRORS = [
+        InconsistentOrder("1:Real and 2:Real are ordered both ways"),
+        ReservoirExhausted("need 2 distinct values, pool offers 1"),
+        MissingOrderFacts("no order fact relating 1:Real and 2:Real in Real"),
+        BuildError("institutional agent was removed"),
+    ]
+
+    @pytest.mark.parametrize("cmd", ["build", "verify"])
+    @pytest.mark.parametrize("error", ERRORS, ids=lambda e: type(e).__name__)
+    def test_engine_failure_exits_seven_with_a_report(self, cmd, error, monkeypatch,
+                                                       capsys):
+        def failing_build(spec, config):
+            raise error
+
+        monkeypatch.setattr(cli, "build_transition_system", failing_build)
+        # ping has facets, so both commands compile it before the build
+        args = ["--report", "json", cmd, PING] + ([REACH_GOT] if cmd == "verify" else [])
+        assert cli.main(args + ["--mode", "abstract-recycle"]) == 7
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        report = json.loads(err)
+        assert report["exit"] == 7
+        assert report["result"]["error"] == f"{type(error).__name__}: {error}"
+        # only build reports that it compiled the facets away, as before
+        assert ("compiled" in report["result"]) == (cmd == "build")
 
 
 class TestTransforms:

@@ -384,6 +384,37 @@ class TestNaiveAgreementOnCorpus:
             _same_as_naive(ts, ping_shallow, parse_property(path.read_text(), ping_shallow))
 
 
+class TestFixpointVariableScope:
+    """A fixpoint variable is bound by its nearest enclosing mu/nu, so reusing
+    a name in another binder changes nothing."""
+
+    WITNESS = ("(exists a: agent. Agent@inst(a) & (mu Z. inCritical@inst(a) | "
+               "(Agent@inst(a) & <>Z)))")
+    REUSED = [  # (name reused, every binder named apart)
+        (WITNESS + " & (mu Z. true | <>Z)", WITNESS + " & (mu Y. true | <>Y)"),
+        (WITNESS + " & (mu Z. (exists b: agent. inCritical@inst(b)) | <>Z)",
+         WITNESS + " & (mu Y. (exists b: agent. inCritical@inst(b)) | <>Y)"),
+        ("mu Z. (exists a: agent. Agent@inst(a) & (nu Z. Agent@inst(a) & []Z)) | <>Z",
+         "mu Z. (exists a: agent. Agent@inst(a) & (nu Y. Agent@inst(a) & []Y)) | <>Z"),
+    ]
+
+    @pytest.mark.parametrize("text,apart", REUSED)
+    def test_reused_name_parses_and_agrees(self, text, apart, ticket_shallow):
+        prop = parse_property(text, ticket_shallow)
+        renamed = parse_property(apart, ticket_shallow)
+        ts = build_transition_system(ticket_shallow, BuildConfig(mode="abstract-recycle"))
+        got, want = model_check(ts, ticket_shallow, prop), model_check(
+            ts, ticket_shallow, renamed)
+        assert (got.truth, got.extension, got.iterations) == \
+            (want.truth, want.extension, want.iterations)
+        _same_as_naive(ts, ticket_shallow, prop)
+
+    def test_free_variable_still_reaches_the_modality(self, ticket_spec):
+        # Z stands for its binder's body, in which a is free: <>Z needs a guard
+        with pytest.raises(UnguardedModalVariables):
+            parse_property("exists a: agent. mu Z. inCritical@inst(a) | <>Z", ticket_spec)
+
+
 def _cmp_ops(p) -> set:
     own = {p.op} if isinstance(p, CmpAtom) else set()
     return own.union(*(_cmp_ops(c) for c in children(p)))
