@@ -212,39 +212,23 @@ class Builder:
         for sname, ag in spec.agent_specs.items():
             ctx = spec.schema_context(ag)
             self.comm_plans[sname] = [
-                (rule, Q.compile_query(rule.query, _typed(rule.query, ctx, self._comm_seeds(rule))))
+                (rule, _compile(rule.query, ctx, spec.messages[rule.message].var_types(
+                    rule.payload_vars, rule.target_var, spec.facets)))
                 for rule in ag.comm_rules
             ]
             for rule in ag.update_rules:
-                seeds = self._rule_seeds(rule)
-                plan = Q.compile_query(rule.condition, _typed(rule.condition, ctx, seeds),
-                                       inputs=seeds)
+                seeds = spec.messages[rule.message].var_types(
+                    rule.payload_vars, rule.peer_var, spec.facets)
+                plan = _compile(rule.condition, ctx, seeds, inputs=seeds)
                 self.rules_by_msg.setdefault((sname, rule.direction, rule.message), []).append(
                     (rule, plan))
             for aname, act in ag.actions.items():
                 ptypes = {p: spec.facets[f].base_type for p, f in act.params}
                 self.guard_plans[(sname, aname)] = [
-                    Q.compile_query(eff.guard, _typed(eff.guard, ctx, {}, ptypes))
-                    for eff in act.effects
+                    _compile(eff.guard, ctx, {}, ptypes) for eff in act.effects
                 ]
-            self.constraint_plans[sname] = [
-                Q.compile_query(c, _typed(c, ctx, {})) for c in ag.constraints
-            ]
+            self.constraint_plans[sname] = [_compile(c, ctx, {}) for c in ag.constraints]
         self._step: Optional[_StepCache] = None
-
-    def _comm_seeds(self, rule) -> dict[str, str]:
-        msg = self.spec.messages[rule.message]
-        seeds = {rule.target_var: AGENT_TYPE}
-        for v, f in zip(rule.payload_vars, msg.payload_facets):
-            seeds[v] = self.spec.facets[f].base_type
-        return seeds
-
-    def _rule_seeds(self, rule: UpdateRule) -> dict[str, str]:
-        msg = self.spec.messages[rule.message]
-        seeds = {rule.peer_var: AGENT_TYPE}
-        for v, f in zip(rule.payload_vars, msg.payload_facets):
-            seeds[v] = self.spec.facets[f].base_type
-        return seeds
 
     # -- initial state ----------------------------------------------------------
 
@@ -743,10 +727,10 @@ def _member(spec: RmasSpec, facet_name: str, obj: DataObject) -> bool:
     return facet_member(spec.facets[facet_name], obj, spec.types)
 
 
-def _typed(q, ctx, seeds: dict[str, str], param_types: Optional[dict[str, str]] = None):
-    out = Q.typecheck_query(q, ctx, param_types=param_types, seed_types=seeds)
-    out.update(seeds)
-    return out
+def _compile(q, ctx, seeds: dict[str, str], param_types: Optional[dict[str, str]] = None,
+             inputs=()) -> Q.Plan:
+    typed, var_types = Q.typecheck_query(q, ctx, param_types=param_types, seed_types=seeds)
+    return Q.compile_query(typed, var_types, inputs)
 
 
 def _ground_template(tpl, theta, values) -> PendingFact:

@@ -182,7 +182,8 @@ class TokenStream:
 
 
 # ---------------------------------------------------------------------------
-# Raw literals: typed during resolution
+# Raw literals: typed during resolution.  The "?" that starts their type
+# names is what marks them as raw for the type inference (`Q.Typing`).
 
 RAW_NUM = "?num"
 RAW_STR = "?str"
@@ -203,10 +204,6 @@ def _raw_const(tok: Token) -> Const:
     if tok.kind == "string":
         return Const(DataObject(RAW_STR, tok.value[1:-1]))
     raise ParseError(f"not a literal: {tok.value!r}", tok.line, tok.col)
-
-
-def is_raw(obj: DataObject) -> bool:
-    return obj.type_name.startswith("?")
 
 
 # ---------------------------------------------------------------------------
@@ -862,9 +859,7 @@ class SpecParser:
                 extra.append(Q.EqAtom(Var(fresh), Const(self.const_names[target])))
                 target = fresh
             query = Q.q_and(r.query, *extra)
-            seeds = {target: AGENT_TYPE}
-            for v, fname in zip(payload, msg.payload_facets):
-                seeds[v] = self.facets[fname].base_type
+            seeds = msg.var_types(payload, target, self.facets)
             comm.append(replace(
                 r,
                 query=resolver.resolve_query(query, seed_types=seeds),
@@ -886,9 +881,7 @@ class SpecParser:
                 raise ResolutionError(
                     f"action {r.action!r} takes {len(act.params)} arguments, got {len(r.args)}"
                 )
-            seeds = {r.peer_var: AGENT_TYPE}
-            for v, fname in zip(r.payload_vars, msg.payload_facets):
-                seeds[v] = self.facets[fname].base_type
+            seeds = msg.var_types(r.payload_vars, r.peer_var, self.facets)
             # payload and peer variables are binders: they shadow constants
             binders = frozenset(r.payload_vars) | {r.peer_var}
             args = []
@@ -922,30 +915,24 @@ class _Resolver:
     def __init__(self, parser: SpecParser, shell: _SpecShell) -> None:
         self.p = parser
         self.shell = shell
+        self.ctx = Q.SchemaContext(shell.schema, parser.facets, parser.types)
 
     def base_type(self, facet_name: str) -> str:
         return self.p.facets[facet_name].base_type
 
-    def component_type(self, rel: str, i: int) -> str:
-        rs = self.shell.schema.get(rel)
-        if rs is None:
-            raise ResolutionError(f"unknown relation {rel!r} in spec {self.shell.name!r}")
-        if i >= rs.arity:
-            raise ResolutionError(f"relation {rel!r} has arity {rs.arity}")
-        return self.base_type(rs.facets[i])
+    def component_types(self, rel: str, terms: tuple) -> list[str]:
+        try:
+            return self.ctx.component_types(rel, len(terms))
+        except Q.IncompatibleQuery as e:
+            raise ResolutionError(f"{e} in spec {self.shell.name!r}") from None
 
     def resolve_fact(self, rel: str, terms: tuple[Term, ...]):
-        rs = self.shell.schema.get(rel)
-        if rs is None:
-            raise ResolutionError(f"unknown relation {rel!r} in spec {self.shell.name!r}")
-        if len(terms) != rs.arity:
-            raise ResolutionError(f"fact {rel!r} has {len(terms)} terms, arity is {rs.arity}")
         objs: list[DataObject] = []
-        for i, t in enumerate(terms):
+        for t, ct in zip(terms, self.component_types(rel, terms)):
             t = self._name_to_const(t)
             if not isinstance(t, Const):
                 raise ResolutionError(f"initial facts must be ground, found {t!r} in {rel!r}")
-            objs.append(_resolve_literal(t.obj, self.component_type(rel, i), self.p.types))
+            objs.append(_resolve_literal(t.obj, ct, self.p.types))
         return (rel, tuple(objs))
 
     def _name_to_const(self, t: Term, param_names: frozenset[str] = frozenset()) -> Term:
@@ -957,34 +944,6 @@ class _Resolver:
                 return Const(obj)
         return t
 
-    def _convert_names(self, q: Query, param_names: frozenset[str], bound: frozenset[str]) -> Query:
-        # Quantifier-bound variables shadow declared constant names and params.
-        def conv(t: Term) -> Term:
-            if isinstance(t, Var) and t.name in bound:
-                return t
-            return self._name_to_const(t, param_names)
-
-        if isinstance(q, (Q.Exists, Q.Forall)):
-            body = self._convert_names(q.body, param_names, bound | {q.var})
-            return type(q)(q.var, body)
-        if isinstance(q, Q.Not):
-            return Q.Not(self._convert_names(q.body, param_names, bound))
-        if isinstance(q, Q.And):
-            return Q.And(tuple(self._convert_names(p, param_names, bound) for p in q.parts))
-        if isinstance(q, Q.Or):
-            return Q.Or(tuple(self._convert_names(p, param_names, bound) for p in q.parts))
-        if isinstance(q, Q.RelAtom):
-            return Q.RelAtom(q.name, tuple(conv(t) for t in q.terms))
-        if isinstance(q, Q.EqAtom):
-            return Q.EqAtom(conv(q.left), conv(q.right))
-        if isinstance(q, Q.LessAtom):
-            return Q.LessAtom(q.type_name, conv(q.left), conv(q.right))
-        if isinstance(q, Q.SuccAtom):
-            return Q.SuccAtom(conv(q.left), conv(q.right))
-        if isinstance(q, Q.LessFactAtom):
-            return Q.LessFactAtom(q.type_name, conv(q.left), conv(q.right))
-        return q
-
     def resolve_query(
         self,
         q: Query,
@@ -992,92 +951,21 @@ class _Resolver:
         seed_types: Optional[dict[str, str]] = None,
         shadowed: frozenset[str] = frozenset(),
     ) -> Query:
+        """q with free names turned into constants or parameters (`shadowed`
+        names stay variables), its variables typed and its literals resolved.
+        A type clash leaves q untyped for the well-formedness check to report."""
         param_names = frozenset(param_types or ())
-        q = self._convert_names(q, param_names, shadowed)
-        # Infer types to resolve raw literals and fill comparison types.
-        var_types: dict[str, str] = dict(seed_types or {})
-        pending = True
-        for _ in range(4):
-            if not pending:
-                break
-            pending = False
-            for atom in Q.atoms(q):
-                pending |= self._note_atom_types(atom, var_types, param_types or {})
-        q = self._rewrite_atoms(q, var_types, param_types or {})
-        return q
-
-    def _term_type(self, t: Term, var_types: dict[str, str], param_types: dict[str, str]) -> Optional[str]:
-        if isinstance(t, Var):
-            return var_types.get(t.name)
-        if isinstance(t, Param):
-            f = param_types.get(t.name)
-            return self.base_type(f) if f else None
-        if is_raw(t.obj):
-            return None
-        return t.obj.type_name
-
-    def _note_atom_types(self, atom: Query, var_types: dict[str, str], param_types: dict[str, str]) -> bool:
-        changed = False
-        if isinstance(atom, Q.RelAtom):
-            rs = self.shell.schema.get(atom.name)
-            if rs is None:
-                raise ResolutionError(f"unknown relation {atom.name!r} in spec {self.shell.name!r}")
-            for i, t in enumerate(atom.terms):
-                ct = self.component_type(atom.name, i)
-                if isinstance(t, Var) and var_types.get(t.name) != ct:
-                    var_types[t.name] = ct
-                    changed = True
-        elif isinstance(atom, (Q.EqAtom, Q.LessAtom, Q.SuccAtom, Q.LessFactAtom)):
-            ta = self._term_type(atom.left, var_types, param_types)
-            tb = self._term_type(atom.right, var_types, param_types)
-            t = ta or tb
-            if t:
-                for side in (atom.left, atom.right):
-                    if isinstance(side, Var) and var_types.get(side.name) != t:
-                        var_types[side.name] = t
-                        changed = True
-        return changed
-
-    def _rewrite_atoms(self, q: Query, var_types: dict[str, str], param_types: dict[str, str]) -> Query:
-        if isinstance(q, Q.RelAtom):
-            rs = self.shell.schema.get(q.name)
-            if rs is None:
-                raise ResolutionError(f"unknown relation {q.name!r} in spec {self.shell.name!r}")
-            if len(q.terms) != rs.arity:
-                raise ResolutionError(f"relation {q.name!r} used with wrong arity")
-            terms = []
-            for i, t in enumerate(q.terms):
-                ct = self.component_type(q.name, i)
-                terms.append(self._finish_term(t, ct))
-            return Q.RelAtom(q.name, tuple(terms))
-        if isinstance(q, (Q.EqAtom, Q.LessAtom, Q.SuccAtom, Q.LessFactAtom)):
-            t = (self._term_type(q.left, var_types, param_types)
-                 or self._term_type(q.right, var_types, param_types))
-            if t is None:
-                raise ResolutionError(f"cannot infer the type of comparison {q!r}")
-            left = self._finish_term(q.left, t)
-            right = self._finish_term(q.right, t)
-            if isinstance(q, Q.EqAtom):
-                return Q.EqAtom(left, right)
-            if isinstance(q, Q.SuccAtom):
-                return Q.SuccAtom(left, right)
-            tdef = self.p.types.get(t)
-            if tdef is None or not tdef.has_less:
-                raise ResolutionError(f"type {t!r} has no dense order")
-            if isinstance(q, Q.LessFactAtom):
-                return Q.LessFactAtom(t, left, right)
-            return Q.LessAtom(t, left, right)
-        if isinstance(q, Q.Not):
-            return Q.Not(self._rewrite_atoms(q.body, var_types, param_types))
-        if isinstance(q, Q.And):
-            return Q.And(tuple(self._rewrite_atoms(p, var_types, param_types) for p in q.parts))
-        if isinstance(q, Q.Or):
-            return Q.Or(tuple(self._rewrite_atoms(p, var_types, param_types) for p in q.parts))
-        if isinstance(q, Q.Exists):
-            return Q.Exists(q.var, self._rewrite_atoms(q.body, var_types, param_types))
-        if isinstance(q, Q.Forall):
-            return Q.Forall(q.var, self._rewrite_atoms(q.body, var_types, param_types))
-        return q
+        q = Q.map_free(q, lambda v: v if v.name in shadowed
+                       else self._name_to_const(v, param_names))
+        params = {p: self.base_type(f) for p, f in (param_types or {}).items()}
+        try:
+            return Q.typecheck_query(
+                q, self.ctx, params, seed_types, require_all=False,
+                literal=lambda obj, t: _resolve_literal(obj, t, self.p.types))[0]
+        except Q.TypeClash:
+            return q
+        except Q.IncompatibleQuery as e:
+            raise ResolutionError(f"{e} in spec {self.shell.name!r}") from None
 
     def _finish_term(self, t: Term, type_name: str) -> Term:
         if isinstance(t, Const):
@@ -1089,32 +977,14 @@ class _Resolver:
         effects = []
         for eff in act.effects:
             guard = self.resolve_query(eff.guard, param_types)
-            guard_types = self._guard_var_types(guard, param_types)
-            adds = tuple(self._resolve_template(t, param_types, guard_types) for t in eff.adds)
-            dels = tuple(self._resolve_template(t, param_types, guard_types) for t in eff.dels)
+            adds = tuple(self._resolve_template(t, param_types) for t in eff.adds)
+            dels = tuple(self._resolve_template(t, param_types) for t in eff.dels)
             effects.append(UpdateEffect(guard, adds, dels))
         return UpdateAction(act.name, act.params, tuple(effects))
 
-    def _guard_var_types(self, guard: Query, param_types: dict[str, str]) -> dict[str, str]:
-        var_types: dict[str, str] = {}
-        for _ in range(4):
-            changed = False
-            for atom in Q.atoms(guard):
-                changed |= self._note_atom_types(atom, var_types, param_types)
-            if not changed:
-                break
-        return var_types
-
-    def _resolve_template(self, tpl: FactTemplate, param_types: dict[str, str],
-                          guard_types: dict[str, str]) -> FactTemplate:
-        rs = self.shell.schema.get(tpl.rel)
-        if rs is None:
-            raise ResolutionError(f"unknown relation {tpl.rel!r} in spec {self.shell.name!r}")
-        if len(tpl.terms) != rs.arity:
-            raise ResolutionError(f"fact template {tpl.rel!r} has wrong arity")
+    def _resolve_template(self, tpl: FactTemplate, param_types: dict[str, str]) -> FactTemplate:
         terms = []
-        for i, t in enumerate(tpl.terms):
-            ct = self.component_type(tpl.rel, i)
+        for t, ct in zip(tpl.terms, self.component_types(tpl.rel, tpl.terms)):
             if isinstance(t, CallTerm):
                 svc = self.p.services.get(t.service)
                 if svc is None:

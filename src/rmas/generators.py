@@ -158,7 +158,7 @@ def counter_machine_to_rmas(prog: CounterProgram) -> RmasSpec:
         inner = Q.Forall("xp", Q.Forall("x", Q.q_implies(
             Q.q_and(Q.RelAtom(cur, (Var("x"),)), Q.RelAtom(prev, (Var("xp"),))),
             Q.SuccAtom(Var("x"), Var("xp")) if inc else Q.SuccAtom(Var("xp"), Var("x")),
-        )))
+        ), INT_TYPE), INT_TYPE)
         return Q.q_implies(
             Q.q_and(Q.RelAtom("Op", (num(op),)),
                     Q.RelAtom("Target", (num(target),))),
@@ -380,7 +380,7 @@ def async_to_sync(spec: RmasSpec, mode: str = ASYNC_DISORDERED) -> RmasSpec:
     def buffer_row_atom(m_term, msg: MessageDef, sender_term, payload_terms) -> Q.Query:
         """MBuffer(m, ..., "t", sender, payload, ...) with fresh slack vars."""
         terms: list = [m_term]
-        w = 0
+        slack: list[tuple[str, str]] = []
         for other in msgs:
             if other.name == msg.name:
                 terms.append(flag("t"))
@@ -388,11 +388,11 @@ def async_to_sync(spec: RmasSpec, mode: str = ASYNC_DISORDERED) -> RmasSpec:
                 terms.extend(payload_terms)
             else:
                 for _ in range(2 + other.arity):
-                    terms.append(Var(f"__v{w}"))
-                    w += 1
+                    slack.append((f"__v{len(slack)}", facets[buffer_facets[len(terms)]].base_type))
+                    terms.append(Var(slack[-1][0]))
         atom: Q.Query = Q.RelAtom(MBUFFER, tuple(terms))
-        for i in range(w - 1, -1, -1):
-            atom = Q.Exists(f"__v{i}", atom)
+        for v, t in reversed(slack):
+            atom = Q.Exists(v, atom, t)
         return atom
 
     def any_row_atom(m_term) -> Q.Query:
@@ -401,7 +401,7 @@ def async_to_sync(spec: RmasSpec, mode: str = ASYNC_DISORDERED) -> RmasSpec:
             terms.append(Var(f"__u{i}"))
         atom: Q.Query = Q.RelAtom(MBUFFER, tuple(terms))
         for i in range(arity - 2, -1, -1):
-            atom = Q.Exists(f"__u{i}", atom)
+            atom = Q.Exists(f"__u{i}", atom, facets[buffer_facets[i + 1]].base_type)
         return atom
 
     id_constraint_body = (
@@ -412,7 +412,7 @@ def async_to_sync(spec: RmasSpec, mode: str = ASYNC_DISORDERED) -> RmasSpec:
     id_constraint = Q.Forall("idn", Q.Forall("ido", Q.q_implies(
         Q.q_and(Q.RelAtom(NEWM, (Var("idn"),)), Q.RelAtom(OLDM, (Var("ido"),))),
         id_constraint_body,
-    )))
+    ), MSGID_TYPE), MSGID_TYPE)
 
     agent_specs: dict[str, AgentSpec] = {}
     for sname, ag in spec.agent_specs.items():
@@ -458,7 +458,7 @@ def async_to_sync(spec: RmasSpec, mode: str = ASYNC_DISORDERED) -> RmasSpec:
                     return Var(ren[term.name])
                 return term
 
-            cond = Q.map_terms(r.condition, rn)
+            cond = Q.map_free(r.condition, rn)
             arg_terms = tuple(rn(a) for a in r.args)
             row = buffer_row_atom(
                 Param("m"), msg, Var("__bs"),
@@ -505,7 +505,7 @@ def async_to_sync(spec: RmasSpec, mode: str = ASYNC_DISORDERED) -> RmasSpec:
             extract = Q.q_and(extract, Q.Not(Q.Exists("m2", Q.q_and(
                 any_row_atom(Var("m2")),
                 Q.LessAtom(MSGID_TYPE, Var("m2"), Var("m")),
-            ))))
+            ), MSGID_TYPE)))
         comm.append(CommRule(extract, NEXTM, ("m",), "a"))
 
         agent_specs[sname] = AgentSpec(

@@ -69,6 +69,12 @@ class MessageDef:
     def arity(self) -> int:
         return len(self.payload_facets)
 
+    def var_types(self, payload_vars, peer_var: str, facets) -> dict[str, str]:
+        """The types an exchange of this message gives a rule's variables:
+        the peer is an agent, each payload variable its facet's base type."""
+        return {peer_var: AGENT_TYPE,
+                **{v: facets[f].base_type for v, f in zip(payload_vars, self.payload_facets)}}
+
 
 @dataclass(frozen=True)
 class CommRule:
@@ -297,6 +303,7 @@ def freshness_constraint() -> Query:
             Q.q_and(Q.RelAtom(OLDAG_REL, (Var("a"),)), Q.RelAtom(FRESHAG_REL, (Var("a"),))),
             Q.q_false(),
         ),
+        AGENT_TYPE,
     )
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 import operator
+from functools import partial
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Optional
 
@@ -19,6 +20,7 @@ from . import model as M
 from .builder import TransitionSystem
 from .dsl import KEYWORDS, ParseError, Token, TokenStream, tokenize, _raw_const, _resolve_literal
 from .model import RmasSpec, initial_data_domain
+from . import queries as Q
 from .queries import Const, Term, Var, lessthan_rel
 from .shallow import is_accessory
 
@@ -32,10 +34,6 @@ class NonMonotoneFixpoint(PropError):
 
 
 class UnguardedModalVariables(PropError):
-    pass
-
-
-class SuccNotFlattenable(PropError):
     pass
 
 
@@ -158,8 +156,10 @@ def children(p: Prop) -> tuple[Prop, ...]:
     return ()
 
 
-def rebuild(p: Prop, f: Callable[[Prop], Prop]) -> Prop:
-    """p of the same kind, with f applied to each of its children."""
+def rebuild(p: Prop, f: Callable[[Prop], Prop],
+            term: Optional[Callable[[Term], Term]] = None) -> Prop:
+    """p of the same kind, with f applied to each of its children and, when
+    given, `term` to each term of an atom."""
     if isinstance(p, (PAnd, POr)):
         return type(p)(tuple(f(c) for c in p.parts))
     if isinstance(p, PNot):
@@ -170,6 +170,10 @@ def rebuild(p: Prop, f: Callable[[Prop], Prop]) -> Prop:
         return type(p)(p.var, f(p.body))
     if isinstance(p, (PDiamond, PBox)):
         return type(p)(p.guards, f(p.body))
+    if term is not None and isinstance(p, LocAtom):
+        return LocAtom(p.name, tuple(map(term, p.terms)), term(p.loc))
+    if term is not None and isinstance(p, CmpAtom):
+        return CmpAtom(p.op, p.type_name, term(p.left), term(p.right))
     return p
 
 
@@ -177,12 +181,9 @@ def free_vars_plus(p: Prop, env: dict[str, frozenset[str]]) -> frozenset[str]:
     """Free first-order variables, a fixpoint variable standing for those of
     its nearest enclosing binder (env maps the binders in scope to theirs)."""
     if isinstance(p, LocAtom):
-        out = {t.name for t in p.terms if isinstance(t, Var)}
-        if isinstance(p.loc, Var):
-            out.add(p.loc.name)
-        return frozenset(out)
+        return frozenset(_term_vars((p.loc,) + p.terms))
     if isinstance(p, CmpAtom):
-        return frozenset(t.name for t in (p.left, p.right) if isinstance(t, Var))
+        return frozenset(_term_vars((p.left, p.right)))
     if isinstance(p, LiveAtom):
         return frozenset({p.var})
     if isinstance(p, PVar):
@@ -215,7 +216,6 @@ def binder_fv(p: Prop, env: dict[str, frozenset[str]]) -> frozenset[str]:
 class PropParser:
     def __init__(self, text: str, spec: RmasSpec) -> None:
         self.spec = spec
-        self.union_schema = spec.union_schema()
         tokens = [t for t in _merge_modal_tokens(tokenize(text)) if t.kind != "newline"]
         self.ts = TokenStream(tokens)
         self.consts: dict[str, DataObject] = {INST_NAME: mk_symbol(AGENT_TYPE, INST_NAME)}
@@ -392,34 +392,23 @@ class _PropResolver:
     def __init__(self, parser: PropParser) -> None:
         self.p = parser
         self.spec = parser.spec
-        self.var_types: dict[str, str] = {}
+        self.ctx = parser.spec.schema_context()
+        literal = partial(_resolve_literal, types=parser.spec.types)
+        self.lit = partial(Q.resolve_raw, literal=literal)
 
     def resolve(self, prop: Prop) -> Prop:
-        prop = self._convert_names(prop, frozenset())
+        consts = self.p.consts
+        prop = Q.map_free(prop, lambda v: Const(consts[v.name]) if v.name in consts else v,
+                          rebuild, (PExists, PForall))
         self._check_monotone(prop)
-        for _ in range(4):
-            before = dict(self.var_types)
-            self._infer(prop, {})
-            if self.var_types == before:
-                break
-        prop = self._finish(prop)
-        prop = self._guard_modalities(prop, {}, guards=frozenset())
-        return prop
-
-    # name -> constant conversion, respecting quantifier scope
-    def _convert_names(self, p: Prop, bound: frozenset[str]) -> Prop:
-        def conv(t: Term) -> Term:
-            if isinstance(t, Var) and t.name not in bound and t.name in self.p.consts:
-                return Const(self.p.consts[t.name])
-            return t
-
-        if isinstance(p, LocAtom):
-            return LocAtom(p.name, tuple(conv(t) for t in p.terms), conv(p.loc))
-        if isinstance(p, CmpAtom):
-            return CmpAtom(p.op, p.type_name, conv(p.left), conv(p.right))
-        if isinstance(p, (PExists, PForall)):
-            bound = bound | {p.var}
-        return rebuild(p, lambda c: self._convert_names(c, bound))
+        typing = Q.Typing(children, (PExists, PForall), self._demands, self.spec.types)
+        try:
+            typing.visit(prop).check()
+        except Q.IncompatibleQuery as e:
+            raise PropError(str(e)) from None
+        if typing.stale:
+            prop = self._finish(prop, typing.solved())
+        return self._guard_modalities(prop, {}, frozenset(), typing.free_types())
 
     def _check_monotone(self, p: Prop, positive: bool = True) -> None:
         if isinstance(p, PVar):
@@ -433,90 +422,41 @@ class _PropResolver:
         for c in children(p):
             self._check_monotone(c, positive)
 
-    def _note(self, v: str, t: str) -> None:
-        old = self.var_types.get(v)
-        if old is not None and old != t:
-            raise PropError(f"variable {v!r} used at types {old} and {t}")
-        self.var_types[v] = t
-
-    def _infer(self, p: Prop, bound: dict[str, str]) -> None:
+    def _demands(self, p: Prop) -> Optional[list[tuple]]:
         if isinstance(p, LocAtom):
-            rs = self.p.union_schema.get(p.name)
-            if rs is None:
-                raise PropError(f"unknown relation {p.name!r}")
-            if len(p.terms) != rs.arity:
-                raise PropError(f"relation {p.name!r} used with wrong arity")
-            if isinstance(p.loc, Var):
-                self._note(p.loc.name, AGENT_TYPE)
-            for t, fname in zip(p.terms, rs.facets):
-                if isinstance(t, Var):
-                    self._note(t.name, self.spec.facets[fname].base_type)
-            return
+            types = self.ctx.component_types(p.name, len(p.terms))
+            return [((t,), ct, p.name) for t, ct in zip((p.loc,) + p.terms, [AGENT_TYPE] + types)]
         if isinstance(p, CmpAtom):
-            tt = p.type_name
-            for side in (p.left, p.right):
-                if isinstance(side, Var) and side.name in self.var_types:
-                    tt = tt or self.var_types[side.name]
-                if isinstance(side, Const) and not side.obj.type_name.startswith("?"):
-                    tt = tt or side.obj.type_name
-            if tt:
-                for side in (p.left, p.right):
-                    if isinstance(side, Var):
-                        self._note(side.name, tt)
-            return
+            return [((p.left, p.right), p.type_name, "<" if p.op in ("less", "lessfact") else p.op)]
         if isinstance(p, LiveAtom):
-            self._note(p.var, p.type_name)
-            return
-        if isinstance(p, (PExists, PForall)):
-            if p.type_name != "?":
-                self._note(p.var, p.type_name)
-            self._infer(p.body, bound)
-            return
-        for c in children(p):
-            self._infer(c, bound)
+            return [((Var(p.var),), p.type_name, "live")]
+        return None
 
-    def _finish(self, p: Prop) -> Prop:
+    def _finish(self, p: Prop, solved: Iterator) -> Prop:
+        """p with the solved types on its binders and comparisons, and its
+        raw literals resolved; `solved` follows the order of the walk."""
+        lit = self.lit
+        if isinstance(p, (PExists, PForall)):
+            return type(p)(p.var, next(solved), self._finish(p.body, solved))
         if isinstance(p, LocAtom):
-            rs = self.p.union_schema[p.name]
-            terms = []
-            for t, fname in zip(p.terms, rs.facets):
-                terms.append(self._finish_term(t, self.spec.facets[fname].base_type))
-            loc = self._finish_term(p.loc, AGENT_TYPE)
-            return LocAtom(p.name, tuple(terms), loc)
+            loc_type, *types = next(solved)
+            return LocAtom(p.name, tuple(map(lit, p.terms, types)), lit(p.loc, loc_type))
         if isinstance(p, CmpAtom):
-            tt = p.type_name
-            for side in (p.left, p.right):
-                if isinstance(side, Var):
-                    tt = tt or self.var_types.get(side.name)
-                elif not side.obj.type_name.startswith("?"):
-                    tt = tt or side.obj.type_name
-            if tt is None:
-                raise PropError(f"cannot infer the type of a comparison")
-            if p.op in ("less", "lessfact") and not self.spec.types[tt].has_less:
-                raise PropError(f"type {tt!r} has no dense order")
-            return CmpAtom(p.op, tt, self._finish_term(p.left, tt),
-                           self._finish_term(p.right, tt))
-        if isinstance(p, (PExists, PForall)):
-            t = p.type_name if p.type_name != "?" else self.var_types.get(p.var)
-            if t is None:
-                raise PropError(f"cannot infer the type of quantified variable {p.var!r}")
-            return type(p)(p.var, t, self._finish(p.body))
-        return rebuild(p, self._finish)
-
-    def _finish_term(self, t: Term, type_name: str) -> Term:
-        if isinstance(t, Const) and t.obj.type_name.startswith("?"):
-            return Const(_resolve_literal(t.obj, type_name, self.spec.types))
-        if isinstance(t, Var) and t.name not in self.var_types:
-            self.var_types[t.name] = type_name
-        return t
+            (t,) = next(solved)
+            return CmpAtom(p.op, t, lit(p.left, t), lit(p.right, t))
+        if isinstance(p, LiveAtom):
+            next(solved)
+        return rebuild(p, lambda c: self._finish(c, solved))
 
     # attach live guards to modalities; reject unguarded free variables
-    def _guard_modalities(self, p: Prop, env, guards: frozenset[str]) -> Prop:
+    def _guard_modalities(self, p: Prop, env, guards: frozenset[str],
+                          types: dict[str, str]) -> Prop:
         """env maps each fixpoint variable in scope to its binder's free
-        first-order variables."""
+        first-order variables, `types` each first-order variable in scope to
+        the type of its nearest binder."""
         if isinstance(p, PAnd):
             local = guards | self._guarded_by(p.parts)
-            return PAnd(tuple(self._guard_modalities(c, env, local) for c in p.parts))
+            return PAnd(tuple(self._guard_modalities(c, env, local, types) for c in p.parts))
         if isinstance(p, (PDiamond, PBox)):
             need = sorted(free_vars_plus(p.body, env))
             missing = [v for v in need if v not in guards]
@@ -524,32 +464,28 @@ class _PropResolver:
                 raise UnguardedModalVariables(
                     f"variables {missing} are free under a modality but not "
                     f"guarded by a conjoined live or positive atom")
-            gs = tuple((v, self.var_types[v]) for v in need)
-            return type(p)(gs, self._guard_modalities(p.body, env, frozenset()))
+            gs = tuple((v, types[v]) for v in need)
+            return type(p)(gs, self._guard_modalities(p.body, env, frozenset(), types))
         if isinstance(p, PNot):
-            return PNot(self._guard_modalities(p.body, env, frozenset()))
+            return PNot(self._guard_modalities(p.body, env, frozenset(), types))
         if isinstance(p, POr):
-            return POr(tuple(self._guard_modalities(c, env, frozenset()) for c in p.parts))
+            return POr(tuple(self._guard_modalities(c, env, frozenset(), types) for c in p.parts))
         if isinstance(p, (PExists, PForall)):
-            return type(p)(p.var, p.type_name,
-                           self._guard_modalities(p.body, env, guards))
+            inner = {**types, p.var: p.type_name}
+            return type(p)(p.var, p.type_name, self._guard_modalities(p.body, env, guards, inner))
         if isinstance(p, (PMu, PNu)):
             inner = {**env, p.var: binder_fv(p, env)}
-            return type(p)(p.var, self._guard_modalities(p.body, inner, guards))
+            return type(p)(p.var, self._guard_modalities(p.body, inner, guards, types))
         return p
 
     def _guarded_by(self, parts: Iterable[Prop]) -> frozenset[str]:
-        out: set[str] = set()
+        out: frozenset[str] = frozenset()
         for part in parts:
-            if isinstance(part, LocAtom):
-                out |= {t.name for t in part.terms if isinstance(t, Var)}
-                if isinstance(part.loc, Var):
-                    out.add(part.loc.name)
-            elif isinstance(part, LiveAtom):
-                out.add(part.var)
+            if isinstance(part, (LocAtom, LiveAtom)):
+                out |= free_vars_plus(part, {})
             elif isinstance(part, PAnd):
                 out |= self._guarded_by(part.parts)
-        return frozenset(out)
+        return out
 
 
 def parse_property(text: str, spec: RmasSpec) -> Prop:
@@ -566,13 +502,17 @@ def flatten_property(p: Prop) -> Prop:
         if p.op == "less":
             return CmpAtom("lessfact", p.type_name, p.left, p.right)
         if p.op == "succ":
-            raise SuccNotFlattenable("succ atoms cannot be flattened")
+            raise Q.SuccNotFlattenable("succ atoms cannot be flattened")
         return p
     return rebuild(p, flatten_property)
 
 
 # ---------------------------------------------------------------------------
 # Model checking
+
+
+# the (variable, type) of each binder around a subformula, outermost first
+Dom = tuple[tuple[str, str], ...]
 
 
 @dataclass
@@ -642,16 +582,16 @@ class ModelChecker:
 
     # -- assignments -------------------------------------------------------------
 
-    def _pools(self, dom: tuple[str, ...], var_types: dict[str, str]) -> list[list[DataObject]]:
-        return [self.universe.get(var_types[v], []) for v in dom]
+    def _pools(self, dom: Dom) -> list[list[DataObject]]:
+        return [self.universe.get(t, []) for _, t in dom]
 
-    def _top(self, dom: tuple[str, ...], var_types: dict[str, str]) -> dict[tuple, int]:
+    def _top(self, dom: Dom) -> dict[tuple, int]:
         """Every assignment over dom, true in every state."""
-        types = tuple(var_types[v] for v in dom)
+        types = tuple(t for _, t in dom)
         out = self._tops.get(types)
         if out is None:
             full = self.full
-            out = {c: full for c in itertools.product(*self._pools(dom, var_types))} if full else {}
+            out = {c: full for c in itertools.product(*self._pools(dom))} if full else {}
             self._tops[types] = out
         return out
 
@@ -723,19 +663,22 @@ class ModelChecker:
             return names, rows
         raise PropError(f"not an atom: {atom!r}")
 
-    def _atom(self, atom: Prop, dom: tuple[str, ...], var_types: dict[str, str]) -> dict:
-        """The atom's rows expanded over the variables of dom it leaves free;
-        computed once per atom, as an atom's dom is fixed by its position."""
-        key = (id(atom), dom, tuple(var_types[v] for v in dom))
+    def _atom(self, atom: Prop, dom: Dom) -> dict:
+        """The atom's rows expanded over the positions of dom it leaves free
+        (a shadowed one among them); computed once per atom, as an atom's
+        dom is fixed by its position."""
+        key = (id(atom), dom)
         out = self._atoms.get(key)
         if out is not None:
             return out
         names, rows = self._atom_rows(atom)
-        unbound = set(names).difference(dom)
+        at = _positions(dom)
+        unbound = set(names).difference(at)
         if unbound:
             raise PropError(f"property must be closed; free variables {sorted(unbound)}")
-        slots = [names.index(v) if v in names else -1 for v in dom]
-        pools = self._pools(dom, var_types)
+        slots = [names.index(v) if v in names and at[v] == i else -1
+                 for i, (v, _) in enumerate(dom)]
+        pools = self._pools(dom)
         out = {}
         for row, m in rows.items():
             for c in itertools.product(*[(row[i],) if i >= 0 else pool
@@ -746,27 +689,29 @@ class ModelChecker:
 
     # -- evaluation -----------------------------------------------------------------
 
-    def eval(self, p: Prop, dom: tuple[str, ...], var_types: dict[str, str],
-             env: dict[str, tuple[tuple[str, ...], dict]]) -> dict[tuple, int]:
+    def eval(self, p: Prop, dom: Dom, env: dict[str, tuple[Dom, dict]]) -> dict[tuple, int]:
+        """The extension of p over the assignments to dom, the (variable,
+        type) of each binder around p, outermost first; env maps each
+        fixpoint variable in scope to its binder's dom and approximant."""
         if isinstance(p, PTrue):
-            return self._top(dom, var_types)
+            return self._top(dom)
         if isinstance(p, (LocAtom, CmpAtom, LiveAtom)):
-            return self._atom(p, dom, var_types)
+            return self._atom(p, dom)
         if isinstance(p, PNot):
-            body = self.eval(p.body, dom, var_types, env)
+            body = self.eval(p.body, dom, env)
             full = self.full
             out = {}
-            for c in self._top(dom, var_types):
+            for c in self._top(dom):
                 m = full ^ body.get(c, 0)
                 if m:
                     out[c] = m
             return out
         if isinstance(p, PAnd):
             if not p.parts:
-                return self._top(dom, var_types)
-            out = self.eval(p.parts[0], dom, var_types, env)
+                return self._top(dom)
+            out = self.eval(p.parts[0], dom, env)
             for c in p.parts[1:]:
-                e = self.eval(c, dom, var_types, env)
+                e = self.eval(c, dom, env)
                 small, big = (out, e) if len(out) <= len(e) else (e, out)
                 out = {}
                 for a, m in small.items():
@@ -777,11 +722,11 @@ class ModelChecker:
         if isinstance(p, POr):
             out = {}
             for c in p.parts:
-                for a, m in self.eval(c, dom, var_types, env).items():
+                for a, m in self.eval(c, dom, env).items():
                     out[a] = out.get(a, 0) | m
             return out
         if isinstance(p, (PExists, PForall)):
-            body = self.eval(p.body, dom + (p.var,), {**var_types, p.var: p.type_name}, env)
+            body = self.eval(p.body, dom + ((p.var, p.type_name),), env)
             live = self.live.get(p.type_name, {})
             out = {}
             if isinstance(p, PExists):
@@ -796,7 +741,7 @@ class ModelChecker:
             full = self.full
             # each object live somewhere, with the states where it is not
             dead = [(o, full ^ m) for o, m in live.items() if m]
-            for c in self._top(dom, var_types):
+            for c in self._top(dom):
                 m = full
                 for o, off in dead:
                     m &= body.get(c + (o,), 0) | off
@@ -806,8 +751,9 @@ class ModelChecker:
                     out[c] = m
             return out
         if isinstance(p, (PDiamond, PBox)):
-            body = self.eval(p.body, dom, var_types, env)
-            guards = [(dom.index(v), self.live.get(t, {})) for v, t in p.guards]
+            body = self.eval(p.body, dom, env)
+            at = _positions(dom)
+            guards = [(at[v], self.live.get(t, {})) for v, t in p.guards]
             full = self.full
             pre: dict[int, int] = {}  # many assignments share a mask
             out = {}
@@ -822,7 +768,7 @@ class ModelChecker:
                         out[c] = m
                 return out
             # box: the guarded states with no successor outside body
-            for c in self._top(dom, var_types):
+            for c in self._top(dom):
                 off = full ^ body.get(c, 0)
                 m = pre.get(off)
                 if m is None:
@@ -838,17 +784,23 @@ class ModelChecker:
             assert dom[:k] == bdom
             if len(dom) == k:
                 return ext
-            pools = self._pools(dom[k:], var_types)
+            pools = self._pools(dom[k:])
             return {c + extra: m for c, m in ext.items() for extra in itertools.product(*pools)}
         if isinstance(p, (PMu, PNu)):
-            cur = {} if isinstance(p, PMu) else self._top(dom, var_types)
+            cur = {} if isinstance(p, PMu) else self._top(dom)
             while True:
                 self.iterations += 1
-                nxt = self.eval(p.body, dom, var_types, {**env, p.var: (dom, cur)})
+                nxt = self.eval(p.body, dom, {**env, p.var: (dom, cur)})
                 if nxt == cur:
                     return cur
                 cur = nxt
         raise PropError(f"unknown property node {p!r}")
+
+
+def _positions(dom: Dom) -> dict[str, int]:
+    """Each variable of dom at its innermost position: a binder shadows the
+    binders of its name around it."""
+    return {v: i for i, (v, _) in enumerate(dom)}
 
 
 def _term_vars(terms: Iterable[Term]) -> tuple[str, ...]:
@@ -890,7 +842,7 @@ def model_check(ts: TransitionSystem, spec: RmasSpec, prop: Prop) -> Verdict:
     """Evaluate a closed property at the initial state."""
     check_closed(prop)
     checker = ModelChecker(ts, spec)
-    mask = checker.eval(prop, (), {}, {}).get((), 0)
+    mask = checker.eval(prop, (), {}).get((), 0)
     return Verdict(
         truth=bool(mask >> ts.initial & 1),
         extension=frozenset((sid, ()) for sid in _bits(mask)),

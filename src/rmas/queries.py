@@ -21,7 +21,7 @@ its active domain and sorted quantifier ranges, each built on first use.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Optional, Union
 
@@ -151,14 +151,23 @@ class Or(Query):
 
 @dataclass(frozen=True)
 class Exists(Query):
+    """exists var. body, var ranging over the active domain of `type_name`
+    ("?" until inferred).  The type is inferred from the rest of the query,
+    so it takes no part in equality."""
+
     var: str
     body: Query
+    type_name: str = field(default="?", compare=False)
 
 
 @dataclass(frozen=True)
 class Forall(Query):
     var: str
     body: Query
+    type_name: str = field(default="?", compare=False)
+
+
+ATOMS = (RelAtom, EqAtom, LessAtom, SuccAtom, LessFactAtom)
 
 
 def q_and(*parts: Query) -> Query:
@@ -186,117 +195,247 @@ def q_false() -> Query:
     return Not(TrueQ())
 
 
+# ---------------------------------------------------------------------------
+# Traversal: every walk over a query is built on `children` and `rebuild`
+
+
+def children(q: Query) -> tuple[Query, ...]:
+    if isinstance(q, (And, Or)):
+        return q.parts
+    if isinstance(q, (Not, Exists, Forall)):
+        return (q.body,)
+    return ()
+
+
+def rebuild(q: Query, f: Callable[[Query], Query],
+            term: Optional[Callable[[Term], Term]] = None) -> Query:
+    """q of the same kind, with f applied to each of its children and, when
+    given, `term` to each term of an atom."""
+    if isinstance(q, (And, Or)):
+        return type(q)(tuple(f(c) for c in q.parts))
+    if isinstance(q, Not):
+        return Not(f(q.body))
+    if isinstance(q, (Exists, Forall)):
+        return type(q)(q.var, f(q.body), q.type_name)
+    if term is None or isinstance(q, TrueQ):
+        return q
+    if isinstance(q, RelAtom):
+        return RelAtom(q.name, tuple(map(term, q.terms)))
+    if isinstance(q, (LessAtom, LessFactAtom)):
+        return type(q)(q.type_name, term(q.left), term(q.right))
+    return type(q)(term(q.left), term(q.right))
+
+
+def atom_terms(a: Query) -> tuple[Term, ...]:
+    return a.terms if isinstance(a, RelAtom) else (a.left, a.right)
+
+
 def atoms(q: Query) -> Iterator[Query]:
-    if isinstance(q, (RelAtom, EqAtom, LessAtom, SuccAtom, LessFactAtom)):
+    if isinstance(q, ATOMS):
         yield q
-    elif isinstance(q, Not):
-        yield from atoms(q.body)
-    elif isinstance(q, (And, Or)):
-        for p in q.parts:
-            yield from atoms(p)
-    elif isinstance(q, (Exists, Forall)):
-        yield from atoms(q.body)
-
-
-def _term_vars(t: Term) -> set[str]:
-    return {t.name} if isinstance(t, Var) else set()
+    else:
+        for c in children(q):
+            yield from atoms(c)
 
 
 def free_vars(q: Query) -> set[str]:
-    if isinstance(q, TrueQ):
-        return set()
-    if isinstance(q, RelAtom):
-        out: set[str] = set()
-        for t in q.terms:
-            out |= _term_vars(t)
-        return out
-    if isinstance(q, (EqAtom, LessAtom, SuccAtom, LessFactAtom)):
-        return _term_vars(q.left) | _term_vars(q.right)
-    if isinstance(q, Not):
-        return free_vars(q.body)
-    if isinstance(q, (And, Or)):
-        out = set()
-        for p in q.parts:
-            out |= free_vars(p)
-        return out
+    if isinstance(q, ATOMS):
+        return {t.name for t in atom_terms(q) if isinstance(t, Var)}
     if isinstance(q, (Exists, Forall)):
         return free_vars(q.body) - {q.var}
-    raise QueryError(f"unknown query node {q!r}")
-
-
-def constants(q: Query) -> set[DataObject]:
-    out: set[DataObject] = set()
-    for a in atoms(q):
-        terms = a.terms if isinstance(a, RelAtom) else (a.left, a.right)
-        for t in terms:
-            if isinstance(t, Const):
-                out.add(t.obj)
+    out: set[str] = set()
+    for c in children(q):
+        out |= free_vars(c)
     return out
 
 
+def constants(q: Query) -> set[DataObject]:
+    return {t.obj for a in atoms(q) for t in atom_terms(a) if isinstance(t, Const)}
+
+
 def substitute_params(q: Query, values: dict[str, DataObject]) -> Query:
-    def sub_term(t: Term) -> Term:
-        if isinstance(t, Param) and t.name in values:
-            return Const(values[t.name])
-        return t
-
-    return map_terms(q, sub_term)
+    return map_terms(q, lambda t: Const(values[t.name])
+                     if isinstance(t, Param) and t.name in values else t)
 
 
-def map_terms(q: Query, f) -> Query:
-    if isinstance(q, TrueQ):
-        return q
-    if isinstance(q, RelAtom):
-        return RelAtom(q.name, tuple(f(t) for t in q.terms))
-    if isinstance(q, EqAtom):
-        return EqAtom(f(q.left), f(q.right))
-    if isinstance(q, LessAtom):
-        return LessAtom(q.type_name, f(q.left), f(q.right))
-    if isinstance(q, SuccAtom):
-        return SuccAtom(f(q.left), f(q.right))
-    if isinstance(q, LessFactAtom):
-        return LessFactAtom(q.type_name, f(q.left), f(q.right))
-    if isinstance(q, Not):
-        return Not(map_terms(q.body, f))
-    if isinstance(q, And):
-        return And(tuple(map_terms(p, f) for p in q.parts))
-    if isinstance(q, Or):
-        return Or(tuple(map_terms(p, f) for p in q.parts))
-    if isinstance(q, Exists):
-        return Exists(q.var, map_terms(q.body, f))
-    if isinstance(q, Forall):
-        return Forall(q.var, map_terms(q.body, f))
-    raise QueryError(f"unknown query node {q!r}")
+def map_terms(q: Query, f: Callable[[Term], Term]) -> Query:
+    return rebuild(q, lambda c: map_terms(c, f), f)
+
+
+def map_free(node, f: Callable[[Var], Term], rebuild=rebuild,
+             binders: tuple[type, ...] = (Exists, Forall), bound: frozenset[str] = frozenset()):
+    """node with f applied to each occurrence of a variable no binder
+    around it binds; `rebuild` and `binders` describe the syntax tree, a
+    query's by default."""
+    if isinstance(node, binders):
+        bound = bound | {node.var}
+    return rebuild(node, lambda c: map_free(c, f, rebuild, binders, bound),
+                   lambda t: f(t) if isinstance(t, Var) and t.name not in bound else t)
 
 
 # ---------------------------------------------------------------------------
-# Type checking
+# Type inference, shared by queries and properties
 
 
-class TypeEnv:
-    """Accumulates var/param type evidence and reports clashes."""
+class TypeClash(IncompatibleQuery):
+    """One type variable was given two different types."""
 
-    def __init__(self) -> None:
-        self.vars: dict[str, str] = {}
-        self.pars: dict[str, str] = {}
 
-    def bind_var(self, name: str, type_name: str, where: str) -> None:
-        old = self.vars.get(name)
-        if old is None:
-            self.vars[name] = type_name
-        elif old != type_name:
-            raise IncompatibleQuery(
-                f"variable {name!r} used at type {old} and at type {type_name} ({where})"
-            )
+_ORDERS = {"<": ("has_less", "dense order"), "succ": ("has_succ", "successor relation")}
 
-    def bind_param(self, name: str, type_name: str, where: str) -> None:
-        old = self.pars.get(name)
-        if old is None:
-            self.pars[name] = type_name
-        elif old != type_name:
-            raise IncompatibleQuery(
-                f"parameter {name!r} used at type {old} and at type {type_name} ({where})"
-            )
+
+class Typing:
+    """Scope-aware type inference by union-find (Tarjan, JACM 1975).
+
+    One pre-order walk over a query or a property makes a type variable of
+    every binder occurrence, every free variable and every parameter; each
+    group of terms an atom demands to share one type joins their variables.
+    A declared, seeded or constant type fixes the type of its variable; a
+    raw literal (a constant whose type starts with "?") takes the type of
+    its group.  A binder is a variable of its own, so a name may be reused
+    at another type in another scope, and an equality chain of any length is
+    solved in the one walk.  The first clash raises TypeClash.
+
+    The two syntax trees pass what differs between them: `children`, the
+    node classes that bind a `var` of a `type_name` ("?" when not declared),
+    and `demands`, which maps an atom to its (terms, fixed type or None,
+    relation) groups and any other node to None.  The relation "<" or
+    "succ" demands a type with that order among `types`.
+    """
+
+    def __init__(self, children, binders: tuple[type, ...], demands,
+                 types: dict[str, DataTypeDef], free_types: Optional[dict[str, str]] = None,
+                 param_types: Optional[dict[str, str]] = None) -> None:
+        self.children, self.binders, self.demands = children, binders, demands
+        self.types = types
+        self.up: list[int] = []
+        self.type: list[Optional[str]] = []
+        # a variable is an index into up/type, or its type once that is known
+        # from the start: a seed, a parameter's or a binder's declared type
+        self.free: dict[str, Union[int, str]] = dict(free_types) if free_types else {}
+        self.params: dict[str, Union[int, str]] = dict(param_types) if param_types else {}
+        # (binder, its variable) and (atom, what each group shares), in walk order
+        self.walk: list[tuple] = []
+        # whether a binder or comparison lacks its type, or a literal is raw
+        self.stale = False
+
+    def _new(self, t: Optional[str] = None) -> int:
+        self.up.append(len(self.up))
+        self.type.append(t)
+        return len(self.up) - 1
+
+    def find(self, i: int) -> int:
+        up = self.up
+        while up[i] != i:
+            up[i] = i = up[up[i]]
+        return i
+
+    def visit(self, node, scope: Optional[dict[str, int]] = None) -> "Typing":
+        if scope is None:
+            scope = {}
+        if isinstance(node, self.binders):
+            v = self._new() if node.type_name == "?" else node.type_name
+            self.walk.append((node, v, None))
+            outer = scope.get(node.var)
+            scope[node.var] = v
+            for c in self.children(node):
+                self.visit(c, scope)
+            if outer is None:
+                del scope[node.var]
+            else:
+                scope[node.var] = outer
+            return self
+        kids = self.children(node)
+        for c in kids:
+            self.visit(c, scope)
+        groups = None if kids else self.demands(node)
+        if groups is not None:
+            self.walk.append((node, [self._group(terms, t, rel, scope)
+                                     for terms, t, rel in groups], groups))
+        return self
+
+    def _group(self, terms: tuple[Term, ...], t: Optional[str], rel: str,
+               scope: dict[str, int]) -> Union[int, str, None]:
+        """The fixed type t once the terms have it, or else the type variable
+        they share (a type when none of them is a variable, None when
+        nothing fixes it)."""
+        g: Union[int, str, None] = t
+        for term in terms:
+            if isinstance(term, Const):
+                v = term.obj.type_name
+                if v.startswith("?"):
+                    self.stale = True
+                    continue
+            else:
+                table = self.params if isinstance(term, Param) else self.free
+                v = scope.get(term.name) if isinstance(term, Var) else None
+                if v is None:
+                    v = table.get(term.name)
+                    if v is None:  # first seen: the variable is what the group shares
+                        if g is None:
+                            g = self._new()
+                        table[term.name] = g
+                        continue
+            if g is None:
+                g = v
+            elif g != v:
+                g = self._unify(g, v, term, rel)
+        return g if t is None else t
+
+    def _unify(self, g: Union[int, str], v: Union[int, str], term: Term, rel: str):
+        """Join what a group shares so far with one more of its terms."""
+        a = self.find(g) if isinstance(g, int) else None
+        b = self.find(v) if isinstance(v, int) else None
+        ta = g if a is None else self.type[a]
+        tb = v if b is None else self.type[b]
+        if ta is not None and tb is not None and ta != tb:
+            what = repr(term.obj) if isinstance(term, Const) else \
+                f"{'parameter' if isinstance(term, Param) else 'variable'} {term.name!r}"
+            raise TypeClash(f"{what} used at type {tb} and at type {ta} (in {rel})")
+        if a is None:
+            if b is not None and tb is None:
+                self.type[b] = ta
+            return v if b is None else b
+        if b is not None and a != b:
+            self.up[b] = a
+        if ta is None:
+            self.type[a] = tb
+        return a
+
+    def type_of(self, v: Union[int, str, None]) -> Optional[str]:
+        return self.type[self.find(v)] if isinstance(v, int) else v
+
+    def check(self, require_all: bool = True) -> "Typing":
+        """Raise on the first group, or with require_all binder, left untyped
+        and on a type without the order a relation needs."""
+        for node, rec, groups in self.walk:
+            if groups is None:
+                t = self.type_of(rec)
+                if t is None and require_all:
+                    raise IncompatibleQuery(
+                        f"cannot infer the type of quantified variable {node.var!r}")
+                self.stale |= (t or "?") != node.type_name
+                continue
+            types = [g if g is None or isinstance(g, str) else self.type_of(g) for g in rec]
+            for t, (terms, _, rel) in zip(types, groups):
+                if t is None:
+                    names = " and ".join(repr(x.name) for x in terms if isinstance(x, Var))
+                    raise IncompatibleQuery("cannot infer the type of a comparison of "
+                                            + (f"variables {names}" if names else "literals"))
+                if rel in _ORDERS and not getattr(self.types.get(t), _ORDERS[rel][0], False):
+                    raise IncompatibleQuery(f"type {t!r} has no {_ORDERS[rel][1]}")
+            if len(types) == 1:
+                self.stale |= getattr(node, "type_name", types[0]) != types[0]
+        return self
+
+    def solved(self) -> Iterator:
+        """The type of each binder and the types of each atom's groups, in
+        the order of the walk."""
+        for _, rec, groups in self.walk:
+            yield self.type_of(rec) if groups is None else list(map(self.type_of, rec))
+
+    def free_types(self) -> dict[str, str]:
+        return {v: t for v, i in self.free.items() if (t := self.type_of(i)) is not None}
 
 
 @dataclass
@@ -307,92 +446,25 @@ class SchemaContext:
     facets: dict[str, Facet]
     types: dict[str, DataTypeDef]
 
-    def component_type(self, rel: str, i: int) -> str:
+    def component_types(self, rel: str, arity: int) -> list[str]:
         rs = self.schema.get(rel)
         if rs is None:
             raise IncompatibleQuery(f"unknown relation {rel!r}")
-        if i >= rs.arity:
-            raise IncompatibleQuery(f"relation {rel!r} has arity {rs.arity}")
-        return self.facets[rs.facets[i]].base_type
-
-
-def _check_term(env: TypeEnv, t: Term, type_name: str, where: str) -> None:
-    if isinstance(t, Var):
-        env.bind_var(t.name, type_name, where)
-    elif isinstance(t, Param):
-        env.bind_param(t.name, type_name, where)
-    else:
-        if t.obj.type_name != type_name:
+        if arity != rs.arity:
             raise IncompatibleQuery(
-                f"constant {t.obj!r} of type {t.obj.type_name} in a {type_name} component ({where})"
-            )
+                f"relation {rel!r} used with {arity} terms, arity is {rs.arity}")
+        return [self.facets[f].base_type for f in rs.facets]
 
-
-def _collect_types(q: Query, ctx: SchemaContext, env: TypeEnv) -> None:
-    if isinstance(q, TrueQ):
-        return
-    if isinstance(q, RelAtom):
-        rs = ctx.schema.get(q.name)
-        if rs is None:
-            raise IncompatibleQuery(f"unknown relation {q.name!r}")
-        if len(q.terms) != rs.arity:
-            raise IncompatibleQuery(
-                f"relation {q.name!r} used with {len(q.terms)} terms, arity is {rs.arity}"
-            )
-        for i, t in enumerate(q.terms):
-            _check_term(env, t, ctx.component_type(q.name, i), f"{q.name}[{i + 1}]")
-        return
-    if isinstance(q, (LessAtom, LessFactAtom)):
-        tdef = ctx.types.get(q.type_name)
-        if tdef is None or not tdef.has_less:
-            raise IncompatibleQuery(f"type {q.type_name!r} has no dense order")
-        _check_term(env, q.left, q.type_name, "<")
-        _check_term(env, q.right, q.type_name, "<")
-        return
-    if isinstance(q, SuccAtom):
-        for t in (q.left, q.right):
-            if isinstance(t, Const):
-                tdef = ctx.types.get(t.obj.type_name)
-                if tdef is None or not tdef.has_succ:
-                    raise IncompatibleQuery(f"type {t.obj.type_name!r} has no successor relation")
-        _unify_pair(env, q.left, q.right, "succ", ctx, require_succ=True)
-        return
-    if isinstance(q, EqAtom):
-        _unify_pair(env, q.left, q.right, "=", ctx)
-        return
-    if isinstance(q, Not):
-        _collect_types(q.body, ctx, env)
-        return
-    if isinstance(q, (And, Or)):
-        for p in q.parts:
-            _collect_types(p, ctx, env)
-        return
-    if isinstance(q, (Exists, Forall)):
-        _collect_types(q.body, ctx, env)
-        return
-    raise QueryError(f"unknown query node {q!r}")
-
-
-def _term_type(env: TypeEnv, t: Term) -> Optional[str]:
-    if isinstance(t, Var):
-        return env.vars.get(t.name)
-    if isinstance(t, Param):
-        return env.pars.get(t.name)
-    return t.obj.type_name
-
-
-def _unify_pair(env: TypeEnv, a: Term, b: Term, where: str, ctx: SchemaContext, require_succ: bool = False) -> None:
-    ta, tb = _term_type(env, a), _term_type(env, b)
-    t = ta or tb
-    if ta is not None and tb is not None and ta != tb:
-        raise IncompatibleQuery(f"terms of types {ta} and {tb} compared with {where}")
-    if t is not None:
-        if require_succ:
-            tdef = ctx.types.get(t)
-            if tdef is None or not tdef.has_succ:
-                raise IncompatibleQuery(f"type {t!r} has no successor relation")
-        _check_term(env, a, t, where)
-        _check_term(env, b, t, where)
+    def demands(self, q: Query) -> Optional[list[tuple]]:
+        """The (terms, fixed type or None, relation) groups of an atom."""
+        if isinstance(q, RelAtom):
+            return [((t,), ct, q.name)
+                    for t, ct in zip(q.terms, self.component_types(q.name, len(q.terms)))]
+        if isinstance(q, (EqAtom, SuccAtom)):
+            return [((q.left, q.right), None, "=" if isinstance(q, EqAtom) else "succ")]
+        if isinstance(q, (LessAtom, LessFactAtom)):
+            return [((q.left, q.right), None if q.type_name == "?" else q.type_name, "<")]
+        return None
 
 
 def typecheck_query(
@@ -401,56 +473,48 @@ def typecheck_query(
     param_types: Optional[dict[str, str]] = None,
     seed_types: Optional[dict[str, str]] = None,
     require_all: bool = True,
-) -> dict[str, str]:
-    """Return the output type of every variable in q (free and bound).
+    literal: Optional[Callable[[DataObject, str], DataObject]] = None,
+) -> tuple[Query, dict[str, str]]:
+    """Infer the types of q's variables: q with every binder, comparison and
+    raw literal typed (`literal` resolves a raw literal at a type), and the
+    type of each free variable.
 
-    `seed_types` injects externally known variable types (message payloads,
-    peer variables); a use conflicting with a seed is a type clash.  Fails
-    with IncompatibleQuery when a constant sits in a component of a different
-    type, a variable occurs at two components of different types, or (with
-    require_all) some variable gets no type evidence at all.
+    `seed_types` injects externally known free-variable types (message
+    payloads, peer variables); a use conflicting with a seed is a clash.
+    Fails with TypeClash when a term is used at two types, and with
+    IncompatibleQuery on an unknown relation or arity, a comparison left
+    untyped or at a type without its order, and (with require_all) an
+    untyped quantified variable.
     """
-    env = TypeEnv()
-    if param_types:
-        for p, t in param_types.items():
-            env.pars[p] = t
-    if seed_types:
-        for v, t in seed_types.items():
-            env.vars[v] = t
-    # Equality chains may need more than one pass to propagate types.
-    for _ in range(3):
-        before = dict(env.vars)
-        _collect_types(q, ctx, env)
-        if env.vars == before:
-            break
-    if require_all:
-        missing = _all_vars(q) - set(env.vars)
-        if missing:
-            raise IncompatibleQuery(f"untypeable variables {sorted(missing)}")
-    return dict(env.vars)
+    typing = Typing(children, (Exists, Forall), ctx.demands, ctx.types, seed_types, param_types)
+    if typing.visit(q).check(require_all).stale:
+        q = _finish(q, typing.solved(), literal)
+    return q, typing.free_types()
 
 
-def _all_vars(q: Query) -> set[str]:
-    out: set[str] = set()
-    for a in atoms(q):
-        terms = a.terms if isinstance(a, RelAtom) else (a.left, a.right)
-        for t in terms:
-            if isinstance(t, Var):
-                out.add(t.name)
-    for node in _quantifiers(q):
-        out.add(node.var)
-    return out
-
-
-def _quantifiers(q: Query) -> Iterator[Union[Exists, Forall]]:
+def _finish(q: Query, solved: Iterator, literal) -> Query:
+    """q with the solved types on its binders and comparisons and its raw
+    literals resolved; `solved` follows the order of the walk."""
     if isinstance(q, (Exists, Forall)):
-        yield q
-        yield from _quantifiers(q.body)
-    elif isinstance(q, Not):
-        yield from _quantifiers(q.body)
-    elif isinstance(q, (And, Or)):
-        for p in q.parts:
-            yield from _quantifiers(p)
+        t = next(solved)
+        return type(q)(q.var, _finish(q.body, solved, literal), t or "?")
+    if isinstance(q, RelAtom):
+        ts = next(solved)
+        return RelAtom(q.name, tuple(resolve_raw(x, t, literal) for x, t in zip(q.terms, ts)))
+    if isinstance(q, ATOMS):
+        (t,) = next(solved)
+        left, right = resolve_raw(q.left, t, literal), resolve_raw(q.right, t, literal)
+        if isinstance(q, (LessAtom, LessFactAtom)):
+            return type(q)(t, left, right)
+        return type(q)(left, right)
+    return rebuild(q, lambda c: _finish(c, solved, literal))
+
+
+def resolve_raw(t: Term, type_name: str, literal) -> Term:
+    """t, or the raw literal t resolved at type_name by `literal` if given."""
+    if literal is not None and isinstance(t, Const) and t.obj.type_name.startswith("?"):
+        return Const(literal(t.obj, type_name))
+    return t
 
 
 # ---------------------------------------------------------------------------
@@ -637,15 +701,17 @@ class Plan:
 
 def compile_query(q: Query, var_types: dict[str, str], inputs: Iterable[str] = ()) -> Plan:
     """Compile q into a plan whose evaluations pre-bind `inputs` (names that
-    are not free in q are ignored) and fill every parameter of q."""
-    c = _Compiler(var_types)
+    are not free in q are ignored) and fill every parameter of q.  The free
+    variables take their types from `var_types`, the bound ones from their
+    binders."""
+    c = _Compiler()
     plan = Plan()
     plan.outputs = tuple(sorted(c.names(q)))
-    scope = {v: c.slot(v) for v in plan.outputs}
+    scope = {v: c.slot(v, var_types.get(v)) for v in plan.outputs}
     wanted = set(inputs)
     plan.inputs = tuple(v for v in plan.outputs if v in wanted)
     plan.params = tuple(sorted(_param_names(q)))
-    c.params = {p: c.slot("$" + p, typed=False) for p in plan.params}
+    c.params = {p: c.slot("$" + p) for p in plan.params}
     plan._in_slots = tuple((v, scope[v]) for v in plan.inputs)
     plan._produced = frozenset(plan.outputs) - set(plan.inputs)
     plan._par_slots = tuple(c.params.items())
@@ -680,9 +746,7 @@ def _tuple_getter(slots: tuple[int, ...]):
 
 
 def _param_names(q: Query) -> set[str]:
-    return {t.name for a in atoms(q)
-            for t in (a.terms if isinstance(a, RelAtom) else (a.left, a.right))
-            if isinstance(t, Param)}
+    return {t.name for a in atoms(q) for t in atom_terms(a) if isinstance(t, Param)}
 
 
 # A compiled node is a function (run, env) -> bool.  It calls its
@@ -694,16 +758,15 @@ Node = Callable[[_Run, list], bool]
 
 
 class _Compiler:
-    def __init__(self, var_types: dict[str, str]) -> None:
-        self.var_types = var_types
+    def __init__(self) -> None:
         self.slot_names: list[str] = []
         self.slot_types: list[Optional[str]] = []
         self.params: dict[str, int] = {}
         self._names: dict[int, tuple[Query, frozenset[str]]] = {}
 
-    def slot(self, name: str, typed: bool = True) -> int:
+    def slot(self, name: str, type_name: Optional[str] = None) -> int:
         self.slot_names.append(name)
-        self.slot_types.append(self.var_types.get(name) if typed else None)
+        self.slot_types.append(None if type_name == "?" else type_name)
         return len(self.slot_names) - 1
 
     def type_of(self, slot: int) -> str:
@@ -719,14 +782,10 @@ class _Compiler:
         """free_vars(q), computed once per node of this compilation."""
         hit = self._names.get(id(q))
         if hit is None:
-            if isinstance(q, (And, Or)):
-                names = frozenset().union(*map(self.names, q.parts))
-            elif isinstance(q, Not):
-                names = self.names(q.body)
-            elif isinstance(q, (Exists, Forall)):
-                names = self.names(q.body) - {q.var}
-            else:
-                names = frozenset(free_vars(q))
+            names = frozenset(free_vars(q)) if isinstance(q, ATOMS) else \
+                frozenset().union(*map(self.names, children(q)))
+            if isinstance(q, (Exists, Forall)):
+                names -= {q.var}
             hit = self._names[id(q)] = (q, names)  # holding q keeps its id unique
         return hit[1]
 
@@ -744,7 +803,7 @@ class _Compiler:
         if isinstance(q, Or):
             return And(tuple(self.negate(p) for p in q.parts))
         if self.ranges_var(q):
-            return Exists(q.var, self.negate(q.body))
+            return Exists(q.var, self.negate(q.body), q.type_name)
         return Not(q)
 
     def term(self, t: Term, scope: dict[str, int]) -> tuple[bool, object]:
@@ -800,9 +859,10 @@ class _Compiler:
             inner, body = self.binders(q, scope)
             return self.node(body, inner, bound, _stop)
         if self.ranges_var(q):
-            return self.test(Not(Exists(q.var, self.negate(q.body))), scope, bound)
+            return self.test(Not(self.negate(q)), scope, bound)
         if isinstance(q, Forall):
-            t, body = self.type_of(self.slot(q.var)), self.test(q.body, scope, bound)
+            t = self.type_of(self.slot(q.var, q.type_name))
+            body = self.test(q.body, scope, bound)
             return lambda run, env: not run.index.universe(t) or body(run, env)
         raise QueryError(f"unknown query node {q!r}")
 
@@ -828,7 +888,7 @@ class _Compiler:
         if isinstance(q, Exists):
             return self.exists(q, scope, bound, cont)
         if self.ranges_var(q):
-            return self.node(Not(Exists(q.var, self.negate(q.body))), scope, bound, cont)
+            return self.node(Not(self.negate(q)), scope, bound, cont)
         # comparisons, negations and vacuous Forall: range the unbound
         # variables over their universes, then test
         return self.enumerate(sorted(free - bound), self.node(q, scope, bound | free, cont))
@@ -952,7 +1012,7 @@ class _Compiler:
 
     def disjunction(self, q: Or, scope, bound, cont: Node) -> Node:
         out = sorted(self.free(q, scope) - bound)
-        seen = self.slot("|or", typed=False)
+        seen = self.slot("|or")
         after = self._dedup(tuple(out), seen, cont)
         parts = [
             self.node(p, scope, bound,
@@ -973,14 +1033,14 @@ class _Compiler:
         """A nested chain of Exists as one scope with a slot per binder."""
         inner = dict(scope)
         while isinstance(q, Exists):
-            inner[q.var] = self.slot(q.var)
+            inner[q.var] = self.slot(q.var, q.type_name)
             q = q.body
         return inner, q
 
     def exists(self, q: Exists, scope, bound, cont: Node) -> Node:
         out = tuple(sorted(self.free(q, scope) - bound))
         inner, body = self.binders(q, scope)
-        seen = self.slot("|exists", typed=False)
+        seen = self.slot("|exists")
         body_fn = self.node(body, inner, bound, self._dedup(out, seen, cont))
 
         def fn(run: _Run, env: list) -> bool:
@@ -1019,10 +1079,10 @@ def eval_query(
 
     A boolean query returns [{}] for true and [] for false.  `binding` may
     pre-bind some free variables and `params` fills the parameters.  A plain
-    Query is compiled on the spot with `var_types`, its inputs being the
-    variables of `binding`; a Plan must be given exactly its inputs.  A
-    Database is indexed on the spot with `const_domain`; a DbIndex brings its
-    own constants.
+    Query is compiled on the spot with `var_types`, the types of its free
+    variables, its inputs being the variables of `binding`; a Plan must be
+    given exactly its inputs.  A Database is indexed on the spot with
+    `const_domain`; a DbIndex brings its own constants.
     """
     binding = binding or {}
     if not isinstance(q, Plan):
@@ -1030,17 +1090,6 @@ def eval_query(
     if not isinstance(db, DbIndex):
         db = DbIndex(db, const_domain or {})
     return q.answers(db, order, binding, params or {})
-
-
-def holds(
-    q: Union[Query, Plan],
-    db: Union[Database, DbIndex],
-    order: OrderSource,
-    var_types: Optional[dict[str, str]] = None,
-    const_domain: Optional[dict[str, frozenset[DataObject]]] = None,
-    binding: Optional[Binding] = None,
-) -> bool:
-    return bool(eval_query(q, db, order, var_types, const_domain, binding))
 
 
 # ---------------------------------------------------------------------------
@@ -1053,17 +1102,7 @@ def flatten_formula(q: Query) -> Query:
         raise SuccNotFlattenable("succ atoms cannot be flattened")
     if isinstance(q, LessAtom):
         return LessFactAtom(q.type_name, q.left, q.right)
-    if isinstance(q, Not):
-        return Not(flatten_formula(q.body))
-    if isinstance(q, And):
-        return And(tuple(flatten_formula(p) for p in q.parts))
-    if isinstance(q, Or):
-        return Or(tuple(flatten_formula(p) for p in q.parts))
-    if isinstance(q, Exists):
-        return Exists(q.var, flatten_formula(q.body))
-    if isinstance(q, Forall):
-        return Forall(q.var, flatten_formula(q.body))
-    return q
+    return rebuild(q, flatten_formula)
 
 
 def expand_live(
@@ -1084,7 +1123,7 @@ def expand_live(
             q: Query = RelAtom(rel, tuple(terms))
             for j in range(rs.arity - 1, -1, -1):
                 if j != i:
-                    q = Exists(fresh[j], q)
+                    q = Exists(fresh[j], q, facets[rs.facets[j]].base_type)
             disjuncts.append(q)
     if not disjuncts:
         return q_false()

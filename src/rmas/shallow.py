@@ -164,8 +164,9 @@ class _Compiler:
                 atom: Query = Q.RelAtom(rel, tuple(terms))
                 for j in range(rs.arity - 1, -1, -1):
                     if j != i:
-                        atom = Q.Exists(others[j], atom)
-                out.append(Q.Forall("x", Q.q_implies(atom, self.facet_check(fname, Var("x")))))
+                        atom = Q.Exists(others[j], atom, self.spec.facets[rs.facets[j]].base_type)
+                out.append(Q.Forall("x", Q.q_implies(atom, self.facet_check(fname, Var("x"))),
+                                    f.base_type))
         return out
 
     def service_constraints(self) -> list[Query]:
@@ -177,13 +178,14 @@ class _Compiler:
             checks = [c for c in checks if not isinstance(c, Q.TrueQ)]
             if checks:
                 body = Q.q_implies(Q.RelAtom(input_rel(name), tuple(in_vars)), Q.q_and(*checks))
-                for v in reversed(in_vars):
-                    body = Q.Forall(v.name, body)
+                for v, f in reversed(list(zip(in_vars, svc.input_facets))):
+                    body = Q.Forall(v.name, body, self.spec.facets[f].base_type)
                 out.append(body)
             ocheck = self.facet_check(svc.output_facet, Var("x"))
             if not isinstance(ocheck, Q.TrueQ):
                 out.append(Q.Forall("x", Q.q_implies(
-                    Q.RelAtom(output_rel(name), (Var("x"),)), ocheck)))
+                    Q.RelAtom(output_rel(name), (Var("x"),)), ocheck),
+                    self.spec.facets[svc.output_facet].base_type))
         return out
 
     def compile_comm_rule(self, rule) -> Query:

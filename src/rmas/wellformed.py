@@ -44,6 +44,8 @@ class _Checker:
         self.spec = spec
         self.report = Report()
         self.const_domain = M.initial_data_domain(spec)
+        self.contexts = {name: Q.SchemaContext(ag.schema, spec.facets, spec.types)
+                         for name, ag in spec.agent_specs.items()}
 
     def tick(self, n: int = 1) -> None:
         self.report.work += n
@@ -54,12 +56,6 @@ class _Checker:
     def base_type(self, facet_name: str) -> str:
         return self.spec.facets[facet_name].base_type
 
-    def component_types(self, ag: AgentSpec, rel: str) -> Optional[tuple[str, ...]]:
-        rs = ag.schema.get(rel)
-        if rs is None:
-            return None
-        return tuple(self.base_type(f) for f in rs.facets)
-
     # -- query typing ---------------------------------------------------------
 
     def type_query(
@@ -69,16 +65,16 @@ class _Checker:
         where: str,
         param_types: Optional[dict[str, str]] = None,
         code: str = "WF-QUERY",
-        require_all: bool = False,
-    ) -> Optional[dict[str, str]]:
+    ) -> tuple[Optional[Q.Query], Optional[dict[str, str]]]:
+        """q with its binders typed and the types of its free variables, or
+        Nones after a finding: a binder left untyped is one, so that every
+        query the checker passes compiles."""
         self.tick(sum(1 for _ in Q.atoms(q)) + 1)
-        ctx = Q.SchemaContext(schema=ag.schema, facets=self.spec.facets, types=self.spec.types)
         try:
-            return Q.typecheck_query(q, ctx, param_types=param_types,
-                                     require_all=require_all)
+            return Q.typecheck_query(q, self.contexts[ag.name], param_types=param_types)
         except IncompatibleQuery as e:
             self.find(code, ag.name, where, str(e))
-            return None
+            return None, None
 
     # -- communicative rules --------------------------------------------------
 
@@ -100,7 +96,7 @@ class _Checker:
             if fv != expected:
                 self.find("WF-COMM-VARS", ag.name, where,
                           f"free variables {sorted(fv)} differ from payload+target {sorted(expected)}")
-            types = self.type_query(ag, rule.query, where)
+            _, types = self.type_query(ag, rule.query, where)
             if types is None:
                 continue
             t_type = types.get(rule.target_var)
@@ -128,8 +124,8 @@ class _Checker:
             param_types = {p: self.base_type(f) for p, f in act.params}
             for eidx, eff in enumerate(act.effects):
                 where = f"action {act.name} effect #{eidx + 1}"
-                types = self.type_query(ag, eff.guard, where, param_types=param_types,
-                                        code="WF-EFFECT-PARAM")
+                _, types = self.type_query(ag, eff.guard, where, param_types=param_types,
+                                           code="WF-EFFECT-PARAM")
                 if types is None:
                     continue
                 bound = set(types) | set(param_types)
@@ -149,13 +145,11 @@ class _Checker:
         is_add: bool,
     ) -> None:
         code = "WF-EFFECT-ADD" if is_add else "WF-EFFECT-DEL"
-        comp = self.component_types(ag, tpl.rel)
         self.tick()
-        if comp is None:
-            self.find(code, ag.name, where, f"unknown relation {tpl.rel!r}")
-            return
-        if len(tpl.terms) != len(comp):
-            self.find(code, ag.name, where, f"{tpl.rel!r} used with wrong arity")
+        try:
+            comp = self.contexts[ag.name].component_types(tpl.rel, len(tpl.terms))
+        except IncompatibleQuery as e:
+            self.find(code, ag.name, where, str(e))
             return
         for i, (term, want) in enumerate(zip(tpl.terms, comp)):
             self.tick()
@@ -264,7 +258,7 @@ class _Checker:
                 self.find("WF-RULE-SCOPE", ag.name, where,
                           f"variables {sorted(outside)} not in payload or peer")
 
-            types = self.type_query(ag, rule.condition, where)
+            _, types = self.type_query(ag, rule.condition, where)
             if types is None:
                 continue
             payload_types = {
@@ -318,14 +312,14 @@ class _Checker:
                       f"{rel}({', '.join(map(repr, args))}) violates facet {v.facet} at {v.position}")
         order = CarrierOrder()
         for i, c in enumerate(ag.constraints):
-            types = self.type_query(ag, c, f"constraint #{i + 1}", require_all=True)
+            typed, types = self.type_query(ag, c, f"constraint #{i + 1}")
             if types is None:
                 continue
             if Q.free_vars(c):
                 self.find("WF-QUERY", ag.name, f"constraint #{i + 1}",
                           "constraints must be closed formulas")
                 continue
-            if not Q.holds(c, ag.initial_db, order, types, self.const_domain):
+            if not Q.eval_query(typed, ag.initial_db, order, const_domain=self.const_domain):
                 self.find("WF-INIT-CONSTRAINT", ag.name, f"constraint #{i + 1}",
                           "initial database violates this constraint")
 

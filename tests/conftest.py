@@ -27,6 +27,15 @@ def run_cli(*args, env_extra=None):
                           capture_output=True, cwd=str(ROOT), env=env)
 
 
+def ticket_with_names(constraint: str) -> str:
+    """The ticket corpus spec whose clients also keep a string-typed
+    Name("me") fact under `constraint`; HasT is over the rational Real."""
+    text = (CORPUS / "ticket_mutex.rmas").read_text()
+    text = text.replace("facet RF of Real\n", "facet RF of Real\ntype Str string\nfacet SF of Str\n")
+    return text.replace("spec client {\n", "spec client {\n  relation Name(SF)\n"
+                        "  init Name(\"me\")\n" f"  constraint {constraint}\n")
+
+
 def load_corpus(name: str):
     return install_institutional(parse_spec((CORPUS / f"{name}.rmas").read_text()))
 

@@ -64,6 +64,7 @@ def ordered_bell(n: int) -> int:
 
 
 def naive_eval(q, db: Database, order, var_types, const_domain, binding=None):
+    """var_types types the free variables of q; its binders carry their own."""
     fv = sorted(Q.free_vars(q))
     binding = dict(binding or {})
     fv = [v for v in fv if v not in binding]
@@ -77,12 +78,12 @@ def naive_eval(q, db: Database, order, var_types, const_domain, binding=None):
     for combo in itertools.product(*(universe(v) for v in fv)):
         theta = dict(binding)
         theta.update(dict(zip(fv, combo)))
-        if _naive_holds(q, db, order, var_types, const_domain, theta):
+        if _naive_holds(q, db, order, const_domain, theta):
             out.append({v: theta[v] for v in Q.free_vars(q)})
     return out
 
 
-def _naive_holds(q, db, order, var_types, const_domain, theta) -> bool:
+def _naive_holds(q, db, order, const_domain, theta) -> bool:
     from rmas.data import carrier_less, carrier_succ
 
     def val(t):
@@ -105,19 +106,19 @@ def _naive_holds(q, db, order, var_types, const_domain, theta) -> bool:
     if isinstance(q, Q.SuccAtom):
         return carrier_succ(val(q.left), val(q.right))
     if isinstance(q, Q.Not):
-        return not _naive_holds(q.body, db, order, var_types, const_domain, theta)
+        return not _naive_holds(q.body, db, order, const_domain, theta)
     if isinstance(q, Q.And):
-        return all(_naive_holds(p, db, order, var_types, const_domain, theta) for p in q.parts)
+        return all(_naive_holds(p, db, order, const_domain, theta) for p in q.parts)
     if isinstance(q, Q.Or):
-        return any(_naive_holds(p, db, order, var_types, const_domain, theta) for p in q.parts)
+        return any(_naive_holds(p, db, order, const_domain, theta) for p in q.parts)
     if isinstance(q, (Q.Exists, Q.Forall)):
-        t = var_types[q.var]
+        t = q.type_name
         pool = db.adom(t) | set(const_domain.get(t, frozenset()))
         results = []
         for o in sorted(pool, key=DataObject.sort_key):
             theta2 = dict(theta)
             theta2[q.var] = o
-            results.append(_naive_holds(q.body, db, order, var_types, const_domain, theta2))
+            results.append(_naive_holds(q.body, db, order, const_domain, theta2))
         return any(results) if isinstance(q, Q.Exists) else all(results)
     raise AssertionError(f"unknown node {q!r}")
 
@@ -132,7 +133,7 @@ def naive_model_check(ts, spec: RmasSpec, prop) -> "mucalc.Verdict":
     (state, assignment) pairs; same `truth`, `extension` and `iterations`
     contract as `mucalc.model_check`."""
     checker = NaiveChecker(ts, spec)
-    ext = checker.eval(prop, (), {}, {})
+    ext = checker.eval(prop, (), {})
     return mucalc.Verdict(
         truth=(ts.initial, ()) in ext,
         extension=frozenset(ext),
@@ -142,7 +143,9 @@ def naive_model_check(ts, spec: RmasSpec, prop) -> "mucalc.Verdict":
 
 class NaiveChecker:
     """`eval` returns the set of (state id, assignment) pairs where a
-    formula holds; assignments are tuples over `dom`."""
+    formula holds; assignments are tuples over `dom`, the (variable, type)
+    of each binder around the formula, where an inner binder shadows an
+    outer one of the same name."""
 
     def __init__(self, ts, spec: RmasSpec) -> None:
         self.ts = ts
@@ -170,8 +173,8 @@ class NaiveChecker:
                 {args[0] for args in inst_db.facts_for(M.AGENT_REL)} if inst_db else set())
         self.iterations = 0
 
-    def space(self, dom, var_types) -> set:
-        pools = [self.universe.get(var_types[v], []) for v in dom]
+    def space(self, dom) -> set:
+        pools = [self.universe.get(t, []) for _, t in dom]
         return {(sid, combo) for sid in range(self.n) for combo in itertools.product(*pools)}
 
     def atom_rows(self, atom, sid: int) -> list[dict[str, DataObject]]:
@@ -220,30 +223,34 @@ class NaiveChecker:
             return out
         raise AssertionError(f"not an atom: {atom!r}")
 
-    def eval(self, p, dom, var_types, env) -> set:
-        pools = [self.universe.get(var_types[v], []) for v in dom]
+    def eval(self, p, dom, env) -> set:
+        pools = [self.universe.get(t, []) for _, t in dom]
+        # the position each variable name denotes: its innermost binder's
+        pos = {v: i for i, (v, _) in enumerate(dom)}
         if isinstance(p, mucalc.PTrue):
-            return self.space(dom, var_types)
+            return self.space(dom)
         if isinstance(p, (mucalc.LocAtom, mucalc.CmpAtom, mucalc.LiveAtom)):
             out = set()
             for sid in range(self.n):
                 for theta in self.atom_rows(p, sid):
-                    picks = [[theta[v]] if v in theta else pool for v, pool in zip(dom, pools)]
+                    assert set(theta) <= set(pos), "unbound atom variable"
+                    picks = [[theta[v]] if v in theta and pos[v] == i else pool
+                             for i, ((v, _), pool) in enumerate(zip(dom, pools))]
                     out |= {(sid, combo) for combo in itertools.product(*picks)}
             return out
         if isinstance(p, mucalc.PNot):
-            return self.space(dom, var_types) - self.eval(p.body, dom, var_types, env)
+            return self.space(dom) - self.eval(p.body, dom, env)
         if isinstance(p, mucalc.PAnd):
             if not p.parts:
-                return self.space(dom, var_types)
-            return set.intersection(*(self.eval(c, dom, var_types, env) for c in p.parts))
+                return self.space(dom)
+            return set.intersection(*(self.eval(c, dom, env) for c in p.parts))
         if isinstance(p, mucalc.POr):
             out = set()
             for c in p.parts:
-                out |= self.eval(c, dom, var_types, env)
+                out |= self.eval(c, dom, env)
             return out
         if isinstance(p, (mucalc.PExists, mucalc.PForall)):
-            body = self.eval(p.body, dom + (p.var,), {**var_types, p.var: p.type_name}, env)
+            body = self.eval(p.body, dom + ((p.var, p.type_name),), env)
             if isinstance(p, mucalc.PExists):
                 return {(sid, combo[:-1]) for (sid, combo) in body
                         if combo[-1] in self.live[sid].get(p.type_name, ())}
@@ -252,8 +259,7 @@ class NaiveChecker:
                     if all((sid, combo + (o,)) in body
                            for o in self.live[sid].get(p.type_name, ()))}
         if isinstance(p, (mucalc.PDiamond, mucalc.PBox)):
-            body = self.eval(p.body, dom, var_types, env)
-            pos = {v: i for i, v in enumerate(dom)}
+            body = self.eval(p.body, dom, env)
             some = isinstance(p, mucalc.PDiamond)
             out = set()
             for sid in range(self.n):
@@ -271,10 +277,10 @@ class NaiveChecker:
             return {(sid, combo + extra) for (sid, combo) in ext
                     for extra in itertools.product(*pools[k:])}
         if isinstance(p, (mucalc.PMu, mucalc.PNu)):
-            cur = set() if isinstance(p, mucalc.PMu) else self.space(dom, var_types)
+            cur = set() if isinstance(p, mucalc.PMu) else self.space(dom)
             while True:
                 self.iterations += 1
-                nxt = self.eval(p.body, dom, var_types, {**env, p.var: (dom, cur)})
+                nxt = self.eval(p.body, dom, {**env, p.var: (dom, cur)})
                 if nxt == cur:
                     return cur
                 cur = nxt

@@ -7,7 +7,7 @@ from rmas.builder import BuildError
 from rmas.commitments import InconsistentOrder, ReservoirExhausted
 from rmas.queries import MissingOrderFacts
 
-from conftest import CORPUS, run_cli
+from conftest import CORPUS, run_cli, ticket_with_names
 
 TICKET = str(CORPUS / "ticket_mutex.rmas")
 PING = str(CORPUS / "ping.rmas")
@@ -44,6 +44,64 @@ spec instSpec institutional {
 
     def test_missing_file_usage_error(self):
         assert run_cli("check", "no-such-file.rmas").returncode == 1
+
+    def test_template_variable_bound_only_in_the_guard_is_unbound(self, tmp_path):
+        # the effect's h is bound inside its guard, so the template cannot use it
+        text = (CORPUS / "ping.rmas").read_text().replace(
+            "true ~> add { Got(g), Idle() } del { Waiting() }",
+            "true ~> add { Got(g), Idle() } del { Waiting() }\n"
+            "    exists h. Got(h) ~> del { Got(h) }")
+        spec = tmp_path / "ping_h.rmas"
+        spec.write_text(text)
+        out = run_cli("check", str(spec))
+        assert out.returncode == 6
+        assert b"WF-EFFECT-UNBOUND" in out.stderr and b"'h'" in out.stderr
+
+    def test_untypeable_comparison_names_its_variables(self, tmp_path):
+        spec = tmp_path / "untyped.rmas"
+        spec.write_text(ticket_with_names("forall a, b. a = b"))
+        out = run_cli("check", str(spec))
+        assert out.returncode == 2
+        assert b"variables 'a' and 'b'" in out.stderr
+        assert b"EqAtom" not in out.stderr
+
+
+class TestBinderScopes:
+    """Each binder has its own type: a name may be reused at another type in
+    another scope, and equality chains are typed whatever their length."""
+
+    SHADOWED = "(exists x. HasT(x)) | (exists x. Name(x))"
+
+    def check(self, tmp_path, constraint, name="spec.rmas"):
+        spec = tmp_path / name
+        spec.write_text(ticket_with_names(constraint))
+        return spec, run_cli("check", str(spec))
+
+    def test_shadowed_binder_passes_check_and_builds_as_renamed(self, tmp_path):
+        shadowed, out = self.check(tmp_path, self.SHADOWED, "shadowed.rmas")
+        assert out.returncode == 0, out.stderr
+        renamed, out = self.check(tmp_path, "(exists x. HasT(x)) | (exists y. Name(y))",
+                                  "renamed.rmas")
+        assert out.returncode == 0, out.stderr
+        for mode in (["abstract-recycle"], ["fb-flat", "--max-states", "60"]):
+            exports = []
+            for spec in (shadowed, renamed):
+                export = tmp_path / f"{spec.stem}.jsonl"
+                run_cli("build", str(spec), "--mode", *mode, "--out", str(export))
+                exports.append(export.read_bytes())
+            assert exports[0] == exports[1] and exports[0], mode
+
+    def test_compile_keeps_the_variable_names(self, tmp_path):
+        spec, _ = self.check(tmp_path, self.SHADOWED)
+        out = run_cli("compile", str(spec))
+        assert out.returncode == 0, out.stderr
+        assert f"constraint {self.SHADOWED}\n".encode() in out.stdout
+
+    def test_six_variable_equality_chain_passes_check(self, tmp_path):
+        _, out = self.check(
+            tmp_path, "forall a, b, c, d, e, f. (a = b & b = c & c = d & d = e & e = f & HasT(f))"
+                      " -> a = b")
+        assert out.returncode == 0, out.stderr
 
 
 class TestBuild:

@@ -1,5 +1,6 @@
 import pytest
 
+from rmas import queries as Q
 from rmas.builder import (
     BuildConfig,
     Builder,
@@ -30,7 +31,7 @@ from rmas.shallow import compile_shallow
 from rmas.wellformed import check_well_formed
 
 from oracles import project_system_state, queue_simulate
-from conftest import load_corpus
+from conftest import CORPUS, load_corpus
 
 HALT_REACH = "mu Z. Halted@inst | <>Z"
 
@@ -121,6 +122,18 @@ class TestAsyncToSync:
     def test_roundtrip(self, ping, mode):
         out = async_to_sync(ping, mode)
         assert install_institutional(parse_spec(serialize_spec(out))) == out
+
+    def test_renaming_the_payload_spares_bound_names(self):
+        # the condition's own g is bound, not the payload: it keeps its name
+        text = (CORPUS / "ping.rmas").read_text().replace(
+            "on ping(g) from s if true then note(g)",
+            "on ping(g) from s if !(exists g. Seen(g)) then note(g)")
+        out = async_to_sync(install_institutional(parse_spec(text)), ASYNC_ORDERED)
+        guards = [eff.guard for act in out.agent_specs["ponger"].actions.values()
+                  if act.name.startswith("react_") for eff in act.effects]
+        negated = [n for g in guards for n in g.parts if isinstance(n, Q.Not)]
+        assert negated and all(n.body == Q.Exists("g", Q.RelAtom("Seen", (Q.Var("g"),)))
+                               for n in negated)
 
     def test_no_on_receive_rules_only_buffering(self):
         text = """

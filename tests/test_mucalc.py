@@ -24,7 +24,6 @@ from rmas.mucalc import (
     PropError,
     PTrue,
     PVar,
-    SuccNotFlattenable,
     UnguardedModalVariables,
     check_closed,
     children,
@@ -36,7 +35,7 @@ from rmas.mucalc import (
 from rmas.queries import Const, Var, lessthan_rel
 from rmas.shallow import compile_shallow
 
-from conftest import load_corpus, prop_paths
+from conftest import load_corpus, prop_paths, ticket_with_names
 from oracles import NaiveChecker, ag_oracle, ef_oracle, naive_model_check
 
 # a minimal system whose union schema provides propositional (0-ary) atoms
@@ -415,6 +414,42 @@ class TestFixpointVariableScope:
             parse_property("exists a: agent. mu Z. inCritical@inst(a) | <>Z", ticket_spec)
 
 
+class TestBinderScopes:
+    """A quantified name may be reused at another type in another scope; HasT
+    is over Real and Name over Str."""
+
+    REUSED = [  # (name reused, every binder named apart)
+        ("nu Z. ((exists x. HasT@c1(x)) | (exists x. Name@c1(x))) & []Z",
+         "nu Z. ((exists x. HasT@c1(x)) | (exists y. Name@c1(y))) & []Z"),
+        ('mu Z. (exists x. HasT@c1(x) & (exists x. Name@c1(x) & x = "me")) | <>Z',
+         'mu Z. (exists x. HasT@c1(x) & (exists y. Name@c1(y) & y = "me")) | <>Z'),
+        ("mu Z. (exists x. HasT@c1(x) & (exists x. Name@c1(x) & <> live[Str](x))) | <>Z",
+         "mu Z. (exists x. HasT@c1(x) & (exists y. Name@c1(y) & <> live[Str](y))) | <>Z"),
+    ]
+
+    @pytest.fixture(scope="class")
+    def named(self):
+        spec = compile_shallow(install_institutional(parse_spec(ticket_with_names("true"))))
+        return spec, build_transition_system(spec, BuildConfig(mode="abstract-recycle"))
+
+    @pytest.mark.parametrize("text,apart", REUSED)
+    def test_reused_name_parses_and_agrees(self, text, apart, named):
+        spec, ts = named
+        prop, renamed = parse_property(text, spec), parse_property(apart, spec)
+        got, want = model_check(ts, spec, prop), model_check(ts, spec, renamed)
+        assert (got.truth, got.extension, got.iterations) == \
+            (want.truth, want.extension, want.iterations)
+        _same_as_naive(ts, spec, prop)
+
+    def test_six_variable_equality_chain(self, named):
+        spec, ts = named
+        prop = parse_property("forall a, b, c, d, e, f. (a = b & b = c & c = d & d = e & e = f"
+                              " & HasT@c1(f)) -> a = b", spec)
+        binders = [n for n, _ in _scoped_nodes(prop, {}) if isinstance(n, PForall)]
+        assert [n.type_name for n in binders] == ["Real"] * 6
+        _same_as_naive(ts, spec, prop)
+
+
 def _cmp_ops(p) -> set:
     own = {p.op} if isinstance(p, CmpAtom) else set()
     return own.union(*(_cmp_ops(c) for c in children(p)))
@@ -592,12 +627,12 @@ class TestNaiveAgreementOnOpenFormulas:
             for node, node_scope in _scoped_nodes(prop, scope):
                 if _free_fixpoint_vars(node):
                     continue
-                node_dom = tuple(node_scope)
-                ext = got.eval(node, node_dom, node_scope, {})
+                node_dom = tuple(node_scope.items())
+                ext = got.eval(node, node_dom, {})
                 assert all(ext.values())
                 pairs = {(sid, c) for c, m in ext.items()
                          for sid in range(len(ts.states)) if m >> sid & 1}
-                assert pairs == want.eval(node, node_dom, node_scope, {}), node
+                assert pairs == want.eval(node, node_dom, {}), node
             assert got.iterations == want.iterations
 
     def test_atoms_over_order_facts_and_repeated_variables(self):
@@ -611,16 +646,16 @@ class TestNaiveAgreementOnOpenFormulas:
             ts = random_data_ts(rng, rng.randint(1, 4))
             for atom in atoms:
                 t = atom.type_name if isinstance(atom, CmpAtom) else "Str"
-                scope = {"x": t, "y": t}
-                got = ModelChecker(ts, DATA_SPEC).eval(atom, ("x", "y"), scope, {})
+                dom = (("x", t), ("y", t))
+                got = ModelChecker(ts, DATA_SPEC).eval(atom, dom, {})
                 pairs = {(sid, c) for c, m in got.items()
                          for sid in range(len(ts.states)) if m >> sid & 1}
-                assert pairs == NaiveChecker(ts, DATA_SPEC).eval(atom, ("x", "y"), scope, {})
+                assert pairs == NaiveChecker(ts, DATA_SPEC).eval(atom, dom, {})
 
     def test_unbound_atom_variable_rejected(self):
         ts = random_data_ts(random.Random(1), 2)
         with pytest.raises(PropError, match="free variables"):
-            ModelChecker(ts, DATA_SPEC).eval(LocAtom("R", (Var("x"),), Const(INST)), (), {}, {})
+            ModelChecker(ts, DATA_SPEC).eval(LocAtom("R", (Var("x"),), Const(INST)), (), {})
 
 
 def _scoped_nodes(p, scope: dict):

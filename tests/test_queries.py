@@ -31,6 +31,8 @@ from rmas.queries import (
     typecheck_query,
 )
 
+from rmas.mucalc import CmpAtom, flatten_property
+
 from oracles import naive_eval
 
 STR = DataTypeDef("Str", "string")
@@ -57,7 +59,7 @@ def r(v):
 class TestTypecheck:
     def test_atomic_query_typing_matches_schema(self):
         q = Q.RelAtom("R", (Var("x"), Var("y")))
-        assert typecheck_query(q, CTX) == {"x": "Str", "y": "Rat"}
+        assert typecheck_query(q, CTX) == (q, {"x": "Str", "y": "Rat"})
 
     def test_variable_in_two_differently_typed_components_fails(self):
         q = Q.q_and(Q.RelAtom("T", (Var("x"),)), Q.RelAtom("S", (Var("x"),)))
@@ -71,16 +73,22 @@ class TestTypecheck:
 
     def test_comparison_propagates_types(self):
         q = Q.q_and(Q.RelAtom("S", (Var("x"),)), Q.LessAtom("Rat", Var("x"), Var("y")))
-        assert typecheck_query(q, CTX)["y"] == "Rat"
+        assert typecheck_query(q, CTX)[1]["y"] == "Rat"
 
     def test_untypeable_variable_fails(self):
         q = Q.EqAtom(Var("x"), Var("y"))
         with pytest.raises(IncompatibleQuery):
             typecheck_query(q, CTX)
 
+    def test_equality_chain_of_any_length(self):
+        names = "abcdef"
+        q = Q.q_and(*(Q.EqAtom(Var(a), Var(b)) for a, b in zip(names, names[1:])),
+                    Q.RelAtom("S", (Var("f"),)))
+        assert typecheck_query(q, CTX)[1] == dict.fromkeys(names, "Rat")
+
     def test_seed_types_fill_gaps_and_clash(self):
         q = Q.EqAtom(Var("x"), Var("y"))
-        out = typecheck_query(q, CTX, seed_types={"x": "Rat"})
+        _, out = typecheck_query(q, CTX, seed_types={"x": "Rat"})
         assert out == {"x": "Rat", "y": "Rat"}
         with pytest.raises(IncompatibleQuery):
             typecheck_query(Q.RelAtom("S", (Var("x"),)), CTX, seed_types={"x": "Str"})
@@ -118,9 +126,9 @@ class TestEval:
         assert eval_query(q, Database(), CarrierOrder(), {"x": "Rat"}, NO_CONSTS) == []
 
     def test_constants_of_initial_domain_enter_quantifier_range(self):
-        q = Q.Exists("x", Q.EqAtom(Var("x"), Var("x")))
+        q = Q.Exists("x", Q.EqAtom(Var("x"), Var("x")), "Rat")
         consts = {"Rat": frozenset({r(9)}), "Str": frozenset()}
-        assert eval_query(q, Database(), CarrierOrder(), {"x": "Rat"}, consts) == [{}]
+        assert eval_query(q, Database(), CarrierOrder(), {}, consts) == [{}]
 
     def test_fact_order_mode(self):
         order_db = Database.of([(lessthan_rel("Rat"), (r(1), r(2)))])
@@ -159,9 +167,9 @@ class TestPlanShapes:
 
     def test_forall_without_its_variable_over_an_empty_universe(self):
         # the universe of x is empty, so the universal holds vacuously
-        q = Q.Forall("x", Q.q_false())
-        assert self.agree(q, Database(), {"x": "Rat"}) == [{}]
-        assert self.agree(q, Database.of([("S", (r(1),))]), {"x": "Rat"}) == []
+        q = Q.Forall("x", Q.q_false(), "Rat")
+        assert self.agree(q, Database(), {}) == [{}]
+        assert self.agree(q, Database.of([("S", (r(1),))]), {}) == []
 
 
 class TestFlatten:
@@ -194,8 +202,10 @@ class TestFlatten:
         assert free_vars(f) == free_vars(q)
 
     def test_succ_not_flattenable(self):
-        with pytest.raises(SuccNotFlattenable):
-            flatten_formula(Q.SuccAtom(Var("x"), Var("y")))
+        for flatten, atom in ((flatten_formula, Q.SuccAtom(Var("x"), Var("y"))),
+                              (flatten_property, CmpAtom("succ", "Cnt", Var("x"), Var("y")))):
+            with pytest.raises(SuccNotFlattenable):
+                flatten(atom)
 
 
 class TestExpandLive:
@@ -215,7 +225,7 @@ class TestExpandLive:
     def test_matches_adom(self):
         q = expand_live(SCHEMA, FACETS, RAT, var="x")
         db = Database.of([("R", (s("a"), r(1))), ("S", (r(2),))])
-        types = typecheck_query(q, CTX)
+        q, types = typecheck_query(q, CTX)
         out = eval_query(q, db, CarrierOrder(), types, NO_CONSTS)
         assert {b["x"] for b in out} == db.adom("Rat")
 
@@ -286,9 +296,8 @@ def test_eval_matches_naive_enumeration():
     for _ in range(300):
         scope = [("x", "Rat")] if rng.random() < 0.5 else []
         q = random_query(rng, 3, list(scope))
-        types = dict(scope)
         try:
-            types.update(typecheck_query(q, CTX, seed_types=dict(scope)))
+            q, types = typecheck_query(q, CTX, seed_types=dict(scope))
         except IncompatibleQuery:
             continue
         db = random_db(rng)
@@ -313,7 +322,7 @@ def test_carrier_equals_flat_on_full_order_restriction():
     for _ in range(200):
         q = random_query(rng, 3, [])
         try:
-            types = typecheck_query(q, CTX)
+            q, types = typecheck_query(q, CTX)
         except IncompatibleQuery:
             continue
         db = random_db(rng)
@@ -337,14 +346,14 @@ def test_carrier_equals_flat_on_full_order_restriction():
 # parameter slots, pre-bound variables, lessThan fact atoms, and conjunctions
 # whose filters come before their binders
 
-# a binder name always has the same type, as typechecking demands
+# binders reuse these names, each at one type unless a test adds another
 BINDERS = [("x", "Rat"), ("u", "Rat"), ("w", "Str")]
 PARAM_TYPES = {"p": "Rat", "ps": "Str"}
 CONSTS = {"Rat": frozenset({r(0), r(1), r(2)}), "Str": frozenset({s("a")})}
 
 
-def random_plan_query(rng, depth, scope, *, params=False, fact_less=False):
-    """A random query over R, S; binders reuse the names of BINDERS, and
+def random_plan_query(rng, depth, scope, *, params=False, fact_less=False, binders=BINDERS):
+    """A random query over R, S; binders reuse the names of `binders`, and
     `guarded` conjunctions put a filter on a variable before the atom that
     binds it."""
     kinds = ["R", "S", "eq", "less"]
@@ -371,16 +380,19 @@ def random_plan_query(rng, depth, scope, *, params=False, fact_less=False):
         return Q.EqAtom(term("Rat"), term("Rat"))
     if kind == "less":
         return less(term("Rat"), term("Rat"))
-    sub = lambda sc: random_plan_query(rng, depth - 1, sc, params=params, fact_less=fact_less)
+    sub = lambda sc: random_plan_query(rng, depth - 1, sc, params=params, fact_less=fact_less,
+                                       binders=binders)
     if kind == "not":
         return Q.Not(sub(scope))
     if kind in ("and", "or"):
         parts = (sub(scope), sub(scope))
         return Q.And(parts) if kind == "and" else Q.Or(parts)
-    v, t = rng.choice(BINDERS)
-    inner = scope + [(v, t)]
+    v, t = rng.choice(binders)
     if kind == "guarded":
-        v, inner = "u", scope + [("u", "Rat")]
+        v, t = "u", "Rat"
+    # the binder shadows its name's variables of another type
+    inner = [(n, u) for n, u in scope if n != v or u == t] + [(v, t)]
+    if kind == "guarded":
         binder = rng.choice([Q.RelAtom("S", (Var(v),)), Q.RelAtom("R", (Const(s("a")), Var(v)))])
         filt = rng.choice([
             less(Var(v), rng.choice([Var(v), Const(r(1))])),
@@ -389,7 +401,8 @@ def random_plan_query(rng, depth, scope, *, params=False, fact_less=False):
         ])
         body = Q.And((filt, binder))
         return Q.Exists(v, body) if rng.random() < 0.5 else body
-    return (Q.Exists if kind == "exists" else Q.Forall)(v, sub(inner))
+    # the binder declares its type: its variable may go unused in the body
+    return (Q.Exists if kind == "exists" else Q.Forall)(v, sub(inner), t)
 
 
 def canon(rows):
@@ -403,23 +416,27 @@ def typed_random_cases(seed, n, **opts):
         scope = [rng.choice(BINDERS[:2])] if rng.random() < 0.7 else []
         q = random_plan_query(rng, 3, list(scope), **opts)
         try:
-            types = dict(scope)
-            types.update(typecheck_query(q, CTX, param_types=PARAM_TYPES,
-                                         seed_types=dict(scope)))
+            q, types = typecheck_query(q, CTX, param_types=PARAM_TYPES,
+                                       seed_types=dict(scope))
         except IncompatibleQuery:
             continue
         yield rng, q, types, random_db(rng)
 
 
 def test_reused_binder_names_match_naive():
-    checked = shadowed = 0
-    for _, q, types, db in typed_random_cases(31, 300):
+    checked = shadowed = retyped = 0
+    # x and u are also bound at a second type, which shadows the first
+    more = BINDERS + [("x", "Str"), ("u", "Str")]
+    for _, q, types, db in typed_random_cases(31, 300, binders=more):
+        binders = {(n.var, n.type_name) for n in _subqueries(q)
+                   if isinstance(n, (Q.Exists, Q.Forall))} | set(types.items())
         names = [n.var for n in _subqueries(q) if isinstance(n, (Q.Exists, Q.Forall))]
         shadowed += len(names) != len(set(names)) or bool(set(names) & free_vars(q))
+        retyped += len({v for v, _ in binders}) < len(binders)
         got = eval_query(q, db, CarrierOrder(), types, CONSTS)
         assert canon(got) == canon(naive_eval(q, db, CarrierOrder(), types, CONSTS)), q
         checked += 1
-    assert checked > 150 and shadowed > 20
+    assert checked > 150 and shadowed > 20 and retyped > 15
 
 
 def test_parameter_slots_match_substitution():
