@@ -888,10 +888,7 @@ class SpecParser:
             for i, a in enumerate(r.args):
                 if not (isinstance(a, Var) and a.name in binders):
                     a = resolver._name_to_const(a)
-                if isinstance(a, Const):
-                    a = Const(_resolve_literal(
-                        a.obj, resolver.base_type(act.params[i][1]), self.types))
-                args.append(a)
+                args.append(resolver._finish_term(a, resolver.base_type(act.params[i][1])))
             rules.append(replace(
                 r,
                 condition=resolver.resolve_query(r.condition, seed_types=seeds,

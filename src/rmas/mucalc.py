@@ -407,7 +407,7 @@ class _PropResolver:
         except Q.IncompatibleQuery as e:
             raise PropError(str(e)) from None
         if typing.stale:
-            prop = self._finish(prop, typing.solved())
+            prop = self._finish(prop, iter(typing.solved))
         return self._guard_modalities(prop, {}, frozenset(), typing.free_types())
 
     def _check_monotone(self, p: Prop, positive: bool = True) -> None:

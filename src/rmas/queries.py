@@ -21,7 +21,7 @@ its active domain and sorted quantifier ranges, each built on first use.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Optional, Union
 
@@ -152,19 +152,18 @@ class Or(Query):
 @dataclass(frozen=True)
 class Exists(Query):
     """exists var. body, var ranging over the active domain of `type_name`
-    ("?" until inferred).  The type is inferred from the rest of the query,
-    so it takes no part in equality."""
+    ("?" until inferred)."""
 
     var: str
     body: Query
-    type_name: str = field(default="?", compare=False)
+    type_name: str = "?"
 
 
 @dataclass(frozen=True)
 class Forall(Query):
     var: str
     body: Query
-    type_name: str = field(default="?", compare=False)
+    type_name: str = "?"
 
 
 ATOMS = (RelAtom, EqAtom, LessAtom, SuccAtom, LessFactAtom)
@@ -290,11 +289,12 @@ class Typing:
     One pre-order walk over a query or a property makes a type variable of
     every binder occurrence, every free variable and every parameter; each
     group of terms an atom demands to share one type joins their variables.
-    A declared, seeded or constant type fixes the type of its variable; a
-    raw literal (a constant whose type starts with "?") takes the type of
-    its group.  A binder is a variable of its own, so a name may be reused
-    at another type in another scope, and an equality chain of any length is
-    solved in the one walk.  The first clash raises TypeClash.
+    Each type name is a variable of its own, typed from the start, that a
+    declared, seeded or constant type joins; a raw literal (a constant whose
+    type starts with "?") takes the type of its group.  A binder is a
+    variable of its own, so a name may be reused at another type in another
+    scope, and an equality chain of any length is solved in the one walk.
+    The first clash raises TypeClash.
 
     The two syntax trees pass what differs between them: `children`, the
     node classes that bind a `var` of a `type_name` ("?" when not declared),
@@ -304,17 +304,17 @@ class Typing:
     """
 
     def __init__(self, children, binders: tuple[type, ...], demands,
-                 types: dict[str, DataTypeDef], free_types: Optional[dict[str, str]] = None,
+                 types: dict[str, DataTypeDef],
                  param_types: Optional[dict[str, str]] = None) -> None:
         self.children, self.binders, self.demands = children, binders, demands
         self.types = types
         self.up: list[int] = []
+        # set on the variable of each type name only, which stays its root
         self.type: list[Optional[str]] = []
-        # a variable is an index into up/type, or its type once that is known
-        # from the start: a seed, a parameter's or a binder's declared type
-        self.free: dict[str, Union[int, str]] = dict(free_types) if free_types else {}
-        self.params: dict[str, Union[int, str]] = dict(param_types) if param_types else {}
-        # (binder, its variable) and (atom, what each group shares), in walk order
+        self.named: dict[str, int] = {}
+        self.free: dict[str, int] = {}
+        self.params = {p: self._named(t) for p, t in (param_types or {}).items()}
+        # (binder, its variable) and (atom, the variable of each group), in walk order
         self.walk: list[tuple] = []
         # whether a binder or comparison lacks its type, or a literal is raw
         self.stale = False
@@ -323,6 +323,12 @@ class Typing:
         self.up.append(len(self.up))
         self.type.append(t)
         return len(self.up) - 1
+
+    def _named(self, t: str) -> int:
+        i = self.named.get(t)
+        if i is None:
+            i = self.named[t] = self._new(t)
+        return i
 
     def find(self, i: int) -> int:
         up = self.up
@@ -334,17 +340,9 @@ class Typing:
         if scope is None:
             scope = {}
         if isinstance(node, self.binders):
-            v = self._new() if node.type_name == "?" else node.type_name
+            v = self._new() if node.type_name == "?" else self._named(node.type_name)
             self.walk.append((node, v, None))
-            outer = scope.get(node.var)
-            scope[node.var] = v
-            for c in self.children(node):
-                self.visit(c, scope)
-            if outer is None:
-                del scope[node.var]
-            else:
-                scope[node.var] = outer
-            return self
+            scope = {**scope, node.var: v}
         kids = self.children(node)
         for c in kids:
             self.visit(c, scope)
@@ -355,84 +353,78 @@ class Typing:
         return self
 
     def _group(self, terms: tuple[Term, ...], t: Optional[str], rel: str,
-               scope: dict[str, int]) -> Union[int, str, None]:
-        """The fixed type t once the terms have it, or else the type variable
-        they share (a type when none of them is a variable, None when
-        nothing fixes it)."""
-        g: Union[int, str, None] = t
+               scope: dict[str, int]) -> int:
+        """The variable the terms share, of type t unless t is None."""
+        g = None if t is None else self._named(t)
         for term in terms:
             if isinstance(term, Const):
-                v = term.obj.type_name
-                if v.startswith("?"):
+                if term.obj.type_name.startswith("?"):
                     self.stale = True
                     continue
+                v = self._named(term.obj.type_name)
             else:
-                table = self.params if isinstance(term, Param) else self.free
                 v = scope.get(term.name) if isinstance(term, Var) else None
                 if v is None:
+                    table = self.params if isinstance(term, Param) else self.free
                     v = table.get(term.name)
                     if v is None:  # first seen: the variable is what the group shares
                         if g is None:
                             g = self._new()
                         table[term.name] = g
                         continue
-            if g is None:
-                g = v
-            elif g != v:
-                g = self._unify(g, v, term, rel)
-        return g if t is None else t
+            g = v if g is None or g == v else self._unify(g, v, term, rel)
+        return self._new() if g is None else g
 
-    def _unify(self, g: Union[int, str], v: Union[int, str], term: Term, rel: str):
+    def _unify(self, g: int, v: int, term: Term, rel: str) -> int:
         """Join what a group shares so far with one more of its terms."""
-        a = self.find(g) if isinstance(g, int) else None
-        b = self.find(v) if isinstance(v, int) else None
-        ta = g if a is None else self.type[a]
-        tb = v if b is None else self.type[b]
-        if ta is not None and tb is not None and ta != tb:
+        a, b = self.find(g), self.find(v)
+        if a == b:
+            return a
+        ta, tb = self.type[a], self.type[b]
+        if ta is not None and tb is not None:
             what = repr(term.obj) if isinstance(term, Const) else \
                 f"{'parameter' if isinstance(term, Param) else 'variable'} {term.name!r}"
             raise TypeClash(f"{what} used at type {tb} and at type {ta} (in {rel})")
-        if a is None:
-            if b is not None and tb is None:
-                self.type[b] = ta
-            return v if b is None else b
-        if b is not None and a != b:
-            self.up[b] = a
         if ta is None:
-            self.type[a] = tb
+            a, b = b, a
+        self.up[b] = a
         return a
 
-    def type_of(self, v: Union[int, str, None]) -> Optional[str]:
-        return self.type[self.find(v)] if isinstance(v, int) else v
+    def fill(self, types: dict[str, str]) -> "Typing":
+        """Give free variables the types known outside the walk (a message's
+        payload and peer); a use at another type is a clash."""
+        for v, t in types.items():
+            i = self._named(t)
+            self._unify(self.free.setdefault(v, i), i, Var(v), "the message")
+        return self
+
+    def type_of(self, i: int) -> Optional[str]:
+        return self.type[self.find(i)]
 
     def check(self, require_all: bool = True) -> "Typing":
         """Raise on the first group, or with require_all binder, left untyped
-        and on a type without the order a relation needs."""
-        for node, rec, groups in self.walk:
+        and on a type without the order a relation needs.  `solved` then
+        holds the type of each binder and the types of each atom's groups,
+        in the order of the walk."""
+        self.solved = [self.type_of(rec) if groups is None else list(map(self.type_of, rec))
+                       for _, rec, groups in self.walk]
+        for (node, _, groups), t in zip(self.walk, self.solved):
             if groups is None:
-                t = self.type_of(rec)
                 if t is None and require_all:
                     raise IncompatibleQuery(
                         f"cannot infer the type of quantified variable {node.var!r}")
                 self.stale |= (t or "?") != node.type_name
                 continue
-            types = [g if g is None or isinstance(g, str) else self.type_of(g) for g in rec]
-            for t, (terms, _, rel) in zip(types, groups):
-                if t is None:
+            for g, (terms, _, rel) in zip(t, groups):
+                if g is None:
                     names = " and ".join(repr(x.name) for x in terms if isinstance(x, Var))
                     raise IncompatibleQuery("cannot infer the type of a comparison of "
                                             + (f"variables {names}" if names else "literals"))
-                if rel in _ORDERS and not getattr(self.types.get(t), _ORDERS[rel][0], False):
-                    raise IncompatibleQuery(f"type {t!r} has no {_ORDERS[rel][1]}")
-            if len(types) == 1:
-                self.stale |= getattr(node, "type_name", types[0]) != types[0]
+                if rel in _ORDERS and not getattr(self.types.get(g), _ORDERS[rel][0], False):
+                    raise IncompatibleQuery(f"type {g!r} has no {_ORDERS[rel][1]}")
+            if len(t) == 1:
+                self.stale |= getattr(node, "type_name", t[0]) != t[0]
         return self
-
-    def solved(self) -> Iterator:
-        """The type of each binder and the types of each atom's groups, in
-        the order of the walk."""
-        for _, rec, groups in self.walk:
-            yield self.type_of(rec) if groups is None else list(map(self.type_of, rec))
 
     def free_types(self) -> dict[str, str]:
         return {v: t for v, i in self.free.items() if (t := self.type_of(i)) is not None}
@@ -486,9 +478,9 @@ def typecheck_query(
     untyped or at a type without its order, and (with require_all) an
     untyped quantified variable.
     """
-    typing = Typing(children, (Exists, Forall), ctx.demands, ctx.types, seed_types, param_types)
-    if typing.visit(q).check(require_all).stale:
-        q = _finish(q, typing.solved(), literal)
+    typing = Typing(children, (Exists, Forall), ctx.demands, ctx.types, param_types)
+    if typing.visit(q).fill(seed_types or {}).check(require_all).stale:
+        q = _finish(q, iter(typing.solved), literal)
     return q, typing.free_types()
 
 

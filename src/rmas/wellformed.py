@@ -65,15 +65,28 @@ class _Checker:
         where: str,
         param_types: Optional[dict[str, str]] = None,
         code: str = "WF-QUERY",
-    ) -> tuple[Optional[Q.Query], Optional[dict[str, str]]]:
-        """q with its binders typed and the types of its free variables, or
-        Nones after a finding: a binder left untyped is one, so that every
-        query the checker passes compiles."""
+        gaps: Optional[dict[str, str]] = None,
+        gap_code: str = "WF-QUERY",
+    ) -> tuple[Optional[Q.Typing], Optional[dict[str, str]]]:
+        """q's solved typing and the types q itself gives its free
+        variables, or Nones after a finding.  `gaps` types the variables q
+        leaves untyped (a message's payload and peer, whose use at another
+        type the caller reports); two of them that q compares at different
+        types are a `gap_code` finding.  A binder or comparison left untyped
+        is a finding, so that every query the checker passes compiles."""
         self.tick(sum(1 for _ in Q.atoms(q)) + 1)
+        ctx = self.contexts[ag.name]
+        typing = Q.Typing(Q.children, (Q.Exists, Q.Forall), ctx.demands, ctx.types, param_types)
+        failing = code
         try:
-            return Q.typecheck_query(q, self.contexts[ag.name], param_types=param_types)
+            types = typing.visit(q).free_types()
+            failing = gap_code
+            typing.fill({v: t for v, t in (gaps or {}).items() if v not in types})
+            failing = code
+            typing.check()
+            return typing, types
         except IncompatibleQuery as e:
-            self.find(code, ag.name, where, str(e))
+            self.find(failing, ag.name, where, str(e))
             return None, None
 
     # -- communicative rules --------------------------------------------------
@@ -90,26 +103,27 @@ class _Checker:
                 self.find("WF-COMM-PAYLOAD", ag.name, where,
                           f"payload has {len(rule.payload_vars)} variables, message arity is {msg.arity}")
                 continue
-            expected = set(rule.payload_vars) | {rule.target_var}
+            gaps = msg.var_types(rule.payload_vars, rule.target_var, self.spec.facets)
+            expected = set(gaps)
             fv = Q.free_vars(rule.query)
             self.tick(len(fv))
             if fv != expected:
                 self.find("WF-COMM-VARS", ag.name, where,
                           f"free variables {sorted(fv)} differ from payload+target {sorted(expected)}")
-            _, types = self.type_query(ag, rule.query, where)
+            _, types = self.type_query(ag, rule.query, where, gaps=gaps,
+                                       gap_code="WF-COMM-PAYLOAD")
             if types is None:
                 continue
             t_type = types.get(rule.target_var)
             if t_type != AGENT_TYPE:
                 self.find("WF-COMM-TARGET", ag.name, where,
                           f"target {rule.target_var!r} bound to {t_type or 'nothing'}, not an agent name")
-            for v, fname in zip(rule.payload_vars, msg.payload_facets):
+            for v in rule.payload_vars:
                 self.tick()
                 vt = types.get(v)
-                want = self.base_type(fname)
-                if vt is not None and vt != want:
+                if vt is not None and vt != gaps[v]:
                     self.find("WF-COMM-PAYLOAD", ag.name, where,
-                              f"payload variable {v!r} has type {vt}, message wants {want}")
+                              f"payload variable {v!r} has type {vt}, message wants {gaps[v]}")
 
     # -- actions ---------------------------------------------------------------
 
@@ -128,22 +142,22 @@ class _Checker:
                                            code="WF-EFFECT-PARAM")
                 if types is None:
                     continue
-                bound = set(types) | set(param_types)
+                known = {**param_types, **types}
                 for tpl in eff.dels:
-                    self.check_template(ag, tpl, where, types, param_types, bound, is_add=False)
+                    self.check_template(ag, tpl, where, known, param_types, is_add=False)
                 for tpl in eff.adds:
-                    self.check_template(ag, tpl, where, types, param_types, bound, is_add=True)
+                    self.check_template(ag, tpl, where, known, param_types, is_add=True)
 
     def check_template(
         self,
         ag: AgentSpec,
         tpl: FactTemplate,
         where: str,
-        var_types: dict[str, str],
+        known: dict[str, str],
         param_types: dict[str, str],
-        bound: set[str],
         is_add: bool,
     ) -> None:
+        """`known` types the guard's free variables and the parameters."""
         code = "WF-EFFECT-ADD" if is_add else "WF-EFFECT-DEL"
         self.tick()
         try:
@@ -159,13 +173,13 @@ class _Checker:
                     self.find("WF-EFFECT-DEL", ag.name, where,
                               f"service call {term.service!r} in a delete fact ({at})")
                     continue
-                self.check_call_term(ag, term, where, at, want, var_types, param_types, bound)
+                self.check_call_term(ag, term, where, at, want, known, param_types)
             elif isinstance(term, Var):
-                if term.name not in bound:
+                got = known.get(term.name)
+                if got is None:
                     self.find("WF-EFFECT-UNBOUND", ag.name, where,
                               f"variable {term.name!r} in {at} is not bound by the guard")
-                elif var_types.get(term.name, param_types.get(term.name)) != want:
-                    got = var_types.get(term.name, param_types.get(term.name))
+                elif got != want:
                     self.find(code, ag.name, where,
                               f"variable {term.name!r} has type {got}, {at} wants {want}")
             elif isinstance(term, Param):
@@ -188,9 +202,8 @@ class _Checker:
         where: str,
         at: str,
         want: str,
-        var_types: dict[str, str],
+        known: dict[str, str],
         param_types: dict[str, str],
-        bound: set[str],
     ) -> None:
         svc = self.spec.services.get(term.service)
         self.tick()
@@ -205,10 +218,10 @@ class _Checker:
             self.tick()
             want_in = self.base_type(fname)
             if isinstance(arg, Var):
-                if arg.name not in bound:
+                if arg.name not in known:
                     self.find("WF-EFFECT-UNBOUND", ag.name, where,
                               f"variable {arg.name!r} in {term.service} input is unbound")
-                elif var_types.get(arg.name, param_types.get(arg.name)) != want_in:
+                elif known[arg.name] != want_in:
                     self.find("WF-EFFECT-SVC-IN", ag.name, where,
                               f"input {j + 1} of {term.service!r} wants {want_in}")
             elif isinstance(arg, Param):
@@ -248,8 +261,8 @@ class _Checker:
                           f"action {rule.action!r} takes {len(act.params)} arguments")
                 continue
 
-            payload = set(rule.payload_vars)
-            scope = payload | {rule.peer_var}
+            gaps = msg.var_types(rule.payload_vars, rule.peer_var, self.spec.facets)
+            scope = set(gaps)
             cond_vars = Q.free_vars(rule.condition)
             arg_vars = {a.name for a in rule.args if isinstance(a, Var)}
             self.tick(len(cond_vars) + len(arg_vars))
@@ -258,12 +271,10 @@ class _Checker:
                 self.find("WF-RULE-SCOPE", ag.name, where,
                           f"variables {sorted(outside)} not in payload or peer")
 
-            _, types = self.type_query(ag, rule.condition, where)
+            _, types = self.type_query(ag, rule.condition, where, gaps=gaps,
+                                       gap_code="WF-RULE-COND-TYPE")
             if types is None:
                 continue
-            payload_types = {
-                v: self.base_type(f) for v, f in zip(rule.payload_vars, msg.payload_facets)
-            }
             # (i) the peer variable, when queried, must be an agent name
             pt = types.get(rule.peer_var)
             if rule.peer_var in cond_vars and pt != AGENT_TYPE:
@@ -272,9 +283,9 @@ class _Checker:
             # (iii) payload variables used in the condition match the message typing
             for v in rule.payload_vars:
                 self.tick()
-                if v in cond_vars and types.get(v) is not None and types[v] != payload_types[v]:
+                if v in cond_vars and types.get(v) is not None and types[v] != gaps[v]:
                     self.find("WF-RULE-COND-TYPE", ag.name, where,
-                              f"payload variable {v!r} used at {types[v]}, message says {payload_types[v]}")
+                              f"payload variable {v!r} used at {types[v]}, message says {gaps[v]}")
             # (ii)+(iv) action arguments against the action parameter typing
             for j, arg in enumerate(rule.args):
                 self.tick()
@@ -283,8 +294,8 @@ class _Checker:
                     if arg.name == rule.peer_var:
                         got = AGENT_TYPE
                         code = "WF-RULE-PEER-PARAM"
-                    elif arg.name in payload_types:
-                        got = payload_types[arg.name]
+                    elif arg.name in gaps:
+                        got = gaps[arg.name]
                         code = "WF-RULE-ACTION-TYPE"
                     else:
                         got = types.get(arg.name)
@@ -312,13 +323,15 @@ class _Checker:
                       f"{rel}({', '.join(map(repr, args))}) violates facet {v.facet} at {v.position}")
         order = CarrierOrder()
         for i, c in enumerate(ag.constraints):
-            typed, types = self.type_query(ag, c, f"constraint #{i + 1}")
+            typing, types = self.type_query(ag, c, f"constraint #{i + 1}")
             if types is None:
                 continue
             if Q.free_vars(c):
                 self.find("WF-QUERY", ag.name, f"constraint #{i + 1}",
                           "constraints must be closed formulas")
                 continue
+            # a constraint the parser or a generator typed is used as it is
+            typed = Q.typecheck_query(c, self.contexts[ag.name])[0] if typing.stale else c
             if not Q.eval_query(typed, ag.initial_db, order, const_domain=self.const_domain):
                 self.find("WF-INIT-CONSTRAINT", ag.name, f"constraint #{i + 1}",
                           "initial database violates this constraint")

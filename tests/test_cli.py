@@ -18,6 +18,23 @@ HALTS = str(CORPUS / "programs" / "halts.cm")
 LOOPS = str(CORPUS / "programs" / "loops.cm")
 
 
+SWAP = """
+type Str string
+type Num rational
+facet SF of Str
+facet NF of Num
+message swap(SF, SF)
+spec instSpec institutional {{
+  relation Note(SF)
+  action note(v: SF) {{
+    true ~> add {{ Note(v) }}
+  }}
+  {enable} enables swap(a, b) to t
+  on swap(a, b) from s if {cond} then note(a)
+}}
+"""
+
+
 class TestCheck:
     def test_clean_spec_exit_zero(self):
         assert run_cli("check", TICKET).returncode == 0
@@ -56,6 +73,23 @@ spec instSpec institutional {
         out = run_cli("check", str(spec))
         assert out.returncode == 6
         assert b"WF-EFFECT-UNBOUND" in out.stderr and b"'h'" in out.stderr
+
+    def test_payload_variables_compared_only_with_each_other(self, tmp_path):
+        # a and b are typed by the message alone, in both kinds of rule
+        spec = tmp_path / "swap.rmas"
+        spec.write_text(SWAP.format(enable="MyName(t) & a = b", cond="!(a = b)"))
+        out = run_cli("check", str(spec))
+        assert out.returncode == 0, out.stderr
+        out = run_cli("build", "--mode", "abstract-recycle", str(spec))
+        assert out.returncode == 0, out.stderr
+
+    def test_payload_variables_compared_at_two_types(self, tmp_path):
+        spec = tmp_path / "mix.rmas"
+        spec.write_text(SWAP.replace("swap(SF, SF)", "swap(SF, NF)").format(
+            enable="MyName(t) & a = b", cond="a = b"))
+        out = run_cli("check", str(spec))
+        assert out.returncode == 6
+        assert b"[WF-COMM-PAYLOAD]" in out.stderr and b"[WF-RULE-COND-TYPE]" in out.stderr
 
     def test_untypeable_comparison_names_its_variables(self, tmp_path):
         spec = tmp_path / "untyped.rmas"

@@ -132,7 +132,7 @@ class TestAsyncToSync:
         guards = [eff.guard for act in out.agent_specs["ponger"].actions.values()
                   if act.name.startswith("react_") for eff in act.effects]
         negated = [n for g in guards for n in g.parts if isinstance(n, Q.Not)]
-        assert negated and all(n.body == Q.Exists("g", Q.RelAtom("Seen", (Q.Var("g"),)))
+        assert negated and all(n.body == Q.Exists("g", Q.RelAtom("Seen", (Q.Var("g"),)), "Str")
                                for n in negated)
 
     def test_no_on_receive_rules_only_buffering(self):

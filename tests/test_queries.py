@@ -86,6 +86,10 @@ class TestTypecheck:
                     Q.RelAtom("S", (Var("f"),)))
         assert typecheck_query(q, CTX)[1] == dict.fromkeys(names, "Rat")
 
+    def test_binder_type_takes_part_in_equality(self):
+        assert Q.Exists("x", Q.TrueQ(), "Rat") != Q.Exists("x", Q.TrueQ(), "Str")
+        assert Q.Forall("x", Q.TrueQ(), "Rat") != Q.Forall("x", Q.TrueQ())
+
     def test_seed_types_fill_gaps_and_clash(self):
         q = Q.EqAtom(Var("x"), Var("y"))
         _, out = typecheck_query(q, CTX, seed_types={"x": "Rat"})

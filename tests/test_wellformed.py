@@ -52,6 +52,16 @@ spec instSpec institutional {
 """
         assert "WF-COMM-PAYLOAD" in codes(wf(text))
 
+    def test_target_typed_only_by_the_message(self):
+        # the message types t for the comparison, but no atom binds it to an agent
+        text = BASE + """
+spec instSpec institutional {
+  relation W(SF)
+  t = t & W(g) enables m(g) to t
+}
+"""
+        assert "WF-COMM-TARGET" in codes(wf(text))
+
     def test_free_variable_leak(self):
         text = BASE + """
 spec instSpec institutional {
@@ -144,6 +154,16 @@ spec instSpec institutional {
 """
         assert "WF-RULE-PEER" in codes(wf(text))
 
+    def test_peer_typed_only_by_the_message(self):
+        text = BASE + """
+spec instSpec institutional {
+  action noop() {
+  }
+  on m(g) from s if s = s then noop()
+}
+"""
+        assert "WF-RULE-PEER" in codes(wf(text))
+
     def test_action_argument_type(self):
         text = BASE + """
 spec instSpec institutional {
@@ -192,6 +212,25 @@ spec instSpec institutional {
 }
 """
         assert "WF-INIT-CONSTRAINT" in codes(wf(text))
+
+    def test_untyped_constraint_is_typed_before_it_is_evaluated(self):
+        # a spec built by hand may leave its binder types to inference; x
+        # ranges over every live string, "other" among them
+        spec = install_institutional(parse_spec("""
+type Str string
+facet SF of Str
+spec instSpec institutional {
+  relation W(SF)
+  relation V(SF)
+  constraint forall x. W(x)
+  init W("boom")
+  init V("other")
+}
+"""))
+        inst = spec.agent_specs["instSpec"]
+        untyped = tuple(replace(c, type_name="?") for c in inst.constraints)
+        spec = replace(spec, agent_specs={"instSpec": replace(inst, constraints=untyped)})
+        assert [f.code for f in check_well_formed(spec).findings] == ["WF-INIT-CONSTRAINT"]
 
 
 class TestLinearity:
