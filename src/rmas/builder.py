@@ -5,9 +5,15 @@ conformance vs. constraints alone), how service results are chosen (finite
 pools vs. commitment tuples), whether dense comparisons run on the carrier or
 on maintained lessThan facts, and where fresh values come from (synthesis vs.
 recycling of passive objects).  Exploration is a breadth-first closure that
-merges states with equal fact sets; repeated builds are byte-identical.  Every
-query a build evaluates is compiled once, when the builder is made, and the
-indexes over the databases one step reads live for that step only.
+merges states with equal fact sets; repeated builds are byte-identical.
+
+What a builder keeps for its whole life: every query compiled once, when it
+is made; one `Database` per distinct fact set (`_intern`), so states share
+equal databases; each database's objects by type; and the answers of the
+agent-local calls (`enabled_messages`, `collect_reactions`, `get_facts`,
+`_acceptable`), keyed by the facts they read.  What lives for one step only
+(`_StepCache`): the indexes over the databases the step's queries read and
+the order of the state's dense objects.
 """
 
 from __future__ import annotations
@@ -209,6 +215,11 @@ class Builder:
         self.rules_by_msg: dict[tuple[str, str, str], list[tuple[UpdateRule, Q.Plan]]] = {}
         self.guard_plans: dict[tuple[str, str], list[Q.Plan]] = {}
         self.constraint_plans: dict[str, list[Q.Plan]] = {}
+        # for the builder's life: one database per fact set, each one's
+        # objects by type, and the answers of the agent-local calls
+        self._dbs: dict[frozenset[Fact], Database] = {}
+        self._adoms: dict[frozenset[Fact], dict[str, frozenset[DataObject]]] = {}
+        self._memo: dict[tuple, object] = {}
         for sname, ag in spec.agent_specs.items():
             ctx = spec.schema_context(ag)
             self.comm_plans[sname] = [
@@ -246,14 +257,28 @@ class Builder:
                 raise BuildError(f"initial agent {agent!r} has unknown spec {sname!r}")
             dbs[agent] = ag.initial_db.apply(
                 adds=[(M.MYNAME_REL, (agent,))], dels=[])
-        order_db = self._initial_order_db() if self.flat else None
-        return make_state(dbs, order_db)
+        order_db = self._intern(self._initial_order_db()) if self.flat else None
+        return make_state({a: self._intern(d) for a, d in dbs.items()}, order_db)
 
     def _initial_order_db(self) -> Database:
         # on a dense type's carrier the canonical sort is the carrier order
         return _order_db({t: sorted(self.const_domain.get(t, frozenset()),
                                     key=DataObject.sort_key)
                           for t in self.dense_types})
+
+    # -- what the builder keeps -------------------------------------------------------
+
+    def _intern(self, db: Database) -> Database:
+        """The builder's one database with db's facts."""
+        return self._dbs.setdefault(db.facts, db)
+
+    def _objects_by_type(self, db: Database) -> dict[str, frozenset[DataObject]]:
+        """db's objects by type, read once per fact set; do not mutate."""
+        objs = self._adoms.get(db.facts)
+        if objs is None:
+            objs = self._adoms[db.facts] = {
+                t: frozenset(o) for t, o in Q.objects_by_type(db).items()}
+        return objs
 
     # -- query plumbing -----------------------------------------------------------
 
@@ -288,71 +313,92 @@ class Builder:
         active: set[DataObject],
     ) -> list[tuple[str, tuple[DataObject, ...], DataObject]]:
         step = self._cache(state)
-        db = step.index(step.dbs[sender])
-        out: set[tuple[str, tuple[DataObject, ...], DataObject]] = set()
-        for rule, plan in self.comm_plans[sname]:
-            msg = self.spec.messages[rule.message]
-            for theta in Q.eval_query(plan, db, step.order):
-                target = theta.get(rule.target_var)
-                if target is None or target not in active:
-                    continue
-                payload = tuple(theta[v] for v in rule.payload_vars)
-                if self.config.check_conformance:
-                    if not all(
-                        _member(self.spec, f, o)
-                        for f, o in zip(msg.payload_facets, payload)
-                    ):
+        db = step.dbs[sender]
+        key = ("enabled", sender, sname, db.facts,
+               _order_key((p for _, p in self.comm_plans[sname]), step.order))
+        msgs = self._memo.get(key)
+        if msgs is None:
+            ix = step.index(db)
+            out: set[tuple[str, tuple[DataObject, ...], DataObject]] = set()
+            for rule, plan in self.comm_plans[sname]:
+                msg = self.spec.messages[rule.message]
+                for theta in Q.eval_query(plan, ix, step.order):
+                    target = theta.get(rule.target_var)
+                    if target is None:
                         continue
-                out.add((rule.message, payload, target))
-        return sorted(out, key=lambda m: (m[0], tuple(o.sort_key() for o in m[1]),
-                                          m[2].sort_key()))
+                    payload = tuple(theta[v] for v in rule.payload_vars)
+                    if self.config.check_conformance:
+                        if not all(
+                            _member(self.spec, f, o)
+                            for f, o in zip(msg.payload_facets, payload)
+                        ):
+                            continue
+                    out.add((rule.message, payload, target))
+            msgs = self._memo[key] = tuple(sorted(
+                out, key=lambda m: (m[0], tuple(o.sort_key() for o in m[1]),
+                                    m[2].sort_key())))
+        return [m for m in msgs if m[2] in active]
 
     def collect_reactions(
         self, state: SystemState, agent: DataObject, sname: str, direction: str,
         message: str, payload: tuple[DataObject, ...], peer: DataObject,
     ) -> list[tuple[str, tuple[DataObject, ...]]]:
-        ag = self.spec.agent_specs[sname]
         step = self._cache(state)
-        db = step.index(step.dbs[agent])
-        out: set[tuple[str, tuple[DataObject, ...]]] = set()
-        for rule, plan in self.rules_by_msg.get((sname, direction, message), ()):
-            binding = {rule.peer_var: peer}
-            binding.update(dict(zip(rule.payload_vars, payload)))
-            if not Q.eval_query(plan, db, step.order, binding=binding):
-                continue
-            act = ag.actions[rule.action]
-            args = tuple(
-                binding[a.name] if isinstance(a, Var) else a.obj for a in rule.args
-            )
-            if self.config.check_conformance:
-                if not all(_member(self.spec, f, o)
-                           for (_, f), o in zip(act.params, args)):
+        db = step.dbs[agent]
+        rules = self.rules_by_msg.get((sname, direction, message), ())
+        key = ("reactions", agent, sname, direction, message, payload, peer, db.facts,
+               _order_key((p for _, p in rules), step.order))
+        acts = self._memo.get(key)
+        if acts is None:
+            ag = self.spec.agent_specs[sname]
+            ix = step.index(db)
+            out: set[tuple[str, tuple[DataObject, ...]]] = set()
+            for rule, plan in rules:
+                binding = {rule.peer_var: peer}
+                binding.update(dict(zip(rule.payload_vars, payload)))
+                if not Q.eval_query(plan, ix, step.order, binding=binding):
                     continue
-            out.add((rule.action, args))
-        return sorted(out, key=lambda inst: (inst[0], tuple(o.sort_key() for o in inst[1])))
+                act = ag.actions[rule.action]
+                args = tuple(
+                    binding[a.name] if isinstance(a, Var) else a.obj for a in rule.args
+                )
+                if self.config.check_conformance:
+                    if not all(_member(self.spec, f, o)
+                               for (_, f), o in zip(act.params, args)):
+                        continue
+                out.add((rule.action, args))
+            acts = self._memo[key] = tuple(sorted(
+                out, key=lambda inst: (inst[0], tuple(o.sort_key() for o in inst[1]))))
+        return list(acts)
 
     def get_facts(
         self, state: SystemState, agent: DataObject, sname: str,
         instances: list[tuple[str, tuple[DataObject, ...]]],
-    ) -> tuple[set[Fact], set[PendingFact]]:
-        ag = self.spec.agent_specs[sname]
+    ) -> tuple[frozenset[Fact], frozenset[PendingFact]]:
         step = self._cache(state)
-        db = step.index(step.dbs[agent])
-        to_del: set[Fact] = set()
-        to_add: set[PendingFact] = set()
-        for aname, args in instances:
-            act = ag.actions[aname]
-            values = {p: v for (p, _), v in zip(act.params, args)}
-            for eff, plan in zip(act.effects, self.guard_plans[(sname, aname)]):
-                for theta in Q.eval_query(plan, db, step.order, params=values):
-                    for tpl in eff.adds:
-                        to_add.add(_ground_template(tpl, theta, values))
-                    for tpl in eff.dels:
-                        fact = _ground_template(tpl, theta, values)
-                        if any(isinstance(a, CallToken) for a in fact[1]):
-                            raise BuildError(f"service call in delete fact {fact[0]!r}")
-                        to_del.add(fact)  # type: ignore[arg-type]
-        return to_del, to_add
+        db = step.dbs[agent]
+        key = ("facts", agent, sname, tuple(instances), db.facts, _order_key(
+            (p for a, _ in instances for p in self.guard_plans[(sname, a)]), step.order))
+        got = self._memo.get(key)
+        if got is None:
+            ag = self.spec.agent_specs[sname]
+            ix = step.index(db)
+            to_del: set[Fact] = set()
+            to_add: set[PendingFact] = set()
+            for aname, args in instances:
+                act = ag.actions[aname]
+                values = {p: v for (p, _), v in zip(act.params, args)}
+                for eff, plan in zip(act.effects, self.guard_plans[(sname, aname)]):
+                    for theta in Q.eval_query(plan, ix, step.order, params=values):
+                        for tpl in eff.adds:
+                            to_add.add(_ground_template(tpl, theta, values))
+                        for tpl in eff.dels:
+                            fact = _ground_template(tpl, theta, values)
+                            if any(isinstance(a, CallToken) for a in fact[1]):
+                                raise BuildError(f"service call in delete fact {fact[0]!r}")
+                            to_del.add(fact)  # type: ignore[arg-type]
+            got = self._memo[key] = (frozenset(to_del), frozenset(to_add))
+        return got
 
     # -- service results -------------------------------------------------------------
 
@@ -446,7 +492,7 @@ class Builder:
                     obj = sigma[next(e for e in cell if isinstance(e, CallToken))]
                 seq.append(obj)
             seqs[t] = seq
-        return _order_db(seqs)
+        return self._intern(_order_db(seqs))
 
     # -- one exploration step ------------------------------------------------------------
 
@@ -483,10 +529,10 @@ class Builder:
         else:
             participants = [(sender, s_spec, acts_send), (target, t_spec, acts_recv)]
 
-        # per participant: its next database without the facts that carry a
-        # call token (the state's own if unchanged), and those facts
+        # per participant: its next facts but those that carry a call token,
+        # and those facts
         step = self._cache(state)
-        pend: dict[DataObject, tuple[Database, list[PendingFact]]] = {}
+        pend: dict[DataObject, tuple[set[Fact], list[PendingFact]]] = {}
         calls: set[CallToken] = set()
         for agent, sname, acts in participants:
             to_del, to_add = self.get_facts(state, agent, sname, acts)
@@ -500,7 +546,7 @@ class Builder:
                     calls.update(toks)
                 else:
                     ground.add(fact)
-            pend[agent] = (db if ground == db.facts else Database(frozenset(ground)), tokened)
+            pend[agent] = (ground, tokened)
 
         if self.config.check_conformance:
             for tok in sorted(calls, key=CallToken.sort_key):
@@ -517,7 +563,7 @@ class Builder:
             order = FactOrder(order_full) if self.flat else CarrierOrder()
             for agent, sname, _ in participants:
                 ground, tokened = pend[agent]
-                cand = Database(ground.facts | _substitute(tokened, sigma)) if tokened else ground
+                cand = self._intern(Database(frozenset(ground | _substitute(tokened, sigma))))
                 if cand is not dbs[agent] and self._acceptable(sname, cand, order):
                     dbs[agent] = cand
             # only a change to inst's database can change the active agents
@@ -532,9 +578,10 @@ class Builder:
                 keep = set(step.objects())
                 for agent, d in dbs.items():
                     if d is not step.dbs.get(agent):
-                        keep |= d.adom()
-                order_db = Database.of(
-                    f for f in order_full.facts if f[1][0] in keep and f[1][1] in keep)
+                        for objs in self._objects_by_type(d).values():
+                            keep |= objs
+                order_db = self._intern(Database.of(
+                    f for f in order_full.facts if f[1][0] in keep and f[1][1] in keep))
             # the same agents are still in the state's order
             out.append(SystemState(tuple(dbs.items()), order_db) if same_agents
                        else make_state(dbs, order_db))
@@ -549,36 +596,37 @@ class Builder:
             if sname not in self.spec.agent_specs:
                 raise BuildError(f"agent {agent!r} bound to unknown spec {sname!r}")
             out[agent] = dbs[agent] if agent in cur_dbs else \
-                self.spec.agent_specs[sname].initial_db.apply(
-                    adds=[(M.MYNAME_REL, (agent,))], dels=[])
+                self._intern(self.spec.agent_specs[sname].initial_db.apply(
+                    adds=[(M.MYNAME_REL, (agent,))], dels=[]))
         if INST not in out:
             raise BuildError("institutional agent was removed")
         return out
 
     def _acceptable(self, sname: str, cand: Database, order) -> bool:
-        ag = self.spec.agent_specs[sname]
-        if self.config.check_conformance:
+        key = ("accept", sname, cand.facts, _order_key(self.constraint_plans[sname], order))
+        ok = self._memo.get(key)
+        if ok is None:
+            ag = self.spec.agent_specs[sname]
             try:
-                if conforms(ag.schema, cand, self.spec.facets, self.spec.types):
-                    return False
+                ok = not (self.config.check_conformance and conforms(
+                    ag.schema, cand, self.spec.facets, self.spec.types))
             except UnknownRelation:
-                return False
-        db = Q.DbIndex(cand, self.const_domain)
-        for plan in self.constraint_plans[sname]:
-            if not Q.eval_query(plan, db, order):
-                return False
-        return True
+                ok = False
+            db = Q.DbIndex(cand, self.const_domain)
+            ok = self._memo[key] = ok and all(
+                Q.eval_query(plan, db, order) for plan in self.constraint_plans[sname])
+        return ok
+
+    def _note_used(self, used: dict[str, set[DataObject]], state: SystemState) -> None:
+        for _, db in state.agent_dbs:
+            for t, objs in self._objects_by_type(db).items():
+                used[t] |= objs
 
     def _check_bound(self, state: SystemState) -> None:
         b = self.config.state_bound
-        if b is None:
-            return
         for name, db in state.agent_dbs:
-            objs = {
-                o for (rel, args) in db.facts if not is_accessory(rel) for o in args
-            }
-            if len(objs) > b:
-                raise StateBoundExceeded(str(name.value), len(objs))
+            if b is not None and _stored(db) > b:
+                raise StateBoundExceeded(str(name.value), _stored(db))
 
     # -- closure ---------------------------------------------------------------------------
 
@@ -586,16 +634,12 @@ class Builder:
         ts = TransitionSystem(mode=self.config.mode)
         s0 = self.initial_state()
         self._check_bound(s0)
-        index: dict[bytes, int] = {state_key(s0): 0}
+        index: dict[tuple, int] = {state_key(s0): 0}
         ts.states.append(s0)
         edges: set[tuple[int, int]] = set()
-        used: dict[str, set[DataObject]] = {
-            t: set(objs) for t, objs in self.const_domain.items()
-        }
-        for t in self.spec.types:
-            used.setdefault(t, set())
-        for o in s0.adom():
-            used[o.type_name].add(o)
+        # const_domain has a key for every type of the spec
+        used = {t: set(objs) for t, objs in self.const_domain.items()}
+        self._note_used(used, s0)
 
         frontier = [0]
         depth = 0
@@ -621,8 +665,7 @@ class Builder:
                         ts.states.append(succ)
                         index[key] = tid
                         next_frontier.append(tid)
-                        for o in succ.adom():
-                            used[o.type_name].add(o)
+                        self._note_used(used, succ)
                     edges.add((sid, tid))
             frontier = next_frontier
             peak = max(peak, len(frontier))
@@ -630,15 +673,9 @@ class Builder:
 
         ts.edges = sorted(edges)
         ts.truncated = truncated
-        max_adom = 0
-        sized: set[int] = set()  # ids of databases already measured; states share them
-        for s in ts.states:
-            for _, db in s.agent_dbs:
-                if id(db) not in sized:
-                    sized.add(id(db))
-                    objs = {o for (rel, args) in db.facts if not is_accessory(rel)
-                            for o in args}
-                    max_adom = max(max_adom, len(objs))
+        # states share their databases: measure each one once
+        dbs = {id(db): db for s in ts.states for _, db in s.agent_dbs}
+        max_adom = max(map(_stored, dbs.values()), default=0)
         ts.stats = {
             "states": len(ts.states),
             "edges": len(ts.edges),
@@ -656,11 +693,9 @@ class _StepCache:
     retained state carries them."""
 
     def __init__(self, builder: Builder, state: SystemState) -> None:
+        self.builder = builder
         self.state = state
         self.dbs = dict(state.agent_dbs)
-        self.const_domain = builder.const_domain
-        self.dense_types = builder.dense_types
-        self.flat = builder.flat
         self.order = FactOrder(state.order_db or Database()) if builder.flat else CarrierOrder()
         self._indexes: dict[int, Q.DbIndex] = {}  # by id; each index holds its database
         self._active: dict[str, set[DataObject]] = {}
@@ -670,41 +705,40 @@ class _StepCache:
     def index(self, db: Database) -> Q.DbIndex:
         ix = self._indexes.get(id(db))
         if ix is None:
-            ix = self._indexes[id(db)] = Q.DbIndex(db, self.const_domain)
+            ix = self._indexes[id(db)] = Q.DbIndex(db, self.builder.const_domain)
         return ix
 
     def active(self, t: str) -> set[DataObject]:
         """Objects of type t in the state or among the constants; do not mutate."""
         objs = self._active.get(t)
         if objs is None:
-            objs = set(self.const_domain.get(t, frozenset()))
-            for _, db in self.state.agent_dbs:
-                objs |= self.index(db).adom(t)
+            objs = set(self.builder.const_domain.get(t, frozenset()))
+            for db in self.dbs.values():
+                objs |= self.builder._objects_by_type(db).get(t, frozenset())
             self._active[t] = objs
         return objs
 
     def objects(self) -> set[DataObject]:
         """Every object of the state and every constant; do not mutate."""
         if self._objects is None:
-            self._objects = self.state.adom()
-            for objs in self.const_domain.values():
-                self._objects |= objs
+            self._objects = set().union(*map(self.active, self.builder.types))
         return self._objects
 
     def dense_order(self) -> tuple[dict[str, list[DataObject]], Optional[Database]]:
         """The active objects of each dense type, lowest first, and in flat
         modes the lessThan database over them.  Raises InconsistentOrder
         (or MissingOrderFacts) if the state does not order them totally."""
+        b = self.builder
         if self._dense_order is None:
             seqs = {t: check_total_order(sorted(self.active(t), key=DataObject.sort_key),
                                          self.less(t))
-                    for t in self.dense_types}
-            self._dense_order = (seqs, _order_db(seqs) if self.flat else None)
+                    for t in b.dense_types}
+            self._dense_order = (seqs, b._intern(_order_db(seqs)) if b.flat else None)
         return self._dense_order
 
     def less(self, t: str):
         """The state's strict order on dense type t."""
-        if self.flat:
+        if self.builder.flat:
             return lambda a, b: self.order.less(t, a, b)
         return carrier_less
 
@@ -719,6 +753,19 @@ def _order_db(seqs: dict[str, list[DataObject]]) -> Database:
                 if a != b:
                     facts.add((rel, (a, b)))
     return Database.of(facts)
+
+
+def _stored(db: Database) -> int:
+    """How many objects db stores outside accessory relations."""
+    return len({o for rel, args in db.facts if not is_accessory(rel) for o in args})
+
+
+def _order_key(plans: Iterable[Q.Plan], order) -> Optional[frozenset[Fact]]:
+    """The order's part of a memo key: its facts if one of plans reads them,
+    None if none does or the order is the rigid carrier's."""
+    if isinstance(order, FactOrder) and any(p.reads_order for p in plans):
+        return order.order_db.facts
+    return None
 
 
 def _member(spec: RmasSpec, facet_name: str, obj: DataObject) -> bool:
@@ -820,6 +867,13 @@ def _db_from_json(rows) -> Database:
 
 
 def export_jsonl(ts: TransitionSystem) -> bytes:
+    rows: dict[int, list] = {}  # by id: states share their databases
+
+    def db_json(db: Database) -> list:
+        if id(db) not in rows:
+            rows[id(db)] = _db_json(db)
+        return rows[id(db)]
+
     lines = [json.dumps({
         "kind": "meta", "mode": ts.mode, "initial": ts.initial,
         "truncated": ts.truncated, "stats": ts.stats,
@@ -828,11 +882,11 @@ def export_jsonl(ts: TransitionSystem) -> bytes:
         rec = {
             "kind": "state", "id": i,
             "agents": [
-                [_obj_json(name), _db_json(db)] for name, db in s.agent_dbs
+                [_obj_json(name), db_json(db)] for name, db in s.agent_dbs
             ],
         }
         if s.order_db is not None:
-            rec["order"] = _db_json(s.order_db)
+            rec["order"] = db_json(s.order_db)
         lines.append(json.dumps(rec, sort_keys=True))
     for (a, b) in ts.edges:
         lines.append(json.dumps({"kind": "edge", "src": a, "dst": b}, sort_keys=True))

@@ -605,13 +605,7 @@ class DbIndex:
     def adom(self, type_name: str) -> set[DataObject]:
         """Objects of a type occurring in the database; do not mutate."""
         if self._adom is None:
-            self._adom = {}
-            for o in {o for _, args in self.db.facts for o in args}:
-                objs = self._adom.get(o.type_name)
-                if objs is None:
-                    self._adom[o.type_name] = {o}
-                else:
-                    objs.add(o)
+            self._adom = objects_by_type(self.db)
         return self._adom.get(type_name, set())
 
     def members(self, type_name: str) -> set[DataObject]:
@@ -629,6 +623,15 @@ class DbIndex:
             objs = sorted(self.members(type_name), key=DataObject.sort_key)
             self._universes[type_name] = objs
         return objs
+
+
+def objects_by_type(db: Database) -> dict[str, set[DataObject]]:
+    """The objects occurring in db, grouped by type name."""
+    out: dict[str, set[DataObject]] = {}
+    for _, args in db.facts:
+        for o in args:
+            out.setdefault(o.type_name, set()).add(o)
+    return out
 
 
 class _Run:
@@ -662,10 +665,11 @@ class Plan:
     environment list.  `inputs` are the free variables each evaluation binds
     through `binding` and `params` the parameters it fills through `params`;
     the answers bind `outputs`, all free variables in sorted order.
+    `reads_order` tells whether a dense comparison reads the order source.
     """
 
-    __slots__ = ("inputs", "params", "outputs", "_nslots", "_in_slots", "_produced",
-                 "_par_slots", "_run", "_test")
+    __slots__ = ("inputs", "params", "outputs", "reads_order", "_nslots", "_in_slots",
+                 "_produced", "_par_slots", "_run", "_test")
 
     def answers(self, index: DbIndex, order: OrderSource, binding: Binding,
                 params: dict[str, DataObject]) -> list[Binding]:
@@ -714,6 +718,7 @@ def compile_query(q: Query, var_types: dict[str, str], inputs: Iterable[str] = (
     else:
         plan._run = c.node(q, scope, bound, _emit(tuple(scope[v] for v in plan.outputs)))
     plan._nslots = len(c.slot_names)
+    plan.reads_order = any(isinstance(a, (LessAtom, LessFactAtom)) for a in atoms(q))
     return plan
 
 

@@ -632,3 +632,77 @@ class TestCommitmentsOnlyForCalls:
         ordered = self._two_ticket_state(b, [(lt, (rt(1), rt(2)))])
         (succ,) = b.step_successors(ordered)
         assert succ.order_db.facts == ordered.order_db.facts
+
+
+def _local_answers(b, state):
+    """The answers of every agent-local call a step of state makes: each
+    agent's enabled messages and the acceptance of its database, and for each
+    message the reactions of sender and target, their facts, and the
+    acceptance of the update made of the facts without a call result."""
+    order = Q.CarrierOrder() if state.order_db is None else Q.FactOrder(state.order_db)
+    specs = dict(b.current_agents(state))
+    out = []
+    for agent, sname in specs.items():
+        out.append(b._acceptable(sname, state.db(agent), order))
+        for msg, payload, target in b.enabled_messages(state, agent, sname, set(specs)):
+            for who, peer, direction in ((agent, target, ON_SEND), (target, agent, ON_RECEIVE)):
+                acts = b.collect_reactions(state, who, specs[who], direction, msg, payload, peer)
+                to_del, to_add = b.get_facts(state, who, specs[who], acts)
+                ground = {f for f in to_add if not any(isinstance(a, CallToken) for a in f[1])}
+                cand = Database((state.db(who).facts - to_del) | ground)
+                out.append((msg, payload, target, acts, to_del, to_add,
+                            b._acceptable(specs[who], cand, order)))
+    return out
+
+
+class TestMemoAndInterning:
+    """A builder keeps one database per fact set and the answers of its
+    agent-local calls for its whole life."""
+
+    @pytest.mark.parametrize("name", ["ticket3-abstract", "ticket-flat-200", "ping-ordered"])
+    def test_memoized_answers_equal_fresh_ones(self, ticket_spec, ping_spec, name):
+        spec, cfg = {
+            "ticket3-abstract": (_ticket3_spec(), BuildConfig(mode=MODE_ABSTRACT)),
+            "ticket-flat-200": (ticket_spec, BuildConfig(mode=MODE_FB_FLAT, max_states=200)),
+            "ping-ordered": (_ping_ordered(ping_spec), BuildConfig(mode=MODE_ABSTRACT)),
+        }[name]
+        warm = Builder(spec, cfg)
+        ts = warm.build()
+        want = [_local_answers(warm, s) for s in ts.states]
+        # the fresh builder meets the states in reverse, so its answer to a
+        # key comes from the last state that has the key, the build's from
+        # the first: a key that left out something a call reads would differ
+        fresh = Builder(spec, cfg)
+        got = [_local_answers(fresh, s) for s in reversed(ts.states)][::-1]
+        assert got == want
+        assert sum(len(a) for a in want) > 2 * len(ts.states)
+
+    def test_the_key_keeps_the_order(self, ticket_spec):
+        lt = lessthan_rel("Real")
+        b = Builder(ticket_spec, BuildConfig(mode=MODE_FB_FLAT))
+        s0 = b.initial_state()
+        dbs = dict(s0.agent_dbs)
+        dbs[agent("inst")] = s0.inst_db().apply(adds=[
+            ("hasTicket", (agent("c1"), rt(1))), ("hasTicket", (agent("c2"), rt(2)))], dels=[])
+
+        def reactions(order_facts):
+            state = make_state(dbs, Database.of(order_facts))
+            return b.collect_reactions(state, agent("inst"), "instSpec", ON_RECEIVE,
+                                       "cMsg", (rt(1),), agent("c1"))
+
+        # c1 holds the least ticket only where 1 < 2
+        assert reactions([(lt, (rt(1), rt(2)))]) == [
+            ("enterCritical", (agent("c1"), rt(1)))]
+        assert reactions([(lt, (rt(2), rt(1)))]) == []
+
+    def test_databases_are_interned(self, ticket_spec, ping_spec, registry_spec):
+        builds = _dedup_builds(ticket_spec, ping_spec) + [
+            ("registry-abstract", registry_spec, BuildConfig(mode=MODE_ABSTRACT)),
+            ("ticket-concrete-60", ticket_spec, BuildConfig(
+                mode=MODE_CONCRETE, max_states=60, pools=rational_pool("Real", [1, 2]))),
+        ]
+        for name, spec, cfg in builds:
+            ts = build_transition_system(spec, cfg)
+            dbs = {id(d): d for s in ts.states
+                   for d in [db for _, db in s.agent_dbs] + [s.order_db] if d is not None}
+            assert len({d.facts for d in dbs.values()}) == len(dbs), name
