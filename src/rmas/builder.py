@@ -218,7 +218,7 @@ class Builder:
         # for the builder's life: one database per fact set, each one's
         # objects by type, and the answers of the agent-local calls
         self._dbs: dict[frozenset[Fact], Database] = {}
-        self._adoms: dict[frozenset[Fact], dict[str, frozenset[DataObject]]] = {}
+        self._adoms: dict[frozenset[Fact], dict[str, tuple[DataObject, ...]]] = {}
         self._memo: dict[tuple, object] = {}
         for sname, ag in spec.agent_specs.items():
             ctx = spec.schema_context(ag)
@@ -272,12 +272,12 @@ class Builder:
         """The builder's one database with db's facts."""
         return self._dbs.setdefault(db.facts, db)
 
-    def _objects_by_type(self, db: Database) -> dict[str, frozenset[DataObject]]:
+    def _objects_by_type(self, db: Database) -> dict[str, tuple[DataObject, ...]]:
         """db's objects by type, read once per fact set; do not mutate."""
         objs = self._adoms.get(db.facts)
         if objs is None:
             objs = self._adoms[db.facts] = {
-                t: frozenset(o) for t, o in Q.objects_by_type(db).items()}
+                t: tuple(o) for t, o in Q.objects_by_type(db).items()}
         return objs
 
     # -- query plumbing -----------------------------------------------------------
@@ -579,7 +579,7 @@ class Builder:
                 for agent, d in dbs.items():
                     if d is not step.dbs.get(agent):
                         for objs in self._objects_by_type(d).values():
-                            keep |= objs
+                            keep.update(objs)
                 order_db = self._intern(Database.of(
                     f for f in order_full.facts if f[1][0] in keep and f[1][1] in keep))
             # the same agents are still in the state's order
@@ -620,7 +620,7 @@ class Builder:
     def _note_used(self, used: dict[str, set[DataObject]], state: SystemState) -> None:
         for _, db in state.agent_dbs:
             for t, objs in self._objects_by_type(db).items():
-                used[t] |= objs
+                used[t].update(objs)
 
     def _check_bound(self, state: SystemState) -> None:
         b = self.config.state_bound
@@ -714,7 +714,7 @@ class _StepCache:
         if objs is None:
             objs = set(self.builder.const_domain.get(t, frozenset()))
             for db in self.dbs.values():
-                objs |= self.builder._objects_by_type(db).get(t, frozenset())
+                objs.update(self.builder._objects_by_type(db).get(t, ()))
             self._active[t] = objs
         return objs
 
@@ -867,27 +867,23 @@ def _db_from_json(rows) -> Database:
 
 
 def export_jsonl(ts: TransitionSystem) -> bytes:
-    rows: dict[int, list] = {}  # by id: states share their databases
+    texts: dict[int, str] = {}  # by id: states share their databases
 
-    def db_json(db: Database) -> list:
-        if id(db) not in rows:
-            rows[id(db)] = _db_json(db)
-        return rows[id(db)]
+    def db_text(db: Database) -> str:
+        if id(db) not in texts:
+            texts[id(db)] = json.dumps(_db_json(db), sort_keys=True)
+        return texts[id(db)]
 
     lines = [json.dumps({
         "kind": "meta", "mode": ts.mode, "initial": ts.initial,
         "truncated": ts.truncated, "stats": ts.stats,
     }, sort_keys=True)]
     for i, s in enumerate(ts.states):
-        rec = {
-            "kind": "state", "id": i,
-            "agents": [
-                [_obj_json(name), db_json(db)] for name, db in s.agent_dbs
-            ],
-        }
-        if s.order_db is not None:
-            rec["order"] = db_json(s.order_db)
-        lines.append(json.dumps(rec, sort_keys=True))
+        # what json.dumps(record, sort_keys=True) writes, keys in sorted order
+        agents = ", ".join(f"[{json.dumps(_obj_json(name), sort_keys=True)}, {db_text(db)}]"
+                           for name, db in s.agent_dbs)
+        order = "" if s.order_db is None else f', "order": {db_text(s.order_db)}'
+        lines.append(f'{{"agents": [{agents}], "id": {i}, "kind": "state"{order}}}')
     for (a, b) in ts.edges:
         lines.append(json.dumps({"kind": "edge", "src": a, "dst": b}, sort_keys=True))
     return ("\n".join(lines) + "\n").encode()
