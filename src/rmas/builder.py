@@ -8,12 +8,14 @@ recycling of passive objects).  Exploration is a breadth-first closure that
 merges states with equal fact sets; repeated builds are byte-identical.
 
 What a builder keeps for its whole life: every query compiled once, when it
-is made; one `Database` per distinct fact set (`_intern`), so states share
-equal databases; each database's objects by type; and the answers of the
-agent-local calls (`enabled_messages`, `collect_reactions`, `get_facts`,
-`_acceptable`), keyed by the facts they read.  What lives for one step only
-(`_StepCache`): the indexes over the databases the step's queries read and
-the order of the state's dense objects.
+is made, with whether each group of plans reads the order; one `Database`
+per distinct fact set (`_intern`), so states share equal databases; each
+database's objects by type; and, keyed by the facts they read, the answers
+of the agent-local calls (`enabled_messages`, `collect_reactions`,
+`get_facts`, `_acceptable`), the roster of registered agents
+(`current_agents`) and the ranked dense order.  What lives for one step only
+(`_StepCache`): the state's databases by agent, its active objects, the
+indexes over the databases the step's queries read, and its dense order.
 """
 
 from __future__ import annotations
@@ -166,6 +168,9 @@ class TransitionSystem:
     truncated: bool = False
     mode: str = MODE_CONCRETE
     stats: dict = field(default_factory=dict)
+    # the model checker's tables (`mucalc.SystemTables`), made by the first
+    # check on the system and shared by every later one
+    check_tables: Optional[object] = field(default=None, repr=False, compare=False)
 
 
 # ---------------------------------------------------------------------------
@@ -239,6 +244,13 @@ class Builder:
                     _compile(eff.guard, ctx, {}, ptypes) for eff in act.effects
                 ]
             self.constraint_plans[sname] = [_compile(c, ctx, {}) for c in ag.constraints]
+        # whether a group of plans reads the order, by the memo kind and the
+        # key of the group's plans (see `_order_key`)
+        groups = [(("enabled", s), [p for _, p in ps]) for s, ps in self.comm_plans.items()]
+        groups += [(("reactions",) + k, [p for _, p in ps]) for k, ps in self.rules_by_msg.items()]
+        groups += [(("facts",) + k, ps) for k, ps in self.guard_plans.items()]
+        groups += [(("accept", s), ps) for s, ps in self.constraint_plans.items()]
+        self._reads_order = {k: any(p.reads_order for p in ps) for k, ps in groups}
         self._step: Optional[_StepCache] = None
 
     # -- initial state ----------------------------------------------------------
@@ -293,20 +305,27 @@ class Builder:
     # -- figure building blocks ----------------------------------------------------
 
     def current_agents(self, state: SystemState) -> list[tuple[DataObject, str]]:
-        out = []
-        bound: dict[DataObject, str] = {}
-        for args in sorted(state.inst_db().facts_for(M.HASSPEC_REL),
-                           key=lambda a: tuple(x.sort_key() for x in a)):
-            agent, spec_obj = args
-            sname = spec_obj.value
-            if sname not in self.spec.agent_specs:
-                raise BuildError(f"agent {agent!r} has unknown spec {sname!r}")
-            if bound.get(agent, sname) != sname:
-                raise BuildError(f"agent {agent!r} is registered under two specs")
-            if agent not in bound:
-                bound[agent] = sname
-                out.append((agent, sname))
-        return out
+        """The registered agents and their specs, in agent order; read once
+        per inst fact set, a failing one on every call."""
+        inst_db = state.inst_db()
+        key = ("agents", inst_db.facts)
+        got = self._memo.get(key)
+        if got is None:
+            out = []
+            bound: dict[DataObject, str] = {}
+            for args in sorted(inst_db.facts_for(M.HASSPEC_REL),
+                               key=lambda a: tuple(x.sort_key() for x in a)):
+                agent, spec_obj = args
+                sname = spec_obj.value
+                if sname not in self.spec.agent_specs:
+                    raise BuildError(f"agent {agent!r} has unknown spec {sname!r}")
+                if bound.get(agent, sname) != sname:
+                    raise BuildError(f"agent {agent!r} is registered under two specs")
+                if agent not in bound:
+                    bound[agent] = sname
+                    out.append((agent, sname))
+            got = self._memo[key] = tuple(out)
+        return list(got)
 
     def enabled_messages(
         self, state: SystemState, sender: DataObject, sname: str,
@@ -315,7 +334,7 @@ class Builder:
         step = self._cache(state)
         db = step.dbs[sender]
         key = ("enabled", sender, sname, db.facts,
-               _order_key((p for _, p in self.comm_plans[sname]), step.order))
+               _order_key(self._reads_order[("enabled", sname)], step.order))
         msgs = self._memo.get(key)
         if msgs is None:
             ix = step.index(db)
@@ -347,7 +366,8 @@ class Builder:
         db = step.dbs[agent]
         rules = self.rules_by_msg.get((sname, direction, message), ())
         key = ("reactions", agent, sname, direction, message, payload, peer, db.facts,
-               _order_key((p for _, p in rules), step.order))
+               _order_key(self._reads_order.get(("reactions", sname, direction, message), False),
+                          step.order))
         acts = self._memo.get(key)
         if acts is None:
             ag = self.spec.agent_specs[sname]
@@ -378,7 +398,7 @@ class Builder:
         step = self._cache(state)
         db = step.dbs[agent]
         key = ("facts", agent, sname, tuple(instances), db.facts, _order_key(
-            (p for a, _ in instances for p in self.guard_plans[(sname, a)]), step.order))
+            any(self._reads_order[("facts", sname, a)] for a, _ in instances), step.order))
         got = self._memo.get(key)
         if got is None:
             ag = self.spec.agent_specs[sname]
@@ -603,7 +623,7 @@ class Builder:
         return out
 
     def _acceptable(self, sname: str, cand: Database, order) -> bool:
-        key = ("accept", sname, cand.facts, _order_key(self.constraint_plans[sname], order))
+        key = ("accept", sname, cand.facts, _order_key(self._reads_order[("accept", sname)], order))
         ok = self._memo.get(key)
         if ok is None:
             ag = self.spec.agent_specs[sname]
@@ -698,7 +718,7 @@ class _StepCache:
         self.dbs = dict(state.agent_dbs)
         self.order = FactOrder(state.order_db or Database()) if builder.flat else CarrierOrder()
         self._indexes: dict[int, Q.DbIndex] = {}  # by id; each index holds its database
-        self._active: dict[str, set[DataObject]] = {}
+        self._active: dict[str, frozenset[DataObject]] = {}
         self._objects: Optional[set[DataObject]] = None
         self._dense_order: Optional[tuple[dict[str, list[DataObject]], Optional[Database]]] = None
 
@@ -708,14 +728,12 @@ class _StepCache:
             ix = self._indexes[id(db)] = Q.DbIndex(db, self.builder.const_domain)
         return ix
 
-    def active(self, t: str) -> set[DataObject]:
-        """Objects of type t in the state or among the constants; do not mutate."""
+    def active(self, t: str) -> frozenset[DataObject]:
+        """Objects of type t in the state or among the constants."""
         objs = self._active.get(t)
         if objs is None:
-            objs = set(self.builder.const_domain.get(t, frozenset()))
-            for db in self.dbs.values():
-                objs.update(self.builder._objects_by_type(db).get(t, ()))
-            self._active[t] = objs
+            objs = self._active[t] = self.builder.const_domain.get(t, frozenset()).union(
+                *(self.builder._objects_by_type(db).get(t, ()) for db in self.dbs.values()))
         return objs
 
     def objects(self) -> set[DataObject]:
@@ -726,14 +744,21 @@ class _StepCache:
 
     def dense_order(self) -> tuple[dict[str, list[DataObject]], Optional[Database]]:
         """The active objects of each dense type, lowest first, and in flat
-        modes the lessThan database over them.  Raises InconsistentOrder
-        (or MissingOrderFacts) if the state does not order them totally."""
+        modes the lessThan database over them; do not mutate.  Raises
+        InconsistentOrder (or MissingOrderFacts) if the state does not order
+        them totally.  The builder keeps the answer by the order's facts and
+        each dense type's active objects; a failure is not kept."""
         b = self.builder
         if self._dense_order is None:
-            seqs = {t: check_total_order(sorted(self.active(t), key=DataObject.sort_key),
-                                         self.less(t))
-                    for t in b.dense_types}
-            self._dense_order = (seqs, b._intern(_order_db(seqs)) if b.flat else None)
+            key = ("dense", self.order.order_db.facts if b.flat else None,
+                   tuple(self.active(t) for t in b.dense_types))
+            got = b._memo.get(key)
+            if got is None:
+                seqs = {t: check_total_order(sorted(self.active(t), key=DataObject.sort_key),
+                                             self.less(t))
+                        for t in b.dense_types}
+                got = b._memo[key] = (seqs, b._intern(_order_db(seqs)) if b.flat else None)
+            self._dense_order = got
         return self._dense_order
 
     def less(self, t: str):
@@ -760,10 +785,10 @@ def _stored(db: Database) -> int:
     return len({o for rel, args in db.facts if not is_accessory(rel) for o in args})
 
 
-def _order_key(plans: Iterable[Q.Plan], order) -> Optional[frozenset[Fact]]:
-    """The order's part of a memo key: its facts if one of plans reads them,
-    None if none does or the order is the rigid carrier's."""
-    if isinstance(order, FactOrder) and any(p.reads_order for p in plans):
+def _order_key(reads: bool, order) -> Optional[frozenset[Fact]]:
+    """The order's part of a memo key: its facts if the call's plans read
+    them (`reads`), None if they do not or the order is the rigid carrier's."""
+    if reads and isinstance(order, FactOrder):
         return order.order_db.facts
     return None
 

@@ -1,5 +1,11 @@
 """Command-line driver: check, compile, build, verify, gen-cm, async2sync.
 
+`verify SPEC PROP [PROP ...]` parses every property before it builds, builds
+once and checks the properties in argument order.  With one property the
+result holds its `verdict` and `iterations`; with more, `verdicts` maps each
+property's path to its `{verdict, iterations}`, and the run exits 10 if any
+property is false.
+
 Every run emits a reproducible report (input digests, effective config,
 result); exit codes are a total function of the outcome:
 
@@ -101,6 +107,10 @@ class Report:
             if isinstance(v, list):
                 for item in v:
                     lines.append(f"{k}: {item}")
+            elif isinstance(v, dict):
+                for name, fields in sorted(v.items()):
+                    lines.append(f"{k}: {name} " + " ".join(
+                        f"{f}={x}" for f, x in sorted(fields.items())))
             else:
                 lines.append(f"{k}: {v}")
         lines.append(f"exit: {self.data['exit']}")
@@ -259,20 +269,29 @@ def cmd_verify(args, report: Report) -> int:
     built_spec = spec
     if config.mode != MODE_CONCRETE and not is_shallow(spec):
         built_spec = compile_shallow(spec)
-    try:
-        prop = parse_property(_read(args.property), built_spec)
-        check_closed(prop)
-        if config.flat:
-            prop = flatten_property(prop)
-    except (ParseError, PropError) as e:
-        raise CliError(f"{args.property}: {e}", EXIT_PARSE)
+    props = {}
+    for path in args.properties:
+        try:
+            prop = parse_property(_read(path), built_spec)
+            check_closed(prop)
+            if config.flat:
+                prop = flatten_property(prop)
+        except (ParseError, PropError) as e:
+            raise CliError(f"{path}: {e}", EXIT_PARSE)
+        props[path] = prop
     ts = _build(built_spec, config, report)
     if ts.truncated:
         return EXIT_TRUNCATED
-    verdict = model_check(ts, built_spec, prop)
-    report.data["result"]["verdict"] = verdict.truth
-    report.data["result"]["iterations"] = verdict.iterations
-    return EXIT_OK if verdict.truth else EXIT_FALSE
+    verdicts = {path: model_check(ts, built_spec, prop) for path, prop in props.items()}
+    if len(args.properties) == 1:
+        (verdict,) = verdicts.values()
+        report.data["result"]["verdict"] = verdict.truth
+        report.data["result"]["iterations"] = verdict.iterations
+    else:
+        report.data["result"]["verdicts"] = {
+            path: {"verdict": v.truth, "iterations": v.iterations}
+            for path, v in verdicts.items()}
+    return EXIT_OK if all(v.truth for v in verdicts.values()) else EXIT_FALSE
 
 
 def cmd_gen_cm(args, report: Report) -> int:
@@ -330,9 +349,9 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=("dot", "jsonl"), default="jsonl")
     p.set_defaults(func=cmd_build)
 
-    p = sub.add_parser("verify", help="model-check a property")
+    p = sub.add_parser("verify", help="model-check properties on one build")
     p.add_argument("spec")
-    p.add_argument("property")
+    p.add_argument("properties", nargs="+", metavar="property")
     add_build_flags(p)
     p.set_defaults(func=cmd_verify)
 
@@ -356,7 +375,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         args = ap.parse_args(argv)
     except SystemExit as e:
         return EXIT_USAGE if e.code not in (0, None) else 0
-    inputs = [p for p in (getattr(args, "spec", None), getattr(args, "property", None),
+    inputs = [p for p in (getattr(args, "spec", None), *getattr(args, "properties", ()),
                           getattr(args, "program", None)) if p]
     for p in inputs:
         if not os.path.exists(p):

@@ -5,6 +5,13 @@ live in the current state, and wrap modal steps in liveness guards so that
 quantified data survives exactly as long as it persists in some database.
 Fixpoints are computed by Kleene iteration; each approximant maps every
 assignment of the free variables to the bitmask of the states where it holds.
+
+What lives per transition system (`SystemTables`, kept on the system by its
+first check): the state masks, predecessor masks, database placements, live
+masks and per-type universe, the all-true extension per domain, and each
+atom's rows, keyed by the atom's value so equal atoms of different
+properties share them.  What lives per check (`ModelChecker`): the iteration
+count and the atoms expanded over their domains.
 """
 
 from __future__ import annotations
@@ -522,19 +529,18 @@ class Verdict:
     iterations: int = 0
 
 
-class ModelChecker:
-    """Set-at-a-time evaluation over one transition system.
+class SystemTables:
+    """What every check on one transition system shares, built by its first
+    check and kept on the system (`TransitionSystem.check_tables`): the
+    all-states mask, the predecessor masks, each (agent, database) placement
+    with the states that hold it, each object's live mask, the per-type
+    universe, the all-true extension per domain and each atom's rows.  They
+    stay valid while the system's `states` and `edges` lists are the same
+    objects of the same lengths and the spec's constants are the same."""
 
-    An extension maps each assignment (a tuple of objects, one for each
-    variable of `dom`, drawn from the per-type universe) to the bitmask of the
-    states where the formula holds under it: bit `sid` stands for
-    `ts.states[sid]`.  Assignments whose mask is zero are left out, so two
-    extensions are equal exactly when they are equal dicts.  Extensions are
-    shared, never mutated after they are returned.
-    """
-
-    def __init__(self, ts: TransitionSystem, spec: RmasSpec) -> None:
-        self.ts = ts
+    def __init__(self, ts: TransitionSystem, consts: frozenset[DataObject]) -> None:
+        self.states, self.edges, self.consts = ts.states, ts.edges, consts
+        self.sizes = (len(ts.states), len(ts.edges))
         n = len(ts.states)
         self.full = (1 << n) - 1
         # pred[sid]: the states with an edge into sid
@@ -544,8 +550,7 @@ class ModelChecker:
         inst = mk_symbol(AGENT_TYPE, INST_NAME)
         # the states where each object is live, for every object stored
         # anywhere and every initial constant
-        live: dict[DataObject, int] = dict.fromkeys(
-            (o for cs in initial_data_domain(spec).values() for o in cs), 0)
+        live: dict[DataObject, int] = dict.fromkeys(consts, 0)
         # States share the databases of the agents a step leaves alone, so
         # each distinct database is read once, with the mask of the states
         # that hold it: `held` for any agent, `placed` for an agent
@@ -576,38 +581,33 @@ class ModelChecker:
         for o in sorted(live, key=DataObject.sort_key):
             self.live.setdefault(o.type_name, {})[o] = live[o]
         self.universe = {t: list(per) for t, per in self.live.items()}
-        self._atoms: dict[tuple, dict[tuple, int]] = {}
-        self._tops: dict[tuple[str, ...], dict[tuple, int]] = {}
-        self.iterations = 0
+        self.tops: dict[tuple[str, ...], dict[tuple, int]] = {}
+        self.rows: dict[Prop, tuple[tuple[str, ...], dict[tuple, int]]] = {}
 
-    # -- assignments -------------------------------------------------------------
+    def fits(self, ts: TransitionSystem, consts: frozenset[DataObject]) -> bool:
+        return (self.states is ts.states and self.edges is ts.edges
+                and self.sizes == (len(ts.states), len(ts.edges)) and self.consts == consts)
 
-    def _pools(self, dom: Dom) -> list[list[DataObject]]:
-        return [self.universe.get(t, []) for _, t in dom]
-
-    def _top(self, dom: Dom) -> dict[tuple, int]:
-        """Every assignment over dom, true in every state."""
-        types = tuple(t for _, t in dom)
-        out = self._tops.get(types)
+    def top(self, types: tuple[str, ...]) -> dict[tuple, int]:
+        """Every assignment to variables of these types, true in every state."""
+        out = self.tops.get(types)
         if out is None:
             full = self.full
-            out = {c: full for c in itertools.product(*self._pools(dom))} if full else {}
-            self._tops[types] = out
+            pools = [self.universe.get(t, []) for t in types]
+            out = {c: full for c in itertools.product(*pools)} if full else {}
+            self.tops[types] = out
         return out
 
-    def _pre(self, m: int) -> int:
-        """The states with a successor in m."""
-        out = 0
-        pred = self.pred
-        for sid in _bits(m):
-            out |= pred[sid]
-        return out
-
-    # -- atoms -------------------------------------------------------------------
+    def atom_rows(self, atom: Prop) -> tuple[tuple[str, ...], dict[tuple, int]]:
+        """The atom's variables, and the states where it holds under each
+        binding of them (only bindings that hold somewhere); computed once
+        per atom value."""
+        got = self.rows.get(atom)
+        if got is None:
+            got = self.rows[atom] = self._atom_rows(atom)
+        return got
 
     def _atom_rows(self, atom: Prop) -> tuple[tuple[str, ...], dict[tuple, int]]:
-        """The atom's variables, and the states where it holds under each
-        binding of them (only bindings that hold somewhere)."""
         rows: dict[tuple, int] = {}
         if isinstance(atom, LiveAtom):
             for o, m in self.live.get(atom.type_name, {}).items():
@@ -650,7 +650,7 @@ class ModelChecker:
             # lessfact: the state's lessThan facts between universe objects
             members = set(pool)
             rel = lessthan_rel(atom.type_name)
-            for sid, s in enumerate(self.ts.states):
+            for sid, s in enumerate(self.states):
                 if s.order_db is None:
                     continue
                 bit = 1 << sid
@@ -663,15 +663,56 @@ class ModelChecker:
             return names, rows
         raise PropError(f"not an atom: {atom!r}")
 
+
+class ModelChecker:
+    """Set-at-a-time evaluation of one check over one transition system.
+
+    An extension maps each assignment (a tuple of objects, one for each
+    variable of `dom`, drawn from the per-type universe) to the bitmask of the
+    states where the formula holds under it: bit `sid` stands for
+    `ts.states[sid]`.  Assignments whose mask is zero are left out, so two
+    extensions are equal exactly when they are equal dicts.  Extensions are
+    shared, never mutated after they are returned.
+    """
+
+    def __init__(self, ts: TransitionSystem, spec: RmasSpec) -> None:
+        consts = frozenset(o for cs in initial_data_domain(spec).values() for o in cs)
+        tables = ts.check_tables
+        if tables is None or not tables.fits(ts, consts):
+            tables = ts.check_tables = SystemTables(ts, consts)
+        self.tables = tables
+        self.full, self.pred = tables.full, tables.pred
+        self.live, self.universe = tables.live, tables.universe
+        self._atoms: dict[tuple, dict[tuple, int]] = {}
+        self.iterations = 0
+
+    # -- assignments -------------------------------------------------------------
+
+    def _pools(self, dom: Dom) -> list[list[DataObject]]:
+        return [self.universe.get(t, []) for _, t in dom]
+
+    def _top(self, dom: Dom) -> dict[tuple, int]:
+        """Every assignment over dom, true in every state."""
+        return self.tables.top(tuple(t for _, t in dom))
+
+    def _pre(self, m: int) -> int:
+        """The states with a successor in m."""
+        out = 0
+        pred = self.pred
+        for sid in _bits(m):
+            out |= pred[sid]
+        return out
+
+    # -- atoms -------------------------------------------------------------------
+
     def _atom(self, atom: Prop, dom: Dom) -> dict:
         """The atom's rows expanded over the positions of dom it leaves free
-        (a shadowed one among them); computed once per atom, as an atom's
-        dom is fixed by its position."""
-        key = (id(atom), dom)
+        (a shadowed one among them); computed once per atom and dom."""
+        key = (atom, dom)
         out = self._atoms.get(key)
         if out is not None:
             return out
-        names, rows = self._atom_rows(atom)
+        names, rows = self.tables.atom_rows(atom)
         at = _positions(dom)
         unbound = set(names).difference(at)
         if unbound:

@@ -8,6 +8,7 @@ import rmas.builder as B
 from rmas import queries as Q
 from rmas.builder import (
     BuildConfig,
+    BuildError,
     Builder,
     ConfigError,
     MODE_ABSTRACT,
@@ -641,7 +642,7 @@ def _local_answers(b, state):
     acceptance of the update made of the facts without a call result."""
     order = Q.CarrierOrder() if state.order_db is None else Q.FactOrder(state.order_db)
     specs = dict(b.current_agents(state))
-    out = []
+    out = [b._cache(state).dense_order()]
     for agent, sname in specs.items():
         out.append(b._acceptable(sname, state.db(agent), order))
         for msg, payload, target in b.enabled_messages(state, agent, sname, set(specs)):
@@ -694,6 +695,43 @@ class TestMemoAndInterning:
         assert reactions([(lt, (rt(1), rt(2)))]) == [
             ("enterCritical", (agent("c1"), rt(1)))]
         assert reactions([(lt, (rt(2), rt(1)))]) == []
+
+    def test_the_dense_order_key_keeps_the_active_objects(self, ticket_spec):
+        # the same order facts in both states, but only the second one holds
+        # ticket 3: keyed by the order facts alone, it would get the first
+        # one's sequence
+        lt = lessthan_rel("Real")
+        b = Builder(ticket_spec, BuildConfig(mode=MODE_FB_FLAT))
+        s0 = b.initial_state()
+        order = Database.of((lt, (rt(x), rt(y))) for x, y in [(1, 2), (1, 3), (2, 3)])
+
+        def dense_order(*tickets):
+            dbs = dict(s0.agent_dbs)
+            dbs[agent("inst")] = s0.inst_db().apply(
+                adds=[("hasTicket", (agent("c1"), rt(t))) for t in tickets], dels=[])
+            return b._cache(make_state(dbs, order)).dense_order()
+
+        two, three = dense_order(1, 2), dense_order(1, 2, 3)
+        assert two[0]["Real"] == [rt(1), rt(2)]
+        assert two[1].facts == {(lt, (rt(1), rt(2)))}
+        assert three[0]["Real"] == [rt(1), rt(2), rt(3)]
+        assert three[1].facts == order.facts
+        # another state with the first one's key gets its answer
+        assert dense_order(2, 1) is two
+
+    def test_a_bad_roster_raises_on_every_call(self, ticket_spec):
+        b = Builder(ticket_spec, BuildConfig(mode=MODE_ABSTRACT))
+        s0 = b.initial_state()
+        dbs = dict(s0.agent_dbs)
+        dbs[agent("inst")] = s0.inst_db().apply(
+            adds=[("hasSpec", (agent("c1"), mk_symbol("spec", "instSpec")))], dels=[])
+        twice = make_state(dbs, s0.order_db)
+        for _ in range(2):
+            with pytest.raises(BuildError, match="two specs"):
+                b.current_agents(twice)
+        roster = b.current_agents(s0)
+        roster.clear()  # each caller gets its own list
+        assert [a for a, _ in b.current_agents(s0)] == [agent("c1"), agent("c2"), agent("inst")]
 
     def test_databases_are_interned(self, ticket_spec, ping_spec, registry_spec):
         builds = _dedup_builds(ticket_spec, ping_spec) + [

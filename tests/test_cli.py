@@ -7,13 +7,14 @@ from rmas.builder import BuildError
 from rmas.commitments import InconsistentOrder, ReservoirExhausted
 from rmas.queries import MissingOrderFacts
 
-from conftest import CORPUS, run_cli, ticket_with_names
+from conftest import CORPUS, prop_paths, run_cli, ticket_with_names
 
 TICKET = str(CORPUS / "ticket_mutex.rmas")
 PING = str(CORPUS / "ping.rmas")
 SAFETY = str(CORPUS / "props" / "ticket_mutex" / "safety.mlp")
 REACH_GOT = str(CORPUS / "props" / "ping" / "reach_got.mlp")
 NO_AGENTS = str(CORPUS / "props" / "ticket_mutex" / "no_agents.mlp")
+FIFO = str(CORPUS / "props" / "ticket_mutex" / "fifo.mlp")
 HALTS = str(CORPUS / "programs" / "halts.cm")
 LOOPS = str(CORPUS / "programs" / "loops.cm")
 
@@ -193,6 +194,43 @@ class TestVerify:
         assert "must be closed" in report["result"]["error"]
         assert "'g'" in report["result"]["error"]
         assert "states" not in report["result"]  # refused before the build
+
+    def test_many_properties_on_one_build(self, capsys):
+        props = [str(p) for p in prop_paths("ticket_mutex")]
+
+        def verify(*paths):
+            code = cli.main(["--report", "json", "verify", TICKET, *paths,
+                             "--mode", "abstract-recycle"])
+            return code, json.loads(capsys.readouterr().err)
+
+        code, report = verify(*props)
+        assert code == 10  # no_agents is false
+        assert report["exit"] == 10
+        assert sorted(report["inputs"]) == sorted([TICKET] + props)
+        assert "verdict" not in report["result"]
+        assert list(report["result"]["verdicts"]) == sorted(props)
+        for path in props:
+            _, one = verify(path)
+            assert report["result"]["verdicts"][path] == {
+                "verdict": one["result"]["verdict"], "iterations": one["result"]["iterations"]}
+
+    def test_many_true_properties_exit_zero(self):
+        out = run_cli("verify", TICKET, SAFETY, FIFO, "--mode", "abstract-recycle")
+        assert out.returncode == 0
+        lines = [l for l in out.stderr.decode().splitlines() if l.startswith("verdicts: ")]
+        assert [l.split()[1] for l in lines] == sorted([SAFETY, FIFO])
+        assert all(l.endswith(" verdict=True") for l in lines)
+
+    def test_every_property_parses_before_the_build(self, tmp_path, capsys):
+        bad = tmp_path / "bad.mlp"
+        bad.write_text("mu Z. (\n")
+        code = cli.main(["--report", "json", "verify", TICKET, SAFETY, str(bad),
+                         "--mode", "abstract-recycle"])
+        report = json.loads(capsys.readouterr().err)
+        assert code == report["exit"] == 2
+        assert report["result"]["error"].startswith(f"{bad}: ")
+        assert "states" not in report["result"]
+        assert cli.main(["verify", TICKET, SAFETY, str(tmp_path / "missing.mlp")]) == 1
 
     def test_counter_machine_halting_pipeline(self, tmp_path):
         spec_file = tmp_path / "cm.rmas"

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+import rmas.mucalc as mucalc
 from rmas.builder import BuildConfig, TransitionSystem, build_transition_system, make_state
 from rmas.data import Database, DataObject, mk_integer, mk_rational, mk_symbol
 from rmas.dsl import ParseError, parse_spec
@@ -24,6 +25,7 @@ from rmas.mucalc import (
     PropError,
     PTrue,
     PVar,
+    SystemTables,
     UnguardedModalVariables,
     check_closed,
     children,
@@ -455,7 +457,7 @@ def _cmp_ops(p) -> set:
     return own.union(*(_cmp_ops(c) for c in children(p)))
 
 
-DATA_SPEC = install_institutional(parse_spec("""
+DATA_SPEC_TEXT = """
 type Str string
 type Num rational with less
 type Cnt integer with succ
@@ -474,7 +476,8 @@ spec instSpec institutional {
 spec worker {
   relation W(SF)
 }
-"""))
+"""
+DATA_SPEC = install_institutional(parse_spec(DATA_SPEC_TEXT))
 
 B = mk_symbol("agent", "b")
 WORKER = mk_symbol("spec", "worker")
@@ -672,3 +675,72 @@ def _free_fixpoint_vars(p) -> set:
         return {p.name}
     inner = set().union(*(_free_fixpoint_vars(c) for c in children(p)))
     return inner - {p.var} if isinstance(p, (PMu, PNu)) else inner
+
+
+class TestSharedTables:
+    """Every check on one transition system shares its `SystemTables`; a
+    system that changed since, or a spec with other constants, gets fresh
+    ones."""
+
+    def test_six_checks_on_one_system(self, ticket_shallow, monkeypatch):
+        made = []
+
+        class Counting(SystemTables):
+            def __init__(self, ts, consts):
+                made.append(ts)
+                super().__init__(ts, consts)
+
+        monkeypatch.setattr(mucalc, "SystemTables", Counting)
+        config = BuildConfig(mode="abstract-recycle")
+        ts = build_transition_system(ticket_shallow, config)
+        props = [flatten_property(parse_property(path.read_text(), ticket_shallow))
+                 for path in prop_paths("ticket_mutex")]
+        assert len(props) == 6
+        for prop in props:
+            got = model_check(ts, ticket_shallow, prop)
+            fresh = model_check(build_transition_system(ticket_shallow, config),
+                                ticket_shallow, prop)
+            want = naive_model_check(ts, ticket_shallow, prop)
+            for other in (fresh, want):
+                assert (got.truth, got.extension, got.iterations) == \
+                    (other.truth, other.extension, other.iterations), prop
+        # one table build for ts, one for each fresh copy
+        assert sum(t is ts for t in made) == 1
+        assert len(made) == 1 + len(props)
+
+    def test_grown_or_replaced_lists_get_fresh_tables(self):
+        reach_q = parse_property("mu Z. q@inst | <>Z", PROP_SPEC)
+        ts = make_ts([(), (), ("q",)], [(0, 1)])
+        assert not model_check(ts, PROP_SPEC, reach_q).truth
+        ts.edges.append((1, 2))  # the edge list grows
+        assert model_check(ts, PROP_SPEC, reach_q).truth
+        _same_as_naive(ts, PROP_SPEC, reach_q)
+        ts.edges = [(0, 1), (1, 0)]  # replaced by one of the same length
+        assert not model_check(ts, PROP_SPEC, reach_q).truth
+        _same_as_naive(ts, PROP_SPEC, reach_q)
+        ts.states.append(prop_state("q"))  # the state list grows
+        ts.edges = ts.edges + [(1, 3)]
+        assert model_check(ts, PROP_SPEC, reach_q).truth
+        _same_as_naive(ts, PROP_SPEC, reach_q)
+        ts.states = [prop_state("q"), prop_state(), prop_state(), prop_state()]
+        assert model_check(ts, PROP_SPEC, reach_q).truth
+        _same_as_naive(ts, PROP_SPEC, reach_q)
+
+    def test_other_constants_get_fresh_tables(self):
+        # the second spec has one more Str constant, so the universe an open
+        # formula ranges over has one more object
+        more = install_institutional(parse_spec(DATA_SPEC_TEXT.replace(
+            'init { "k" }', 'init { "k", "z" }')))
+        ts = random_data_ts(random.Random(5), 3)
+        node = PNot(LocAtom("R", (Var("x"),), Const(INST)))
+        dom = (("x", "Str"),)
+        last = ModelChecker(ts, DATA_SPEC)
+        # the system keeps the tables of its last check's constants
+        for spec, shared in ((DATA_SPEC, True), (more, False), (DATA_SPEC, False)):
+            got = ModelChecker(ts, spec)
+            pairs = {(sid, c) for c, m in got.eval(node, dom, {}).items()
+                     for sid in range(len(ts.states)) if m >> sid & 1}
+            assert pairs == NaiveChecker(ts, spec).eval(node, dom, {})
+            assert (got.tables is last.tables) == shared
+            assert (DataObject("Str", "z") in got.universe["Str"]) == (spec is more)
+            last = got
