@@ -15,8 +15,6 @@ from .data import (  # noqa: F401
     Facet,
     TypedRelationSchema,
     active_domain,
-    conforms,
-    facet_member,
 )
 from .model import (  # noqa: F401
     AgentSpec,
@@ -24,4 +22,5 @@ from .model import (  # noqa: F401
     initial_data_domain,
     install_institutional,
 )
+from .queries import conforms, facet_member  # noqa: F401
 from .dsl import parse_spec, serialize_spec  # noqa: F401

@@ -35,7 +35,6 @@ from .data import (
     UNDEF,
     UnknownRelation,
     carrier_less,
-    conforms,
     mk_symbol,
 )
 from . import model as M
@@ -54,7 +53,8 @@ from .commitments import (
     enumerate_equality_commitments,
 )
 from .model import CallTerm, CommRule, RmasSpec, UpdateRule, initial_data_domain
-from .queries import CarrierOrder, Const, FactOrder, Param, Var, lessthan_rel
+from .queries import (CarrierOrder, Const, FactOrder, Param, Var, conforms, facet_member,
+                      lessthan_rel)
 from .shallow import is_accessory, is_shallow
 
 
@@ -794,8 +794,6 @@ def _order_key(reads: bool, order) -> Optional[frozenset[Fact]]:
 
 
 def _member(spec: RmasSpec, facet_name: str, obj: DataObject) -> bool:
-    from .data import facet_member
-
     return facet_member(spec.facets[facet_name], obj, spec.types)
 
 

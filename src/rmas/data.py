@@ -9,7 +9,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Iterator, Optional, Union
+from typing import TYPE_CHECKING, Iterable, Iterator, Optional, Union
+
+if TYPE_CHECKING:
+    from .queries import Query
 
 
 class Undef:
@@ -181,131 +184,21 @@ def carrier_succ(a: DataObject, b: DataObject) -> bool:
 # Facets
 
 
-class FacetFormula:
-    """Monadic formula over the single variable x and same-type constants."""
-
-    def constants(self) -> frozenset[DataObject]:
-        raise NotImplementedError
-
-    def holds(self, d: DataObject) -> bool:
-        raise NotImplementedError
-
-
-@dataclass(frozen=True)
-class FTrue(FacetFormula):
-    def constants(self) -> frozenset[DataObject]:
-        return frozenset()
-
-    def holds(self, d: DataObject) -> bool:
-        return True
-
-
-@dataclass(frozen=True)
-class FFalse(FacetFormula):
-    # Abbreviation for Not(True).
-    def constants(self) -> frozenset[DataObject]:
-        return frozenset()
-
-    def holds(self, d: DataObject) -> bool:
-        return False
-
-
-# Facet atom terms are either the bound variable x (marker string "x") or a
-# DataObject of the facet's base type.
-X = "x"
-FTerm = Union[str, DataObject]
-
-
-@dataclass(frozen=True)
-class FAtom(FacetFormula):
-    rel: str  # "eq" | "less" | "succ"
-    left: FTerm
-    right: FTerm
-
-    def constants(self) -> frozenset[DataObject]:
-        return frozenset(t for t in (self.left, self.right) if isinstance(t, DataObject))
-
-    def holds(self, d: DataObject) -> bool:
-        a = d if self.left == X else self.left
-        b = d if self.right == X else self.right
-        if self.rel == "eq":
-            return a == b
-        if self.rel == "less":
-            return carrier_less(a, b)
-        if self.rel == "succ":
-            return carrier_succ(a, b)
-        raise DataError(f"unknown facet relation {self.rel!r}")
-
-
-@dataclass(frozen=True)
-class FNot(FacetFormula):
-    body: FacetFormula
-
-    def constants(self) -> frozenset[DataObject]:
-        return self.body.constants()
-
-    def holds(self, d: DataObject) -> bool:
-        return not self.body.holds(d)
-
-
-@dataclass(frozen=True)
-class FOr(FacetFormula):
-    left: FacetFormula
-    right: FacetFormula
-
-    def constants(self) -> frozenset[DataObject]:
-        return self.left.constants() | self.right.constants()
-
-    def holds(self, d: DataObject) -> bool:
-        return self.left.holds(d) or self.right.holds(d)
-
-
-@dataclass(frozen=True)
-class FAnd(FacetFormula):
-    # Abbreviation for Not(Or(Not, Not)).
-    left: FacetFormula
-    right: FacetFormula
-
-    def constants(self) -> frozenset[DataObject]:
-        return self.left.constants() | self.right.constants()
-
-    def holds(self, d: DataObject) -> bool:
-        return self.left.holds(d) and self.right.holds(d)
-
-
 @dataclass(frozen=True)
 class Facet:
-    """A data type restricted by a monadic formula; base facet = True."""
+    """A data type restricted by a formula: a typed query over the variable
+    x, or None for the base facet.  `queries.facet_member` decides
+    membership and keeps its answers in `memo`, by object."""
 
     name: str
     base_type: str
-    formula: FacetFormula = field(default_factory=FTrue)
+    formula: Optional[Query] = None
     initial_objects: frozenset[DataObject] = frozenset()
+    memo: dict[DataObject, bool] = field(default_factory=dict, init=False, repr=False,
+                                         compare=False)
 
     def is_base(self) -> bool:
-        return isinstance(self.formula, FTrue)
-
-    def all_initial_objects(self) -> frozenset[DataObject]:
-        return self.initial_objects | self.formula.constants()
-
-
-def facet_member(facet: Facet, d: DataObject, types: dict[str, DataTypeDef]) -> bool:
-    """Membership of a data object in a facet.
-
-    A type mismatch is a defined False, not an error.  The undef object of a
-    type belongs to every facet of that type (buffered payload slots rely on
-    this).
-    """
-    if d.type_name != facet.base_type:
-        return False
-    t = types.get(facet.base_type)
-    if t is None:
-        return False
-    if not literal_matches_carrier(d.value, t.carrier):
-        return False
-    if d.is_undef():
-        return True
-    return facet.formula.holds(d)
+        return self.formula is None
 
 
 # ---------------------------------------------------------------------------
@@ -375,31 +268,6 @@ class Database:
 
     def canonical(self) -> list[Fact]:
         return sorted(self.facts, key=fact_key)
-
-
-def conforms(
-    schema: dict[str, TypedRelationSchema],
-    db: Database,
-    facets: dict[str, Facet],
-    types: dict[str, DataTypeDef],
-) -> list[Violation]:
-    """Check every fact component against its component facet.
-
-    Returns one violation per offending (fact, position); raises
-    UnknownRelation if a fact's relation is not in the schema.
-    """
-    out: list[Violation] = []
-    for fact in sorted(db.facts, key=fact_key):
-        rel, args = fact
-        rs = schema.get(rel)
-        if rs is None:
-            raise UnknownRelation(f"relation {rel!r} not in schema")
-        if len(args) != rs.arity:
-            raise UnknownRelation(f"fact {rel!r} has arity {len(args)}, schema says {rs.arity}")
-        for i, (obj, fname) in enumerate(zip(args, rs.facets), start=1):
-            if not facet_member(facets[fname], obj, types):
-                out.append(Violation(fact, i, fname))
-    return out
 
 
 def active_domain(dbs: Iterable[Database], t: DataTypeDef) -> set[DataObject]:

@@ -31,16 +31,8 @@ from .data import (
     DataObject,
     DataTypeDef,
     Facet,
-    FacetFormula,
-    FAnd,
-    FAtom,
-    FFalse,
-    FNot,
-    FOr,
-    FTrue,
     TypedRelationSchema,
     UNDEF,
-    X,
     builtin_types,
     literal_matches_carrier,
     mk_symbol,
@@ -329,52 +321,41 @@ class QueryParser:
 
 
 # ---------------------------------------------------------------------------
-# Facet formula parsing (restricted query over the single variable x)
+# Facet formulas: queries over the single variable x
 
 
-def facet_formula_from_query(q: Query, base_type: str, types: dict[str, DataTypeDef]) -> FacetFormula:
+def facet_query(q: Query, base_type: str, types: dict[str, DataTypeDef]) -> Optional[Query]:
+    """A parsed facet formula as a typed query over x, None for `true`.
+
+    Only true, =, <, succ, !, & and | over x and literals of the base type
+    are allowed; each literal is resolved at the base type, and each & and
+    | is kept with two parts, nested to the left.
+    """
     tdef = types[base_type]
 
-    def conv_term(t: Term):
-        if isinstance(t, Var):
-            if t.name != "x":
-                raise ResolutionError(f"facet formulas may only use the variable x, found {t.name!r}")
-            return X
-        if isinstance(t, Const):
-            obj = _resolve_literal(t.obj, base_type, types)
-            return obj
-        raise ResolutionError("facet formulas may not use parameters")
+    def term(t: Term) -> Term:
+        if isinstance(t, Var) and t.name != "x":
+            raise ResolutionError(f"facet formulas may only use the variable x, found {t.name!r}")
+        return t if isinstance(t, Var) else Const(_resolve_literal(t.obj, base_type, types))
 
-    def conv(q: Query) -> FacetFormula:
-        if isinstance(q, Q.TrueQ):
-            return FTrue()
-        if isinstance(q, Q.EqAtom):
-            return FAtom("eq", conv_term(q.left), conv_term(q.right))
-        if isinstance(q, Q.LessAtom):
-            if not tdef.has_less:
-                raise ResolutionError(f"type {base_type!r} has no dense order")
-            return FAtom("less", conv_term(q.left), conv_term(q.right))
-        if isinstance(q, Q.SuccAtom):
-            if not tdef.has_succ:
-                raise ResolutionError(f"type {base_type!r} has no successor relation")
-            return FAtom("succ", conv_term(q.left), conv_term(q.right))
-        if isinstance(q, Q.Not):
-            if isinstance(q.body, Q.TrueQ):
-                return FFalse()
-            return FNot(conv(q.body))
-        if isinstance(q, Q.Or):
+    def conv(q: Query) -> Query:
+        if isinstance(q, Q.LessAtom) and not tdef.has_less:
+            raise ResolutionError(f"type {base_type!r} has no dense order")
+        if isinstance(q, Q.SuccAtom) and not tdef.has_succ:
+            raise ResolutionError(f"type {base_type!r} has no successor relation")
+        if isinstance(q, (Q.And, Q.Or)):
             out = conv(q.parts[0])
             for p in q.parts[1:]:
-                out = FOr(out, conv(p))
+                out = type(q)((out, conv(p)))
             return out
-        if isinstance(q, Q.And):
-            out = conv(q.parts[0])
-            for p in q.parts[1:]:
-                out = FAnd(out, conv(p))
-            return out
+        if isinstance(q, (Q.TrueQ, Q.Not, Q.EqAtom, Q.LessAtom, Q.SuccAtom)):
+            return Q.rebuild(q, conv, term)
         raise ResolutionError("facet formulas allow only true, atoms, !, &, |")
 
-    return conv(q)
+    if isinstance(q, Q.TrueQ):
+        return None
+    ctx = Q.SchemaContext({}, {}, types)
+    return Q.typecheck_query(conv(q), ctx, seed_types={"x": base_type})[0]
 
 
 def _resolve_literal(obj: DataObject, type_name: str, types: dict[str, DataTypeDef]) -> DataObject:
@@ -506,11 +487,9 @@ class SpecParser:
         base = ts.expect_ident().value
         if base not in self.types:
             raise ResolutionError(f"unknown type {base!r}", tok.line, tok.col)
-        formula: FacetFormula = FTrue()
+        formula = None
         if ts.accept(":"):
-            qp = QueryParser(ts)
-            raw = qp.parse_query()
-            formula = facet_formula_from_query(raw, base, self.types)
+            formula = facet_query(QueryParser(ts).parse_query(), base, self.types)
         seeds: set[DataObject] = set()
         if ts.accept("init"):
             ts.expect("{")
@@ -524,7 +503,9 @@ class SpecParser:
                 else:
                     raise ParseError(f"expected literal, found {t.value!r}", t.line, t.col)
                 ts.accept(",")
-        facet = Facet(tok.value, base, formula, frozenset(seeds) | formula.constants())
+        if formula is not None:
+            seeds |= Q.constants(formula)
+        facet = Facet(tok.value, base, formula, frozenset(seeds))
         self._declare(self.facets, tok.value, facet, "facet", tok)
         ts.end_statement()
 
@@ -1077,28 +1058,6 @@ def _query_str(q: Query, prec: int = 0) -> str:
     raise ValueError(f"unknown query node {q!r}")
 
 
-def _facet_formula_str(f: FacetFormula) -> str:
-    if isinstance(f, FTrue):
-        return "true"
-    if isinstance(f, FFalse):
-        return "false"
-    if isinstance(f, FAtom):
-        def side(t):
-            return "x" if t == X else _lit(t)
-        if f.rel == "eq":
-            return f"{side(f.left)} = {side(f.right)}"
-        if f.rel == "less":
-            return f"{side(f.left)} < {side(f.right)}"
-        return f"succ({side(f.left)}, {side(f.right)})"
-    if isinstance(f, FNot):
-        return "!(" + _facet_formula_str(f.body) + ")"
-    if isinstance(f, FOr):
-        return f"({_facet_formula_str(f.left)} | {_facet_formula_str(f.right)})"
-    if isinstance(f, FAnd):
-        return f"({_facet_formula_str(f.left)} & {_facet_formula_str(f.right)})"
-    raise ValueError(f"unknown facet formula {f!r}")
-
-
 def serialize_spec(spec: RmasSpec) -> str:
     """Render a specification back to `.rmas` text.
 
@@ -1128,9 +1087,10 @@ def serialize_spec(spec: RmasSpec) -> str:
         if name in (M.AGENT_FACET, M.SPEC_FACET):
             continue
         s = f"facet {name} of {facet.base_type}"
+        seeds = facet.initial_objects
         if not facet.is_base():
-            s += f": {_facet_formula_str(facet.formula)}"
-        seeds = facet.initial_objects - facet.formula.constants()
+            s += f": {_query_str(facet.formula, 3)}"
+            seeds -= Q.constants(facet.formula)
         if seeds:
             lits = ", ".join(_lit(o) for o in sorted(seeds, key=DataObject.sort_key))
             s += f" init {{ {lits} }}"

@@ -23,14 +23,10 @@ from .data import (
     DataObject,
     DataTypeDef,
     Facet,
-    FAtom,
-    FOr,
-    FTrue,
     INTEGER,
     RATIONAL,
     STRING,
     TypedRelationSchema,
-    X,
     builtin_types,
     mk_integer,
     mk_string,
@@ -142,8 +138,8 @@ def counter_machine_to_rmas(prog: CounterProgram) -> RmasSpec:
     facets = {
         M.AGENT_FACET: Facet(M.AGENT_FACET, AGENT_TYPE),
         M.SPEC_FACET: Facet(M.SPEC_FACET, "spec"),
-        ZF: Facet(ZF, INT_TYPE, FTrue(),
-                  frozenset(mk_integer(INT_TYPE, i) for i in range(k + 1))),
+        ZF: Facet(ZF, INT_TYPE,
+                  initial_objects=frozenset(mk_integer(INT_TYPE, i) for i in range(k + 1))),
     }
     services = {"input": ServiceDef("input", (), ZF)}
     messages = {"go": MessageDef("go", ())}
@@ -303,10 +299,10 @@ def async_to_sync(spec: RmasSpec, mode: str = ASYNC_DISORDERED) -> RmasSpec:
 
     facets = dict(spec.facets)
     facets[MSGID_FACET] = Facet(MSGID_FACET, MSGID_TYPE)
-    flag_formula = FOr(FAtom("eq", X, mk_string(FLAG_TYPE, "t")),
-                       FAtom("eq", X, mk_string(FLAG_TYPE, "f")))
-    facets[FLAG_FACET] = Facet(FLAG_FACET, FLAG_TYPE, flag_formula,
-                               flag_formula.constants())
+    flags = (mk_string(FLAG_TYPE, "t"), mk_string(FLAG_TYPE, "f"))
+    facets[FLAG_FACET] = Facet(FLAG_FACET, FLAG_TYPE,
+                               Q.Or(tuple(Q.EqAtom(Var("x"), Const(o)) for o in flags)),
+                               frozenset(flags))
     base_by_type: dict[str, str] = {}
     for fname, f in facets.items():
         if f.is_base() and f.base_type not in base_by_type:

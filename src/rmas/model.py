@@ -19,7 +19,6 @@ from .data import (
     DataObject,
     DataTypeDef,
     Facet,
-    FTrue,
     TypedRelationSchema,
     builtin_types,
     mk_symbol,
@@ -193,7 +192,9 @@ def spec_constants(spec: RmasSpec) -> set[DataObject]:
     """Every data object textually mentioned anywhere in the specification."""
     out: set[DataObject] = set()
     for f in spec.facets.values():
-        out |= f.all_initial_objects()
+        out |= f.initial_objects
+        if not f.is_base():
+            out |= Q.constants(f.formula)
     for ag in spec.agent_specs.values():
         for _, args in ag.initial_db:
             out |= set(args)

@@ -22,6 +22,7 @@ its active domain and sorted quantifier ranges, each built on first use.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Optional, Union
 
@@ -31,8 +32,12 @@ from .data import (
     DataTypeDef,
     TypedRelationSchema,
     Facet,
+    UnknownRelation,
+    Violation,
     carrier_less,
     carrier_succ,
+    fact_key,
+    literal_matches_carrier,
 )
 
 
@@ -250,11 +255,6 @@ def free_vars(q: Query) -> set[str]:
 
 def constants(q: Query) -> set[DataObject]:
     return {t.obj for a in atoms(q) for t in atom_terms(a) if isinstance(t, Const)}
-
-
-def substitute_params(q: Query, values: dict[str, DataObject]) -> Query:
-    return map_terms(q, lambda t: Const(values[t.name])
-                     if isinstance(t, Param) and t.name in values else t)
 
 
 def map_terms(q: Query, f: Callable[[Term], Term]) -> Query:
@@ -1087,6 +1087,64 @@ def eval_query(
     if not isinstance(db, DbIndex):
         db = DbIndex(db, const_domain or {})
     return q.answers(db, order, binding, params or {})
+
+
+# ---------------------------------------------------------------------------
+# Facets: membership and conformance
+
+_NO_FACTS = DbIndex(Database(), {})
+
+
+@lru_cache(maxsize=None)
+def _facet_plan(formula: Query, type_name: str) -> Plan:
+    return compile_query(formula, {"x": type_name}, ("x",))
+
+
+def facet_member(facet: Facet, d: DataObject, types: dict[str, DataTypeDef]) -> bool:
+    """Membership of a data object in a facet.
+
+    A type mismatch is a defined False, not an error.  The undef object of a
+    type belongs to every facet of that type (buffered payload slots rely on
+    this).  Otherwise the formula's plan, compiled once, tests d as x against
+    no facts with the rigid carrier order, once per facet and object.
+    """
+    if d.type_name != facet.base_type:
+        return False
+    t = types.get(facet.base_type)
+    if t is None or not literal_matches_carrier(d.value, t.carrier):
+        return False
+    if d.is_undef() or facet.formula is None:
+        return True
+    hit = facet.memo.get(d)
+    if hit is None:
+        plan = _facet_plan(facet.formula, facet.base_type)
+        hit = facet.memo[d] = bool(plan.answers(_NO_FACTS, _CARRIER, {"x": d}, {}))
+    return hit
+
+
+def conforms(
+    schema: dict[str, TypedRelationSchema],
+    db: Database,
+    facets: dict[str, Facet],
+    types: dict[str, DataTypeDef],
+) -> list[Violation]:
+    """Check every fact component against its component facet.
+
+    Returns one violation per offending (fact, position); raises
+    UnknownRelation if a fact's relation is not in the schema.
+    """
+    out: list[Violation] = []
+    for fact in sorted(db.facts, key=fact_key):
+        rel, args = fact
+        rs = schema.get(rel)
+        if rs is None:
+            raise UnknownRelation(f"relation {rel!r} not in schema")
+        if len(args) != rs.arity:
+            raise UnknownRelation(f"fact {rel!r} has arity {len(args)}, schema says {rs.arity}")
+        for i, (obj, fname) in enumerate(zip(args, rs.facets), start=1):
+            if not facet_member(facets[fname], obj, types):
+                out.append(Violation(fact, i, fname))
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import replace
 
-from .data import Facet, FAnd, FAtom, FFalse, FNot, FOr, FTrue, FacetFormula, TypedRelationSchema, X
+from .data import Facet, TypedRelationSchema
 from . import model as M
 from . import queries as Q
 from .model import (
@@ -25,7 +25,7 @@ from .model import (
     UpdateEffect,
     UpdateRule,
 )
-from .queries import Const, Query, Var
+from .queries import Query, Var
 
 
 INPUT_PREFIX = "__input_"
@@ -47,33 +47,6 @@ def is_shallow(spec: RmasSpec) -> bool:
     for msg in spec.messages.values():
         used.update(msg.payload_facets)
     return all(spec.facets[f].is_base() for f in used)
-
-
-def formula_query(formula: FacetFormula, var: str, type_name: str) -> Query:
-    """Translate a monadic facet formula into a query over the variable."""
-
-    def term(t):
-        return Var(var) if t == X else Const(t)
-
-    if isinstance(formula, FTrue):
-        return Q.TrueQ()
-    if isinstance(formula, FFalse):
-        return Q.q_false()
-    if isinstance(formula, FAtom):
-        if formula.rel == "eq":
-            return Q.EqAtom(term(formula.left), term(formula.right))
-        if formula.rel == "less":
-            return Q.LessAtom(type_name, term(formula.left), term(formula.right))
-        return Q.SuccAtom(term(formula.left), term(formula.right))
-    if isinstance(formula, FNot):
-        return Q.Not(formula_query(formula.body, var, type_name))
-    if isinstance(formula, FOr):
-        return Q.q_or(formula_query(formula.left, var, type_name),
-                      formula_query(formula.right, var, type_name))
-    if isinstance(formula, FAnd):
-        return Q.q_and(formula_query(formula.left, var, type_name),
-                       formula_query(formula.right, var, type_name))
-    raise ValueError(f"unknown facet formula {formula!r}")
 
 
 def input_rel(service: str) -> str:
@@ -113,9 +86,11 @@ class _Compiler:
         for fname, f in self.spec.facets.items():
             bname = self.base_name(f.base_type)
             prev = out.get(bname)
-            seeds = f.all_initial_objects()
+            seeds = set(f.initial_objects)
+            if not f.is_base():
+                seeds |= Q.constants(f.formula)
             if prev is None:
-                out[bname] = Facet(bname, f.base_type, FTrue(), frozenset(seeds))
+                out[bname] = Facet(bname, f.base_type, initial_objects=frozenset(seeds))
             else:
                 out[bname] = replace(prev, initial_objects=prev.initial_objects | seeds)
         return out
@@ -128,11 +103,9 @@ class _Compiler:
         if f.is_base():
             return Q.TrueQ()
         if isinstance(var_or_term, Var):
-            return formula_query(f.formula, var_or_term.name, f.base_type)
+            return Q.map_free(f.formula, lambda x: var_or_term)
         # ground argument: the membership test is decidable right now
-        from .data import facet_member
-
-        if facet_member(f, var_or_term.obj, self.spec.types):
+        if Q.facet_member(f, var_or_term.obj, self.spec.types):
             return Q.TrueQ()
         return Q.q_false()
 

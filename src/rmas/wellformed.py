@@ -11,11 +11,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .data import AGENT_TYPE, conforms, UnknownRelation
+from .data import AGENT_TYPE, UnknownRelation
 from . import model as M
 from . import queries as Q
 from .model import AgentSpec, RmasSpec, CallTerm, FactTemplate
-from .queries import CarrierOrder, IncompatibleQuery, Param, Var
+from .queries import CarrierOrder, IncompatibleQuery, Param, Var, conforms
 
 
 @dataclass(frozen=True)

@@ -83,6 +83,12 @@ def naive_eval(q, db: Database, order, var_types, const_domain, binding=None):
     return out
 
 
+def substitute_params(q, values: dict[str, DataObject]):
+    """q with each parameter named in `values` replaced by its constant."""
+    return Q.map_terms(q, lambda t: Q.Const(values[t.name])
+                       if isinstance(t, Q.Param) and t.name in values else t)
+
+
 def _naive_holds(q, db, order, const_domain, theta) -> bool:
     from rmas.data import carrier_less, carrier_succ
 

@@ -2,9 +2,10 @@ import json
 
 import pytest
 
-from rmas import cli
+from rmas import cli, queries as Q
 from rmas.builder import BuildError
 from rmas.commitments import InconsistentOrder, ReservoirExhausted
+from rmas.dsl import parse_spec
 from rmas.queries import MissingOrderFacts
 
 from conftest import CORPUS, prop_paths, run_cli, ticket_with_names
@@ -33,6 +34,27 @@ spec instSpec institutional {{
   {enable} enables swap(a, b) to t
   on swap(a, b) from s if {cond} then note(a)
 }}
+"""
+
+
+NOTE = """
+type Str string
+facet GreetF of Str: x = "hi" | x = "yo"
+message ping(GreetF)
+agent alice : pinger
+agent bob : ponger
+
+spec pinger {
+  relation Got(GreetF)
+  t = bob & g = "hi" enables ping(g) to t
+  action note(p: GreetF) {
+    x = p & !Got(x) ~> add { Got(x) }
+  }
+  on ping(g) to t if true then note(g)
+}
+
+spec ponger {
+}
 """
 
 
@@ -171,6 +193,49 @@ class TestBuild:
                       "--out", str(out_file), "--format", "dot")
         assert out.returncode == 0
         assert out_file.read_text().startswith("digraph")
+
+    def test_guard_variable_typed_only_by_a_parameter(self, tmp_path):
+        # x is free in the guard of note and typed by nothing but `x = p`:
+        # no message or rule types it, so the build must infer it
+        spec = tmp_path / "note.rmas"
+        spec.write_text(NOTE)
+        out = run_cli("build", str(spec), "--mode", "abstract-recycle")
+        assert out.returncode == 0, out.stderr
+        assert b"states: 2\n" in out.stderr
+
+
+class TestFacetFormulas:
+    """A facet formula is a query over x with =, <, succ, !, & and |; every
+    other formula is refused with exit 2 and the reason."""
+
+    TYPES = "type T string\ntype R rational with less\ntype I integer\n"
+
+    def run(self, tmp_path, facet):
+        spec = tmp_path / "facet.rmas"
+        spec.write_text(self.TYPES + facet + "\n")
+        return str(spec), run_cli("check", str(spec))
+
+    @pytest.mark.parametrize("facet, message", [
+        ('facet F of T: y = "a"', "facet formulas may only use the variable x, found 'y'"),
+        ("facet F of T: R(x)", "facet formulas allow only true, atoms, !, &, |"),
+        ("facet F of T: exists y. x = y", "facet formulas allow only true, atoms, !, &, |"),
+        ("facet F of T: x = _", "facet formulas allow only true, atoms, !, &, |"),
+        ('facet F of T: x < "a"', "type 'T' has no dense order"),
+        ("facet F of I: succ(x, 1)", "type 'I' has no successor relation"),
+    ])
+    def test_refused(self, tmp_path, facet, message):
+        path, out = self.run(tmp_path, facet)
+        assert out.returncode == 2
+        assert f"error: {path}: {message}\n".encode() in out.stderr
+
+    def test_comparison_of_literals_on_an_ordered_type(self, tmp_path):
+        assert self.run(tmp_path, "facet F of R: 1 < 2")[1].returncode == 0
+        (less,) = Q.atoms(parse_spec(self.TYPES + "facet F of R: 1 < 2\n").facets["F"].formula)
+        assert less.type_name == "R"
+
+    def test_true_is_a_base_facet(self, tmp_path):
+        assert self.run(tmp_path, "facet F of T: true")[1].returncode == 0
+        assert parse_spec(self.TYPES + "facet F of T: true\n").facets["F"].is_base()
 
 
 class TestVerify:

@@ -3,32 +3,26 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from rmas import queries as Q
 from rmas.data import (
     Database,
     DataObject,
     DataTypeDef,
     DataError,
     Facet,
-    FAnd,
-    FAtom,
-    FFalse,
-    FNot,
-    FOr,
-    FTrue,
     TypedRelationSchema,
     UNDEF,
     UnknownRelation,
-    X,
     active_domain,
     builtin_types,
     carrier_less,
-    conforms,
-    facet_member,
     mk_rational,
     mk_string,
     mk_symbol,
     mk_undef,
 )
+from rmas.model import RmasSpec, initial_data_domain
+from rmas.queries import Const, Var, conforms, facet_member
 
 STR = DataTypeDef("Str", "string")
 RAT = DataTypeDef("Rat", "rational", has_less=True)
@@ -43,14 +37,26 @@ def r(v):
     return mk_rational("Rat", Fraction(v))
 
 
-BOOL = Facet("Bool", "Str", FOr(FAtom("eq", X, s("t")), FAtom("eq", X, s("f"))),
+X = Var("x")
+
+
+def eq(a, b):
+    return Q.EqAtom(a, b)
+
+
+def less(a, b):
+    return Q.LessAtom("Rat", a, b)
+
+
+BOOL = Facet("Bool", "Str", Q.Or((eq(X, Const(s("t"))), eq(X, Const(s("f"))))),
              frozenset({s("t"), s("f")}))
 BASE_STR = Facet("SF", "Str")
-# ages of juniors (0 < x < 18) or seniors (x > 65)
+# ages of juniors (0 < x < 18) or seniors (x > 65); the formula's constants
+# are not among the initial objects
 AGE = Facet(
     "Age", "Rat",
-    FOr(FAnd(FAtom("less", r(0), X), FAtom("less", X, r(18))),
-        FAtom("less", r(65), X)),
+    Q.Or((Q.And((less(Const(r(0)), X), less(X, Const(r(18))))),
+          less(Const(r(65)), X))),
 )
 
 
@@ -84,44 +90,46 @@ class TestFacetMember:
         assert not facet_member(BOOL, mk_undef("Rat"), TYPES)
 
 
+    def test_formula_constants_join_the_initial_data_domain(self):
+        spec = RmasSpec(types=TYPES, facets={"Age": AGE}, services={}, messages={},
+                        agent_specs={}, institutional="inst")
+        assert initial_data_domain(spec)["Rat"] == {r(0), r(18), r(65)}
+
+
 # brute-force facet evaluator used as an oracle on random formulas
 def eval_formula_oracle(f, d):
-    if isinstance(f, FTrue):
+    if isinstance(f, Q.TrueQ):
         return True
-    if isinstance(f, FFalse):
-        return False
-    if isinstance(f, FNot):
+    if isinstance(f, Q.Not):
         return not eval_formula_oracle(f.body, d)
-    if isinstance(f, FOr):
-        return eval_formula_oracle(f.left, d) or eval_formula_oracle(f.right, d)
-    if isinstance(f, FAnd):
-        return eval_formula_oracle(f.left, d) and eval_formula_oracle(f.right, d)
-    a = d if f.left == X else f.left
-    b = d if f.right == X else f.right
-    if f.rel == "eq":
+    if isinstance(f, Q.Or):
+        return any(eval_formula_oracle(p, d) for p in f.parts)
+    if isinstance(f, Q.And):
+        return all(eval_formula_oracle(p, d) for p in f.parts)
+    a = d if f.left == X else f.left.obj
+    b = d if f.right == X else f.right.obj
+    if isinstance(f, Q.EqAtom):
         return a == b
-    if f.rel == "less":
+    if isinstance(f, Q.LessAtom):
         return not a.is_undef() and not b.is_undef() and a.value < b.value or (
             a.is_undef() and not b.is_undef())
     raise AssertionError
 
 
-consts = st.integers(min_value=-3, max_value=3).map(lambda v: r(v))
+consts = st.integers(min_value=-3, max_value=3).map(lambda v: Const(r(v)))
 terms = st.one_of(st.just(X), consts)
+atoms = st.one_of(st.builds(eq, terms, terms), st.builds(less, terms, terms))
 
 
 def formulas(depth: int):
     if depth == 0:
-        return st.one_of(
-            st.just(FTrue()),
-            st.builds(FAtom, st.sampled_from(["eq", "less"]), terms, terms),
-        )
+        return st.one_of(st.just(Q.TrueQ()), atoms)
     sub = formulas(depth - 1)
     return st.one_of(
-        st.builds(FAtom, st.sampled_from(["eq", "less"]), terms, terms),
-        st.builds(FNot, sub),
-        st.builds(FOr, sub, sub),
-        st.builds(FAnd, sub, sub),
+        atoms,
+        st.builds(Q.Not, sub),
+        st.builds(lambda a, b: Q.Or((a, b)), sub, sub),
+        st.builds(lambda a, b: Q.And((a, b)), sub, sub),
     )
 
 

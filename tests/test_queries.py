@@ -33,7 +33,7 @@ from rmas.queries import (
 
 from rmas.mucalc import CmpAtom, flatten_property
 
-from oracles import naive_eval
+from oracles import naive_eval, substitute_params
 
 STR = DataTypeDef("Str", "string")
 RAT = DataTypeDef("Rat", "rational", has_less=True)
@@ -449,7 +449,7 @@ def test_parameter_slots_match_substitution():
         plan = Q.compile_query(q, types)
         for _ in range(2):
             values = {"p": rng.choice([r(0), r(2), r(7)]), "ps": rng.choice([s("a"), s("b")])}
-            ground = Q.substitute_params(q, values)
+            ground = substitute_params(q, values)
             got = eval_query(plan, db, CarrierOrder(), const_domain=CONSTS, params=values)
             assert canon(got) == canon(naive_eval(ground, db, CarrierOrder(), types, CONSTS)), q
             assert canon(got) == canon(eval_query(ground, db, CarrierOrder(), types, CONSTS))

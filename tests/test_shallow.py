@@ -4,7 +4,7 @@ from rmas import queries as Q
 from rmas.dsl import parse_spec, serialize_spec
 from rmas.model import install_institutional
 from rmas.queries import Var
-from rmas.shallow import compile_shallow, formula_query, input_rel, is_shallow, output_rel
+from rmas.shallow import compile_shallow, input_rel, is_shallow, output_rel
 from rmas.wellformed import check_well_formed
 
 from conftest import load_corpus
@@ -118,12 +118,20 @@ spec instSpec institutional {
 
 class TestFormulaQuery:
     def test_translation_shapes(self):
-        from rmas.data import FAtom, FOr, FTrue, mk_rational, X
-
-        f = FOr(FAtom("less", mk_rational("Num", 65), X), FAtom("eq", X, mk_rational("Num", 0)))
-        q = formula_query(f, "v", "Num")
-        assert isinstance(q, Q.Or)
-        less, eq = q.parts
-        assert isinstance(less, Q.LessAtom) and less.right == Var("v")
+        spec = install_institutional(parse_spec(
+            "type Num rational with less\n"
+            "facet F of Num: 65 < x | x = 0\n"
+            "facet NF of Num\n"
+            "message m(F, NF)\n"
+            "agent a : s\n"
+            "spec s {\n  relation R(NF)\n  R(v) & R(w) & t = a enables m(v, w) to t\n}\n"))
+        rule = compile_shallow(spec).agent_specs["s"].comm_rules[0]
+        # F's formula is renamed onto the payload variable v; the base facet
+        # NF of w adds no conjunct
+        original, check = rule.query.parts
+        assert original == spec.agent_specs["s"].comm_rules[0].query
+        assert isinstance(check, Q.Or)
+        less, eq = check.parts
+        assert isinstance(less, Q.LessAtom) and less.type_name == "Num"
+        assert less.right == Var("v")
         assert isinstance(eq, Q.EqAtom) and eq.left == Var("v")
-        assert formula_query(FTrue(), "v", "Num") == Q.TrueQ()
