@@ -897,19 +897,22 @@ def export_jsonl(ts: TransitionSystem) -> bytes:
             texts[id(db)] = json.dumps(_db_json(db), sort_keys=True)
         return texts[id(db)]
 
+    # each line is encoded as soon as it is written, so the text of the
+    # whole export is held once, as bytes
     lines = [json.dumps({
         "kind": "meta", "mode": ts.mode, "initial": ts.initial,
         "truncated": ts.truncated, "stats": ts.stats,
-    }, sort_keys=True)]
+    }, sort_keys=True).encode()]
     for i, s in enumerate(ts.states):
         # what json.dumps(record, sort_keys=True) writes, keys in sorted order
         agents = ", ".join(f"[{json.dumps(_obj_json(name), sort_keys=True)}, {db_text(db)}]"
                            for name, db in s.agent_dbs)
         order = "" if s.order_db is None else f', "order": {db_text(s.order_db)}'
-        lines.append(f'{{"agents": [{agents}], "id": {i}, "kind": "state"{order}}}')
+        lines.append(f'{{"agents": [{agents}], "id": {i}, "kind": "state"{order}}}'.encode())
     for (a, b) in ts.edges:
-        lines.append(json.dumps({"kind": "edge", "src": a, "dst": b}, sort_keys=True))
-    return ("\n".join(lines) + "\n").encode()
+        lines.append(json.dumps({"kind": "edge", "src": a, "dst": b}, sort_keys=True).encode())
+    lines.append(b"")  # the export ends with a newline
+    return b"\n".join(lines)
 
 
 def import_jsonl(data: bytes) -> TransitionSystem:

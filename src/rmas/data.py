@@ -1,7 +1,9 @@
 """Typed data objects, facets, relation schemas, and database instances.
 
 Every value in the system is a DataObject tagged with the name of its data
-type; domains of distinct types are disjoint by construction.  Rationals are
+type; domains of distinct types are disjoint by construction.  Data objects
+are interned: there is one object per (type name, literal) pair, so facts
+and databases compare and hash their arguments by identity.  Rationals are
 exact fractions (midpoint arguments for dense orders must never round).
 """
 
@@ -82,32 +84,46 @@ def builtin_types() -> dict[str, DataTypeDef]:
     }
 
 
-@dataclass(frozen=True, slots=True)
-class DataObject:
-    """A typed constant.  Equality is (type, literal) equality.
+# one table per type name, from literal to the object: equal literals (as
+# Python compares them, so 1 and Fraction(1), or Fraction(1, 2) and
+# Fraction(2, 4)) find the same entry
+_OBJECTS: dict[str, dict[Literal, "DataObject"]] = {}
 
-    Objects are hashed and sorted far more often than they are created, so
-    the hash and the sort key are each computed once, on first use.
+
+class DataObject:
+    """A typed constant, hash-consed: there is one object per (type name,
+    literal) pair, so equality and hashing are the built-in identity ones.
+
+    The constructor returns the object already made for an equal pair, if
+    any; the first literal given for it is the one kept.  Objects are
+    immutable, and copying or pickling one gives back the same object.  The
+    sort key is computed once, on first use.
     """
+
+    __slots__ = ("type_name", "value", "_key")
 
     type_name: str
     value: Literal
-    _hash: Optional[int] = field(default=None, init=False, repr=False, compare=False)
-    _key: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
 
-    def __hash__(self) -> int:
-        h = self._hash
-        if h is None:
-            h = hash((self.type_name, self.value))
-            object.__setattr__(self, "_hash", h)
-        return h
+    def __new__(cls, type_name: str, value: Literal) -> "DataObject":
+        table = _OBJECTS.get(type_name)
+        if table is None:
+            table = _OBJECTS[type_name] = {}
+        obj = table.get(value)
+        if obj is None:
+            obj = object.__new__(cls)
+            init = object.__setattr__
+            init(obj, "type_name", type_name)
+            init(obj, "value", value)
+            init(obj, "_key", None)
+            table[value] = obj
+        return obj
 
-    def __eq__(self, other) -> bool:
-        if self is other:
-            return True
-        if other.__class__ is not DataObject:
-            return NotImplemented
-        return self.type_name == other.type_name and self.value == other.value
+    def __setattr__(self, name, value) -> None:
+        raise AttributeError(f"DataObject is immutable: cannot set {name!r}")
+
+    def __reduce__(self):
+        return (DataObject, (self.type_name, self.value))
 
     def is_undef(self) -> bool:
         return isinstance(self.value, Undef)

@@ -34,7 +34,6 @@ from .data import (
     TypedRelationSchema,
     UNDEF,
     builtin_types,
-    literal_matches_carrier,
     mk_symbol,
     mk_undef,
 )

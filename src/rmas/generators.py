@@ -13,14 +13,12 @@ arbitrarily in disordered mode.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass, replace
 from typing import Union
 
 from .data import (
     AGENT_TYPE,
     Database,
-    DataObject,
     DataTypeDef,
     Facet,
     INTEGER,

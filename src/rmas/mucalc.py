@@ -647,19 +647,25 @@ class SystemTables:
                     if test(a, b):
                         rows[row] = self.full
                 return names, rows
-            # lessfact: the state's lessThan facts between universe objects
+            # lessfact: the state's lessThan facts between universe objects;
+            # states share interned order databases, so each distinct one is
+            # read once, with the mask of the states that hold it
             members = set(pool)
             rel = lessthan_rel(atom.type_name)
+            orders: dict[int, list] = {}  # id(order_db) -> [order_db, states]
             for sid, s in enumerate(self.states):
-                if s.order_db is None:
-                    continue
-                bit = 1 << sid
-                for pair in s.order_db.facts_for(rel):
+                if s.order_db is not None:
+                    got = orders.get(id(s.order_db))
+                    if got is None:
+                        got = orders[id(s.order_db)] = [s.order_db, 0]
+                    got[1] |= 1 << sid
+            for order_db, states in orders.values():
+                for pair in order_db.facts_for(rel):
                     if pair[0] == pair[1]:
                         continue
                     row = _match(names, sides, pair)
                     if row is not None and members.issuperset(row):
-                        rows[row] = rows.get(row, 0) | bit
+                        rows[row] = rows.get(row, 0) | states
             return names, rows
         raise PropError(f"not an atom: {atom!r}")
 

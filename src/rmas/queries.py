@@ -849,6 +849,12 @@ class _Compiler:
             return lambda run, env: not body(run, env)
         if isinstance(q, (And, Or)):
             parts = [self.test(p, scope, bound) for p in q.parts]
+            if len(parts) == 2:
+                # the common binary node, without a generator per call
+                p0, p1 = parts
+                if isinstance(q, And):
+                    return lambda run, env: p0(run, env) and p1(run, env)
+                return lambda run, env: p0(run, env) or p1(run, env)
             if isinstance(q, And):
                 return lambda run, env: all(p(run, env) for p in parts)
             return lambda run, env: any(p(run, env) for p in parts)

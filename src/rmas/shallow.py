@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import replace
 
 from .data import Facet, TypedRelationSchema
-from . import model as M
 from . import queries as Q
 from .model import (
     AgentSpec,

@@ -381,6 +381,23 @@ class TestDeterminism:
         assert r1.stderr == r2.stderr
         assert f1.read_bytes() == f2.read_bytes()
 
+    def test_hash_seed_does_not_change_output(self, tmp_path):
+        # data objects hash by identity, so set order follows memory
+        # addresses as well as the hash seed; no output may depend on it
+        runs = []
+        for seed in ("0", "12345"):
+            out = tmp_path / f"ts{seed}.jsonl"
+            env = {"PYTHONHASHSEED": seed}
+            build = run_cli("--report", "json", "build", TICKET, "--mode", "abstract-recycle",
+                            "--out", str(out), env_extra=env)
+            verify = run_cli("--report", "json", "verify", TICKET,
+                             *map(str, prop_paths("ticket_mutex")),
+                             "--mode", "abstract-recycle", env_extra=env)
+            assert build.returncode == 0, build.stderr
+            assert verify.returncode == 10, verify.stderr
+            runs.append((build.stderr, out.read_bytes(), verify.stderr))
+        assert runs[0] == runs[1]
+
     def test_thread_count_does_not_change_output(self, tmp_path):
         f1, f2 = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
         r1 = run_cli("--report", "json", "build", TICKET,

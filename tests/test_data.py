@@ -1,9 +1,13 @@
+import copy
+import pickle
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from rmas import queries as Q
+from rmas.builder import (BuildConfig, build_transition_system, export_jsonl, import_jsonl,
+                          state_key)
 from rmas.data import (
     Database,
     DataObject,
@@ -218,3 +222,59 @@ class TestDataObjects:
         db = Database.of([("R", (s("a"),))])
         out = db.apply(adds=[("R", (s("a"),))], dels=[("R", (s("a"),))])
         assert ("R", (s("a"),)) in out.facts
+
+
+class TestInterning:
+    """One object per (type name, literal): equality and hashing are by
+    identity."""
+
+    def test_equal_pairs_are_one_object(self):
+        assert DataObject("Str", "a") is DataObject("Str", "a")
+        assert s("a") is DataObject("Str", "a")
+        assert mk_undef("Rat") is DataObject("Rat", UNDEF)
+
+    def test_equal_fractions_are_one_object(self):
+        assert r(Fraction(1, 2)) is r(Fraction(2, 4))
+        assert DataObject("Rat", Fraction(3)) is DataObject("Rat", 3)
+
+    def test_same_literal_under_two_types_is_two_objects(self):
+        assert DataObject("Str", "a") is not DataObject("Name", "a")
+        assert DataObject("Str", "a") != DataObject("Name", "a")
+
+    def test_no_equality_or_hash_of_its_own(self):
+        assert "__eq__" not in vars(DataObject) and "__hash__" not in vars(DataObject)
+        assert not hasattr(s("a"), "_hash")
+
+    def test_fields_cannot_be_assigned(self):
+        obj = s("frozen")
+        for name in ("type_name", "value", "_key", "other"):
+            with pytest.raises(AttributeError):
+                setattr(obj, name, "x")
+        assert (obj.type_name, obj.value) == ("Str", "frozen")
+
+    @pytest.mark.parametrize("obj", [s("a"), r(Fraction(1, 3)), mk_undef("Rat"),
+                                     mk_symbol("agent", "inst")], ids=repr)
+    def test_copies_and_pickles_are_the_same_object(self, obj):
+        assert copy.copy(obj) is obj
+        assert copy.deepcopy(obj) is obj
+        assert copy.deepcopy([(obj, obj)])[0][1] is obj
+        assert pickle.loads(pickle.dumps(obj)) is obj
+
+    def test_imported_objects_are_the_built_ones(self, ticket_shallow):
+        ts = build_transition_system(ticket_shallow, BuildConfig(mode="abstract-recycle"))
+        back = import_jsonl(export_jsonl(ts))
+
+        def objects(t):
+            for state in t.states:
+                dbs = [db for _, db in state.agent_dbs]
+                if state.order_db is not None:
+                    dbs.append(state.order_db)
+                yield from (name for name, _ in state.agent_dbs)
+                yield from (o for db in dbs for _, args in db.facts for o in args)
+
+        built = {id(o): o for o in objects(ts)}
+        got = {id(o): o for o in objects(back)}
+        assert any(o.type_name == "Real" for o in built.values())
+        assert got.keys() == built.keys()
+        for mine, theirs in zip(ts.states, back.states):
+            assert state_key(mine) == state_key(theirs)

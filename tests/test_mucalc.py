@@ -37,7 +37,7 @@ from rmas.mucalc import (
 from rmas.queries import Const, Var, lessthan_rel
 from rmas.shallow import compile_shallow
 
-from conftest import load_corpus, prop_paths, ticket_with_names
+from conftest import load_corpus, prop_paths, prop_text, ticket_with_names
 from oracles import NaiveChecker, ag_oracle, ef_oracle, naive_model_check
 
 # a minimal system whose union schema provides propositional (0-ary) atoms
@@ -661,6 +661,19 @@ class TestNaiveAgreementOnOpenFormulas:
             ModelChecker(ts, DATA_SPEC).eval(LocAtom("R", (Var("x"),), Const(INST)), (), {})
 
 
+def _bind_pair(atom, pair):
+    """The binding under which a comparison atom's sides are the pair, or
+    None."""
+    theta: dict = {}
+    for t, o in zip((atom.left, atom.right), pair):
+        if isinstance(t, Const):
+            if t.obj is not o:
+                return None
+        elif theta.setdefault(t.name, o) is not o:
+            return None
+    return theta
+
+
 def _scoped_nodes(p, scope: dict):
     """Every subformula with its variables in scope, in quantifier order."""
     yield p, scope
@@ -707,6 +720,37 @@ class TestSharedTables:
         # one table build for ts, one for each fresh copy
         assert sum(t is ts for t in made) == 1
         assert len(made) == 1 + len(props)
+
+    def test_lessfact_rows_match_per_state_reading(self, ticket_shallow):
+        # lessfact rows read each distinct order database once; reading
+        # every state's own order database gives the same rows
+        ts = build_transition_system(ticket_shallow, BuildConfig(mode="abstract-recycle"))
+        orders = {id(s.order_db) for s in ts.states if s.order_db is not None}
+        assert 1 < len(orders) < len(ts.states)
+        tables = ModelChecker(ts, ticket_shallow).tables
+        reals = tables.universe["Real"]
+        x, y = Var("x"), Var("y")
+        rel = lessthan_rel("Real")
+        assert tables.atom_rows(CmpAtom("lessfact", "Real", x, y))[1]
+        for atom in (CmpAtom("lessfact", "Real", x, y), CmpAtom("lessfact", "Real", x, x),
+                     CmpAtom("lessfact", "Real", Const(reals[0]), y),
+                     CmpAtom("lessfact", "Real", x, Const(reals[-1]))):
+            names, rows = tables.atom_rows(atom)
+            want: dict = {}
+            for sid, s in enumerate(ts.states):
+                for pair in (s.order_db.facts_for(rel) if s.order_db else ()):
+                    theta = _bind_pair(atom, pair)
+                    if pair[0] is not pair[1] and theta is not None \
+                            and set(theta.values()) <= set(reals):
+                        row = tuple(theta[n] for n in names)
+                        want[row] = want.get(row, 0) | 1 << sid
+            assert rows == want, atom
+        prop = flatten_property(parse_property(prop_text("ticket_mutex", "fifo"),
+                                               ticket_shallow))
+        got = model_check(ts, ticket_shallow, prop)
+        want = naive_model_check(ts, ticket_shallow, prop)
+        assert (got.truth, got.extension, got.iterations) == \
+            (want.truth, want.extension, want.iterations)
 
     def test_grown_or_replaced_lists_get_fresh_tables(self):
         reach_q = parse_property("mu Z. q@inst | <>Z", PROP_SPEC)

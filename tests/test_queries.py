@@ -148,6 +148,32 @@ class TestEval:
             eval_query(q, Database(), FactOrder(order_db), {}, NO_CONSTS)
 
 
+class TestShortCircuit:
+    """A conjunction stops at its first false part and a disjunction at its
+    first true one: the part after it, which would raise, is not run."""
+
+    ORDER = FactOrder(Database.of([(lessthan_rel("Rat"), (r(1), r(2)))]))
+    DB = Database.of([("S", (r(1),))])
+    YES = Q.RelAtom("S", (Const(r(1)),))
+    NO = Q.RelAtom("S", (Const(r(2)),))
+    RAISES = Q.LessFactAtom("Rat", Const(r(1)), Const(r(7)))  # no order fact for 7
+
+    def run(self, q):
+        return eval_query(q, self.DB, self.ORDER, {}, NO_CONSTS)
+
+    @pytest.mark.parametrize("extra", [(), (YES,)])
+    def test_and_skips_parts_after_a_false_one(self, extra):
+        assert self.run(Q.And((self.NO, self.RAISES) + extra)) == []
+        with pytest.raises(MissingOrderFacts):
+            self.run(Q.And((self.YES, self.RAISES) + extra))
+
+    @pytest.mark.parametrize("extra", [(), (NO,)])
+    def test_or_skips_parts_after_a_true_one(self, extra):
+        assert self.run(Q.Or((self.YES, self.RAISES) + extra)) == [{}]
+        with pytest.raises(MissingOrderFacts):
+            self.run(Q.Or((self.NO, self.RAISES) + extra))
+
+
 class TestPlanShapes:
     """Node shapes the random generators below rarely reach."""
 
