@@ -2,13 +2,15 @@
 
 Every value in the system is a DataObject tagged with the name of its data
 type; domains of distinct types are disjoint by construction.  Data objects
-are interned: there is one object per (type name, literal) pair, so facts
-and databases compare and hash their arguments by identity.  Rationals are
-exact fractions (midpoint arguments for dense orders must never round).
+are interned: there is one live object per (type name, literal) pair, so
+facts and databases compare and hash their arguments by identity.
+Rationals are exact fractions (midpoint arguments for dense orders must
+never round).
 """
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import TYPE_CHECKING, Iterable, Iterator, Optional, Union
@@ -84,31 +86,34 @@ def builtin_types() -> dict[str, DataTypeDef]:
     }
 
 
-# one table per type name, from literal to the object: equal literals (as
-# Python compares them, so 1 and Fraction(1), or Fraction(1, 2) and
-# Fraction(2, 4)) find the same entry
-_OBJECTS: dict[str, dict[Literal, "DataObject"]] = {}
+# one weak table per (type name, literal class), from literal to the object:
+# equal literals of one class (Fraction(1, 2) and Fraction(2, 4)) find the
+# same entry, while 1 and Fraction(1) stay apart, so an object's value keeps
+# the class it was made with whichever carrier the type name had in the spec
+# that made it first.  An entry goes when nothing else holds its object.
+_OBJECTS: dict[tuple[str, type], weakref.WeakValueDictionary] = {}
 
 
 class DataObject:
-    """A typed constant, hash-consed: there is one object per (type name,
-    literal) pair, so equality and hashing are the built-in identity ones.
+    """A typed constant, hash-consed: there is one live object per (type
+    name, literal) pair, so equality and hashing are the built-in identity
+    ones.
 
-    The constructor returns the object already made for an equal pair, if
-    any; the first literal given for it is the one kept.  Objects are
-    immutable, and copying or pickling one gives back the same object.  The
-    sort key is computed once, on first use.
+    The constructor returns the live object made for an equal pair of the
+    same literal class, if any.  Objects are immutable, and copying or
+    pickling one gives back the same object.  The sort key is computed once,
+    on first use.
     """
 
-    __slots__ = ("type_name", "value", "_key")
+    __slots__ = ("type_name", "value", "_key", "__weakref__")
 
     type_name: str
     value: Literal
 
     def __new__(cls, type_name: str, value: Literal) -> "DataObject":
-        table = _OBJECTS.get(type_name)
+        table = _OBJECTS.get((type_name, value.__class__))
         if table is None:
-            table = _OBJECTS[type_name] = {}
+            table = _OBJECTS[(type_name, value.__class__)] = weakref.WeakValueDictionary()
         obj = table.get(value)
         if obj is None:
             obj = object.__new__(cls)

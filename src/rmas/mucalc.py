@@ -554,11 +554,18 @@ class SystemTables:
         # States share the databases of the agents a step leaves alone, so
         # each distinct database is read once, with the mask of the states
         # that hold it: `held` for any agent, `placed` for an agent
-        # registered there (an Agent fact in inst's database).
+        # registered there (an Agent fact in inst's database), and `orders`
+        # for the order databases.
         held: dict[int, list] = {}  # id(db) -> [db, states]
         placed: dict[tuple, list] = {}  # (agent, id(db)) -> [agent, db, states]
+        orders: dict[int, list] = {}  # id(order_db) -> [order_db, states]
         for sid, s in enumerate(ts.states):
             bit = 1 << sid
+            if s.order_db is not None:
+                got = orders.get(id(s.order_db))
+                if got is None:
+                    got = orders[id(s.order_db)] = [s.order_db, 0]
+                got[1] |= bit
             inst_db = s.db(inst)
             agents = {args[0] for args in inst_db.facts_for(M.AGENT_REL)} if inst_db else set()
             for agent, db in s.agent_dbs:
@@ -576,6 +583,7 @@ class SystemTables:
                 live[o] = live.get(o, 0) | states
         self.placed: list[tuple[DataObject, Database, int]] = [
             tuple(got) for got in placed.values()]
+        self.orders: list[tuple[Database, int]] = [tuple(got) for got in orders.values()]
         # per type: the universe in canonical order, and each object's live mask
         self.live: dict[str, dict[DataObject, int]] = {}
         for o in sorted(live, key=DataObject.sort_key):
@@ -647,19 +655,11 @@ class SystemTables:
                     if test(a, b):
                         rows[row] = self.full
                 return names, rows
-            # lessfact: the state's lessThan facts between universe objects;
-            # states share interned order databases, so each distinct one is
-            # read once, with the mask of the states that hold it
+            # lessfact: the state's lessThan facts between universe objects,
+            # read once per distinct order database
             members = set(pool)
             rel = lessthan_rel(atom.type_name)
-            orders: dict[int, list] = {}  # id(order_db) -> [order_db, states]
-            for sid, s in enumerate(self.states):
-                if s.order_db is not None:
-                    got = orders.get(id(s.order_db))
-                    if got is None:
-                        got = orders[id(s.order_db)] = [s.order_db, 0]
-                    got[1] |= 1 << sid
-            for order_db, states in orders.values():
+            for order_db, states in self.orders:
                 for pair in order_db.facts_for(rel):
                     if pair[0] == pair[1]:
                         continue

@@ -22,7 +22,7 @@ its active domain and sorted quantifier ranges, each built on first use.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Optional, Union
 
@@ -754,6 +754,14 @@ def _param_names(q: Query) -> set[str]:
 Node = Callable[[_Run, list], bool]
 
 
+def _both(p: Node, q: Node) -> Node:
+    return lambda run, env: p(run, env) and q(run, env)
+
+
+def _either(p: Node, q: Node) -> Node:
+    return lambda run, env: p(run, env) or q(run, env)
+
+
 class _Compiler:
     def __init__(self) -> None:
         self.slot_names: list[str] = []
@@ -848,16 +856,10 @@ class _Compiler:
             body = self.test(q.body, scope, bound)
             return lambda run, env: not body(run, env)
         if isinstance(q, (And, Or)):
-            parts = [self.test(p, scope, bound) for p in q.parts]
-            if len(parts) == 2:
-                # the common binary node, without a generator per call
-                p0, p1 = parts
-                if isinstance(q, And):
-                    return lambda run, env: p0(run, env) and p1(run, env)
-                return lambda run, env: p0(run, env) or p1(run, env)
-            if isinstance(q, And):
-                return lambda run, env: all(p(run, env) for p in parts)
-            return lambda run, env: any(p(run, env) for p in parts)
+            # nested binary closures, `p0 and p1 and p2` as `(p0 and p1) and p2`;
+            # no parts is the operator's unit
+            join, unit = (_both, TrueQ()) if isinstance(q, And) else (_either, Not(TrueQ()))
+            return reduce(join, [self.test(p, scope, bound) for p in q.parts or (unit,)])
         if isinstance(q, Exists):
             inner, body = self.binders(q, scope)
             return self.node(body, inner, bound, _stop)

@@ -1,11 +1,13 @@
 import copy
+import gc
 import pickle
+import weakref
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rmas import queries as Q
+from rmas import data, parse_spec, queries as Q
 from rmas.builder import (BuildConfig, build_transition_system, export_jsonl, import_jsonl,
                           state_key)
 from rmas.data import (
@@ -235,7 +237,44 @@ class TestInterning:
 
     def test_equal_fractions_are_one_object(self):
         assert r(Fraction(1, 2)) is r(Fraction(2, 4))
-        assert DataObject("Rat", Fraction(3)) is DataObject("Rat", 3)
+        assert DataObject("Rat", Fraction(3)) is r(3)
+
+    def test_a_literal_keeps_its_class(self):
+        assert DataObject("Rat", 3) is not DataObject("Rat", Fraction(3))
+        assert type(DataObject("Rat", 3).value) is int
+        assert type(DataObject("Rat", Fraction(3)).value) is Fraction
+
+    def test_one_type_name_under_two_carriers(self):
+        # two specs in one process may give a type name different carriers
+        text = "type N {}\nfacet F of N: x = 1 | x = 2\n"
+        ints = parse_spec(text.format("integer"))
+        rats = parse_spec(text.format("rational"))
+        for spec, carrier in ((ints, int), (rats, Fraction)):
+            consts = {t.obj for a in Q.atoms(spec.facets["F"].formula) for t in (a.left, a.right)
+                      if isinstance(t, Const)}
+            assert {type(o.value) for o in consts} == {carrier}
+            assert facet_member(spec.facets["F"], DataObject("N", carrier(2)), spec.types)
+            assert not facet_member(spec.facets["F"], DataObject("N", carrier(3)), spec.types)
+
+    def test_unheld_objects_are_released(self):
+        obj = s("held only here")
+        ref = weakref.ref(obj)
+        del obj
+        gc.collect()
+        assert ref() is None
+        assert "held only here" not in data._OBJECTS[("Str", str)]
+
+    def test_a_dropped_build_releases_its_objects(self, ticket_shallow):
+        def live_objects():
+            gc.collect()
+            return {k: len(table) for k, table in data._OBJECTS.items() if table}
+
+        before = live_objects()
+        # fb-flat draws fresh values at every step
+        ts = build_transition_system(ticket_shallow, BuildConfig(mode="fb-flat", max_states=300))
+        assert sum(live_objects().values()) > sum(before.values())
+        del ts
+        assert live_objects() == before
 
     def test_same_literal_under_two_types_is_two_objects(self):
         assert DataObject("Str", "a") is not DataObject("Name", "a")

@@ -173,6 +173,10 @@ class TestShortCircuit:
         with pytest.raises(MissingOrderFacts):
             self.run(Q.Or((self.NO, self.RAISES) + extra))
 
+    def test_no_parts_is_the_unit(self):
+        assert self.run(Q.And(())) == [{}]
+        assert self.run(Q.Or(())) == []
+
 
 class TestPlanShapes:
     """Node shapes the random generators below rarely reach."""
