@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Iterator, Optional, Union
 
@@ -202,8 +202,6 @@ class Builder:
                               "run the facet compiler first")
         self.const_domain = initial_data_domain(spec)
         self.flat = config.flat
-        if self.flat:
-            self.spec = _flatten_spec(spec)
         self._prepare()
 
     # -- static preparation ---------------------------------------------------
@@ -827,27 +825,6 @@ def _ground_term(term, theta, values) -> PendingArg:
             raise BuildError("nested service calls are not allowed")
         return CallToken(term.service, args)  # type: ignore[arg-type]
     raise BuildError(f"unknown template term {term!r}")
-
-
-def _flatten_spec(spec: RmasSpec) -> RmasSpec:
-    def fq(q):
-        return Q.flatten_formula(q)
-
-    agent_specs = {}
-    for name, ag in spec.agent_specs.items():
-        agent_specs[name] = replace(
-            ag,
-            constraints=tuple(fq(c) for c in ag.constraints),
-            comm_rules=tuple(replace(r, query=fq(r.query)) for r in ag.comm_rules),
-            update_rules=tuple(replace(r, condition=fq(r.condition)) for r in ag.update_rules),
-            actions={
-                n: replace(a, effects=tuple(
-                    replace(e, guard=fq(e.guard)) for e in a.effects
-                ))
-                for n, a in ag.actions.items()
-            },
-        )
-    return replace(spec, agent_specs=agent_specs)
 
 
 def build_transition_system(spec: RmasSpec, config: BuildConfig) -> TransitionSystem:

@@ -189,12 +189,12 @@ def _echo_config(report: Report, config: BuildConfig) -> None:
     }
 
 
-def _run_build(spec: RmasSpec, config: BuildConfig, report: Report) -> TransitionSystem:
-    built_spec = spec
+def _spec_to_build(spec: RmasSpec, config: BuildConfig) -> RmasSpec:
+    """spec with its facets compiled away when the mode needs a shallow
+    spec and it is not one; else spec itself."""
     if config.mode != MODE_CONCRETE and not is_shallow(spec):
-        built_spec = compile_shallow(spec)
-        report.data["result"]["compiled"] = True
-    return _build(built_spec, config, report)
+        return compile_shallow(spec)
+    return spec
 
 
 def _build(spec: RmasSpec, config: BuildConfig, report: Report) -> TransitionSystem:
@@ -255,7 +255,10 @@ def cmd_build(args, report: Report) -> int:
     _require_clean(spec, report)
     config = _build_config(args, spec)
     _echo_config(report, config)
-    ts = _run_build(spec, config, report)
+    built_spec = _spec_to_build(spec, config)
+    if built_spec is not spec:
+        report.data["result"]["compiled"] = True
+    ts = _build(built_spec, config, report)
     if args.out:
         _write_out(args, export(ts, args.format))
     return EXIT_TRUNCATED if ts.truncated else EXIT_OK
@@ -266,9 +269,7 @@ def cmd_verify(args, report: Report) -> int:
     _require_clean(spec, report)
     config = _build_config(args, spec)
     _echo_config(report, config)
-    built_spec = spec
-    if config.mode != MODE_CONCRETE and not is_shallow(spec):
-        built_spec = compile_shallow(spec)
+    built_spec = _spec_to_build(spec, config)
     props = {}
     for path in args.properties:
         try:

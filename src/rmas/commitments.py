@@ -303,7 +303,6 @@ def assign_results(
         else:
             values = _assign_equality(dense.partition, type_name, reservoirs,
                                       cells=dense.pos)
-            values = {c: v for c, v in values.items()}
         _record(sigma, dense.pos, values)
     return sigma
 
@@ -330,7 +329,7 @@ def _assign_equality(
         res = reservoirs.get(type_name)
         if res is None:
             raise ReservoirExhausted(f"no reservoir for type {type_name!r}")
-        drawn = res.draw(len(free), {o for o in objects if o is not None})
+        drawn = res.draw(len(free), objects)
     else:
         drawn = []
     it = iter(drawn)

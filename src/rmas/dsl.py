@@ -1027,8 +1027,6 @@ def _query_str(q: Query, prec: int = 0) -> str:
         return f"{_term_str(q.left)} = {_term_str(q.right)}"
     if isinstance(q, Q.LessAtom):
         return f"{_term_str(q.left)} < {_term_str(q.right)}"
-    if isinstance(q, Q.LessFactAtom):
-        return f"lessThan_{q.type_name}({_term_str(q.left)}, {_term_str(q.right)})"
     if isinstance(q, Q.SuccAtom):
         return f"succ({_term_str(q.left)}, {_term_str(q.right)})"
     if isinstance(q, Q.And):

@@ -115,7 +115,8 @@ class EqAtom(Query):
 
 @dataclass(frozen=True)
 class LessAtom(Query):
-    """Rigid dense-order comparison left < right on a dense type."""
+    """Dense-order comparison left < right on a dense type, answered by the
+    order source of the evaluation."""
 
     type_name: str
     left: Term
@@ -126,15 +127,6 @@ class LessAtom(Query):
 class SuccAtom(Query):
     """left is the integer successor of right."""
 
-    left: Term
-    right: Term
-
-
-@dataclass(frozen=True)
-class LessFactAtom(Query):
-    """Non-rigid comparison answered from the maintained lessThan facts."""
-
-    type_name: str
     left: Term
     right: Term
 
@@ -171,7 +163,7 @@ class Forall(Query):
     type_name: str = "?"
 
 
-ATOMS = (RelAtom, EqAtom, LessAtom, SuccAtom, LessFactAtom)
+ATOMS = (RelAtom, EqAtom, LessAtom, SuccAtom)
 
 
 def q_and(*parts: Query) -> Query:
@@ -225,8 +217,8 @@ def rebuild(q: Query, f: Callable[[Query], Query],
         return q
     if isinstance(q, RelAtom):
         return RelAtom(q.name, tuple(map(term, q.terms)))
-    if isinstance(q, (LessAtom, LessFactAtom)):
-        return type(q)(q.type_name, term(q.left), term(q.right))
+    if isinstance(q, LessAtom):
+        return LessAtom(q.type_name, term(q.left), term(q.right))
     return type(q)(term(q.left), term(q.right))
 
 
@@ -454,7 +446,7 @@ class SchemaContext:
                     for t, ct in zip(q.terms, self.component_types(q.name, len(q.terms)))]
         if isinstance(q, (EqAtom, SuccAtom)):
             return [((q.left, q.right), None, "=" if isinstance(q, EqAtom) else "succ")]
-        if isinstance(q, (LessAtom, LessFactAtom)):
+        if isinstance(q, LessAtom):
             return [((q.left, q.right), None if q.type_name == "?" else q.type_name, "<")]
         return None
 
@@ -496,8 +488,8 @@ def _finish(q: Query, solved: Iterator, literal) -> Query:
     if isinstance(q, ATOMS):
         (t,) = next(solved)
         left, right = resolve_raw(q.left, t, literal), resolve_raw(q.right, t, literal)
-        if isinstance(q, (LessAtom, LessFactAtom)):
-            return type(q)(t, left, right)
+        if isinstance(q, LessAtom):
+            return LessAtom(t, left, right)
         return type(q)(left, right)
     return rebuild(q, lambda c: _finish(c, solved, literal))
 
@@ -638,14 +630,12 @@ class _Run:
     """What one evaluation of a plan reads: the index, the order and the
     answers found so far."""
 
-    __slots__ = ("index", "facts", "less", "less_fact", "out", "seen")
+    __slots__ = ("index", "facts", "less", "out", "seen")
 
     def __init__(self, index: DbIndex, order: OrderSource) -> None:
         self.index = index
         self.facts = index.db.facts
         self.less = order.less
-        # lessThan fact atoms fall back to the carrier order outside flat modes
-        self.less_fact = order.less if isinstance(order, FactOrder) else _CARRIER.less
         self.out: list[tuple] = []
         self.seen: set[tuple] = set()
 
@@ -718,7 +708,7 @@ def compile_query(q: Query, var_types: dict[str, str], inputs: Iterable[str] = (
     else:
         plan._run = c.node(q, scope, bound, _emit(tuple(scope[v] for v in plan.outputs)))
     plan._nslots = len(c.slot_names)
-    plan.reads_order = any(isinstance(a, (LessAtom, LessFactAtom)) for a in atoms(q))
+    plan.reads_order = any(isinstance(a, LessAtom) for a in atoms(q))
     return plan
 
 
@@ -842,15 +832,13 @@ class _Compiler:
                 return lambda run, env: (name, args(env)) in run.facts
             return lambda run, env: (name, tuple(
                 env[x] if is_slot else x for is_slot, x in getters)) in run.facts
-        if isinstance(q, (EqAtom, LessAtom, LessFactAtom, SuccAtom)):
+        if isinstance(q, (EqAtom, LessAtom, SuccAtom)):
             a, b = self.getter(q.left, scope), self.getter(q.right, scope)
             t = getattr(q, "type_name", None)
             if isinstance(q, EqAtom):
                 return lambda run, env: a(env) == b(env)
             if isinstance(q, LessAtom):
                 return lambda run, env: run.less(t, a(env), b(env))
-            if isinstance(q, LessFactAtom):
-                return lambda run, env: run.less_fact(t, a(env), b(env))
             return lambda run, env: carrier_succ(a(env), b(env))
         if isinstance(q, Not):
             body = self.test(q.body, scope, bound)
@@ -1153,41 +1141,3 @@ def conforms(
             if not facet_member(facets[fname], obj, types):
                 out.append(Violation(fact, i, fname))
     return out
-
-
-# ---------------------------------------------------------------------------
-# Flattening and LIVE expansion
-
-
-def flatten_formula(q: Query) -> Query:
-    """Rewrite rigid dense comparisons into lessThan fact atoms."""
-    if isinstance(q, SuccAtom):
-        raise SuccNotFlattenable("succ atoms cannot be flattened")
-    if isinstance(q, LessAtom):
-        return LessFactAtom(q.type_name, q.left, q.right)
-    return rebuild(q, flatten_formula)
-
-
-def expand_live(
-    schema: dict[str, TypedRelationSchema],
-    facets: dict[str, Facet],
-    t: DataTypeDef,
-    var: str = "x",
-) -> Query:
-    """The membership-in-active-domain query for type t as a union of CQs."""
-    disjuncts: list[Query] = []
-    for rel in sorted(schema):
-        rs = schema[rel]
-        for i in range(rs.arity):
-            if facets[rs.facets[i]].base_type != t.name:
-                continue
-            fresh = [f"_lv{j}" for j in range(rs.arity)]
-            terms = [Var(var) if j == i else Var(fresh[j]) for j in range(rs.arity)]
-            q: Query = RelAtom(rel, tuple(terms))
-            for j in range(rs.arity - 1, -1, -1):
-                if j != i:
-                    q = Exists(fresh[j], q, facets[rs.facets[j]].base_type)
-            disjuncts.append(q)
-    if not disjuncts:
-        return q_false()
-    return q_or(*disjuncts)

@@ -90,8 +90,6 @@ def substitute_params(q, values: dict[str, DataObject]):
 
 
 def _naive_holds(q, db, order, const_domain, theta) -> bool:
-    from rmas.data import carrier_less, carrier_succ
-
     def val(t):
         if isinstance(t, Q.Var):
             return theta[t.name]
@@ -105,10 +103,6 @@ def _naive_holds(q, db, order, const_domain, theta) -> bool:
         return val(q.left) == val(q.right)
     if isinstance(q, Q.LessAtom):
         return order.less(q.type_name, val(q.left), val(q.right))
-    if isinstance(q, Q.LessFactAtom):
-        if isinstance(order, Q.FactOrder):
-            return order.less(q.type_name, val(q.left), val(q.right))
-        return carrier_less(val(q.left), val(q.right))
     if isinstance(q, Q.SuccAtom):
         return carrier_succ(val(q.left), val(q.right))
     if isinstance(q, Q.Not):

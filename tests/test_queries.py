@@ -24,8 +24,6 @@ from rmas.queries import (
     SuccNotFlattenable,
     Var,
     eval_query,
-    expand_live,
-    flatten_formula,
     free_vars,
     lessthan_rel,
     typecheck_query,
@@ -135,15 +133,18 @@ class TestEval:
         assert eval_query(q, Database(), CarrierOrder(), {}, consts) == [{}]
 
     def test_fact_order_mode(self):
-        order_db = Database.of([(lessthan_rel("Rat"), (r(1), r(2)))])
-        q = Q.LessFactAtom("Rat", Const(r(1)), Const(r(2)))
+        # the lessThan facts put 2 below 1, against the carrier
+        order_db = Database.of([(lessthan_rel("Rat"), (r(2), r(1)))])
+        q = Q.LessAtom("Rat", Const(r(2)), Const(r(1)))
         assert eval_query(q, Database(), FactOrder(order_db), {}, NO_CONSTS) == [{}]
-        q2 = Q.LessFactAtom("Rat", Const(r(2)), Const(r(1)))
+        assert eval_query(q, Database(), CarrierOrder(), {}, NO_CONSTS) == []
+        q2 = Q.LessAtom("Rat", Const(r(1)), Const(r(2)))
         assert eval_query(q2, Database(), FactOrder(order_db), {}, NO_CONSTS) == []
+        assert eval_query(q2, Database(), CarrierOrder(), {}, NO_CONSTS) == [{}]
 
     def test_missing_order_facts(self):
         order_db = Database.of([(lessthan_rel("Rat"), (r(1), r(2)))])
-        q = Q.LessFactAtom("Rat", Const(r(1)), Const(r(7)))
+        q = Q.LessAtom("Rat", Const(r(1)), Const(r(7)))
         with pytest.raises(MissingOrderFacts):
             eval_query(q, Database(), FactOrder(order_db), {}, NO_CONSTS)
 
@@ -156,7 +157,7 @@ class TestShortCircuit:
     DB = Database.of([("S", (r(1),))])
     YES = Q.RelAtom("S", (Const(r(1)),))
     NO = Q.RelAtom("S", (Const(r(2)),))
-    RAISES = Q.LessFactAtom("Rat", Const(r(1)), Const(r(7)))  # no order fact for 7
+    RAISES = Q.LessAtom("Rat", Const(r(1)), Const(r(7)))  # no order fact for 7
 
     def run(self, q):
         return eval_query(q, self.DB, self.ORDER, {}, NO_CONSTS)
@@ -207,72 +208,9 @@ class TestPlanShapes:
 
 
 class TestFlatten:
-    def test_less_atom_rewritten(self):
-        q = Q.LessAtom("Rat", Var("x"), Var("y"))
-        assert flatten_formula(q) == Q.LessFactAtom("Rat", Var("x"), Var("y"))
-
-    def test_comparison_free_query_unchanged(self):
-        q = Q.RelAtom("S", (Var("x"),))
-        assert flatten_formula(q) == q
-
-    def test_ticket_guard_shape(self):
-        q = Q.Not(Q.Exists("a", Q.Exists("t2", Q.q_and(
-            Q.RelAtom("R", (Var("a"), Var("t2"))),
-            Q.LessAtom("Rat", Var("t2"), Var("t")),
-        ))))
-        out = flatten_formula(q)
-        assert out == Q.Not(Q.Exists("a", Q.Exists("t2", Q.q_and(
-            Q.RelAtom("R", (Var("a"), Var("t2"))),
-            Q.LessFactAtom("Rat", Var("t2"), Var("t")),
-        ))))
-
-    def test_idempotent_and_preserves_free_vars(self):
-        q = Q.Exists("x", Q.q_and(
-            Q.RelAtom("S", (Var("x"),)),
-            Q.LessAtom("Rat", Var("x"), Var("y")),
-        ))
-        f = flatten_formula(q)
-        assert flatten_formula(f) == f
-        assert free_vars(f) == free_vars(q)
-
     def test_succ_not_flattenable(self):
-        for flatten, atom in ((flatten_formula, Q.SuccAtom(Var("x"), Var("y"))),
-                              (flatten_property, CmpAtom("succ", "Cnt", Var("x"), Var("y")))):
-            with pytest.raises(SuccNotFlattenable):
-                flatten(atom)
-
-
-class TestExpandLive:
-    def test_single_relation(self):
-        schema = {"R": TypedRelationSchema("R", ("SF", "PF"))}
-        q = expand_live(schema, FACETS, STR, var="x")
-        db = Database.of([("R", (s("a"), r(1)))])
-        out = eval_query(q, db, CarrierOrder(),
-                         {"x": "Str", "_lv1": "Rat"}, NO_CONSTS)
-        assert out == [{"x": s("a")}]
-
-    def test_unused_type_yields_false(self):
-        schema = {"S": TypedRelationSchema("S", ("PF",))}
-        q = expand_live(schema, FACETS, STR)
-        assert q == Q.q_false()
-
-    def test_matches_adom(self):
-        q = expand_live(SCHEMA, FACETS, RAT, var="x")
-        db = Database.of([("R", (s("a"), r(1))), ("S", (r(2),))])
-        q, types = typecheck_query(q, CTX)
-        out = eval_query(q, db, CarrierOrder(), types, NO_CONSTS)
-        assert {b["x"] for b in out} == db.adom("Rat")
-
-    def test_relativization_never_enlarges_answers(self):
-        db = Database.of([("S", (r(1),)), ("R", (s("a"), r(2)))])
-        base = Q.EqAtom(Var("x"), Var("x"))
-        live = expand_live(SCHEMA, FACETS, RAT, var="x")
-        consts = {"Rat": frozenset({r(99)}), "Str": frozenset()}
-        types = {"x": "Rat", "_lv0": "Str", "_lv1": "Rat"}
-        plain = eval_query(base, db, CarrierOrder(), types, consts)
-        relativized = eval_query(Q.q_and(live, base), db, CarrierOrder(), types, consts)
-        keys = lambda rows: {r_["x"] for r_ in rows}
-        assert keys(relativized) <= keys(plain)
+        with pytest.raises(SuccNotFlattenable):
+            flatten_property(CmpAtom("succ", "Cnt", Var("x"), Var("y")))
 
 
 # ---------------------------------------------------------------------------
@@ -349,8 +287,8 @@ def test_eval_matches_naive_enumeration():
 
 
 def test_carrier_equals_flat_on_full_order_restriction():
-    # evaluating the flattened query over explicit order facts agrees with
-    # the rigid order whenever the fact table covers the active values
+    # evaluating a query over explicit order facts agrees with the rigid
+    # order whenever the fact table covers the active values
     rng = random.Random(13)
     consts = {"Rat": frozenset({r(0), r(1), r(2)}), "Str": frozenset({s("a")})}
     for _ in range(200):
@@ -365,8 +303,7 @@ def test_carrier_equals_flat_on_full_order_restriction():
             (lessthan_rel("Rat"), (a, b))
             for a, b in itertools.combinations(objs, 2)
         ]
-        flat = flatten_formula(q)
-        got = eval_query(flat, db, FactOrder(Database.of(facts)), types, consts)
+        got = eval_query(q, db, FactOrder(Database.of(facts)), types, consts)
         want = eval_query(q, db, CarrierOrder(), types, consts)
         canon = lambda rows: sorted(
             tuple(sorted((k, v.sort_key()) for k, v in row.items())) for row in rows
@@ -377,8 +314,8 @@ def test_carrier_equals_flat_on_full_order_restriction():
 # ---------------------------------------------------------------------------
 # Randomized equivalence of compiled plans with the naive evaluator, on the
 # shapes the builder's queries take: binder names reused in nested scopes,
-# parameter slots, pre-bound variables, lessThan fact atoms, and conjunctions
-# whose filters come before their binders
+# parameter slots, pre-bound variables, comparisons under lessThan facts, and
+# conjunctions whose filters come before their binders
 
 # binders reuse these names, each at one type unless a test adds another
 BINDERS = [("x", "Rat"), ("u", "Rat"), ("w", "Str")]
@@ -386,7 +323,7 @@ PARAM_TYPES = {"p": "Rat", "ps": "Str"}
 CONSTS = {"Rat": frozenset({r(0), r(1), r(2)}), "Str": frozenset({s("a")})}
 
 
-def random_plan_query(rng, depth, scope, *, params=False, fact_less=False, binders=BINDERS):
+def random_plan_query(rng, depth, scope, *, params=False, binders=BINDERS):
     """A random query over R, S; binders reuse the names of `binders`, and
     `guarded` conjunctions put a filter on a variable before the atom that
     binds it."""
@@ -402,9 +339,6 @@ def random_plan_query(rng, depth, scope, *, params=False, fact_less=False, binde
             pool += [Const(s("a"))] + ([Q.Param("ps")] if params else [])
         return rng.choice(pool)
 
-    def less(a, b):
-        return Q.LessFactAtom("Rat", a, b) if fact_less else Q.LessAtom("Rat", a, b)
-
     kind = rng.choice(kinds)
     if kind == "R":
         return Q.RelAtom("R", (term("Str"), term("Rat")))
@@ -413,9 +347,8 @@ def random_plan_query(rng, depth, scope, *, params=False, fact_less=False, binde
     if kind == "eq":
         return Q.EqAtom(term("Rat"), term("Rat"))
     if kind == "less":
-        return less(term("Rat"), term("Rat"))
-    sub = lambda sc: random_plan_query(rng, depth - 1, sc, params=params, fact_less=fact_less,
-                                       binders=binders)
+        return Q.LessAtom("Rat", term("Rat"), term("Rat"))
+    sub = lambda sc: random_plan_query(rng, depth - 1, sc, params=params, binders=binders)
     if kind == "not":
         return Q.Not(sub(scope))
     if kind in ("and", "or"):
@@ -429,7 +362,7 @@ def random_plan_query(rng, depth, scope, *, params=False, fact_less=False, binde
     if kind == "guarded":
         binder = rng.choice([Q.RelAtom("S", (Var(v),)), Q.RelAtom("R", (Const(s("a")), Var(v)))])
         filt = rng.choice([
-            less(Var(v), rng.choice([Var(v), Const(r(1))])),
+            Q.LessAtom("Rat", Var(v), rng.choice([Var(v), Const(r(1))])),
             Q.Not(sub(inner)),
             Q.EqAtom(Var(v), Const(r(rng.randint(0, 3)))),
         ])
@@ -507,7 +440,7 @@ def test_prebound_binding_matches_naive():
 
 def test_less_fact_atoms_under_a_total_fact_order_match_naive():
     checked = 0
-    for rng, q, types, db in typed_random_cases(43, 300, fact_less=True):
+    for rng, q, types, db in typed_random_cases(43, 300):
         # a random strict total order on the universe, not the carrier's
         objs = sorted(db.adom("Rat") | CONSTS["Rat"], key=DataObject.sort_key)
         rng.shuffle(objs)
