@@ -2,7 +2,8 @@
 the `rmas async2sync` output (both modes) of the two messaging specs and the
 `rmas gen-cm` output of each counter program, byte for byte, and the
 `rmas build` report and export digest of each corpus spec in the three modes
-that compile facets away.  The expected files under `golden/` pin the default
+that compile facets away, and the `rmas verify` refusal (exit code and report)
+of each malformed property under `golden/bad_props/`.  The expected files under `golden/` pin the default
 report (the `work:` counter of the well-formedness checker included) and the
 serialized specs; a change that alters them has to regenerate them on purpose:
 
@@ -12,6 +13,7 @@ serialized specs; a change that alters them has to regenerate them on purpose:
         > tests/golden/NAME.async2sync-MODE.rmas
     PYTHONPATH=src python -m rmas.cli gen-cm corpus/programs/PROG.cm > tests/golden/PROG.gen-cm.rmas
     PYTHONPATH=src python tests/test_golden.py > tests/golden/builds.txt
+    PYTHONPATH=src python tests/test_golden.py refusals > tests/golden/verify_refusals.txt
 """
 
 import hashlib
@@ -74,9 +76,33 @@ def test_build_exports(tmp_path):
     assert build_runs(tmp_path) == (GOLDEN / "builds.txt").read_bytes()
 
 
+def refusal_runs() -> bytes:
+    """For each property under `bad_props/`: the exit code and the report of
+    `rmas verify corpus/ticket_mutex.rmas PROP --mode abstract-recycle`."""
+    text = b""
+    for path in sorted((GOLDEN / "bad_props").glob("*.mlp")):
+        prop = f"tests/golden/bad_props/{path.name}"
+        out = run_cli("verify", "corpus/ticket_mutex.rmas", prop, "--mode", "abstract-recycle")
+        text += f"== {path.stem}\nexit: {out.returncode}\n".encode() + out.stderr
+    return text
+
+
+def test_verify_refusals():
+    text = refusal_runs()
+    assert text == (GOLDEN / "verify_refusals.txt").read_bytes()
+    # each property is refused before the build, with one error line
+    runs = text.split(b"== ")[1:]
+    assert len(runs) == 11
+    for run in runs:
+        assert b"\nexit: 2\n" in run and run.count(b"\nerror: ") == 1
+
+
 if __name__ == "__main__":
     import sys
     import tempfile
 
-    with tempfile.TemporaryDirectory() as tmp:
-        sys.stdout.buffer.write(build_runs(pathlib.Path(tmp)))
+    if sys.argv[1:] == ["refusals"]:
+        sys.stdout.buffer.write(refusal_runs())
+    else:
+        with tempfile.TemporaryDirectory() as tmp:
+            sys.stdout.buffer.write(build_runs(pathlib.Path(tmp)))
