@@ -128,9 +128,6 @@ class SystemState:
                 return d
         return None
 
-    def agents(self) -> list[DataObject]:
-        return [name for name, _ in self.agent_dbs]
-
     def inst_db(self) -> Database:
         d = self.db(INST)
         if d is None:

@@ -50,7 +50,7 @@ from .generators import (
 )
 from .commitments import CommitmentError
 from .model import RmasSpec, install_institutional
-from .mucalc import PropError, check_closed, flatten_property, model_check, parse_property
+from .mucalc import PropError, model_check, parse_property
 from .queries import MissingOrderFacts
 from .shallow import compile_shallow, is_shallow
 from .wellformed import check_well_formed
@@ -273,13 +273,9 @@ def cmd_verify(args, report: Report) -> int:
     props = {}
     for path in args.properties:
         try:
-            prop = parse_property(_read(path), built_spec)
-            check_closed(prop)
-            if config.flat:
-                prop = flatten_property(prop)
+            props[path] = parse_property(_read(path), built_spec)
         except (ParseError, PropError) as e:
             raise CliError(f"{path}: {e}", EXIT_PARSE)
-        props[path] = prop
     ts = _build(built_spec, config, report)
     if ts.truncated:
         return EXIT_TRUNCATED

@@ -17,21 +17,17 @@ from dataclasses import dataclass, replace
 from typing import Union
 
 from .data import (
-    AGENT_TYPE,
-    Database,
     DataTypeDef,
     Facet,
-    INTEGER,
     RATIONAL,
     STRING,
     TypedRelationSchema,
-    builtin_types,
-    mk_integer,
     mk_string,
     mk_undef,
 )
 from . import model as M
 from . import queries as Q
+from .dsl import parse_spec
 from .model import (
     AgentSpec,
     CallTerm,
@@ -118,142 +114,75 @@ def parse_counter_program(text: str) -> CounterProgram:
     return CounterProgram(tuple(instrs))
 
 
-INT_TYPE = "Int"
-ZF = "ZF"
+# The encoding's fixed part; ZF_INIT is replaced by the facet's initial
+# integers, and one `on go()` rule per instruction step closes the spec.
+_CM_SPEC = """\
+mode "unsafe-succ"
+type Int integer with succ
+facet ZF of Int init { ZF_INIT }
+service input() -> ZF
+message go()
+
+spec instSpec institutional {
+  relation C1(ZF)
+  relation C1p(ZF)
+  relation C2(ZF)
+  relation C2p(ZF)
+  relation PC(ZF)
+  relation Op(ZF)
+  relation Target(ZF)
+  relation Halted()
+  constraint Op(0) & Target(1) -> forall xp, x. C1(x) & C1p(xp) -> succ(x, xp)
+  constraint Op(0) & Target(2) -> forall xp, x. C2(x) & C2p(xp) -> succ(x, xp)
+  constraint Op(1) & Target(1) -> forall xp, x. C1(x) & C1p(xp) -> succ(xp, x)
+  constraint Op(1) & Target(2) -> forall xp, x. C2(x) & C2p(xp) -> succ(xp, x)
+  init C1(0), C2(0), PC(1)
+  action set_pc(next: ZF) {
+    PC(x) ~> del { PC(x) }
+    true ~> add { PC(next) }
+  }
+  action set_op(o: ZF, t: ZF) {
+    Op(x) ~> del { Op(x) }
+    Target(x) ~> del { Target(x) }
+    true ~> add { Op(o) }
+    true ~> add { Target(t) }
+  }
+  action u_c(c: ZF) {
+    c = 1 & C1p(x) ~> del { C1p(x) }
+    c = 1 & C1(x) ~> add { C1p(x) } del { C1(x) }
+    c = 1 ~> add { C1(input()) }
+    c = 2 & C2p(x) ~> del { C2p(x) }
+    c = 2 & C2(x) ~> add { C2p(x) } del { C2(x) }
+    c = 2 ~> add { C2(input()) }
+  }
+  action stop() {
+    true ~> add { Halted() }
+  }
+  MyName(a) & !Halted() enables go() to a
+"""
 
 
 def counter_machine_to_rmas(prog: CounterProgram) -> RmasSpec:
     """The single-agent encoding: constraints force each counter update to be
     the successor (increment) or predecessor (decrement) of the old value."""
-    n = len(prog.instructions)
-    k = max(2, n)
-
-    def num(v: int) -> Const:
-        return Const(mk_integer(INT_TYPE, v))
-
-    types = dict(builtin_types())
-    types[INT_TYPE] = DataTypeDef(INT_TYPE, INTEGER, has_succ=True)
-    facets = {
-        M.AGENT_FACET: Facet(M.AGENT_FACET, AGENT_TYPE),
-        M.SPEC_FACET: Facet(M.SPEC_FACET, "spec"),
-        ZF: Facet(ZF, INT_TYPE,
-                  initial_objects=frozenset(mk_integer(INT_TYPE, i) for i in range(k + 1))),
-    }
-    services = {"input": ServiceDef("input", (), ZF)}
-    messages = {"go": MessageDef("go", ())}
-
-    schema = {
-        rel: TypedRelationSchema(rel, (ZF,))
-        for rel in ("C1", "C1p", "C2", "C2p", "PC", "Op", "Target")
-    }
-    schema["Halted"] = TypedRelationSchema("Halted", ())
-
-    def counter_constraint(op: int, target: int, cur: str, prev: str, inc: bool) -> Q.Query:
-        inner = Q.Forall("xp", Q.Forall("x", Q.q_implies(
-            Q.q_and(Q.RelAtom(cur, (Var("x"),)), Q.RelAtom(prev, (Var("xp"),))),
-            Q.SuccAtom(Var("x"), Var("xp")) if inc else Q.SuccAtom(Var("xp"), Var("x")),
-        ), INT_TYPE), INT_TYPE)
-        return Q.q_implies(
-            Q.q_and(Q.RelAtom("Op", (num(op),)),
-                    Q.RelAtom("Target", (num(target),))),
-            inner,
-        )
-
-    constraints = (
-        counter_constraint(0, 1, "C1", "C1p", inc=True),
-        counter_constraint(0, 2, "C2", "C2p", inc=True),
-        counter_constraint(1, 1, "C1", "C1p", inc=False),
-        counter_constraint(1, 2, "C2", "C2p", inc=False),
-    )
-
-    def set_pc() -> UpdateAction:
-        return UpdateAction("set_pc", (("next", ZF),), (
-            UpdateEffect(Q.RelAtom("PC", (Var("x"),)),
-                         dels=(FactTemplate("PC", (Var("x"),)),)),
-            UpdateEffect(Q.TrueQ(), adds=(FactTemplate("PC", (Param("next"),)),)),
-        ))
-
-    def set_op() -> UpdateAction:
-        return UpdateAction("set_op", (("o", ZF), ("t", ZF)), (
-            UpdateEffect(Q.RelAtom("Op", (Var("x"),)),
-                         dels=(FactTemplate("Op", (Var("x"),)),)),
-            UpdateEffect(Q.RelAtom("Target", (Var("x"),)),
-                         dels=(FactTemplate("Target", (Var("x"),)),)),
-            UpdateEffect(Q.TrueQ(), adds=(FactTemplate("Op", (Param("o"),)),)),
-            UpdateEffect(Q.TrueQ(), adds=(FactTemplate("Target", (Param("t"),)),)),
-        ))
-
-    def u_c() -> UpdateAction:
-        effects = []
-        for c, cur, prev in ((1, "C1", "C1p"), (2, "C2", "C2p")):
-            is_c = Q.EqAtom(Param("c"), num(c))
-            effects += [
-                UpdateEffect(Q.q_and(is_c, Q.RelAtom(prev, (Var("x"),))),
-                             dels=(FactTemplate(prev, (Var("x"),)),)),
-                UpdateEffect(Q.q_and(is_c, Q.RelAtom(cur, (Var("x"),))),
-                             dels=(FactTemplate(cur, (Var("x"),)),),
-                             adds=(FactTemplate(prev, (Var("x"),)),)),
-                UpdateEffect(is_c,
-                             adds=(FactTemplate(cur, (CallTerm("input", ()),)),)),
-            ]
-        return UpdateAction("u_c", (("c", ZF),), tuple(effects))
-
-    def stop() -> UpdateAction:
-        return UpdateAction("stop", (), (
-            UpdateEffect(Q.TrueQ(), adds=(FactTemplate("Halted", ()),)),
-        ))
-
-    actions = {a.name: a for a in (set_pc(), set_op(), u_c(), stop())}
-
-    def rule(cond: Q.Query, action: str, args: tuple) -> UpdateRule:
-        return UpdateRule(M.ON_RECEIVE, "go", (), "src", cond, action, args)
-
-    pc = lambda j: Q.RelAtom("PC", (num(j),))
-    rules: list[UpdateRule] = []
+    rules: list[tuple[str, str]] = []
     for j, ins in enumerate(prog.instructions, start=1):
+        pc = f"PC({j})"
         if isinstance(ins, Inc):
-            rules.append(rule(pc(j), "set_pc", (num(ins.goto),)))
-            rules.append(rule(pc(j), "set_op", (num(0), num(ins.counter))))
-            rules.append(rule(pc(j), "u_c", (num(ins.counter),)))
+            rules += [(pc, f"set_pc({ins.goto})"), (pc, f"set_op(0, {ins.counter})"),
+                      (pc, f"u_c({ins.counter})")]
         elif isinstance(ins, CDec):
-            zero = Q.RelAtom(f"C{ins.counter}", (num(0),))
-            rules.append(rule(Q.q_and(pc(j), zero), "set_pc", (num(ins.goto_zero),)))
-            rules.append(rule(Q.q_and(pc(j), Q.Not(zero)), "set_pc", (num(ins.goto_nonzero),)))
-            rules.append(rule(Q.q_and(pc(j), Q.Not(zero)), "set_op", (num(1), num(ins.counter))))
-            rules.append(rule(Q.q_and(pc(j), Q.Not(zero)), "u_c", (num(ins.counter),)))
+            zero = f"C{ins.counter}(0)"
+            nonzero = f"{pc} & !{zero}"
+            rules += [(f"{pc} & {zero}", f"set_pc({ins.goto_zero})"),
+                      (nonzero, f"set_pc({ins.goto_nonzero})"),
+                      (nonzero, f"set_op(1, {ins.counter})"), (nonzero, f"u_c({ins.counter})")]
         else:
-            rules.append(rule(pc(j), "stop", ()))
-
-    comm = CommRule(
-        query=Q.q_and(Q.RelAtom(M.MYNAME_REL, (Var("a"),)),
-                      Q.Not(Q.RelAtom("Halted", ()))),
-        message="go", payload_vars=(), target_var="a",
-    )
-
-    inst = AgentSpec(
-        name="instSpec",
-        schema=schema,
-        constraints=constraints,
-        initial_db=Database.of([
-            ("C1", (mk_integer(INT_TYPE, 0),)),
-            ("C2", (mk_integer(INT_TYPE, 0),)),
-            ("PC", (mk_integer(INT_TYPE, 1),)),
-        ]),
-        comm_rules=(comm,),
-        actions=actions,
-        update_rules=tuple(rules),
-    )
-
-    spec = RmasSpec(
-        types=types,
-        facets=facets,
-        services=services,
-        messages=messages,
-        agent_specs={"instSpec": inst},
-        institutional="instSpec",
-        mode_flags=frozenset({"unsafe-succ"}),
-    )
-    return M.install_institutional(spec)
+            rules.append((pc, "stop()"))
+    zf = ", ".join(map(str, range(max(2, len(prog.instructions)) + 1)))
+    text = _CM_SPEC.replace("ZF_INIT", zf) + "".join(
+        f"  on go() from src if {cond} then {call}\n" for cond, call in rules) + "}\n"
+    return M.install_institutional(parse_spec(text))
 
 
 # ---------------------------------------------------------------------------

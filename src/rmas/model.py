@@ -117,9 +117,6 @@ class UpdateAction:
     params: tuple[tuple[str, str], ...]  # (param name, facet name)
     effects: tuple[UpdateEffect, ...]
 
-    def param_names(self) -> tuple[str, ...]:
-        return tuple(p for p, _ in self.params)
-
 
 ON_SEND = "send"
 ON_RECEIVE = "receive"

@@ -22,7 +22,7 @@ from functools import partial
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Optional
 
-from .data import AGENT_TYPE, INST_NAME, Database, DataObject, carrier_less, carrier_succ, mk_symbol
+from .data import AGENT_TYPE, INST_NAME, Database, DataObject, carrier_less, mk_symbol
 from . import model as M
 from .builder import TransitionSystem
 from .dsl import KEYWORDS, ParseError, Token, TokenStream, tokenize, _raw_const, _resolve_literal
@@ -63,9 +63,11 @@ class LocAtom(Prop):
 
 @dataclass(frozen=True)
 class CmpAtom(Prop):
-    """Equality or order comparison between two terms."""
+    """Equality or order comparison between two terms.  `less` reads a
+    state's lessThan facts when the state has an order database, and the
+    carrier's order otherwise."""
 
-    op: str  # "eq" | "less" | "lessfact" | "succ"
+    op: str  # "eq" | "less"
     type_name: Optional[str]
     left: Term
     right: Term
@@ -434,7 +436,7 @@ class _PropResolver:
             types = self.ctx.component_types(p.name, len(p.terms))
             return [((t,), ct, p.name) for t, ct in zip((p.loc,) + p.terms, [AGENT_TYPE] + types)]
         if isinstance(p, CmpAtom):
-            return [((p.left, p.right), p.type_name, "<" if p.op in ("less", "lessfact") else p.op)]
+            return [((p.left, p.right), p.type_name, "<" if p.op == "less" else p.op)]
         if isinstance(p, LiveAtom):
             return [((Var(p.var),), p.type_name, "live")]
         return None
@@ -496,22 +498,19 @@ class _PropResolver:
 
 
 def parse_property(text: str, spec: RmasSpec) -> Prop:
-    """Parse and normalize a property; raises on syntax errors, non-monotone
-    fixpoints, and unguarded modal variables."""
+    """Parse and normalize a closed property, ready for `model_check` on a
+    system of any mode; raises on syntax errors, non-monotone fixpoints,
+    unguarded modal variables and open formulas."""
     parser = PropParser(text, spec)
-    raw = parser.parse()
-    return _PropResolver(parser).resolve(raw)
+    prop = _PropResolver(parser).resolve(parser.parse())
+    check_closed(prop)
+    return prop
 
 
 def flatten_property(p: Prop) -> Prop:
-    """Rewrite rigid dense comparisons to lessThan fact atoms."""
-    if isinstance(p, CmpAtom):
-        if p.op == "less":
-            return CmpAtom("lessfact", p.type_name, p.left, p.right)
-        if p.op == "succ":
-            raise Q.SuccNotFlattenable("succ atoms cannot be flattened")
-        return p
-    return rebuild(p, flatten_property)
+    """p itself: the checker picks each state's order source.  Kept only
+    because the benchmark worker (`perfbench/worker.py`) still calls it."""
+    return p
 
 
 # ---------------------------------------------------------------------------
@@ -645,27 +644,29 @@ class SystemTables:
             sides = (atom.left, atom.right)
             names = _term_vars(sides)
             pool = self.universe.get(atom.type_name, [])
-            if atom.op != "lessfact":
-                # eq, less and succ do not depend on the state
-                test = {"eq": operator.eq, "less": carrier_less,
-                        "succ": carrier_succ}[atom.op]
+            # the states answered by the carrier: all of them for eq, those
+            # without an order database for less
+            carrier = self.full
+            if atom.op == "less":
+                # the state's lessThan facts between universe objects, read
+                # once per distinct order database
+                members = set(pool)
+                rel = lessthan_rel(atom.type_name)
+                for order_db, states in self.orders:
+                    carrier ^= states
+                    for pair in order_db.facts_for(rel):
+                        if pair[0] == pair[1]:
+                            continue
+                        row = _match(names, sides, pair)
+                        if row is not None and members.issuperset(row):
+                            rows[row] = rows.get(row, 0) | states
+            if carrier:
+                test = operator.eq if atom.op == "eq" else carrier_less
                 for row in itertools.product(pool, repeat=len(names)):
                     theta = dict(zip(names, row))
                     a, b = (theta[t.name] if isinstance(t, Var) else t.obj for t in sides)
                     if test(a, b):
-                        rows[row] = self.full
-                return names, rows
-            # lessfact: the state's lessThan facts between universe objects,
-            # read once per distinct order database
-            members = set(pool)
-            rel = lessthan_rel(atom.type_name)
-            for order_db, states in self.orders:
-                for pair in order_db.facts_for(rel):
-                    if pair[0] == pair[1]:
-                        continue
-                    row = _match(names, sides, pair)
-                    if row is not None and members.issuperset(row):
-                        rows[row] = rows.get(row, 0) | states
+                        rows[row] = rows.get(row, 0) | carrier
             return names, rows
         raise PropError(f"not an atom: {atom!r}")
 

@@ -49,10 +49,6 @@ class IncompatibleQuery(QueryError):
     pass
 
 
-class SuccNotFlattenable(QueryError):
-    pass
-
-
 class MissingOrderFacts(QueryError):
     pass
 

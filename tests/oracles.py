@@ -211,13 +211,10 @@ class NaiveChecker:
                         for t in (atom.left, atom.right))
                 if atom.op == "eq":
                     holds = a == b
-                elif atom.op == "less":
+                elif s.order_db is None:
                     holds = carrier_less(a, b)
-                elif atom.op == "succ":
-                    holds = carrier_succ(a, b)
                 else:
-                    order_db = s.order_db or Database()
-                    holds = a != b and order_db.has(Q.lessthan_rel(atom.type_name), (a, b))
+                    holds = a != b and s.order_db.has(Q.lessthan_rel(atom.type_name), (a, b))
                 if holds:
                     out.append(theta)
             return out

@@ -30,7 +30,7 @@ from rmas.generators import (
     parse_counter_program,
 )
 from rmas.model import install_institutional
-from rmas.mucalc import flatten_property, model_check, parse_property
+from rmas.mucalc import model_check, parse_property
 from rmas.shallow import compile_shallow
 from rmas.generators import MBUFFER, NEWM, OLDM
 
@@ -58,13 +58,10 @@ def pools_for(name: str):
     return {}
 
 
-def corpus_verdicts(spec, ts, flat: bool, names):
+def corpus_verdicts(spec, ts, names):
     out = {}
     for path in names:
-        prop = parse_property(path.read_text(), spec)
-        if flat:
-            prop = flatten_property(prop)
-        out[path.name] = model_check(ts, spec, prop).truth
+        out[path.name] = model_check(ts, spec, parse_property(path.read_text(), spec)).truth
     return out
 
 
@@ -97,8 +94,8 @@ def test_criterion_2_facet_compilation_equivalence(
             spec, BuildConfig(mode="concrete-bounded", pools=pools))
         ts_s = build_transition_system(
             shallow, BuildConfig(mode="shallow", pools=pools))
-        vc = corpus_verdicts(spec, ts_c, False, prop_paths(name))
-        vs = corpus_verdicts(shallow, ts_s, False, prop_paths(name))
+        vc = corpus_verdicts(spec, ts_c, prop_paths(name))
+        vs = corpus_verdicts(shallow, ts_s, prop_paths(name))
         assert len(vc) >= 5
         for prop in vc:
             pairs += 1
@@ -119,8 +116,8 @@ def test_criterion_3_flattening_equivalence(ticket_spec, contract_spec,
                                                              max_depth=depth))
         ts_fl = build_transition_system(shallow, BuildConfig(mode="fb-flat",
                                                              max_depth=depth))
-        v1 = corpus_verdicts(shallow, ts_fb, False, prop_paths(name))
-        v2 = corpus_verdicts(shallow, ts_fl, True, prop_paths(name))
+        v1 = corpus_verdicts(shallow, ts_fb, prop_paths(name))
+        v2 = corpus_verdicts(shallow, ts_fl, prop_paths(name))
         for prop in v1:
             pairs += 1
             agree += v1[prop] == v2[prop]
@@ -141,8 +138,8 @@ def test_criterion_4_recycling_sound_and_complete(ticket_spec, ping_spec, ping_s
             spec, BuildConfig(mode="concrete-bounded", pools=pools_for(name)))
         ts_a = build_transition_system(shallow, BuildConfig(mode="abstract-recycle"))
         assert not ts_c.truncated and not ts_a.truncated
-        vc = corpus_verdicts(spec, ts_c, False, prop_paths(name))
-        va = corpus_verdicts(shallow, ts_a, True, prop_paths(name))
+        vc = corpus_verdicts(spec, ts_c, prop_paths(name))
+        va = corpus_verdicts(shallow, ts_a, prop_paths(name))
         for prop in vc:
             pairs += 1
             agree += vc[prop] == va[prop]
@@ -160,12 +157,10 @@ def test_criterion_5_ticket_protocol(ticket_spec):
     ts = build_transition_system(ticket_spec, BuildConfig(mode="abstract-recycle"))
     liveness = model_check(
         ts, ticket_spec,
-        flatten_property(parse_property(
-            (CORPUS / "props" / "ticket_mutex" / "liveness.mlp").read_text(),
-            ticket_spec)))
+        parse_property((CORPUS / "props" / "ticket_mutex" / "liveness.mlp").read_text(),
+                       ticket_spec))
     fifo_text = (CORPUS / "props" / "ticket_mutex" / "fifo.mlp").read_text()
-    fifo_orig = model_check(ts, ticket_spec,
-                            flatten_property(parse_property(fifo_text, ticket_spec)))
+    fifo_orig = model_check(ts, ticket_spec, parse_property(fifo_text, ticket_spec))
     # mutation: drop the ticket-ordering constraint
     inst = ticket_spec.inst_spec
     fresh = M.freshness_constraint()
@@ -175,8 +170,7 @@ def test_criterion_5_ticket_protocol(ticket_spec):
             c for c in inst.constraints if c == fresh)),
     })
     ts_mut = build_transition_system(mutated, BuildConfig(mode="abstract-recycle"))
-    fifo_mut = model_check(ts_mut, mutated,
-                           flatten_property(parse_property(fifo_text, mutated)))
+    fifo_mut = model_check(ts_mut, mutated, parse_property(fifo_text, mutated))
     ok = (safety.returncode == 0 and liveness.truth
           and fifo_orig.truth and not fifo_mut.truth)
     report(5, "safety exit 0, liveness true on the abstraction, constraint "

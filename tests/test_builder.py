@@ -358,7 +358,7 @@ class TestEqualityCommitmentAbstraction:
     def test_unordered_results_agree_with_exhaustive_pools(self):
         # string-valued service: equality commitments must both equate a
         # fresh result with the passive value and keep it apart
-        from rmas.mucalc import flatten_property, model_check, parse_property
+        from rmas.mucalc import model_check, parse_property
 
         spec = install_institutional(parse_spec(TAGGER))
         pool = {"Tagv": tuple(DataObject("Tagv", c) for c in ("a", "b", "c"))}
@@ -374,14 +374,13 @@ class TestEqualityCommitmentAbstraction:
         ]
         for text in props:
             v1 = model_check(ts_c, spec, parse_property(text, spec)).truth
-            v2 = model_check(ts_a, spec,
-                             flatten_property(parse_property(text, spec))).truth
+            v2 = model_check(ts_a, spec, parse_property(text, spec)).truth
             assert v1 is True and v2 is True
 
 
 class TestThreeClients:
     def test_bigger_population_still_closes_and_verifies(self):
-        from rmas.mucalc import flatten_property, model_check, parse_property
+        from rmas.mucalc import model_check, parse_property
         from conftest import CORPUS
 
         text = (CORPUS / "ticket_mutex.rmas").read_text().replace(
@@ -391,8 +390,8 @@ class TestThreeClients:
             spec, BuildConfig(mode=MODE_ABSTRACT, max_states=500000))
         assert not ts.truncated
         for prop in ("safety", "fifo"):
-            p = flatten_property(parse_property(
-                (CORPUS / "props" / "ticket_mutex" / f"{prop}.mlp").read_text(), spec))
+            p = parse_property(
+                (CORPUS / "props" / "ticket_mutex" / f"{prop}.mlp").read_text(), spec)
             assert model_check(ts, spec, p).truth
 
 

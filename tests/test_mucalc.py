@@ -144,33 +144,10 @@ def _spec_with_halted():
 
 
 class TestFlattenProperty:
-    def test_less_rewritten(self, ticket_spec):
-        p = parse_property(
-            "exists a: agent, t: Real, t2: Real. "
-            "hasTicket@inst(a, t) & hasTicket@inst(a, t2) & t2 < t", ticket_spec)
-        f = flatten_property(p)
-
-        ops = []
-
-        def walk(node):
-            if isinstance(node, CmpAtom):
-                ops.append(node.op)
-            for c in getattr(node, "parts", ()) or ():
-                walk(c)
-            if getattr(node, "body", None) is not None:
-                walk(node.body)
-
-        walk(f)
-        assert "less" not in ops and "lessfact" in ops
-
-    def test_comparison_free_unchanged(self):
-        p = parse_property("nu Z. p@inst & []Z", PROP_SPEC)
-        assert flatten_property(p) == p
-
-    def test_nested_fixpoints_preserved(self):
-        p = parse_property("nu Z. (mu Y. p@inst | <>Y) & []Z", PROP_SPEC)
-        f = flatten_property(p)
-        assert isinstance(f, PNu) and isinstance(f.body, PAnd)
+    def test_returns_its_argument(self, ticket_spec):
+        # the benchmark worker still calls it; the checker picks the order
+        p = parse_property(prop_text("ticket_mutex", "fifo"), ticket_spec)
+        assert flatten_property(p) is p
 
 
 class TestModelCheck:
@@ -365,19 +342,31 @@ def _same_as_naive(ts, spec, prop):
 
 
 class TestNaiveAgreementOnCorpus:
-    @pytest.mark.parametrize("mode,max_states", [("abstract-recycle", None), ("fb-flat", 60)])
+    @pytest.mark.parametrize("mode,max_states", [
+        ("abstract-recycle", None), ("fb-flat", 60), ("fb-commitments", 60)])
     def test_ticket_properties(self, mode, max_states):
         spec = compile_shallow(load_corpus("ticket_mutex"))
         config = BuildConfig(mode=mode, max_states=max_states)
         ts = build_transition_system(spec, config)
+        # `<` reads the lessThan facts in the flat modes, the carrier otherwise
+        assert all((s.order_db is not None) == config.flat for s in ts.states)
         ops = set()
         for path in prop_paths("ticket_mutex"):
             prop = parse_property(path.read_text(), spec)
-            if config.flat:
-                prop = flatten_property(prop)
             ops |= _cmp_ops(prop)
             _same_as_naive(ts, spec, prop)
-        assert ("lessfact" in ops) == config.flat
+        assert ops == {"eq", "less"}
+
+    def test_parsed_ticket_properties_read_the_order_facts(self, ticket_shallow):
+        # what parse_property returns is checked as is: no caller rewrites
+        # `<` for a flat system
+        ts = build_transition_system(ticket_shallow, BuildConfig(mode="abstract-recycle"))
+        truth = {}
+        for path in prop_paths("ticket_mutex"):
+            prop = parse_property(path.read_text(), ticket_shallow)
+            _same_as_naive(ts, ticket_shallow, prop)
+            truth[path.stem] = model_check(ts, ticket_shallow, prop).truth
+        assert truth["fifo"]
 
     def test_ping_properties(self, ping_shallow):
         ts = build_transition_system(ping_shallow, BuildConfig(mode="abstract-recycle"))
@@ -489,7 +478,8 @@ POOLS = {"Str": STRS, "Num": NUMS, "Cnt": CNTS, "agent": [INST, B]}
 
 def random_data_ts(rng: random.Random, n_states: int) -> TransitionSystem:
     """States whose databases carry objects: b registered or not, with or
-    without a database, and random lessThan facts over Num."""
+    without a database, and random lessThan facts over Num or no order
+    database at all, so `<` reads both order sources."""
 
     def some(pool, p=0.4):
         return [o for o in pool if rng.random() < p]
@@ -511,7 +501,7 @@ def random_data_ts(rng: random.Random, n_states: int) -> TransitionSystem:
             dbs[B] = Database.of([("MyName", (B,))] + [("W", (s,)) for s in some(STRS)])
         order = Database.of((lessthan_rel("Num"), (x, y))
                             for x in NUMS for y in NUMS if rng.random() < 0.3)
-        states.append(make_state(dbs, order))
+        states.append(make_state(dbs, order if rng.random() < 0.7 else None))
     ts = TransitionSystem()
     ts.states = states
     ts.edges = sorted({(i, j) for i in range(n_states) for j in range(n_states)
@@ -550,8 +540,7 @@ def random_data_prop(rng: random.Random, depth: int, scope: dict, fix: tuple):
             t = rng.choice(["Str", "agent"])
             return CmpAtom("eq", t, term(t), term(t))
         if kind == "cmp":
-            op, t = rng.choice([("less", "Num"), ("lessfact", "Num"), ("succ", "Cnt")])
-            return CmpAtom(op, t, term(t), term(t))
+            return CmpAtom("less", "Num", term("Num"), term("Num"))
         if kind == "true":
             return PTrue()
         return LocAtom("p", (), Const(INST))
@@ -640,9 +629,10 @@ class TestNaiveAgreementOnOpenFormulas:
 
     def test_atoms_over_order_facts_and_repeated_variables(self):
         x, y = Var("x"), Var("y")
-        atoms = [CmpAtom("lessfact", "Num", x, x), CmpAtom("lessfact", "Num", x, y),
-                 CmpAtom("lessfact", "Num", Const(NUMS[0]), y), CmpAtom("less", "Num", x, y),
-                 CmpAtom("succ", "Cnt", x, x), LocAtom("T", (x, x), Const(INST)),
+        atoms = [CmpAtom("less", "Num", x, x), CmpAtom("less", "Num", x, y),
+                 CmpAtom("less", "Num", Const(NUMS[0]), y),
+                 CmpAtom("less", "Num", x, Const(NUMS[-1])),
+                 CmpAtom("eq", "Cnt", x, x), LocAtom("T", (x, x), Const(INST)),
                  LocAtom("T", (x, Const(STRS[1])), Const(INST))]
         rng = random.Random(3)
         for _ in range(30):
@@ -706,7 +696,7 @@ class TestSharedTables:
         monkeypatch.setattr(mucalc, "SystemTables", Counting)
         config = BuildConfig(mode="abstract-recycle")
         ts = build_transition_system(ticket_shallow, config)
-        props = [flatten_property(parse_property(path.read_text(), ticket_shallow))
+        props = [parse_property(path.read_text(), ticket_shallow)
                  for path in prop_paths("ticket_mutex")]
         assert len(props) == 6
         for prop in props:
@@ -722,8 +712,8 @@ class TestSharedTables:
         assert len(made) == 1 + len(props)
 
     def test_lessfact_rows_match_per_state_reading(self, ticket_shallow):
-        # lessfact rows read each distinct order database once; reading
-        # every state's own order database gives the same rows
+        # `<` rows read each distinct order database once; reading every
+        # state's own order database gives the same rows
         ts = build_transition_system(ticket_shallow, BuildConfig(mode="abstract-recycle"))
         orders = {id(s.order_db) for s in ts.states if s.order_db is not None}
         assert 1 < len(orders) < len(ts.states)
@@ -731,10 +721,10 @@ class TestSharedTables:
         reals = tables.universe["Real"]
         x, y = Var("x"), Var("y")
         rel = lessthan_rel("Real")
-        assert tables.atom_rows(CmpAtom("lessfact", "Real", x, y))[1]
-        for atom in (CmpAtom("lessfact", "Real", x, y), CmpAtom("lessfact", "Real", x, x),
-                     CmpAtom("lessfact", "Real", Const(reals[0]), y),
-                     CmpAtom("lessfact", "Real", x, Const(reals[-1]))):
+        assert tables.atom_rows(CmpAtom("less", "Real", x, y))[1]
+        for atom in (CmpAtom("less", "Real", x, y), CmpAtom("less", "Real", x, x),
+                     CmpAtom("less", "Real", Const(reals[0]), y),
+                     CmpAtom("less", "Real", x, Const(reals[-1]))):
             names, rows = tables.atom_rows(atom)
             want: dict = {}
             for sid, s in enumerate(ts.states):
@@ -745,8 +735,7 @@ class TestSharedTables:
                         row = tuple(theta[n] for n in names)
                         want[row] = want.get(row, 0) | 1 << sid
             assert rows == want, atom
-        prop = flatten_property(parse_property(prop_text("ticket_mutex", "fifo"),
-                                               ticket_shallow))
+        prop = parse_property(prop_text("ticket_mutex", "fifo"), ticket_shallow)
         got = model_check(ts, ticket_shallow, prop)
         want = naive_model_check(ts, ticket_shallow, prop)
         assert (got.truth, got.extension, got.iterations) == \

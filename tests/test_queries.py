@@ -21,15 +21,12 @@ from rmas.queries import (
     FactOrder,
     IncompatibleQuery,
     MissingOrderFacts,
-    SuccNotFlattenable,
     Var,
     eval_query,
     free_vars,
     lessthan_rel,
     typecheck_query,
 )
-
-from rmas.mucalc import CmpAtom, flatten_property
 
 from oracles import naive_eval, substitute_params
 
@@ -205,12 +202,6 @@ class TestPlanShapes:
         q = Q.Forall("x", Q.q_false(), "Rat")
         assert self.agree(q, Database(), {}) == [{}]
         assert self.agree(q, Database.of([("S", (r(1),))]), {}) == []
-
-
-class TestFlatten:
-    def test_succ_not_flattenable(self):
-        with pytest.raises(SuccNotFlattenable):
-            flatten_property(CmpAtom("succ", "Cnt", Var("x"), Var("y")))
 
 
 # ---------------------------------------------------------------------------
