@@ -13,9 +13,15 @@ per distinct fact set (`_intern`), so states share equal databases; each
 database's objects by type; and, keyed by the facts they read, the answers
 of the agent-local calls (`enabled_messages`, `collect_reactions`,
 `get_facts`, `_acceptable`), the roster of registered agents
-(`current_agents`) and the ranked dense order.  What lives for one step only
-(`_StepCache`): the state's databases by agent, its active objects, the
-indexes over the databases the step's queries read, and its dense order.
+(`current_agents`) and the ranked dense order.  Two more kinds serve
+`_exchange`: a participant's next database ("next"), keyed by its
+database's facts and the facts `get_facts` deletes and adds, and a step's
+service-call branches ("branches"), keyed by the call tokens, the dense
+order's key (order facts and each dense type's active objects), each result
+type's active objects and, in abstract-recycle, its passive pool.  What
+lives for one step only (`_StepCache`): the state's databases by agent, its
+active objects, the indexes over the databases the step's queries read, and
+its dense order.
 """
 
 from __future__ import annotations
@@ -24,7 +30,7 @@ import itertools
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Iterator, Optional, Union
+from typing import Iterable, Optional, Union
 
 from .data import (
     AGENT_TYPE,
@@ -419,13 +425,12 @@ class Builder:
 
     def _sigma_branches(
         self, state: SystemState, calls: set[CallToken], used_snapshot: dict[str, set[DataObject]],
-    ) -> Iterator[tuple[dict[CallToken, DataObject], Optional[Database]]]:
+    ) -> Iterable[tuple[dict[CallToken, DataObject], Optional[Database]]]:
         """All choices of service results, with the rebuilt full order DB in
-        flat modes (None otherwise)."""
+        flat modes (None otherwise); do not mutate."""
         if not self.config.uses_commitments:
-            yield from self._pool_branches(calls)
-            return
-        yield from self._commitment_branches(state, calls, used_snapshot)
+            return self._pool_branches(calls)
+        return self._commitment_branches(state, calls, used_snapshot)
 
     def _pool_branches(self, calls):
         tokens = sorted(calls, key=CallToken.sort_key)
@@ -448,28 +453,38 @@ class Builder:
     def _commitment_branches(self, state, calls, used_snapshot):
         """One branch per commitment tuple over the types that receive a call
         result.  A step without calls has the one branch that substitutes
-        nothing and keeps the step's order."""
+        nothing and keeps the step's order.  The branches depend only on the
+        calls, the step's dense order, each result type's active objects and,
+        when recycling, its passive pool, which the reservoir draws from: the
+        builder keeps them by those (a raising enumeration keeps nothing)."""
         step = self._cache(state)
         seqs, order_now = step.dense_order()
         if not calls:
-            yield {}, order_now
-            return
+            return (({}, order_now),)
         spec = self.spec
         toks: dict[str, list[CallToken]] = {}
         for tok in sorted(calls, key=CallToken.sort_key):
             t = spec.facets[spec.services[tok.service].output_facet].base_type
             toks.setdefault(t, []).append(tok)
+        types = [t for t in self.unordered_types + self.dense_types if t in toks]
+        passive = {t: frozenset(used_snapshot.get(t, set()) - step.active(t)) for t in types
+                   } if self.config.mode == MODE_ABSTRACT else {}
+        key = ("branches", frozenset(calls), step.dense_key(),
+               tuple(step.active(t) for t in types), tuple(passive.values()))
+        got = self._memo.get(key)
+        if got is not None:
+            return got
 
         per_type: list[tuple[str, bool, list]] = []
-        for t in self.unordered_types + self.dense_types:
-            if t in toks:
-                elems = sorted(step.active(t), key=DataObject.sort_key) + toks[t]
-                dense = t in seqs
-                per_type.append((t, dense, list(
-                    enumerate_dense_commitments(elems, step.less(t)) if dense
-                    else enumerate_equality_commitments(elems))))
+        for t in types:
+            elems = sorted(step.active(t), key=DataObject.sort_key) + toks[t]
+            dense = t in seqs
+            per_type.append((t, dense, list(
+                enumerate_dense_commitments(elems, step.less(t)) if dense
+                else enumerate_equality_commitments(elems))))
 
         policy = MIDPOINT if self.config.mode == MODE_FB else OPAQUE
+        out = []
         for combo in itertools.product(*(cs for _, _, cs in per_type)):
             h = CommitmentTuple()
             for (t, is_dense, _), c in zip(per_type, combo):
@@ -477,20 +492,21 @@ class Builder:
                     h.dense[t] = c
                 else:
                     h.equality[t] = c
-            reservoirs = {t: self._reservoir(t, h, step, used_snapshot)
-                          for t, _, _ in per_type}
+            reservoirs = {t: self._reservoir(t, h, passive.get(t)) for t in types}
             sigma = assign_results(h, reservoirs, policy)
-            order_full = self._rebuild_order(h, sigma, seqs) if self.flat else None
-            yield sigma, order_full
+            out.append((sigma, self._rebuild_order(h, sigma, seqs) if self.flat else None))
+        got = self._memo[key] = tuple(out)
+        return got
 
-    def _reservoir(self, t: str, h: CommitmentTuple, step: "_StepCache", used_snapshot):
+    def _reservoir(self, t: str, h: CommitmentTuple, passive: Optional[frozenset[DataObject]]):
+        """Recycle t's passive objects (given in abstract-recycle only) if
+        they suffice for the free cells of h; synthesize otherwise."""
         carrier = self.spec.types[t].carrier
-        if self.config.mode != MODE_ABSTRACT:
+        if passive is None:
             return SynthesisReservoir(t, carrier)
         commitment = h.dense.get(t)
         cells = commitment.partition.cells if commitment else h.equality[t].cells
         free = sum(1 for c in cells if cell_object(c) is None)
-        passive = used_snapshot.get(t, set()) - step.active(t)
         if free <= len(passive) and free > 0:
             return PoolReservoir(passive)
         return SynthesisReservoir(t, carrier)
@@ -544,24 +560,33 @@ class Builder:
         else:
             participants = [(sender, s_spec, acts_send), (target, t_spec, acts_recv)]
 
-        # per participant: its next facts but those that carry a call token,
-        # and those facts
+        # per participant: its next database if no fact carries a call token,
+        # otherwise its next facts but those, those facts and their calls;
+        # kept by its database's facts and the facts its actions change
         step = self._cache(state)
-        pend: dict[DataObject, tuple[set[Fact], list[PendingFact]]] = {}
+        pend: dict[DataObject, Union[Database, tuple]] = {}
         calls: set[CallToken] = set()
         for agent, sname, acts in participants:
             to_del, to_add = self.get_facts(state, agent, sname, acts)
             db = step.dbs[agent]
-            ground = set(db.facts - to_del)
-            tokened = []
-            for fact in to_add:
-                toks = [a for a in fact[1] if isinstance(a, CallToken)]
-                if toks:
-                    tokened.append(fact)
-                    calls.update(toks)
-                else:
-                    ground.add(fact)
-            pend[agent] = (ground, tokened)
+            key = ("next", db.facts, to_del, to_add)
+            nxt = self._memo.get(key)
+            if nxt is None:
+                ground = set(db.facts - to_del)
+                tokened, toks = [], set()
+                for fact in to_add:
+                    fact_toks = [a for a in fact[1] if isinstance(a, CallToken)]
+                    if fact_toks:
+                        tokened.append(fact)
+                        toks.update(fact_toks)
+                    else:
+                        ground.add(fact)
+                nxt = self._memo[key] = (
+                    (frozenset(ground), tuple(tokened), frozenset(toks)) if tokened
+                    else self._intern(Database(frozenset(ground))))
+            if not isinstance(nxt, Database):
+                calls |= nxt[2]
+            pend[agent] = nxt
 
         if self.config.check_conformance:
             for tok in sorted(calls, key=CallToken.sort_key):
@@ -577,8 +602,9 @@ class Builder:
             dbs = dict(step.dbs)
             order = FactOrder(order_full) if self.flat else CarrierOrder()
             for agent, sname, _ in participants:
-                ground, tokened = pend[agent]
-                cand = self._intern(Database(frozenset(ground | _substitute(tokened, sigma))))
+                cand = pend[agent]
+                if not isinstance(cand, Database):
+                    cand = self._intern(Database(cand[0] | _substitute(cand[1], sigma)))
                 if cand is not dbs[agent] and self._acceptable(sname, cand, order):
                     dbs[agent] = cand
             # only a change to inst's database can change the active agents
@@ -745,8 +771,7 @@ class _StepCache:
         each dense type's active objects; a failure is not kept."""
         b = self.builder
         if self._dense_order is None:
-            key = ("dense", self.order.order_db.facts if b.flat else None,
-                   tuple(self.active(t) for t in b.dense_types))
+            key = ("dense",) + self.dense_key()
             got = b._memo.get(key)
             if got is None:
                 seqs = {t: check_total_order(sorted(self.active(t), key=DataObject.sort_key),
@@ -755,6 +780,13 @@ class _StepCache:
                 got = b._memo[key] = (seqs, b._intern(_order_db(seqs)) if b.flat else None)
             self._dense_order = got
         return self._dense_order
+
+    def dense_key(self) -> tuple:
+        """What the dense order is read from: the order's facts in flat
+        modes, and each dense type's active objects."""
+        b = self.builder
+        return (self.order.order_db.facts if b.flat else None,
+                tuple(self.active(t) for t in b.dense_types))
 
     def less(self, t: str):
         """The state's strict order on dense type t."""

@@ -234,8 +234,8 @@ class SynthesisReservoir:
     """Synthesizes fresh values from the carrier.
 
     Draws are a pure function of the avoid set, so identical abstract
-    situations receive identical representatives no matter when or on which
-    worker they are expanded.  Symbolic and string carriers take the first
+    situations receive identical representatives no matter when they are
+    expanded.  Symbolic and string carriers take the first
     free '~'-prefixed tokens; numeric carriers count upward from just above
     everything avoided.
     """

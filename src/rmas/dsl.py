@@ -90,12 +90,17 @@ class Token:
     line: int
     col: int
 
+    def __str__(self) -> str:
+        """How an error message names the token."""
+        return "end of input" if self.kind == "eof" else repr(self.value)
+
 
 def tokenize(text: str) -> list[Token]:
     tokens: list[Token] = []
     line, col = 1, 1
     pos = 0
     depth = 0
+    end = (1, 1)  # just after the last token but a newline: where input ends
     while pos < len(text):
         m = TOKEN_RE.match(text, pos)
         if m is None:
@@ -115,9 +120,10 @@ def tokenize(text: str) -> list[Token]:
                     depth = max(0, depth - 1)
                 k = "op" if kind == "op" else kind
                 tokens.append(Token(k, value, line, col))
+                end = (line, col + len(value))
             col += len(value)
         pos = m.end()
-    tokens.append(Token("eof", "", line, col))
+    tokens.append(Token("eof", "", *end))
     return tokens
 
 
@@ -153,13 +159,13 @@ class TokenStream:
     def expect(self, value: str) -> Token:
         t = self.peek()
         if not self.at(value):
-            raise ParseError(f"expected {value!r}, found {t.value!r}", t.line, t.col)
+            raise ParseError(f"expected {value!r}, found {t}", t.line, t.col)
         return self.next()
 
     def expect_ident(self) -> Token:
         t = self.peek()
         if t.kind != "ident":
-            raise ParseError(f"expected identifier, found {t.value!r}", t.line, t.col)
+            raise ParseError(f"expected identifier, found {t}", t.line, t.col)
         return self.next()
 
     def end_statement(self) -> None:
@@ -293,7 +299,7 @@ class QueryParser:
                 if op == "<":
                     return self._close_anon(Q.LessAtom("?", left, right), pair)
                 return self._close_anon(Q.LessAtom("?", right, left), pair)
-        raise ParseError(f"expected comparison operator, found {op_tok.value!r}", op_tok.line, op_tok.col)
+        raise ParseError(f"expected comparison operator, found {op_tok}", op_tok.line, op_tok.col)
 
     def _close_anon(self, atom: Query, terms) -> Query:
         # "_" desugars to a fresh existential scoped to its own atom.
@@ -316,7 +322,7 @@ class QueryParser:
         if t.kind == "ident" and t.value not in KEYWORDS:
             ts.next()
             return Var(t.value)
-        raise ParseError(f"expected a term, found {t.value!r}", t.line, t.col)
+        raise ParseError(f"expected a term, found {t}", t.line, t.col)
 
 
 # ---------------------------------------------------------------------------
@@ -500,7 +506,7 @@ class SpecParser:
                 elif ts.accept("undef"):
                     seeds.add(mk_undef(base))
                 else:
-                    raise ParseError(f"expected literal, found {t.value!r}", t.line, t.col)
+                    raise ParseError(f"expected literal, found {t}", t.line, t.col)
                 ts.accept(",")
         if formula is not None:
             seeds |= Q.constants(formula)

@@ -342,7 +342,7 @@ class PropParser:
                     return CmpAtom("less", None, left, right)
                 return CmpAtom("less", None, right, left)
         tok = ts.peek()
-        raise ParseError(f"expected an atom, found {tok.value!r}", tok.line, tok.col)
+        raise ParseError(f"expected an atom, found {tok}", tok.line, tok.col)
 
     def parse_located(self) -> Prop:
         ts = self.ts
@@ -370,7 +370,7 @@ class PropParser:
         if t.kind == "ident" and t.value not in KEYWORDS:
             ts.next()
             return Var(t.value)
-        raise ParseError(f"expected a term, found {t.value!r}", t.line, t.col)
+        raise ParseError(f"expected a term, found {t}", t.line, t.col)
 
 
 def _merge_modal_tokens(tokens: list[Token]) -> list[Token]:

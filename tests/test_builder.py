@@ -656,8 +656,9 @@ def _local_answers(b, state):
 
 
 class TestMemoAndInterning:
-    """A builder keeps one database per fact set and the answers of its
-    agent-local calls for its whole life."""
+    """A builder keeps one database per fact set, the answers of its
+    agent-local calls and each situation's service-call branches for its
+    whole life."""
 
     @pytest.mark.parametrize("name", ["ticket3-abstract", "ticket-flat-200", "ping-ordered"])
     def test_memoized_answers_equal_fresh_ones(self, ticket_spec, ping_spec, name):
@@ -676,6 +677,31 @@ class TestMemoAndInterning:
         got = [_local_answers(fresh, s) for s in reversed(ts.states)][::-1]
         assert got == want
         assert sum(len(a) for a in want) > 2 * len(ts.states)
+
+    @pytest.mark.parametrize("name", ["ticket3-abstract", "ping-ordered"])
+    def test_kept_branches_equal_fresh_ones(self, ping_spec, name):
+        spec = _ticket3_spec() if name == "ticket3-abstract" else _ping_ordered(ping_spec)
+        cfg = BuildConfig(mode=MODE_ABSTRACT)
+        ts = build_transition_system(spec, cfg)
+        warm = Builder(spec, cfg)
+        consts = {t: set(objs) for t, objs in warm.const_domain.items()}
+        used = {t: set(objs) for t, objs in consts.items()}
+        for s in ts.states:
+            warm._note_used(used, s)
+
+        def successors(b, states, snapshot):
+            return [list(map(state_key, b.step_successors(s, snapshot))) for s in states]
+
+        # the warm builder keeps each step's branches under the constants
+        # alone first, where nothing is passive, then meets every state again
+        # with every object used; the fresh builder meets the states in
+        # reverse: a branch key that left out what the branches depend on
+        # would hand one situation's branches to another
+        under_consts = successors(warm, ts.states, consts)
+        want = successors(warm, ts.states, used)
+        got = successors(Builder(spec, cfg), ts.states[::-1], used)[::-1]
+        assert got == want
+        assert under_consts != want  # the passive pool changes some branches
 
     def test_the_key_keeps_the_order(self, ticket_spec):
         lt = lessthan_rel("Real")
@@ -717,6 +743,34 @@ class TestMemoAndInterning:
         assert three[1].facts == order.facts
         # another state with the first one's key gets its answer
         assert dense_order(2, 1) is two
+
+    def test_the_branch_key_keeps_the_calls_and_dense_active_objects(self):
+        # each client may poke inst, which then calls getTok on the poker's
+        # name: two exchanges of one step issue different calls in the same
+        # situation.  Two states have the same order facts, and only the
+        # second holds ticket 2: keyed without the tickets, its branches
+        # would carry the first one's rebuilt order
+        text = (CORPUS / "ticket_mutex.rmas").read_text().replace(
+            "message askTicket()\n", "message askTicket()\nmessage poke()\n"
+            "type Tok symbolic\nfacet TF of Tok\nservice getTok(AF) -> TF\n").replace(
+            "  relation inCritical(AF)\n", "  relation inCritical(AF)\n  relation Stamp(TF)\n"
+            "  action stamp(a: AF) {\n    true ~> add { Stamp(getTok(a)) }\n  }\n"
+            "  on poke() from a if true then stamp(a)\n").replace(
+            "spec client {\n", "spec client {\n  a = inst enables poke() to a\n")
+        spec = install_institutional(parse_spec(text))
+        order = Database.of([(lessthan_rel("Real"), (rt(1), rt(2)))])
+
+        def successors(b, *holders):
+            s0 = b.initial_state()
+            dbs = dict(s0.agent_dbs)
+            dbs[agent("inst")] = s0.inst_db().apply(adds=[
+                ("hasTicket", (agent(c), rt(t))) for t, c in enumerate(holders, 1)], dels=[])
+            return [state_key(s) for s in b.step_successors(make_state(dbs, order))]
+
+        cfg = BuildConfig(mode=MODE_FB_FLAT)
+        warm = Builder(spec, cfg)
+        successors(warm, "c1")
+        assert successors(warm, "c1", "c2") == successors(Builder(spec, cfg), "c1", "c2")
 
     def test_a_bad_roster_raises_on_every_call(self, ticket_spec):
         b = Builder(ticket_spec, BuildConfig(mode=MODE_ABSTRACT))

@@ -84,6 +84,14 @@ class TestErrors:
         with pytest.raises(ParseError):
             parse_spec(text)
 
+    def test_spec_that_ends_early(self):
+        # the error points just past the last token, not at the lines after it
+        text = "spec instSpec institutional {\n  relation R(\n\n# a comment\n"
+        with pytest.raises(ParseError) as err:
+            parse_spec(text)
+        assert (err.value.line, err.value.col) == (2, 14)
+        assert err.value.msg == "expected identifier, found end of input"
+
     def test_unexpected_character(self):
         with pytest.raises(ParseError):
             parse_spec("type ^ string\n")

@@ -5,15 +5,19 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from conftest import ROOT
 
 
-def test_traced_worker_passes_its_span_self_test():
+@pytest.mark.parametrize("workload,steps", [
+    ("ticket3-verify", 895), ("async-ping", 1804), ("ticket-flat-stream", 1000)])
+def test_traced_worker_passes_its_span_self_test(workload, steps):
     out = subprocess.run(
         [sys.executable, str(ROOT / "perfbench" / "worker.py"),
-         "--workload", "ticket-flat-stream", "--seed", "1", "--traced"],
+         "--workload", workload, "--seed", "1", "--traced"],
         capture_output=True, cwd=str(ROOT), timeout=300)
     assert out.returncode == 0, out.stderr.decode()
     run = json.loads(out.stdout.decode().splitlines()[-1])
     assert run["failures"] == []
-    assert run["layers"]["builder.steps"] == 1000
+    assert run["layers"]["builder.steps"] == steps

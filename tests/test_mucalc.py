@@ -342,6 +342,10 @@ def _same_as_naive(ts, spec, prop):
 
 
 class TestNaiveAgreementOnCorpus:
+    # true only if the order source orders two tickets held at once
+    TWO_TICKETS_ORDERED = ("mu Z. (exists a: agent, b: agent, t: Real, u: Real. "
+                           "hasTicket@inst(a, t) & hasTicket@inst(b, u) & t < u) | <>Z")
+
     @pytest.mark.parametrize("mode,max_states", [
         ("abstract-recycle", None), ("fb-flat", 60), ("fb-commitments", 60)])
     def test_ticket_properties(self, mode, max_states):
@@ -356,6 +360,9 @@ class TestNaiveAgreementOnCorpus:
             ops |= _cmp_ops(prop)
             _same_as_naive(ts, spec, prop)
         assert ops == {"eq", "less"}
+        ordered = parse_property(self.TWO_TICKETS_ORDERED, spec)
+        _same_as_naive(ts, spec, ordered)
+        assert model_check(ts, spec, ordered).truth
 
     def test_parsed_ticket_properties_read_the_order_facts(self, ticket_shallow):
         # what parse_property returns is checked as is: no caller rewrites
