@@ -11,17 +11,17 @@ What a builder keeps for its whole life: every query compiled once, when it
 is made, with whether each group of plans reads the order; one `Database`
 per distinct fact set (`_intern`), so states share equal databases; each
 database's objects by type; and, keyed by the facts they read, the answers
-of the agent-local calls (`enabled_messages`, `collect_reactions`,
-`get_facts`, `_acceptable`), the roster of registered agents
+of `enabled_messages` and `_acceptable`, the roster of registered agents
 (`current_agents`) and the ranked dense order.  Two more kinds serve
-`_exchange`: a participant's next database ("next"), keyed by its
-database's facts and the facts `get_facts` deletes and adds, and a step's
-service-call branches ("branches"), keyed by the call tokens, the dense
-order's key (order facts and each dense type's active objects), each result
-type's active objects and, in abstract-recycle, its passive pool.  What
-lives for one step only (`_StepCache`): the state's databases by agent, its
-active objects, the indexes over the databases the step's queries read, and
-its dense order.
+`_exchange`: a participant's next database ("participant"), keyed by its
+spec, direction(s), the message, payload and peer, its database's facts and,
+if its rules or their actions' guards read the order, the order's facts; and
+a step's service-call branches ("branches"), keyed by the call tokens, the
+dense order's key (order facts and each dense type's active objects), each
+result type's active objects and, in abstract-recycle, its passive pool.
+What lives for one step only (`_StepCache`): the state's databases by agent,
+its active objects, the indexes over the databases the step's queries read,
+and its dense order.
 """
 
 from __future__ import annotations
@@ -248,8 +248,11 @@ class Builder:
         # whether a group of plans reads the order, by the memo kind and the
         # key of the group's plans (see `_order_key`)
         groups = [(("enabled", s), [p for _, p in ps]) for s, ps in self.comm_plans.items()]
-        groups += [(("reactions",) + k, [p for _, p in ps]) for k, ps in self.rules_by_msg.items()]
-        groups += [(("facts",) + k, ps) for k, ps in self.guard_plans.items()]
+        # a participant's rules for a message and direction read the order
+        # through their conditions or the guards of the actions they call
+        groups += [(("participant",) + k, [p for _, p in ps] + [
+            g for rule, _ in ps for g in self.guard_plans[(k[0], rule.action)]])
+            for k, ps in self.rules_by_msg.items()]
         groups += [(("accept", s), ps) for s, ps in self.constraint_plans.items()]
         self._reads_order = {k: any(p.reads_order for p in ps) for k, ps in groups}
         self._step: Optional[_StepCache] = None
@@ -364,62 +367,47 @@ class Builder:
         message: str, payload: tuple[DataObject, ...], peer: DataObject,
     ) -> list[tuple[str, tuple[DataObject, ...]]]:
         step = self._cache(state)
-        db = step.dbs[agent]
-        rules = self.rules_by_msg.get((sname, direction, message), ())
-        key = ("reactions", agent, sname, direction, message, payload, peer, db.facts,
-               _order_key(self._reads_order.get(("reactions", sname, direction, message), False),
-                          step.order))
-        acts = self._memo.get(key)
-        if acts is None:
-            ag = self.spec.agent_specs[sname]
-            ix = step.index(db)
-            out: set[tuple[str, tuple[DataObject, ...]]] = set()
-            for rule, plan in rules:
-                binding = {rule.peer_var: peer}
-                binding.update(dict(zip(rule.payload_vars, payload)))
-                if not Q.eval_query(plan, ix, step.order, binding=binding):
+        ix = step.index(step.dbs[agent])
+        ag = self.spec.agent_specs[sname]
+        out: set[tuple[str, tuple[DataObject, ...]]] = set()
+        for rule, plan in self.rules_by_msg.get((sname, direction, message), ()):
+            binding = {rule.peer_var: peer}
+            binding.update(dict(zip(rule.payload_vars, payload)))
+            if not Q.eval_query(plan, ix, step.order, binding=binding):
+                continue
+            act = ag.actions[rule.action]
+            args = tuple(
+                binding[a.name] if isinstance(a, Var) else a.obj for a in rule.args
+            )
+            if self.config.check_conformance:
+                if not all(_member(self.spec, f, o)
+                           for (_, f), o in zip(act.params, args)):
                     continue
-                act = ag.actions[rule.action]
-                args = tuple(
-                    binding[a.name] if isinstance(a, Var) else a.obj for a in rule.args
-                )
-                if self.config.check_conformance:
-                    if not all(_member(self.spec, f, o)
-                               for (_, f), o in zip(act.params, args)):
-                        continue
-                out.add((rule.action, args))
-            acts = self._memo[key] = tuple(sorted(
-                out, key=lambda inst: (inst[0], tuple(o.sort_key() for o in inst[1]))))
-        return list(acts)
+            out.add((rule.action, args))
+        return sorted(out, key=_instance_key)
 
     def get_facts(
         self, state: SystemState, agent: DataObject, sname: str,
         instances: list[tuple[str, tuple[DataObject, ...]]],
     ) -> tuple[frozenset[Fact], frozenset[PendingFact]]:
         step = self._cache(state)
-        db = step.dbs[agent]
-        key = ("facts", agent, sname, tuple(instances), db.facts, _order_key(
-            any(self._reads_order[("facts", sname, a)] for a, _ in instances), step.order))
-        got = self._memo.get(key)
-        if got is None:
-            ag = self.spec.agent_specs[sname]
-            ix = step.index(db)
-            to_del: set[Fact] = set()
-            to_add: set[PendingFact] = set()
-            for aname, args in instances:
-                act = ag.actions[aname]
-                values = {p: v for (p, _), v in zip(act.params, args)}
-                for eff, plan in zip(act.effects, self.guard_plans[(sname, aname)]):
-                    for theta in Q.eval_query(plan, ix, step.order, params=values):
-                        for tpl in eff.adds:
-                            to_add.add(_ground_template(tpl, theta, values))
-                        for tpl in eff.dels:
-                            fact = _ground_template(tpl, theta, values)
-                            if any(isinstance(a, CallToken) for a in fact[1]):
-                                raise BuildError(f"service call in delete fact {fact[0]!r}")
-                            to_del.add(fact)  # type: ignore[arg-type]
-            got = self._memo[key] = (frozenset(to_del), frozenset(to_add))
-        return got
+        ix = step.index(step.dbs[agent])
+        ag = self.spec.agent_specs[sname]
+        to_del: set[Fact] = set()
+        to_add: set[PendingFact] = set()
+        for aname, args in instances:
+            act = ag.actions[aname]
+            values = {p: v for (p, _), v in zip(act.params, args)}
+            for eff, plan in zip(act.effects, self.guard_plans[(sname, aname)]):
+                for theta in Q.eval_query(plan, ix, step.order, params=values):
+                    for tpl in eff.adds:
+                        to_add.add(_ground_template(tpl, theta, values))
+                    for tpl in eff.dels:
+                        fact = _ground_template(tpl, theta, values)
+                        if any(isinstance(a, CallToken) for a in fact[1]):
+                            raise BuildError(f"service call in delete fact {fact[0]!r}")
+                        to_del.add(fact)  # type: ignore[arg-type]
+        return frozenset(to_del), frozenset(to_add)
 
     # -- service results -------------------------------------------------------------
 
@@ -551,27 +539,28 @@ class Builder:
     def _exchange(
         self, state, sender, s_spec, target, t_spec, message, payload, used_snapshot,
     ) -> list[SystemState]:
-        acts_send = self.collect_reactions(
-            state, sender, s_spec, M.ON_SEND, message, payload, target)
-        acts_recv = self.collect_reactions(
-            state, target, t_spec, M.ON_RECEIVE, message, payload, sender)
         if sender == target:
-            participants = [(sender, s_spec, sorted(set(acts_send) | set(acts_recv)))]
+            participants = [(sender, s_spec, (M.ON_SEND, M.ON_RECEIVE), sender)]
         else:
-            participants = [(sender, s_spec, acts_send), (target, t_spec, acts_recv)]
+            participants = [(sender, s_spec, (M.ON_SEND,), target),
+                            (target, t_spec, (M.ON_RECEIVE,), sender)]
 
         # per participant: its next database if no fact carries a call token,
         # otherwise its next facts but those, those facts and their calls;
-        # kept by its database's facts and the facts its actions change
+        # kept by what its reactions and their effects read
         step = self._cache(state)
         pend: dict[DataObject, Union[Database, tuple]] = {}
         calls: set[CallToken] = set()
-        for agent, sname, acts in participants:
-            to_del, to_add = self.get_facts(state, agent, sname, acts)
+        for agent, sname, dirs, peer in participants:
             db = step.dbs[agent]
-            key = ("next", db.facts, to_del, to_add)
+            key = ("participant", sname, dirs, message, payload, peer, db.facts, _order_key(
+                any(self._reads_order.get(("participant", sname, d, message), False)
+                    for d in dirs), step.order))
             nxt = self._memo.get(key)
             if nxt is None:
+                acts = sorted({a for d in dirs for a in self.collect_reactions(
+                    state, agent, sname, d, message, payload, peer)}, key=_instance_key)
+                to_del, to_add = self.get_facts(state, agent, sname, acts)
                 ground = set(db.facts - to_del)
                 tokened, toks = [], set()
                 for fact in to_add:
@@ -601,7 +590,7 @@ class Builder:
             # database; an unchanged one keeps it either way
             dbs = dict(step.dbs)
             order = FactOrder(order_full) if self.flat else CarrierOrder()
-            for agent, sname, _ in participants:
+            for agent, sname, _, _ in participants:
                 cand = pend[agent]
                 if not isinstance(cand, Database):
                     cand = self._intern(Database(cand[0] | _substitute(cand[1], sigma)))
@@ -818,6 +807,11 @@ def _order_key(reads: bool, order) -> Optional[frozenset[Fact]]:
     if reads and isinstance(order, FactOrder):
         return order.order_db.facts
     return None
+
+
+def _instance_key(inst: tuple[str, tuple[DataObject, ...]]) -> tuple:
+    """Sort key of a ground action instance: action name, then arguments."""
+    return inst[0], tuple(o.sort_key() for o in inst[1])
 
 
 def _member(spec: RmasSpec, facet_name: str, obj: DataObject) -> bool:

@@ -159,6 +159,7 @@ def _build_config(args, spec: RmasSpec) -> BuildConfig:
             file_cfg = json.loads(_read(args.config))
         except json.JSONDecodeError as e:
             raise CliError(f"bad config file: {e}", EXIT_USAGE)
+        _check_config(file_cfg)
     mode = args.mode or file_cfg.get("mode") or MODE_CONCRETE
     if mode not in MODES:
         raise CliError(f"unknown mode {mode!r}", EXIT_USAGE)
@@ -175,6 +176,23 @@ def _build_config(args, spec: RmasSpec) -> BuildConfig:
         max_depth=pick(args.max_depth, "max_depth"),
         pools=_parse_pools(spec, pool_entries),
     )
+
+
+def _check_config(cfg) -> None:
+    """Refuse a config file that is not an object of the keys' types."""
+    if not isinstance(cfg, dict):
+        why = "the top level must be an object"
+    elif not isinstance(cfg.get("mode", ""), str):
+        why = "mode must be a string"
+    elif any(not (cfg.get(k) is None or type(cfg[k]) is int)
+             for k in ("state_bound", "max_states", "max_depth")):
+        why = "state_bound, max_states and max_depth must each be an integer or null"
+    elif not (isinstance(cfg.get("pools", []), list)
+              and all(isinstance(e, str) for e in cfg.get("pools", []))):
+        why = "pools must be a list of strings"
+    else:
+        return
+    raise CliError(f"bad config file: {why}", EXIT_USAGE)
 
 
 def _echo_config(report: Report, config: BuildConfig) -> None:

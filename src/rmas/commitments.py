@@ -33,16 +33,15 @@ class ReservoirExhausted(CommitmentError):
 class CallToken:
     """One ground service call pending in the current step.
 
-    Syntactically identical ground calls denote the same call and share one
-    token; the occurrence tag is reserved for variant semantics and stays 0.
+    Syntactically identical ground calls denote the same call and share
+    one token.
     """
 
     service: str
     args: tuple[DataObject, ...]
-    occurrence: int = 0
 
     def sort_key(self):
-        return (self.service, tuple(a.sort_key() for a in self.args), self.occurrence)
+        return (self.service, tuple(a.sort_key() for a in self.args))
 
 
 Element = Union[DataObject, CallToken]

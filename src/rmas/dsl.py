@@ -77,7 +77,7 @@ TOKEN_RE = re.compile(
   | (?P<number>-?\d+(?:\.\d+)?(?:/\d+)?)
   | (?P<string>"[^"\n]*")
   | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
-  | (?P<op>~>|->|!=|<=|>=|[(){}\[\],.:=<>!&|@_])
+  | (?P<op>~>|->|!=|<=|>=|<>|\[\]|[(){}\[\],.:=<>!&|@_])
     """,
     re.VERBOSE,
 )

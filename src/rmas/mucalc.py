@@ -25,7 +25,7 @@ from typing import Callable, Iterable, Iterator, Optional
 from .data import AGENT_TYPE, INST_NAME, Database, DataObject, carrier_less, mk_symbol
 from . import model as M
 from .builder import TransitionSystem
-from .dsl import KEYWORDS, ParseError, Token, TokenStream, tokenize, _raw_const, _resolve_literal
+from .dsl import KEYWORDS, ParseError, TokenStream, tokenize, _raw_const, _resolve_literal
 from .model import RmasSpec, initial_data_domain
 from . import queries as Q
 from .queries import Const, Term, Var, lessthan_rel
@@ -225,7 +225,7 @@ def binder_fv(p: Prop, env: dict[str, frozenset[str]]) -> frozenset[str]:
 class PropParser:
     def __init__(self, text: str, spec: RmasSpec) -> None:
         self.spec = spec
-        tokens = [t for t in _merge_modal_tokens(tokenize(text)) if t.kind != "newline"]
+        tokens = [t for t in tokenize(text) if t.kind != "newline"]
         self.ts = TokenStream(tokens)
         self.consts: dict[str, DataObject] = {INST_NAME: mk_symbol(AGENT_TYPE, INST_NAME)}
         for name, _ in spec.initial_agents:
@@ -371,26 +371,6 @@ class PropParser:
             ts.next()
             return Var(t.value)
         raise ParseError(f"expected a term, found {t}", t.line, t.col)
-
-
-def _merge_modal_tokens(tokens: list[Token]) -> list[Token]:
-    out: list[Token] = []
-    i = 0
-    while i < len(tokens):
-        a = tokens[i]
-        b = tokens[i + 1] if i + 1 < len(tokens) else None
-        if b is not None and b.line == a.line and b.col == a.col + 1:
-            if a.value == "<" and b.value == ">":
-                out.append(Token("op", "<>", a.line, a.col))
-                i += 2
-                continue
-            if a.value == "[" and b.value == "]":
-                out.append(Token("op", "[]", a.line, a.col))
-                i += 2
-                continue
-        out.append(a)
-        i += 1
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -655,10 +655,87 @@ def _local_answers(b, state):
     return out
 
 
+# one message sent by an agent to itself or to the other: the sender notes
+# the payload, the receiver notes the sender
+SELF_AND_OTHER = """
+message m(AF)
+
+agent p : node
+agent q : node
+
+spec node {
+  relation Noted(AF)
+
+  (t = p | t = q) & (x = p | x = q) enables m(x) to t
+
+  action note(a: AF) {
+    true ~> add { Noted(a) }
+  }
+
+  on m(x) to t if true then note(x)
+  on m(x) from s if true then note(s)
+}
+"""
+
+# inst may move p from spec left to spec right, keeping p's database; each
+# spec reacts to hi with its own action
+SWITCHED_SPEC = """
+message hi()
+message flip()
+
+agent p : left
+
+spec instSpec institutional {
+  relation Flipped()
+
+  MyName(m) & !Flipped() enables flip() to m
+  a = p enables hi() to a
+
+  action doFlip() {
+    true ~> del { hasSpec(p, left) } add { hasSpec(p, right), Flipped() }
+  }
+
+  on flip() from x if true then doFlip()
+}
+
+spec left {
+  relation L()
+  action l() {
+    true ~> add { L() }
+  }
+  on hi() from s if true then l()
+}
+
+spec right {
+  relation R()
+  action r() {
+    true ~> add { R() }
+  }
+  on hi() from s if true then r()
+}
+"""
+
+
+class _Forgetful(dict):
+    """A memo that keeps nothing, so every lookup computes afresh."""
+
+    def __setitem__(self, key, value) -> None:
+        pass
+
+
+def _kept_and_uncached_successors(spec, cfg, states):
+    """Each state's successors from one builder that meets the states in
+    order, and from one that keeps no answer at all."""
+    kept, uncached = Builder(spec, cfg), Builder(spec, cfg)
+    uncached._memo = _Forgetful()
+    return ([list(map(state_key, kept.step_successors(s))) for s in states],
+            [list(map(state_key, uncached.step_successors(s))) for s in states])
+
+
 class TestMemoAndInterning:
     """A builder keeps one database per fact set, the answers of its
-    agent-local calls and each situation's service-call branches for its
-    whole life."""
+    agent-local calls, each exchange participant's next database and each
+    situation's service-call branches for its whole life."""
 
     @pytest.mark.parametrize("name", ["ticket3-abstract", "ticket-flat-200", "ping-ordered"])
     def test_memoized_answers_equal_fresh_ones(self, ticket_spec, ping_spec, name):
@@ -702,6 +779,78 @@ class TestMemoAndInterning:
         got = successors(Builder(spec, cfg), ts.states[::-1], used)[::-1]
         assert got == want
         assert under_consts != want  # the passive pool changes some branches
+
+    @pytest.mark.parametrize("name", [
+        "ticket3-abstract", "ticket-flat-200", "ping-ordered", "self-and-other",
+        "switched-spec"])
+    def test_kept_next_databases_equal_uncached_ones(self, ticket_spec, ping_spec, name):
+        # an answer kept under a key that left out something the participant
+        # reads would reach a later state, or a later exchange of the same
+        # state, that the uncached builder answers afresh
+        spec, cfg = {
+            "ticket3-abstract": (_ticket3_spec(), BuildConfig(mode=MODE_ABSTRACT)),
+            "ticket-flat-200": (ticket_spec, BuildConfig(mode=MODE_FB_FLAT, max_states=200)),
+            "ping-ordered": (_ping_ordered(ping_spec), BuildConfig(mode=MODE_ABSTRACT)),
+            "self-and-other": (install_institutional(parse_spec(SELF_AND_OTHER)),
+                               BuildConfig(mode=MODE_CONCRETE)),
+            "switched-spec": (install_institutional(parse_spec(SWITCHED_SPEC)),
+                              BuildConfig(mode=MODE_CONCRETE)),
+        }[name]
+        ts = build_transition_system(spec, cfg)
+        kept, uncached = _kept_and_uncached_successors(spec, cfg, ts.states)
+        assert kept == uncached
+
+    def test_an_agent_sends_one_message_to_itself_and_to_another(self):
+        # to itself, p notes the payload as sender and itself as receiver;
+        # p's send reaction to m(p) to q and its receive reaction to m(p)
+        # from q read the same database, payload and peer, yet differ
+        spec = install_institutional(parse_spec(SELF_AND_OTHER))
+        ts = build_transition_system(spec, BuildConfig(mode=MODE_CONCRETE))
+        assert (len(ts.states), len(ts.edges)) == (14, 53)
+
+        def noted(s):
+            return tuple(tuple(sorted(args[0].value for rel, args in d.facts if rel == "Noted"))
+                         for a, d in s.agent_dbs if a.value != "inst")
+
+        b = Builder(spec, BuildConfig(mode=MODE_CONCRETE))
+        assert [a.value for a, _ in b.initial_state().agent_dbs] == ["inst", "p", "q"]
+        assert sorted(map(noted, b.step_successors(b.initial_state()))) == sorted([
+            (("p",), ()),            # p -> p: m(p)
+            (("p", "q"), ()),        # p -> p: m(q)
+            (("p",), ("p",)),        # p -> q: m(p)
+            (("q",), ("p",)),        # p -> q: m(q)
+            (("q",), ("p",)),        # q -> p: m(p)
+            (("q",), ("q",)),        # q -> p: m(q)
+            ((), ("p", "q")),        # q -> q: m(p)
+            ((), ("q",)),            # q -> q: m(q)
+        ])
+
+    def test_a_guard_alone_reads_the_order(self):
+        # late(t) triggers judge whatever the order, and judge's guard alone
+        # compares tickets: the same inst database under two orders gives
+        # two answers
+        text = (CORPUS / "ticket_mutex.rmas").read_text().replace(
+            "message exitC()\n", "message exitC()\nmessage late(RF)\n").replace(
+            "  relation inCritical(AF)\n", "  relation inCritical(AF)\n  relation Late(AF)\n"
+            "  action judge(a: AF, t: RF) {\n"
+            "    exists t2. hasTicket(_, t2) & t2 < t ~> add { Late(a) }\n  }\n"
+            "  on late(t) from a if true then judge(a, t)\n").replace(
+            "spec client {\n", "spec client {\n  HasT(t) & a = inst enables late(t) to a\n")
+        spec = install_institutional(parse_spec(text))
+        cfg = BuildConfig(mode=MODE_FB_FLAT)
+        s0 = Builder(spec, cfg).initial_state()
+        dbs = dict(s0.agent_dbs)
+        dbs[agent("inst")] = s0.inst_db().apply(adds=[
+            ("hasTicket", (agent("c1"), rt(1))), ("hasTicket", (agent("c2"), rt(2)))], dels=[])
+        dbs[agent("c1")] = dbs[agent("c1")].apply(adds=[("HasT", (rt(1),))], dels=[])
+        lt = lessthan_rel("Real")
+        states = [make_state(dbs, Database.of([(lt, (a, b))])) for a, b in
+                  [(rt(1), rt(2)), (rt(2), rt(1))]]
+        kept, uncached = _kept_and_uncached_successors(spec, cfg, states)
+        assert kept == uncached
+        late = [[any(f[0] == "Late" for _, d in key[0] for f in d) for key in keys]
+                for keys in kept]
+        assert list(map(any, late)) == [False, True]  # c1's ticket is late only where 2 < 1
 
     def test_the_key_keeps_the_order(self, ticket_spec):
         lt = lessthan_rel("Real")

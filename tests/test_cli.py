@@ -195,13 +195,20 @@ class TestBuild:
         assert out_file.read_text().startswith("digraph")
 
     def test_guard_variable_typed_only_by_a_parameter(self, tmp_path):
-        # x is free in the guard of note and typed by nothing but `x = p`:
-        # no message or rule types it, so the build must infer it
-        spec = tmp_path / "note.rmas"
-        spec.write_text(NOTE)
-        out = run_cli("build", str(spec), "--mode", "abstract-recycle")
-        assert out.returncode == 0, out.stderr
-        assert b"states: 2\n" in out.stderr
+        # x is free in the guard of note and typed by nothing but `x = p`,
+        # or by nothing at all where the plan ranges x over a universe: no
+        # message or rule types it, so the build must infer it
+        for guard, got in [("x = p & !Got(x)", ["hi"]), ("!Got(x)", ["hi", "yo"])]:
+            spec = tmp_path / "note.rmas"
+            spec.write_text(NOTE.replace("x = p & !Got(x)", guard))
+            ts = tmp_path / "ts.jsonl"
+            out = run_cli("build", str(spec), "--mode", "abstract-recycle", "--out", str(ts))
+            assert out.returncode == 0, out.stderr
+            assert b"states: 2\n" in out.stderr
+            (state,) = [r for r in map(json.loads, ts.read_text().splitlines())
+                        if r.get("id") == 1]
+            (alice,) = [db for name, db in state["agents"] if name["v"] == "alice"]
+            assert sorted(args[0]["v"] for rel, args in alice if rel == "Got") == got, guard
 
 
 class TestFacetFormulas:
@@ -440,3 +447,19 @@ class TestConfigFile:
         assert out.returncode == 3  # truncated by the config's cap
         out = run_cli("build", TICKET, "--config", str(cfg), "--max-states", "100000")
         assert out.returncode == 0
+
+    @pytest.mark.parametrize("text, why", [
+        ("[1, 2]", "the top level must be an object"),
+        ('{"max_states": "ten"}',
+         "state_bound, max_states and max_depth must each be an integer or null"),
+        ('{"pools": 5}', "pools must be a list of strings"),
+    ], ids=["list", "string-cap", "number-pools"])
+    @pytest.mark.parametrize("cmd", ["build", "verify"])
+    def test_wrong_shape_is_a_usage_error(self, tmp_path, cmd, text, why):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(text)
+        props = [SAFETY] if cmd == "verify" else []
+        out = run_cli(cmd, TICKET, *props, "--config", str(cfg))
+        assert out.returncode == 1
+        assert f"error: bad config file: {why}\n".encode() in out.stderr
+        assert b"Traceback" not in out.stderr

@@ -82,6 +82,18 @@ class TestParse:
         assert isinstance(p, PNu)
         assert isinstance(p.body, PAnd)
 
+    @pytest.mark.parametrize("text, error", [
+        ("nu Z. (forall a: agent. !inCritical@inst(a)) & [ ]Z",
+         "1:48: expected a term, found '['"),
+        ("mu Z. (exists a: agent. inCritical@inst(a)) | < >Z",
+         "1:47: expected a term, found '<'"),
+    ])
+    def test_modal_operators_are_written_without_a_space(self, ticket_spec, text, error):
+        with pytest.raises(ParseError) as e:
+            parse_property(text, ticket_spec)
+        assert str(e.value) == error
+        assert parse_property(text.replace("[ ]", "[]").replace("< >", "<>"), ticket_spec)
+
     def test_unguarded_modal_variable_rejected(self, ticket_spec):
         with pytest.raises(UnguardedModalVariables):
             parse_property("exists a: agent. <> inCritical@inst(a)", ticket_spec)
