@@ -7,21 +7,27 @@ on maintained lessThan facts, and where fresh values come from (synthesis vs.
 recycling of passive objects).  Exploration is a breadth-first closure that
 merges states with equal fact sets; repeated builds are byte-identical.
 
-What a builder keeps for its whole life: every query compiled once, when it
-is made, with whether each group of plans reads the order; one `Database`
-per distinct fact set (`_intern`), so states share equal databases; each
-database's objects by type; and, keyed by the facts they read, the answers
-of `enabled_messages` and `_acceptable`, the roster of registered agents
-(`current_agents`) and the ranked dense order.  Two more kinds serve
-`_exchange`: a participant's next database ("participant"), keyed by its
-spec, direction(s), the message, payload and peer, its database's facts and,
-if its rules or their actions' guards read the order, the order's facts; and
-a step's service-call branches ("branches"), keyed by the call tokens, the
-dense order's key (order facts and each dense type's active objects), each
-result type's active objects and, in abstract-recycle, its passive pool.
+What a builder keeps for its whole life: one plan per distinct typed query
+(with its variables' types and inputs), compiled when the builder is made,
+so specs that repeat a guard or a constraint share its plan, with whether
+each group of plans reads the order; one `Database` per distinct fact set
+(`_intern`), so states share equal databases; each database's objects by
+type; and, keyed by the facts they read, the answers of `enabled_messages`
+and `_acceptable`, the roster of registered agents (`current_agents`) and
+the ranked dense order.  Two more kinds serve `_exchange`: a participant's
+next database ("participant"), keyed by its spec, direction(s), the
+message, payload and peer, its database's facts and, if its rules or their
+actions' guards read the order, the order's facts; an entry whose facts
+carry call tokens also keeps its substitution table, the interned candidate
+for each tuple of results of its calls.  And a step's service-call branches
+("branches"), keyed by the call tokens, the dense order's key (order facts
+and each dense type's active objects), each result type's active objects
+and, in abstract-recycle, its passive pool.
 What lives for one step only (`_StepCache`): the state's databases by agent,
-its active objects, the indexes over the databases the step's queries read,
-and its dense order.
+its active objects and passive pools, the indexes over the databases the
+step's queries read, its dense order, and the one successor of every
+exchange that calls no service and changes no database: the state under
+its dense order in flat modes, the state itself otherwise.
 """
 
 from __future__ import annotations
@@ -30,7 +36,7 @@ import itertools
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Optional, Union
+from typing import Iterable, Iterator, Optional, Union
 
 from .data import (
     AGENT_TYPE,
@@ -216,7 +222,20 @@ class Builder:
         self.unordered_types = [
             t for t in sorted(spec.types) if t not in self.dense_types
         ]
-        # every query is compiled once, here; `step_successors` only runs plans
+        # every query is typed here and each distinct typed query (with its
+        # variables' types and inputs) compiled once: `step_successors` only
+        # runs plans
+        plans: dict[tuple, Q.Plan] = {}
+
+        def plan(q, ctx, seeds, param_types=None, inputs=()) -> Q.Plan:
+            typed, var_types = Q.typecheck_query(q, ctx, param_types=param_types,
+                                                 seed_types=seeds)
+            key = (typed, tuple(sorted(var_types.items())), frozenset(inputs))
+            got = plans.get(key)
+            if got is None:
+                got = plans[key] = Q.compile_query(typed, var_types, inputs)
+            return got
+
         self.comm_plans: dict[str, list[tuple[CommRule, Q.Plan]]] = {}
         self.rules_by_msg: dict[tuple[str, str, str], list[tuple[UpdateRule, Q.Plan]]] = {}
         self.guard_plans: dict[tuple[str, str], list[Q.Plan]] = {}
@@ -229,32 +248,34 @@ class Builder:
         for sname, ag in spec.agent_specs.items():
             ctx = spec.schema_context(ag)
             self.comm_plans[sname] = [
-                (rule, _compile(rule.query, ctx, spec.messages[rule.message].var_types(
+                (rule, plan(rule.query, ctx, spec.messages[rule.message].var_types(
                     rule.payload_vars, rule.target_var, spec.facets)))
                 for rule in ag.comm_rules
             ]
             for rule in ag.update_rules:
                 seeds = spec.messages[rule.message].var_types(
                     rule.payload_vars, rule.peer_var, spec.facets)
-                plan = _compile(rule.condition, ctx, seeds, inputs=seeds)
                 self.rules_by_msg.setdefault((sname, rule.direction, rule.message), []).append(
-                    (rule, plan))
+                    (rule, plan(rule.condition, ctx, seeds, inputs=seeds)))
             for aname, act in ag.actions.items():
                 ptypes = {p: spec.facets[f].base_type for p, f in act.params}
                 self.guard_plans[(sname, aname)] = [
-                    _compile(eff.guard, ctx, {}, ptypes) for eff in act.effects
+                    plan(eff.guard, ctx, {}, ptypes) for eff in act.effects
                 ]
-            self.constraint_plans[sname] = [_compile(c, ctx, {}) for c in ag.constraints]
+            self.constraint_plans[sname] = [plan(c, ctx, {}) for c in ag.constraints]
         # whether a group of plans reads the order, by the memo kind and the
         # key of the group's plans (see `_order_key`)
         groups = [(("enabled", s), [p for _, p in ps]) for s, ps in self.comm_plans.items()]
-        # a participant's rules for a message and direction read the order
-        # through their conditions or the guards of the actions they call
-        groups += [(("participant",) + k, [p for _, p in ps] + [
-            g for rule, _ in ps for g in self.guard_plans[(k[0], rule.action)]])
-            for k, ps in self.rules_by_msg.items()]
         groups += [(("accept", s), ps) for s, ps in self.constraint_plans.items()]
         self._reads_order = {k: any(p.reads_order for p in ps) for k, ps in groups}
+        # a participant's rules for a message and its direction(s) read the
+        # order through their conditions or the guards of the actions they call
+        for (s, d, m), ps in self.rules_by_msg.items():
+            reads = any(p.reads_order for _, p in ps) or any(
+                g.reads_order for rule, _ in ps for g in self.guard_plans[(s, rule.action)])
+            for dirs in ((d,), (M.ON_SEND, M.ON_RECEIVE)):
+                key = ("participant", s, dirs, m)
+                self._reads_order[key] = self._reads_order.get(key, False) or reads
         self._step: Optional[_StepCache] = None
 
     # -- initial state ----------------------------------------------------------
@@ -412,13 +433,13 @@ class Builder:
     # -- service results -------------------------------------------------------------
 
     def _sigma_branches(
-        self, state: SystemState, calls: set[CallToken], used_snapshot: dict[str, set[DataObject]],
+        self, state: SystemState, calls: set[CallToken],
     ) -> Iterable[tuple[dict[CallToken, DataObject], Optional[Database]]]:
         """All choices of service results, with the rebuilt full order DB in
         flat modes (None otherwise); do not mutate."""
         if not self.config.uses_commitments:
             return self._pool_branches(calls)
-        return self._commitment_branches(state, calls, used_snapshot)
+        return self._commitment_branches(state, calls)
 
     def _pool_branches(self, calls):
         tokens = sorted(calls, key=CallToken.sort_key)
@@ -438,7 +459,7 @@ class Builder:
         for combo in itertools.product(*choices):
             yield dict(zip(tokens, combo)), None
 
-    def _commitment_branches(self, state, calls, used_snapshot):
+    def _commitment_branches(self, state, calls):
         """One branch per commitment tuple over the types that receive a call
         result.  A step without calls has the one branch that substitutes
         nothing and keeps the step's order.  The branches depend only on the
@@ -455,8 +476,7 @@ class Builder:
             t = spec.facets[spec.services[tok.service].output_facet].base_type
             toks.setdefault(t, []).append(tok)
         types = [t for t in self.unordered_types + self.dense_types if t in toks]
-        passive = {t: frozenset(used_snapshot.get(t, set()) - step.active(t)) for t in types
-                   } if self.config.mode == MODE_ABSTRACT else {}
+        passive = {t: step.passive(t) for t in types} if self.config.mode == MODE_ABSTRACT else {}
         key = ("branches", frozenset(calls), step.dense_key(),
                tuple(step.active(t) for t in types), tuple(passive.values()))
         got = self._memo.get(key)
@@ -518,8 +538,7 @@ class Builder:
     def step_successors(
         self, state: SystemState, used_snapshot: Optional[dict[str, set[DataObject]]] = None,
     ) -> list[SystemState]:
-        used_snapshot = used_snapshot or {}
-        self._step = _StepCache(self, state)
+        self._step = _StepCache(self, state, used_snapshot)
         try:
             cur_as = self.current_agents(state)
             specs = dict(cur_as)
@@ -530,14 +549,13 @@ class Builder:
                         state, sender, s_spec, active):
                     t_spec = specs[target]
                     out.extend(self._exchange(
-                        state, sender, s_spec, target, t_spec, message, payload,
-                        used_snapshot))
+                        state, sender, s_spec, target, t_spec, message, payload))
             return out
         finally:
             self._step = None
 
     def _exchange(
-        self, state, sender, s_spec, target, t_spec, message, payload, used_snapshot,
+        self, state, sender, s_spec, target, t_spec, message, payload,
     ) -> list[SystemState]:
         if sender == target:
             participants = [(sender, s_spec, (M.ON_SEND, M.ON_RECEIVE), sender)]
@@ -546,16 +564,17 @@ class Builder:
                             (target, t_spec, (M.ON_RECEIVE,), sender)]
 
         # per participant: its next database if no fact carries a call token,
-        # otherwise its next facts but those, those facts and their calls;
-        # kept by what its reactions and their effects read
+        # otherwise its next facts but those, those facts, their calls and
+        # the candidates substituted so far by the calls' results; kept by
+        # what its reactions and their effects read
         step = self._cache(state)
         pend: dict[DataObject, Union[Database, tuple]] = {}
         calls: set[CallToken] = set()
         for agent, sname, dirs, peer in participants:
             db = step.dbs[agent]
             key = ("participant", sname, dirs, message, payload, peer, db.facts, _order_key(
-                any(self._reads_order.get(("participant", sname, d, message), False)
-                    for d in dirs), step.order))
+                self._reads_order.get(("participant", sname, dirs, message), False),
+                step.order))
             nxt = self._memo.get(key)
             if nxt is None:
                 acts = sorted({a for d in dirs for a in self.collect_reactions(
@@ -571,11 +590,15 @@ class Builder:
                     else:
                         ground.add(fact)
                 nxt = self._memo[key] = (
-                    (frozenset(ground), tuple(tokened), frozenset(toks)) if tokened
+                    (frozenset(ground), tuple(tokened), tuple(toks), {}) if tokened
                     else self._intern(Database(frozenset(ground))))
             if not isinstance(nxt, Database):
-                calls |= nxt[2]
+                calls.update(nxt[2])
+            elif nxt is db:
+                continue
             pend[agent] = nxt
+        if not calls and not pend:
+            return [step.unchanged()]
 
         if self.config.check_conformance:
             for tok in sorted(calls, key=CallToken.sort_key):
@@ -585,15 +608,22 @@ class Builder:
                     return []  # inputs break the service typing: no successor here
 
         out: list[SystemState] = []
-        for sigma, order_full in self._sigma_branches(state, calls, used_snapshot):
+        for sigma, order_full in self._sigma_branches(state, calls):
             # a participant whose candidate breaks a constraint keeps its
             # database; an unchanged one keeps it either way
             dbs = dict(step.dbs)
             order = FactOrder(order_full) if self.flat else CarrierOrder()
             for agent, sname, _, _ in participants:
-                cand = pend[agent]
+                cand = pend.get(agent)
+                if cand is None:
+                    continue
                 if not isinstance(cand, Database):
-                    cand = self._intern(Database(cand[0] | _substitute(cand[1], sigma)))
+                    ground, tokened, toks, subs = cand
+                    results = tuple(sigma[t] for t in toks)
+                    cand = subs.get(results)
+                    if cand is None:
+                        cand = subs[results] = self._intern(
+                            Database(ground | _substitute(tokened, sigma)))
                 if cand is not dbs[agent] and self._acceptable(sname, cand, order):
                     dbs[agent] = cand
             # only a change to inst's database can change the active agents
@@ -603,15 +633,17 @@ class Builder:
 
             order_db = order_full
             if self.flat and sigma:
-                # persisting objects: previous state, next state, constants;
-                # without results, the order holds no other objects
-                keep = set(step.objects())
-                for agent, d in dbs.items():
-                    if d is not step.dbs.get(agent):
-                        for objs in self._objects_by_type(d).values():
-                            keep.update(objs)
-                order_db = self._intern(Database.of(
-                    f for f in order_full.facts if f[1][0] in keep and f[1][1] in keep))
+                # the order keeps the objects of the previous state, of the
+                # next one and the constants; it holds no others but results
+                objects = step.objects()
+                changed = [self._objects_by_type(d) for agent, d in dbs.items()
+                           if d is not step.dbs.get(agent)]
+                drop = {o for o in sigma.values() if o not in objects and not any(
+                    o in objs.get(o.type_name, ()) for objs in changed)}
+                if drop:
+                    order_db = self._intern(Database.of(
+                        f for f in order_full.facts
+                        if f[1][0] not in drop and f[1][1] not in drop))
             # the same agents are still in the state's order
             out.append(SystemState(tuple(dbs.items()), order_db) if same_agents
                        else make_state(dbs, order_db))
@@ -647,15 +679,22 @@ class Builder:
                 Q.eval_query(plan, db, order) for plan in self.constraint_plans[sname])
         return ok
 
-    def _note_used(self, used: dict[str, set[DataObject]], state: SystemState) -> None:
+    def _note_used(self, used: dict[str, set[DataObject]], state: SystemState,
+                   noted: set[frozenset[Fact]]) -> None:
+        """Add the objects of state's databases to used, reading only the
+        fact sets not in noted, which it then holds."""
         for _, db in state.agent_dbs:
-            for t, objs in self._objects_by_type(db).items():
-                used[t].update(objs)
+            if db.facts not in noted:
+                noted.add(db.facts)
+                for t, objs in self._objects_by_type(db).items():
+                    used[t].update(objs)
 
     def _check_bound(self, state: SystemState) -> None:
         b = self.config.state_bound
+        if b is None:
+            return
         for name, db in state.agent_dbs:
-            if b is not None and _stored(db) > b:
+            if _stored(db) > b:
                 raise StateBoundExceeded(str(name.value), _stored(db))
 
     # -- closure ---------------------------------------------------------------------------
@@ -669,7 +708,8 @@ class Builder:
         edges: set[tuple[int, int]] = set()
         # const_domain has a key for every type of the spec
         used = {t: set(objs) for t, objs in self.const_domain.items()}
-        self._note_used(used, s0)
+        noted: set[frozenset[Fact]] = set()  # the fact sets read into used
+        self._note_used(used, s0, noted)
 
         frontier = [0]
         depth = 0
@@ -695,7 +735,7 @@ class Builder:
                         ts.states.append(succ)
                         index[key] = tid
                         next_frontier.append(tid)
-                        self._note_used(used, succ)
+                        self._note_used(used, succ, noted)
                     edges.add((sid, tid))
             frontier = next_frontier
             peak = max(peak, len(frontier))
@@ -718,19 +758,24 @@ class Builder:
 
 class _StepCache:
     """What one exploration step reuses: the state's databases by agent, its
-    order source, an index per database it reads and the order of its dense
-    objects, each built on first use and dropped with the step, so no
-    retained state carries them."""
+    order source, an index per database it reads, the order of its dense
+    objects, each type's passive pool and the successor of an exchange that
+    changes nothing, each built on first use and dropped with the step, so
+    no retained state carries them."""
 
-    def __init__(self, builder: Builder, state: SystemState) -> None:
+    def __init__(self, builder: Builder, state: SystemState,
+                 used: Optional[dict[str, set[DataObject]]] = None) -> None:
         self.builder = builder
         self.state = state
+        self._used = used or {}
         self.dbs = dict(state.agent_dbs)
         self.order = FactOrder(state.order_db or Database()) if builder.flat else CarrierOrder()
         self._indexes: dict[int, Q.DbIndex] = {}  # by id; each index holds its database
         self._active: dict[str, frozenset[DataObject]] = {}
         self._objects: Optional[set[DataObject]] = None
         self._dense_order: Optional[tuple[dict[str, list[DataObject]], Optional[Database]]] = None
+        self._passive: dict[str, frozenset[DataObject]] = {}
+        self._unchanged: Optional[SystemState] = None
 
     def index(self, db: Database) -> Q.DbIndex:
         ix = self._indexes.get(id(db))
@@ -745,6 +790,22 @@ class _StepCache:
             objs = self._active[t] = self.builder.const_domain.get(t, frozenset()).union(
                 *(self.builder._objects_by_type(db).get(t, ()) for db in self.dbs.values()))
         return objs
+
+    def passive(self, t: str) -> frozenset[DataObject]:
+        """Objects of type t used so far in the build but not active."""
+        objs = self._passive.get(t)
+        if objs is None:
+            objs = self._passive[t] = frozenset(self._used.get(t, set()) - self.active(t))
+        return objs
+
+    def unchanged(self) -> SystemState:
+        """The successor of an exchange that calls no service and changes no
+        database: the state under its dense order in flat modes, the state
+        itself otherwise."""
+        if self._unchanged is None:
+            self._unchanged = SystemState(self.state.agent_dbs, self.dense_order()[1]) \
+                if self.builder.flat else self.state
+        return self._unchanged
 
     def objects(self) -> set[DataObject]:
         """Every object of the state and every constant; do not mutate."""
@@ -818,12 +879,6 @@ def _member(spec: RmasSpec, facet_name: str, obj: DataObject) -> bool:
     return facet_member(spec.facets[facet_name], obj, spec.types)
 
 
-def _compile(q, ctx, seeds: dict[str, str], param_types: Optional[dict[str, str]] = None,
-             inputs=()) -> Q.Plan:
-    typed, var_types = Q.typecheck_query(q, ctx, param_types=param_types, seed_types=seeds)
-    return Q.compile_query(typed, var_types, inputs)
-
-
 def _ground_template(tpl, theta, values) -> PendingFact:
     args: list[PendingArg] = []
     for term in tpl.terms:
@@ -889,7 +944,9 @@ def _db_from_json(rows) -> Database:
     )
 
 
-def export_jsonl(ts: TransitionSystem) -> bytes:
+def jsonl_lines(ts: TransitionSystem) -> Iterator[bytes]:
+    """The jsonl export one line at a time, each with its newline, so a
+    writer never holds more than one line and each database's text."""
     texts: dict[int, str] = {}  # by id: states share their databases
 
     def db_text(db: Database) -> str:
@@ -897,22 +954,22 @@ def export_jsonl(ts: TransitionSystem) -> bytes:
             texts[id(db)] = json.dumps(_db_json(db), sort_keys=True)
         return texts[id(db)]
 
-    # each line is encoded as soon as it is written, so the text of the
-    # whole export is held once, as bytes
-    lines = [json.dumps({
+    yield json.dumps({
         "kind": "meta", "mode": ts.mode, "initial": ts.initial,
         "truncated": ts.truncated, "stats": ts.stats,
-    }, sort_keys=True).encode()]
+    }, sort_keys=True).encode() + b"\n"
     for i, s in enumerate(ts.states):
         # what json.dumps(record, sort_keys=True) writes, keys in sorted order
         agents = ", ".join(f"[{json.dumps(_obj_json(name), sort_keys=True)}, {db_text(db)}]"
                            for name, db in s.agent_dbs)
         order = "" if s.order_db is None else f', "order": {db_text(s.order_db)}'
-        lines.append(f'{{"agents": [{agents}], "id": {i}, "kind": "state"{order}}}'.encode())
+        yield f'{{"agents": [{agents}], "id": {i}, "kind": "state"{order}}}\n'.encode()
     for (a, b) in ts.edges:
-        lines.append(json.dumps({"kind": "edge", "src": a, "dst": b}, sort_keys=True).encode())
-    lines.append(b"")  # the export ends with a newline
-    return b"\n".join(lines)
+        yield json.dumps({"kind": "edge", "src": a, "dst": b}, sort_keys=True).encode() + b"\n"
+
+
+def export_jsonl(ts: TransitionSystem) -> bytes:
+    return b"".join(jsonl_lines(ts))
 
 
 def import_jsonl(data: bytes) -> TransitionSystem:

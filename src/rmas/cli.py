@@ -39,6 +39,7 @@ from .builder import (
     TransitionSystem,
     build_transition_system,
     export,
+    jsonl_lines,
 )
 from .generators import (
     ASYNC_DISORDERED,
@@ -152,6 +153,11 @@ def _load_spec(path: str) -> RmasSpec:
         raise CliError(f"{path}: {e}", EXIT_PARSE)
 
 
+# the exploration caps, each a flag and a config-file key of the same name
+CAPS = ("state_bound", "max_states", "max_depth")
+CONFIG_KEYS = {"mode", "pools", *CAPS}
+
+
 def _build_config(args, spec: RmasSpec) -> BuildConfig:
     file_cfg = {}
     if getattr(args, "config", None):
@@ -166,26 +172,25 @@ def _build_config(args, spec: RmasSpec) -> BuildConfig:
     pool_entries = list(file_cfg.get("pools", []))
     pool_entries += args.pool or []
 
-    def pick(flag, key):
-        return flag if flag is not None else file_cfg.get(key)
-
-    return BuildConfig(
-        mode=mode,
-        state_bound=pick(args.state_bound, "state_bound"),
-        max_states=pick(args.max_states, "max_states"),
-        max_depth=pick(args.max_depth, "max_depth"),
-        pools=_parse_pools(spec, pool_entries),
-    )
+    caps = {}
+    for key in CAPS:
+        flag = getattr(args, key)
+        caps[key] = flag if flag is not None else file_cfg.get(key)
+        if caps[key] is not None and caps[key] < 0:
+            raise CliError(f"{key} must not be negative, got {caps[key]}", EXIT_USAGE)
+    return BuildConfig(mode=mode, pools=_parse_pools(spec, pool_entries), **caps)
 
 
 def _check_config(cfg) -> None:
-    """Refuse a config file that is not an object of the keys' types."""
+    """Refuse a config file that is not an object of the known keys and
+    their types."""
     if not isinstance(cfg, dict):
         why = "the top level must be an object"
+    elif set(cfg) - CONFIG_KEYS:
+        why = f"unknown key {min(set(cfg) - CONFIG_KEYS)!r}"
     elif not isinstance(cfg.get("mode", ""), str):
         why = "mode must be a string"
-    elif any(not (cfg.get(k) is None or type(cfg[k]) is int)
-             for k in ("state_bound", "max_states", "max_depth")):
+    elif any(not (cfg.get(k) is None or type(cfg[k]) is int) for k in CAPS):
         why = "state_bound, max_states and max_depth must each be an integer or null"
     elif not (isinstance(cfg.get("pools", []), list)
               and all(isinstance(e, str) for e in cfg.get("pools", []))):
@@ -278,7 +283,9 @@ def cmd_build(args, report: Report) -> int:
         report.data["result"]["compiled"] = True
     ts = _build(built_spec, config, report)
     if args.out:
-        _write_out(args, export(ts, args.format))
+        # a jsonl export is written as it is encoded, a line at a time
+        with open(args.out, "wb") as fh:
+            fh.writelines(jsonl_lines(ts) if args.format == "jsonl" else [export(ts, args.format)])
     return EXIT_TRUNCATED if ts.truncated else EXIT_OK
 
 

@@ -189,7 +189,7 @@ class TestStepSuccessors:
         state = make_state(dbs, order)
         succs = b._exchange(
             state, agent("c1"), "client", agent("inst"), "instSpec",
-            "askTicket", (), {})
+            "askTicket", ())
         assert len(succs) == 5
         # the ordering constraint commits only the above-everything branch;
         # the four rejected branches all roll back to the source state
@@ -213,7 +213,7 @@ class TestStepSuccessors:
         # ordering constraint, so inst must roll back
         succs = b._exchange(
             state, agent("c1"), "client", agent("inst"), "instSpec",
-            "askTicket", (), {})
+            "askTicket", ())
         assert len(succs) == 1
         assert succs[0].db(agent("inst")) == inst_db
 
@@ -232,7 +232,7 @@ class TestStepSuccessors:
         s0 = b.initial_state()
         succs = b._exchange(
             s0, agent("alice"), "pinger", agent("bob"), "ponger",
-            "ping", (DataObject("Str", "hi"),), {})
+            "ping", (DataObject("Str", "hi"),))
         (s1,) = succs
         assert s1.db(agent("bob")) == s0.db(agent("bob"))  # rolled back
         assert ("Waiting", ()) in s1.db(agent("alice")).facts  # committed
@@ -246,7 +246,7 @@ class TestStepSuccessors:
         state = make_state(dbs, None)
         return b, state, lambda: b._exchange(
             state, agent("c1"), "client", agent("inst"), "instSpec",
-            "askTicket", (), {})
+            "askTicket", ())
 
     def test_out_of_schema_fact_rolls_back(self, ticket_spec):
         # every candidate of inst keeps the fact of a relation outside its
@@ -432,17 +432,31 @@ class TestDeterminism:
 
     @pytest.mark.parametrize("mode", [MODE_CONCRETE, MODE_ABSTRACT, MODE_FB_FLAT])
     def test_queries_compiled_once_per_builder(self, ticket_spec, monkeypatch, mode):
-        compiled = []
-        compile_query = Q.compile_query
-        monkeypatch.setattr(Q, "compile_query",
-                            lambda q, *a, **k: compiled.append(q) or compile_query(q, *a, **k))
+        typed, compiled = [], []
+        typecheck_query, compile_query = Q.typecheck_query, Q.compile_query
+
+        def typecheck(*a, **k):
+            q, var_types = typecheck_query(*a, **k)
+            typed.append(q)
+            return q, var_types
+
+        def compile_(q, var_types, inputs=()):
+            compiled.append((q, tuple(sorted(var_types.items())), frozenset(inputs)))
+            return compile_query(q, var_types, inputs)
+
+        monkeypatch.setattr(Q, "typecheck_query", typecheck)
+        monkeypatch.setattr(Q, "compile_query", compile_)
         b = Builder(ticket_spec, BuildConfig(mode=mode, max_states=60,
                                              pools=rational_pool("Real", [1, 2])))
-        # one plan per comm rule, update rule, effect guard and constraint
-        assert len(compiled) == sum(
+        # every comm rule, update rule, effect guard and constraint is typed,
+        # and each distinct typed query, with its types and inputs, compiled
+        # once: the spec repeats some of them
+        assert len(typed) == sum(
             len(ag.comm_rules) + len(ag.update_rules) + len(ag.constraints)
             + sum(len(act.effects) for act in ag.actions.values())
             for ag in b.spec.agent_specs.values())
+        assert len(compiled) == len(set(compiled)) < len(typed)
+        assert {q for q, _, _ in compiled} == set(typed)
         before = len(compiled)
         assert len(b.build().states) > 10
         assert len(compiled) == before  # none per state
@@ -763,8 +777,9 @@ class TestMemoAndInterning:
         warm = Builder(spec, cfg)
         consts = {t: set(objs) for t, objs in warm.const_domain.items()}
         used = {t: set(objs) for t, objs in consts.items()}
+        noted: set = set()
         for s in ts.states:
-            warm._note_used(used, s)
+            warm._note_used(used, s, noted)
 
         def successors(b, states, snapshot):
             return [list(map(state_key, b.step_successors(s, snapshot))) for s in states]
@@ -946,3 +961,27 @@ class TestMemoAndInterning:
             dbs = {id(d): d for s in ts.states
                    for d in [db for _, db in s.agent_dbs] + [s.order_db] if d is not None}
             assert len({d.facts for d in dbs.values()}) == len(dbs), name
+
+
+class TestFlatOrder:
+    """In the flat modes a successor's order totally orders exactly the dense
+    objects that persist: those of the state it came from, those of its own
+    databases and the constants."""
+
+    @pytest.mark.parametrize("name", ["ticket3-abstract", "ticket-flat-200", "ping-ordered"])
+    def test_order_relates_the_objects_of_both_ends(self, ticket_spec, ping_spec, name):
+        spec, cfg = {
+            "ticket3-abstract": (_ticket3_spec(), BuildConfig(mode=MODE_ABSTRACT)),
+            "ticket-flat-200": (ticket_spec, BuildConfig(mode=MODE_FB_FLAT, max_states=200)),
+            "ping-ordered": (_ping_ordered(ping_spec), BuildConfig(mode=MODE_ABSTRACT)),
+        }[name]
+        b = Builder(spec, cfg)
+        ts = b.build()
+        assert b.dense_types and len(ts.edges) > 100
+        for src, dst in ts.edges:
+            s, t = ts.states[src], ts.states[dst]
+            for ty in b.dense_types:
+                objs = b.const_domain.get(ty, frozenset()) | s.adom(ty) | t.adom(ty)
+                pairs = t.order_db.facts_for(lessthan_rel(ty))
+                assert {o for pair in pairs for o in pair} == (objs if len(objs) > 1 else set())
+                assert len(pairs) == len(objs) * (len(objs) - 1) // 2, (name, src, dst)

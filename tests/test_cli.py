@@ -1,12 +1,15 @@
 import json
+from pathlib import Path
 
 import pytest
 
 from rmas import cli, queries as Q
-from rmas.builder import BuildError
+from rmas.builder import BuildConfig, BuildError, build_transition_system, export_jsonl
 from rmas.commitments import InconsistentOrder, ReservoirExhausted
 from rmas.dsl import parse_spec
+from rmas.model import install_institutional
 from rmas.queries import MissingOrderFacts
+from rmas.shallow import compile_shallow
 
 from conftest import CORPUS, prop_paths, run_cli, ticket_with_names
 
@@ -170,6 +173,15 @@ class TestBuild:
         assert out_file.exists()
         lines = out_file.read_text().splitlines()
         assert any('"kind": "meta"' in l for l in lines)
+
+    def test_out_file_is_the_jsonl_export(self, tmp_path):
+        # --out streams the export line by line; the bytes are export_jsonl's
+        out_file = tmp_path / "ts.jsonl"
+        out = run_cli("build", TICKET, "--mode", "abstract-recycle", "--out", str(out_file))
+        assert out.returncode == 0
+        spec = compile_shallow(install_institutional(parse_spec(Path(TICKET).read_text())))
+        ts = build_transition_system(spec, BuildConfig(mode="abstract-recycle"))
+        assert out_file.read_bytes() == export_jsonl(ts)
 
     def test_counter_machine_rejected_exit_five(self, tmp_path):
         spec_file = tmp_path / "cm.rmas"
@@ -463,3 +475,27 @@ class TestConfigFile:
         assert out.returncode == 1
         assert f"error: bad config file: {why}\n".encode() in out.stderr
         assert b"Traceback" not in out.stderr
+
+    @pytest.mark.parametrize("cmd", ["build", "verify"])
+    def test_unknown_key_is_a_usage_error(self, tmp_path, cmd):
+        # a typo for max_states must not leave the build uncapped
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"mode": "abstract-recycle", "max_state": 1}')
+        props = [SAFETY] if cmd == "verify" else []
+        out = run_cli(cmd, TICKET, *props, "--config", str(cfg))
+        assert out.returncode == 1
+        assert b"error: bad config file: unknown key 'max_state'\n" in out.stderr
+
+    @pytest.mark.parametrize("cap, at_zero", [
+        ("state_bound", 4), ("max_states", 3), ("max_depth", 3)])
+    def test_negative_cap_is_a_usage_error(self, tmp_path, cap, at_zero):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"mode": "abstract-recycle", cap: -1}))
+        flag = "--" + cap.replace("_", "-")
+        for how in (["--config", str(cfg)], ["--mode", "abstract-recycle", flag, "-1"]):
+            out = run_cli("build", TICKET, *how)
+            assert out.returncode == 1
+            assert f"error: {cap} must not be negative, got -1\n".encode() in out.stderr
+        # zero is a cap like any other: over the bound, or truncated
+        out = run_cli("build", TICKET, "--mode", "abstract-recycle", flag, "0")
+        assert out.returncode == at_zero
