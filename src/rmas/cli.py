@@ -245,12 +245,17 @@ def _require_clean(spec: RmasSpec, report: Report) -> None:
         raise CliError(f"{len(wf.findings)} well-formedness findings", EXIT_FINDINGS)
 
 
-def _write_out(args, data: bytes) -> None:
-    if args.out:
-        with open(args.out, "wb") as fh:
-            fh.write(data)
-    else:
-        sys.stdout.buffer.write(data)
+def _write_out(path: Optional[str], chunks) -> None:
+    """Write the byte chunks to path, or to stdout without one; a path that
+    cannot be written is a usage error."""
+    if not path:
+        sys.stdout.buffer.writelines(chunks)
+        return
+    try:
+        with open(path, "wb") as fh:
+            fh.writelines(chunks)
+    except OSError as e:
+        raise CliError(f"cannot write {path}: {e}", EXIT_USAGE)
 
 
 # -- subcommands ----------------------------------------------------------------
@@ -269,7 +274,7 @@ def cmd_compile(args, report: Report) -> int:
     _require_clean(spec, report)
     out = compile_shallow(spec)
     report.data["result"]["shallow"] = is_shallow(out)
-    _write_out(args, serialize_spec(out).encode())
+    _write_out(args.out, [serialize_spec(out).encode()])
     return EXIT_OK
 
 
@@ -284,8 +289,8 @@ def cmd_build(args, report: Report) -> int:
     ts = _build(built_spec, config, report)
     if args.out:
         # a jsonl export is written as it is encoded, a line at a time
-        with open(args.out, "wb") as fh:
-            fh.writelines(jsonl_lines(ts) if args.format == "jsonl" else [export(ts, args.format)])
+        _write_out(args.out, jsonl_lines(ts) if args.format == "jsonl"
+                   else [export(ts, args.format)])
     return EXIT_TRUNCATED if ts.truncated else EXIT_OK
 
 
@@ -323,7 +328,7 @@ def cmd_gen_cm(args, report: Report) -> int:
     except GeneratorError as e:
         raise CliError(str(e), EXIT_PARSE)
     report.data["result"]["instructions"] = len(prog.instructions)
-    _write_out(args, serialize_spec(spec).encode())
+    _write_out(args.out, [serialize_spec(spec).encode()])
     return EXIT_OK
 
 
@@ -335,7 +340,7 @@ def cmd_async2sync(args, report: Report) -> int:
     except GeneratorError as e:
         raise CliError(str(e), EXIT_USAGE)
     report.data["result"]["async_mode"] = args.async_mode
-    _write_out(args, serialize_spec(out).encode())
+    _write_out(args.out, [serialize_spec(out).encode()])
     return EXIT_OK
 
 

@@ -68,7 +68,6 @@ class DataTypeDef:
     carrier: str
     has_less: bool = False
     has_succ: bool = False
-    role: Optional[str] = None  # "agent" / "spec" for the two built-ins
 
     def __post_init__(self) -> None:
         if self.carrier not in CARRIERS:
@@ -81,8 +80,8 @@ class DataTypeDef:
 
 def builtin_types() -> dict[str, DataTypeDef]:
     return {
-        AGENT_TYPE: DataTypeDef(AGENT_TYPE, SYMBOLIC, role="agent"),
-        SPEC_TYPE: DataTypeDef(SPEC_TYPE, SYMBOLIC, role="spec"),
+        AGENT_TYPE: DataTypeDef(AGENT_TYPE, SYMBOLIC),
+        SPEC_TYPE: DataTypeDef(SPEC_TYPE, SYMBOLIC),
     }
 
 

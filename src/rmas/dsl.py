@@ -5,7 +5,15 @@ literature on data-aware agents: `Q enables M(x) to t` for proactive rules,
 `on M(x) from s if Q then act(args)` for reactive ones, and
 `Q ~> add { ... } del { ... }` for action effects.  Newlines terminate
 statements except inside parentheses; braces group spec bodies, action bodies
-and fact sets.
+and fact sets.  Every parenthesised list is comma-separated and may end in a
+comma.
+
+The built-in types, facets and `getN`, each spec block's `MyName`, and the
+institutional registry relations and `newAg`/`remAg` bodies are declared
+before the text is read.  Any declaration may be repeated only identically;
+the one exception is a built-in action body, which a spec may replace once.
+An untouched built-in body keeps its own variables even where the spec
+declares an agent or spec of the same name.
 
 Literals are resolved to typed data objects in a second pass driven by the
 declared schemas, so `3` can denote a ticket in one component and a price in
@@ -26,14 +34,13 @@ from .data import (
     RATIONAL,
     SPEC_TYPE,
     STRING,
-    SYMBOLIC,
     Database,
+    DataError,
     DataObject,
     DataTypeDef,
     Facet,
     TypedRelationSchema,
     UNDEF,
-    builtin_types,
     mk_symbol,
     mk_undef,
 )
@@ -168,6 +175,17 @@ class TokenStream:
             raise ParseError(f"expected identifier, found {t}", t.line, t.col)
         return self.next()
 
+    def items(self, item, close: str = ")") -> list:
+        """What `item` reads, again and again, up to and including the token
+        `close`: comma-separated, a trailing comma allowed."""
+        out = []
+        while not self.accept(close):
+            out.append(item())
+            if not self.accept(","):
+                self.expect(close)
+                break
+        return out
+
     def end_statement(self) -> None:
         t = self.peek()
         if t.kind in ("newline", "eof"):
@@ -279,12 +297,7 @@ class QueryParser:
         if t.kind == "ident" and ts.peek(1).value == "(" and t.value not in KEYWORDS:
             name = ts.next().value
             ts.expect("(")
-            terms: list[Term] = []
-            if not ts.at(")"):
-                terms.append(self.parse_term())
-                while ts.accept(","):
-                    terms.append(self.parse_term())
-            ts.expect(")")
+            terms = ts.items(self.parse_term)
             return self._close_anon(Q.RelAtom(name, tuple(terms)), terms)
         left = self.parse_term()
         op_tok = ts.peek()
@@ -401,25 +414,23 @@ class _SpecShell:
     comm_rules: list[CommRule] = field(default_factory=list)
     actions: dict[str, UpdateAction] = field(default_factory=dict)
     update_rules: list[UpdateRule] = field(default_factory=list)
-    preseeded: set[str] = field(default_factory=set)
+
+
+def _new_shell(name: str, institutional: bool) -> _SpecShell:
+    """A spec block before its statements: its built-in relations, and the
+    built-in actions in the institutional spec."""
+    return _SpecShell(name, institutional, M.spec_relations(institutional),
+                      actions=M.institutional_actions() if institutional else {})
 
 
 class SpecParser:
     def __init__(self, text: str) -> None:
         self.ts = TokenStream(tokenize(text))
-        self.types: dict[str, DataTypeDef] = dict(builtin_types())
-        self.facets: dict[str, Facet] = {
-            M.AGENT_FACET: Facet(M.AGENT_FACET, AGENT_TYPE),
-            M.SPEC_FACET: Facet(M.SPEC_FACET, SPEC_TYPE),
-        }
-        self.services: dict[str, ServiceDef] = {
-            M.GETN_SERVICE: ServiceDef(M.GETN_SERVICE, (), M.AGENT_FACET)
-        }
+        self.types, self.facets, self.services = M.builtin_declarations()
         self.messages: dict[str, MessageDef] = {}
         self.shells: list[_SpecShell] = []
         self.initial_agents: list[tuple[str, str]] = []
         self.mode_flags: set[str] = set()
-        self.preseeded = {M.AGENT_FACET, M.SPEC_FACET, M.GETN_SERVICE, AGENT_TYPE, SPEC_TYPE}
         # names usable as constants in queries: inst + declared agents + spec names
         self.const_names: dict[str, DataObject] = {INST_NAME: mk_symbol(AGENT_TYPE, INST_NAME)}
 
@@ -456,19 +467,17 @@ class SpecParser:
         return self._assemble()
 
     def _declare(self, table: dict, name: str, value, what: str, tok: Token) -> None:
+        """Enter a declaration, built-in or not.  It may repeat one exactly;
+        only a built-in action body may be replaced by another."""
         old = table.get(name)
-        if old is not None and name not in self.preseeded and old != value:
+        if old is not None and old != value and old != M.institutional_actions().get(name):
             raise ParseError(f"{what} {name!r} already declared", tok.line, tok.col)
         table[name] = value
-        self.preseeded.discard(name)
 
     def _parse_type(self) -> None:
         ts = self.ts
         tok = ts.expect_ident()
         carrier_tok = ts.expect_ident()
-        carrier = carrier_tok.value
-        if carrier not in (SYMBOLIC, STRING, RATIONAL, INTEGER):
-            raise ParseError(f"unknown carrier {carrier!r}", carrier_tok.line, carrier_tok.col)
         has_less = has_succ = False
         if ts.accept("with"):
             while True:
@@ -481,8 +490,11 @@ class SpecParser:
                     raise ParseError(f"unknown relation {rel!r}", tok.line, tok.col)
                 if not ts.accept(","):
                     break
-        self._declare(self.types, tok.value, DataTypeDef(tok.value, carrier, has_less, has_succ),
-                      "type", tok)
+        try:
+            tdef = DataTypeDef(tok.value, carrier_tok.value, has_less, has_succ)
+        except DataError as e:
+            raise ParseError(str(e), carrier_tok.line, carrier_tok.col) from None
+        self._declare(self.types, tok.value, tdef, "type", tok)
         ts.end_statement()
 
     def _parse_facet(self) -> None:
@@ -514,30 +526,22 @@ class SpecParser:
         self._declare(self.facets, tok.value, facet, "facet", tok)
         ts.end_statement()
 
+    def _facet_name(self) -> str:
+        t = self.ts.expect_ident()
+        if t.value not in self.facets:
+            raise ResolutionError(f"unknown facet {t.value!r}", t.line, t.col)
+        return t.value
+
     def _facet_list(self) -> tuple[str, ...]:
-        ts = self.ts
-        ts.expect("(")
-        names: list[str] = []
-        if not ts.at(")"):
-            while True:
-                t = ts.expect_ident()
-                if t.value not in self.facets:
-                    raise ResolutionError(f"unknown facet {t.value!r}", t.line, t.col)
-                names.append(t.value)
-                if not ts.accept(","):
-                    break
-        ts.expect(")")
-        return tuple(names)
+        self.ts.expect("(")
+        return tuple(self.ts.items(self._facet_name))
 
     def _parse_service(self) -> None:
         ts = self.ts
         tok = ts.expect_ident()
         inputs = self._facet_list()
         ts.expect("->")
-        out_tok = ts.expect_ident()
-        if out_tok.value not in self.facets:
-            raise ResolutionError(f"unknown facet {out_tok.value!r}", out_tok.line, out_tok.col)
-        self._declare(self.services, tok.value, ServiceDef(tok.value, inputs, out_tok.value),
+        self._declare(self.services, tok.value, ServiceDef(tok.value, inputs, self._facet_name()),
                       "service", tok)
         ts.end_statement()
 
@@ -562,20 +566,8 @@ class SpecParser:
     def _parse_spec_block(self) -> None:
         ts = self.ts
         tok = ts.expect_ident()
-        shell = _SpecShell(tok.value)
-        if ts.accept("institutional"):
-            shell.institutional = True
+        shell = _new_shell(tok.value, ts.accept("institutional"))
         self.const_names[tok.value] = mk_symbol(SPEC_TYPE, tok.value)
-        myname = TypedRelationSchema(M.MYNAME_REL, (M.AGENT_FACET,))
-        shell.schema[M.MYNAME_REL] = myname
-        shell.preseeded.add(M.MYNAME_REL)
-        if shell.institutional:
-            for rel, rs in M.institutional_relations().items():
-                shell.schema[rel] = rs
-                shell.preseeded.add(rel)
-            shell.actions["newAg"] = M._new_ag_action()
-            shell.actions["remAg"] = M._rem_ag_action()
-            shell.preseeded |= {"newAg", "remAg"}
         ts.expect("{")
         ts.skip_newlines()
         while not ts.accept("}"):
@@ -589,13 +581,8 @@ class SpecParser:
         t = ts.peek()
         if ts.accept("relation"):
             tok = ts.expect_ident()
-            facets = self._facet_list()
-            rs = TypedRelationSchema(tok.value, facets)
-            old = shell.schema.get(tok.value)
-            if old is not None and tok.value not in shell.preseeded and old != rs:
-                raise ParseError(f"relation {tok.value!r} already declared", tok.line, tok.col)
-            shell.schema[tok.value] = rs
-            shell.preseeded.discard(tok.value)
+            self._declare(shell.schema, tok.value,
+                          TypedRelationSchema(tok.value, self._facet_list()), "relation", tok)
             ts.end_statement()
             return
         if ts.accept("constraint"):
@@ -605,17 +592,11 @@ class SpecParser:
             ts.end_statement()
             return
         if ts.accept("init"):
+            qp = QueryParser(ts)
             while True:
                 tok = ts.expect_ident()
                 ts.expect("(")
-                terms: list[Term] = []
-                qp = QueryParser(ts)
-                if not ts.at(")"):
-                    terms.append(qp.parse_term())
-                    while ts.accept(","):
-                        terms.append(qp.parse_term())
-                ts.expect(")")
-                shell.init_facts.append((tok.value, tuple(terms)))
+                shell.init_facts.append((tok.value, tuple(ts.items(qp.parse_term))))
                 if not ts.accept(","):
                     break
             ts.end_statement()
@@ -632,30 +613,22 @@ class SpecParser:
     def _parse_action(self, shell: _SpecShell) -> None:
         ts = self.ts
         tok = ts.expect_ident()
-        ts.expect("(")
-        params: list[tuple[str, str]] = []
-        while not ts.at(")"):
-            p = ts.expect_ident()
+
+        def param() -> tuple[str, str]:
+            name = ts.expect_ident().value
             ts.expect(":")
-            f = ts.expect_ident()
-            if f.value not in self.facets:
-                raise ResolutionError(f"unknown facet {f.value!r}", f.line, f.col)
-            params.append((p.value, f.value))
-            if not ts.accept(","):
-                break
-        ts.expect(")")
+            return name, self._facet_name()
+
+        ts.expect("(")
+        params = ts.items(param)
         ts.expect("{")
         ts.skip_newlines()
         effects: list[UpdateEffect] = []
         while not ts.accept("}"):
             effects.append(self._parse_effect())
             ts.skip_newlines()
-        action = UpdateAction(tok.value, tuple(params), tuple(effects))
-        old = shell.actions.get(tok.value)
-        if old is not None and tok.value not in shell.preseeded and old != action:
-            raise ParseError(f"action {tok.value!r} already declared", tok.line, tok.col)
-        shell.actions[tok.value] = action
-        shell.preseeded.discard(tok.value)
+        self._declare(shell.actions, tok.value,
+                      UpdateAction(tok.value, tuple(params), tuple(effects)), "action", tok)
         ts.end_statement()
 
     def _parse_effect(self) -> UpdateEffect:
@@ -688,12 +661,7 @@ class SpecParser:
         while not ts.accept("}"):
             tok = ts.expect_ident()
             ts.expect("(")
-            terms: list = []
-            while not ts.at(")"):
-                terms.append(self._parse_template_term(qp))
-                if not ts.accept(","):
-                    break
-            ts.expect(")")
+            terms = ts.items(lambda: self._parse_template_term(qp))
             out.append(FactTemplate(tok.value, tuple(terms)))
             ts.accept(",")
         return out
@@ -705,13 +673,7 @@ class SpecParser:
             # service-call term
             name = ts.next().value
             ts.expect("(")
-            args: list[Term] = []
-            while not ts.at(")"):
-                args.append(qp.parse_term())
-                if not ts.accept(","):
-                    break
-            ts.expect(")")
-            return CallTerm(name, tuple(args))
+            return CallTerm(name, tuple(ts.items(qp.parse_term)))
         return qp.parse_term()
 
     def _parse_comm_rule(self, shell: _SpecShell) -> None:
@@ -723,19 +685,13 @@ class SpecParser:
         ts.expect("(")
         payload: list[str] = []
         extra: list[Query] = []
-        idx = 0
-        while not ts.at(")"):
-            term = qp.parse_term()
+        for term in ts.items(qp.parse_term):
             if isinstance(term, Var):
                 payload.append(term.name)
             else:
-                idx += 1
-                fresh = f"_p{idx}"
+                fresh = f"_p{len(extra) + 1}"
                 payload.append(fresh)
                 extra.append(Q.EqAtom(Var(fresh), term))
-            if not ts.accept(","):
-                break
-        ts.expect(")")
         ts.expect("to")
         target = ts.expect_ident().value
         if extra:
@@ -746,18 +702,17 @@ class SpecParser:
     def _parse_update_rule(self, shell: _SpecShell) -> None:
         ts = self.ts
         msg_tok = ts.expect_ident()
-        ts.expect("(")
         qp = QueryParser(ts)
-        payload: list[str] = []
-        while not ts.at(")"):
+
+        def payload_var() -> str:
             term = qp.parse_term()
             if not isinstance(term, Var):
                 raise ParseError("update-rule payload must be variables",
                                  msg_tok.line, msg_tok.col)
-            payload.append(term.name)
-            if not ts.accept(","):
-                break
-        ts.expect(")")
+            return term.name
+
+        ts.expect("(")
+        payload = ts.items(payload_var)
         if ts.accept("from"):
             direction = M.ON_RECEIVE
         elif ts.accept("to"):
@@ -771,12 +726,7 @@ class SpecParser:
         ts.expect("then")
         act_tok = ts.expect_ident()
         ts.expect("(")
-        args: list[Term] = []
-        while not ts.at(")"):
-            args.append(qp.parse_term())
-            if not ts.accept(","):
-                break
-        ts.expect(")")
+        args = ts.items(qp.parse_term)
         shell.update_rules.append(
             UpdateRule(direction, msg_tok.value, tuple(payload), peer, cond,
                        act_tok.value, tuple(args))
@@ -790,14 +740,8 @@ class SpecParser:
         if len(inst_shells) > 1:
             raise ResolutionError("multiple institutional specs declared")
         if not inst_shells:
-            shell = _SpecShell("instSpec", institutional=True)
-            shell.schema[M.MYNAME_REL] = TypedRelationSchema(M.MYNAME_REL, (M.AGENT_FACET,))
-            for rel, rs in M.institutional_relations().items():
-                shell.schema[rel] = rs
-            shell.actions["newAg"] = M._new_ag_action()
-            shell.actions["remAg"] = M._rem_ag_action()
-            self.shells.append(shell)
-            inst_shells = [shell]
+            inst_shells = [_new_shell("instSpec", True)]
+            self.shells.append(inst_shells[0])
             self.const_names["instSpec"] = mk_symbol(SPEC_TYPE, "instSpec")
 
         for name, spec_name in self.initial_agents:
@@ -852,9 +796,11 @@ class SpecParser:
                 payload_vars=tuple(payload),
                 target_var=target,
             ))
-        actions: dict[str, UpdateAction] = {}
-        for name, act in shell.actions.items():
-            actions[name] = resolver.resolve_action(act)
+        # an untouched built-in body is resolved already: its variables are
+        # never the spec's names
+        builtin = M.institutional_actions()
+        actions = {name: act if act == builtin.get(name) else resolver.resolve_action(act)
+                   for name, act in shell.actions.items()}
         rules = []
         for r in shell.update_rules:
             msg = self.messages.get(r.message)
@@ -985,9 +931,8 @@ class _Resolver:
         return FactTemplate(tpl.rel, tuple(terms))
 
 def parse_spec(text: str) -> RmasSpec:
-    """Parse a `.rmas` specification. Built-in types, facets, the getN
-    service, MyName, and the institutional registry relations are
-    pre-declared; install_institutional completes the initial data."""
+    """Parse a `.rmas` specification with the built-ins declared (see the
+    module docstring); install_institutional completes the initial data."""
     return SpecParser(text).parse()
 
 
@@ -1064,9 +1009,9 @@ def _query_str(q: Query, prec: int = 0) -> str:
 def serialize_spec(spec: RmasSpec) -> str:
     """Render a specification back to `.rmas` text.
 
-    Pre-declared built-ins (types agent/spec, facets AF/BF, getN, MyName, the
-    registry relations, untouched newAg/remAg) are omitted; the parser
-    re-seeds them.
+    Every declaration equal to the built-in one the parser seeds (types,
+    facets, services, and each spec block's relations and actions) is
+    omitted.
     """
     out: list[str] = []
     for flag in sorted(spec.mode_flags):
@@ -1074,11 +1019,10 @@ def serialize_spec(spec: RmasSpec) -> str:
             out.append(f"mode {flag}")
         else:
             out.append(f'mode "{flag}"')
-    builtin = builtin_types()
-    for name in spec.types:
-        if name in builtin:
+    types, facets, services = M.builtin_declarations()
+    for name, t in spec.types.items():
+        if types.get(name) == t:
             continue
-        t = spec.types[name]
         rels = []
         if t.has_less:
             rels.append("less")
@@ -1087,7 +1031,7 @@ def serialize_spec(spec: RmasSpec) -> str:
         suffix = f" with {', '.join(rels)}" if rels else ""
         out.append(f"type {name} {t.carrier}{suffix}")
     for name, facet in spec.facets.items():
-        if name in (M.AGENT_FACET, M.SPEC_FACET):
+        if facets.get(name) == facet:
             continue
         s = f"facet {name} of {facet.base_type}"
         seeds = facet.initial_objects
@@ -1099,7 +1043,7 @@ def serialize_spec(spec: RmasSpec) -> str:
             s += f" init {{ {lits} }}"
         out.append(s)
     for name, svc in spec.services.items():
-        if name == M.GETN_SERVICE and svc == ServiceDef(M.GETN_SERVICE, (), M.AGENT_FACET):
+        if services.get(name) == svc:
             continue
         out.append(f"service {name}({', '.join(svc.input_facets)}) -> {svc.output_facet}")
     for name, msg in spec.messages.items():
@@ -1111,11 +1055,9 @@ def serialize_spec(spec: RmasSpec) -> str:
         header = f"spec {name} institutional" if name == spec.institutional else f"spec {name}"
         out.append("")
         out.append(header + " {")
-        skip_rels = {M.MYNAME_REL}
-        if name == spec.institutional:
-            skip_rels |= set(M.institutional_relations())
+        seed = _new_shell(name, name == spec.institutional)
         for rel, rs in ag.schema.items():
-            if rel in skip_rels:
+            if seed.schema.get(rel) == rs:
                 continue
             out.append(f"  relation {rel}({', '.join(rs.facets)})")
         for c in ag.constraints:
@@ -1127,9 +1069,8 @@ def serialize_spec(spec: RmasSpec) -> str:
             )
             out.append(f"  init {rendered}")
         for act_name, act in ag.actions.items():
-            if name == spec.institutional and act_name in ("newAg", "remAg"):
-                if act in (M._new_ag_action(), M._rem_ag_action()):
-                    continue
+            if seed.actions.get(act_name) == act:
+                continue
             params = ", ".join(f"{p}: {f}" for p, f in act.params)
             out.append(f"  action {act_name}({params}) {{")
             for eff in act.effects:

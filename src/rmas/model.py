@@ -235,7 +235,22 @@ def initial_data_domain(spec: RmasSpec) -> dict[str, frozenset[DataObject]]:
 
 
 # ---------------------------------------------------------------------------
-# Institutional defaults
+# Built-in declarations: the parser seeds them, the serializer leaves them
+# out and install_institutional completes a spec with them
+
+
+def builtin_declarations() -> tuple[dict[str, DataTypeDef], dict[str, Facet],
+                                    dict[str, ServiceDef]]:
+    """The types, facets and services of every system, by name."""
+    facets = {AGENT_FACET: Facet(AGENT_FACET, AGENT_TYPE), SPEC_FACET: Facet(SPEC_FACET, SPEC_TYPE)}
+    return builtin_types(), facets, {GETN_SERVICE: ServiceDef(GETN_SERVICE, (), AGENT_FACET)}
+
+
+def spec_relations(institutional: bool) -> dict[str, TypedRelationSchema]:
+    """The relations every spec declares: MyName, and in the institutional
+    spec the registry as well."""
+    myname = {MYNAME_REL: TypedRelationSchema(MYNAME_REL, (AGENT_FACET,))}
+    return {**myname, **institutional_relations()} if institutional else myname
 
 
 def institutional_relations() -> dict[str, TypedRelationSchema]:
@@ -248,9 +263,11 @@ def institutional_relations() -> dict[str, TypedRelationSchema]:
     }
 
 
-def _new_ag_action() -> UpdateAction:
+def institutional_actions() -> dict[str, UpdateAction]:
+    """The built-in `newAg` and `remAg` bodies of the institutional agent,
+    by name; a spec may replace either."""
     getn = CallTerm(GETN_SERVICE, ())
-    return UpdateAction(
+    new_ag = UpdateAction(
         name="newAg",
         params=(("s", SPEC_FACET),),
         effects=(
@@ -276,10 +293,7 @@ def _new_ag_action() -> UpdateAction:
             ),
         ),
     )
-
-
-def _rem_ag_action() -> UpdateAction:
-    return UpdateAction(
+    rem_ag = UpdateAction(
         name="remAg",
         params=(("a", AGENT_FACET),),
         effects=(
@@ -292,6 +306,7 @@ def _rem_ag_action() -> UpdateAction:
             ),
         ),
     )
+    return {new_ag.name: new_ag, rem_ag.name: rem_ag}
 
 
 def freshness_constraint() -> Query:
@@ -305,53 +320,39 @@ def freshness_constraint() -> Query:
     )
 
 
+def _complete(declared: dict, builtin: dict, kind: str) -> dict:
+    """declared with each built-in it lacks; one it declares differently
+    raises ConflictingDeclaration."""
+    out = dict(declared)
+    for name, b in builtin.items():
+        if out.setdefault(name, b) != b:
+            raise ConflictingDeclaration(f"built-in {kind} {name!r} redeclared differently")
+    return out
+
+
 def install_institutional(spec: RmasSpec) -> RmasSpec:
     """Complete the built-in machinery of the institutional agent.
 
-    Adds the Agent/Spec/hasSpec registry with OldAg/FreshAg bookkeeping, the
-    newAg/remAg actions with the freshness constraint, MyName relations
-    everywhere, and the three initialization facts.  Idempotent; raises
-    ConflictingDeclaration when user relations clash with the built-ins.
+    Adds the built-in types, facets and services, each spec's MyName and the
+    institutional Agent/Spec/hasSpec registry with OldAg/FreshAg
+    bookkeeping, the newAg/remAg actions with the freshness constraint, and
+    the initialization facts.  Idempotent; raises ConflictingDeclaration
+    when a declaration clashes with a built-in.
     """
-    types = dict(builtin_types())
-    for name, t in spec.types.items():
-        if name in types and t != types[name]:
-            raise ConflictingDeclaration(f"built-in type {name!r} redeclared differently")
-        types.setdefault(name, t)
-
-    facets = dict(spec.facets)
-    for fname, base in ((AGENT_FACET, AGENT_TYPE), (SPEC_FACET, SPEC_TYPE)):
-        facet = Facet(fname, base)
-        if fname in facets and facets[fname] != facet:
-            raise ConflictingDeclaration(f"built-in facet {fname!r} redeclared differently")
-        facets.setdefault(fname, facet)
-
-    services = dict(spec.services)
-    getn = ServiceDef(GETN_SERVICE, (), AGENT_FACET)
-    if GETN_SERVICE in services and services[GETN_SERVICE] != getn:
-        raise ConflictingDeclaration(f"service {GETN_SERVICE!r} redeclared differently")
-    services.setdefault(GETN_SERVICE, getn)
-
-    myname = TypedRelationSchema(MYNAME_REL, (AGENT_FACET,))
-    agent_specs: dict[str, AgentSpec] = {}
-    for name, ag in spec.agent_specs.items():
-        schema = dict(ag.schema)
-        if MYNAME_REL in schema and schema[MYNAME_REL] != myname:
-            raise ConflictingDeclaration(f"{name}: {MYNAME_REL} must be unary and agent-typed")
-        schema.setdefault(MYNAME_REL, myname)
-        agent_specs[name] = replace(ag, schema=schema)
+    b_types, b_facets, b_services = builtin_declarations()
+    types = _complete(spec.types, b_types, "type")
+    facets = _complete(spec.facets, b_facets, "facet")
+    services = _complete(spec.services, b_services, "service")
+    agent_specs = {
+        name: replace(ag, schema=_complete(
+            ag.schema, spec_relations(name == spec.institutional), "relation"))
+        for name, ag in spec.agent_specs.items()}
 
     inst = agent_specs[spec.institutional]
-    schema = dict(inst.schema)
-    for rel, rs in institutional_relations().items():
-        if rel in schema and schema[rel] != rs:
-            raise ConflictingDeclaration(f"institutional relation {rel!r} redeclared differently")
-        schema.setdefault(rel, rs)
-
     # a spec may carry customized newAg/remAg bodies (e.g. facet-compiled ones)
     actions = dict(inst.actions)
-    for act in (_new_ag_action(), _rem_ag_action()):
-        actions.setdefault(act.name, act)
+    for name, act in institutional_actions().items():
+        actions.setdefault(name, act)
 
     constraints = list(inst.constraints)
     fresh_c = freshness_constraint()
@@ -373,7 +374,6 @@ def install_institutional(spec: RmasSpec) -> RmasSpec:
 
     agent_specs[spec.institutional] = replace(
         inst,
-        schema=schema,
         actions=actions,
         constraints=tuple(constraints),
         initial_db=Database.of(init),

@@ -351,15 +351,8 @@ class PropParser:
             raise ParseError(f"accessory relation {name!r} cannot appear in properties")
         ts.expect("@")
         loc_tok = ts.expect_ident()
-        loc: Term = Var(loc_tok.value)
-        terms: list[Term] = []
-        if ts.accept("("):
-            while not ts.at(")"):
-                terms.append(self.parse_term())
-                if not ts.accept(","):
-                    break
-            ts.expect(")")
-        return LocAtom(name, tuple(terms), loc)
+        terms = ts.items(self.parse_term) if ts.accept("(") else []
+        return LocAtom(name, tuple(terms), Var(loc_tok.value))
 
     def parse_term(self) -> Term:
         ts = self.ts

@@ -411,6 +411,19 @@ class TestRecycling:
         # a fixed finite set
         assert len(workers) == 2
 
+    @pytest.mark.parametrize("worker", ("a", "s", "b"))
+    def test_worker_may_share_a_name_with_builtin_variables(self, worker):
+        # newAg and remAg use the variables a and s; the registry's own
+        # rules use w and v instead, so only the built-ins could read the
+        # initial worker's name
+        text = (CORPUS / "registry.rmas").read_text()
+        for old, new in (("(a", "(w"), ("a)", "w)"), ("a.", "w."), ("(s", "(v"), ("s)", "v)"),
+                         ("s =", "v =")):
+            text = text.replace(old, new)
+        spec = install_institutional(parse_spec(text + f"agent {worker} : worker\n"))
+        ts = build_transition_system(spec, BuildConfig(mode=MODE_ABSTRACT))
+        assert (len(ts.states), len(ts.edges), ts.truncated) == (8, 18, False)
+
     def test_passive_objects_feed_fresh_results(self, ticket_spec):
         ts = build_transition_system(ticket_spec, BuildConfig(mode=MODE_ABSTRACT))
         tickets = set()

@@ -367,6 +367,23 @@ class TestEngineErrors:
         assert ("compiled" in report["result"]) == (cmd == "build")
 
 
+class TestUnwritableOut:
+    @pytest.mark.parametrize("args", [
+        ["build", PING, "--mode", "abstract-recycle"],
+        ["compile", PING],
+        ["gen-cm", HALTS],
+        ["async2sync", PING],
+    ], ids=lambda a: a[0])
+    def test_exits_one_with_a_report(self, args, tmp_path, capsys):
+        path = str(tmp_path / "missing" / "out")
+        assert cli.main(["--report", "json", *args, "--out", path]) == 1
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        report = json.loads(err)
+        assert report["exit"] == 1
+        assert report["result"]["error"].startswith(f"cannot write {path}: ")
+
+
 class TestTransforms:
     def test_compile_emits_reparsable_spec(self, tmp_path):
         out_file = tmp_path / "shallow.rmas"

@@ -1,8 +1,8 @@
 import pytest
 
-from rmas import queries as Q
+from rmas import cli, queries as Q
 from rmas.dsl import ParseError, ResolutionError, parse_spec, serialize_spec
-from rmas.model import install_institutional
+from rmas.model import install_institutional, institutional_actions
 from rmas.queries import Var
 from rmas.shallow import compile_shallow
 
@@ -130,3 +130,99 @@ spec instSpec institutional {
         spec = parse_spec('mode "unsafe-succ"\n')
         assert "unsafe-succ" in spec.mode_flags
         assert parse_spec(serialize_spec(spec)).mode_flags == spec.mode_flags
+
+
+def check_exit(tmp_path, capsys, text):
+    """The exit code of `rmas check` on text, and its error line."""
+    path = tmp_path / "spec.rmas"
+    path.write_text(text)
+    code = cli.main(["check", str(path)])
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    return code, next((l for l in err.splitlines() if l.startswith("error: ")), None)
+
+
+INST = "spec instSpec institutional {{\n  {}\n}}\n"
+WORKER = "spec w {{\n  {}\n}}\n"
+
+
+class TestRedeclaration:
+    # a conflicting and an identical redeclaration of each built-in kind,
+    # and the text without either
+    BUILTINS = {
+        "type": ("type agent string\n", "type agent symbolic\n", ""),
+        "facet": ("facet AF of spec\n", "facet AF of agent\n", ""),
+        "service": ("service getN() -> BF\n", "service getN() -> AF\n", ""),
+        "MyName": (WORKER.format("relation MyName(AF, AF)"),
+                   WORKER.format("relation MyName(AF)"), WORKER.format("")),
+        "hasSpec": (INST.format("relation hasSpec(AF)"),
+                    INST.format("relation hasSpec(AF, BF)"), INST.format("")),
+    }
+
+    @pytest.mark.parametrize("kind", BUILTINS)
+    def test_conflicting_builtin_exits_two(self, kind, tmp_path, capsys):
+        code, error = check_exit(tmp_path, capsys, self.BUILTINS[kind][0])
+        assert code == 2
+        assert error.endswith("already declared")
+
+    @pytest.mark.parametrize("kind", BUILTINS)
+    def test_identical_builtin_parses(self, kind):
+        _, identical, without = self.BUILTINS[kind]
+        assert parse_spec(identical) == parse_spec(without)
+
+    NEW_AG = "action newAg(s: BF) {{\n    true ~> add {{ {} }}\n  }}"
+
+    def test_builtin_action_body_replaced_once(self):
+        once = INST.format(self.NEW_AG.format("Agent(getN())"))
+        act = parse_spec(once).inst_spec.actions["newAg"]
+        assert act != institutional_actions()["newAg"]
+        assert len(act.effects) == 1
+        twice = INST.format(self.NEW_AG.format("Agent(getN())") + "\n  "
+                            + self.NEW_AG.format("FreshAg(getN())"))
+        with pytest.raises(ParseError, match="action 'newAg' already declared"):
+            parse_spec(twice)
+
+    def test_user_declarations_repeat_only_identically(self):
+        parse_spec("type T string\ntype T string\nmessage m(AF)\nmessage m(AF)\n")
+        with pytest.raises(ParseError, match="message 'm' already declared"):
+            parse_spec("message m(AF)\nmessage m(BF)\n")
+
+    def test_bad_type_relation_exits_two(self, tmp_path, capsys):
+        code, error = check_exit(tmp_path, capsys, "type T string with less\n")
+        assert code == 2
+        assert error.endswith("1:8: type T: dense order requires the rational carrier")
+
+
+class TestBuiltinActions:
+    def test_parsed_bodies_are_the_builtins(self):
+        inst = parse_spec("agent w : worker\nspec worker {\n}\n").inst_spec
+        assert {n: inst.actions[n] for n in ("newAg", "remAg")} == institutional_actions()
+
+    @pytest.mark.parametrize("name", ("a", "s"))
+    def test_names_of_builtin_variables_leave_the_bodies_alone(self, name):
+        for text in (f"agent {name} : worker\nspec worker {{\n}}\n",
+                     f"agent w : {name}\nspec {name} {{\n}}\n"):
+            inst = parse_spec(text).inst_spec
+            assert {n: inst.actions[n] for n in ("newAg", "remAg")} == institutional_actions()
+
+    def test_spec_named_a_passes_check(self, tmp_path, capsys):
+        assert check_exit(tmp_path, capsys, "spec a {\n}\nagent w : a\n") == (0, None)
+
+
+class TestLists:
+    def test_trailing_comma(self):
+        text = INST.format("relation R(AF, AF,)\n  R(a, b,) enables m(a,) to b")
+        spec = parse_spec("message m(AF,)\n" + text)
+        assert spec.messages["m"].payload_facets == ("AF",)
+        assert spec.inst_spec.schema["R"].facets == ("AF", "AF")
+        assert spec == parse_spec("message m(AF)\n" + INST.format(
+            "relation R(AF, AF)\n  R(a, b) enables m(a) to b"))
+
+    @pytest.mark.parametrize("query, where, msg", [
+        ("R(a b)", (2, 18), "expected ')', found 'b'"),
+        ("R(a,", (2, 18), "expected a term, found end of input"),
+    ])
+    def test_unchanged_errors(self, query, where, msg):
+        with pytest.raises(ParseError) as err:
+            parse_spec("spec instSpec institutional {\n  constraint " + query)
+        assert (err.value.line, err.value.col, err.value.msg) == (*where, msg)
