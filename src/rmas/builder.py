@@ -10,19 +10,25 @@ merges states with equal fact sets; repeated builds are byte-identical.
 What a builder keeps for its whole life: one plan per distinct typed query
 (with its variables' types and inputs), compiled when the builder is made,
 so specs that repeat a guard or a constraint share its plan, with whether
-each group of plans reads the order; one `Database` per distinct fact set
-(`_intern`), so states share equal databases; each database's objects by
-type; and, keyed by the facts they read, the answers of `enabled_messages`
-and `_acceptable`, the roster of registered agents (`current_agents`) and
-the ranked dense order.  Two more kinds serve `_exchange`: a participant's
-next database ("participant"), keyed by its spec, direction(s), the
-message, payload and peer, its database's facts and, if its rules or their
-actions' guards read the order, the order's facts; an entry whose facts
-carry call tokens also keeps its substitution table, the interned candidate
-for each tuple of results of its calls.  And a step's service-call branches
-("branches"), keyed by the call tokens, the dense order's key (order facts
-and each dense type's active objects), each result type's active objects
-and, in abstract-recycle, its passive pool.
+each group of plans reads the order's facts (never where comparisons run on
+the carrier); one `Database` per distinct fact set (`_intern`), so states
+share equal databases; each database's objects by type and each order's
+ranked objects; and, keyed by the facts they read, the answers of
+`enabled_messages` and `_acceptable`, the roster of registered agents
+(`current_agents`) and the ranked dense order.  Two more kinds serve
+`_exchange`: a participant's next database ("participant"), keyed by its
+spec, direction(s), the message, payload and peer and its database's
+facts; an entry whose facts carry call tokens also keeps its substitution
+table, the interned candidate for each tuple of results of its calls.  And
+a step's service-call branches ("branches"), keyed by the call tokens, the
+dense order's key (order facts and each dense type's active objects), each
+result type's active objects and, in abstract-recycle, its passive pool.
+The "enabled", "participant" and "accept" keys carry the order only if
+their plans read it, and then only the part the evaluation can see
+(`_seen_order`): the lessThan facts between the database's objects (for
+"accept", the candidate's under its branch's order), the dense constants
+and, for a participant, the payload.  So states that rank other agents'
+objects differently share an agent's entries.
 What lives for one step only (`_StepCache`): the state's databases by agent,
 its active objects and passive pools, the indexes over the databases the
 step's queries read, its dense order, and the one successor of every
@@ -241,10 +247,14 @@ class Builder:
         self.guard_plans: dict[tuple[str, str], list[Q.Plan]] = {}
         self.constraint_plans: dict[str, list[Q.Plan]] = {}
         # for the builder's life: one database per fact set, each one's
-        # objects by type, and the answers of the agent-local calls
+        # objects by type, each order's ranked objects, and the answers of
+        # the agent-local calls
         self._dbs: dict[frozenset[Fact], Database] = {}
         self._adoms: dict[frozenset[Fact], dict[str, tuple[DataObject, ...]]] = {}
         self._memo: dict[tuple, object] = {}
+        self._ranked: dict[frozenset[Fact], frozenset[DataObject]] = {}
+        self._dense_consts = frozenset().union(
+            *(self.const_domain.get(t, ()) for t in self.dense_types))
         for sname, ag in spec.agent_specs.items():
             ctx = spec.schema_context(ag)
             self.comm_plans[sname] = [
@@ -263,16 +273,17 @@ class Builder:
                     plan(eff.guard, ctx, {}, ptypes) for eff in act.effects
                 ]
             self.constraint_plans[sname] = [plan(c, ctx, {}) for c in ag.constraints]
-        # whether a group of plans reads the order, by the memo kind and the
-        # key of the group's plans (see `_order_key`)
+        # whether a group of plans reads the order's facts, by the memo kind
+        # and the key of the group's plans (see `_seen_order`): never where
+        # comparisons run on the carrier
         groups = [(("enabled", s), [p for _, p in ps]) for s, ps in self.comm_plans.items()]
         groups += [(("accept", s), ps) for s, ps in self.constraint_plans.items()]
-        self._reads_order = {k: any(p.reads_order for p in ps) for k, ps in groups}
+        self._reads_order = {k: self.flat and any(p.reads_order for p in ps) for k, ps in groups}
         # a participant's rules for a message and its direction(s) read the
         # order through their conditions or the guards of the actions they call
         for (s, d, m), ps in self.rules_by_msg.items():
-            reads = any(p.reads_order for _, p in ps) or any(
-                g.reads_order for rule, _ in ps for g in self.guard_plans[(s, rule.action)])
+            reads = self.flat and (any(p.reads_order for _, p in ps) or any(
+                g.reads_order for rule, _ in ps for g in self.guard_plans[(s, rule.action)]))
             for dirs in ((d,), (M.ON_SEND, M.ON_RECEIVE)):
                 key = ("participant", s, dirs, m)
                 self._reads_order[key] = self._reads_order.get(key, False) or reads
@@ -317,6 +328,27 @@ class Builder:
                 t: tuple(o) for t, o in Q.objects_by_type(db).items()}
         return objs
 
+    def _seen_order(self, order: FactOrder, db: Database,
+                    extra: tuple[DataObject, ...] = ()) -> frozenset[Fact]:
+        """The part of order that an evaluation over db can read: its
+        lessThan facts between two of the objects the evaluation sees, db's,
+        the dense constants and extra.  That is the order's own fact set when
+        they include every object it ranks, and no fact when they include at
+        most one, since `FactOrder.less` never reads a fact to compare an
+        object with itself."""
+        facts = order.order_db.facts
+        ranked = self._ranked.get(facts)
+        if ranked is None:
+            ranked = self._ranked[facts] = frozenset(o for _, args in facts for o in args)
+        objs = self._objects_by_type(db)
+        hidden = ranked.difference(self._dense_consts, extra,
+                                   *map(objs.get, self.dense_types, itertools.repeat(())))
+        if not hidden:
+            return facts
+        if len(ranked) - len(hidden) < 2:
+            return frozenset()
+        return frozenset(f for f in facts if f[1][0] not in hidden and f[1][1] not in hidden)
+
     # -- query plumbing -----------------------------------------------------------
 
     def _cache(self, state: SystemState) -> "_StepCache":
@@ -359,7 +391,8 @@ class Builder:
         step = self._cache(state)
         db = step.dbs[sender]
         key = ("enabled", sender, sname, db.facts,
-               _order_key(self._reads_order[("enabled", sname)], step.order))
+               self._seen_order(step.order, db) if self._reads_order[("enabled", sname)]
+               else None)
         msgs = self._memo.get(key)
         if msgs is None:
             ix = step.index(db)
@@ -572,9 +605,9 @@ class Builder:
         calls: set[CallToken] = set()
         for agent, sname, dirs, peer in participants:
             db = step.dbs[agent]
-            key = ("participant", sname, dirs, message, payload, peer, db.facts, _order_key(
-                self._reads_order.get(("participant", sname, dirs, message), False),
-                step.order))
+            key = ("participant", sname, dirs, message, payload, peer, db.facts,
+                   self._seen_order(step.order, db, payload) if self._reads_order.get(
+                       ("participant", sname, dirs, message)) else None)
             nxt = self._memo.get(key)
             if nxt is None:
                 acts = sorted({a for d in dirs for a in self.collect_reactions(
@@ -635,10 +668,9 @@ class Builder:
             if self.flat and sigma:
                 # the order keeps the objects of the previous state, of the
                 # next one and the constants; it holds no others but results
-                objects = step.objects()
                 changed = [self._objects_by_type(d) for agent, d in dbs.items()
                            if d is not step.dbs.get(agent)]
-                drop = {o for o in sigma.values() if o not in objects and not any(
+                drop = {o for o in sigma.values() if o not in step.active(o.type_name) and not any(
                     o in objs.get(o.type_name, ()) for objs in changed)}
                 if drop:
                     order_db = self._intern(Database.of(
@@ -665,7 +697,8 @@ class Builder:
         return out
 
     def _acceptable(self, sname: str, cand: Database, order) -> bool:
-        key = ("accept", sname, cand.facts, _order_key(self._reads_order[("accept", sname)], order))
+        key = ("accept", sname, cand.facts, self._seen_order(order, cand)
+               if self._reads_order[("accept", sname)] else None)
         ok = self._memo.get(key)
         if ok is None:
             ag = self.spec.agent_specs[sname]
@@ -772,7 +805,6 @@ class _StepCache:
         self.order = FactOrder(state.order_db or Database()) if builder.flat else CarrierOrder()
         self._indexes: dict[int, Q.DbIndex] = {}  # by id; each index holds its database
         self._active: dict[str, frozenset[DataObject]] = {}
-        self._objects: Optional[set[DataObject]] = None
         self._dense_order: Optional[tuple[dict[str, list[DataObject]], Optional[Database]]] = None
         self._passive: dict[str, frozenset[DataObject]] = {}
         self._unchanged: Optional[SystemState] = None
@@ -806,12 +838,6 @@ class _StepCache:
             self._unchanged = SystemState(self.state.agent_dbs, self.dense_order()[1]) \
                 if self.builder.flat else self.state
         return self._unchanged
-
-    def objects(self) -> set[DataObject]:
-        """Every object of the state and every constant; do not mutate."""
-        if self._objects is None:
-            self._objects = set().union(*map(self.active, self.builder.types))
-        return self._objects
 
     def dense_order(self) -> tuple[dict[str, list[DataObject]], Optional[Database]]:
         """The active objects of each dense type, lowest first, and in flat
@@ -860,14 +886,6 @@ def _order_db(seqs: dict[str, list[DataObject]]) -> Database:
 def _stored(db: Database) -> int:
     """How many objects db stores outside accessory relations."""
     return len({o for rel, args in db.facts if not is_accessory(rel) for o in args})
-
-
-def _order_key(reads: bool, order) -> Optional[frozenset[Fact]]:
-    """The order's part of a memo key: its facts if the call's plans read
-    them (`reads`), None if they do not or the order is the rigid carrier's."""
-    if reads and isinstance(order, FactOrder):
-        return order.order_db.facts
-    return None
 
 
 def _instance_key(inst: tuple[str, tuple[DataObject, ...]]) -> tuple:

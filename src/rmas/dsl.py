@@ -13,7 +13,9 @@ institutional registry relations and `newAg`/`remAg` bodies are declared
 before the text is read.  Any declaration may be repeated only identically;
 the one exception is a built-in action body, which a spec may replace once.
 An untouched built-in body keeps its own variables even where the spec
-declares an agent or spec of the same name.
+declares an agent or spec of the same name; the serializer writes a free
+variable so named of any other action, or of a proactive rule, under a
+fresh name.
 
 Literals are resolved to typed data objects in a second pass driven by the
 declared schemas, so `3` can denote a ticket in one component and a price in
@@ -1006,13 +1008,51 @@ def _query_str(q: Query, prec: int = 0) -> str:
     raise ValueError(f"unknown query node {q!r}")
 
 
+def _away_from(names: set[str], q: Query, free: set[str], taken=frozenset()) -> dict[str, str]:
+    """A fresh name for each of `free` that the reader would take for one of
+    the spec's constant `names`, named like none of those, of q's variables
+    and of `taken`."""
+    taken = {*names, *taken, *(t.name for a in Q.atoms(q) for t in Q.atom_terms(a)
+                               if isinstance(t, Var))}
+    out: dict[str, str] = {}
+    for v in sorted(free & names):
+        i = 1
+        while f"{v}{i}" in taken:
+            i += 1
+        taken.add(f"{v}{i}")
+        out[v] = f"{v}{i}"
+    return out
+
+
+def _renamed(node, ren: dict[str, str]):
+    """A term, or a query's free variables, renamed by ren."""
+    if not ren or isinstance(node, (Const, Param)):
+        return node
+    if isinstance(node, Var):
+        return Var(ren.get(node.name, node.name))
+    if isinstance(node, CallTerm):
+        return replace(node, args=tuple(_renamed(a, ren) for a in node.args))
+    return Q.map_free(node, lambda v: _renamed(v, ren))
+
+
+def _templates_str(kw: str, tpls: tuple[FactTemplate, ...], ren: dict[str, str]) -> list[str]:
+    if not tpls:
+        return []
+    return [f"{kw} {{ " + ", ".join(
+        f"{t.rel}({', '.join(_term_str(_renamed(x, ren)) for x in t.terms)})" for t in tpls
+    ) + " }"]
+
+
 def serialize_spec(spec: RmasSpec) -> str:
     """Render a specification back to `.rmas` text.
 
     Every declaration equal to the built-in one the parser seeds (types,
     facets, services, and each spec block's relations and actions) is
-    omitted.
+    omitted.  A free variable of an action or a proactive rule named like
+    an agent or a spec, which the reader would take for that constant, is
+    written under a fresh name.
     """
+    names = {INST_NAME, *spec.agent_specs, *(ag for ag, _ in spec.initial_agents)}
     out: list[str] = []
     for flag in sorted(spec.mode_flags):
         if re.fullmatch(r"[A-Za-z_][A-Za-z0-9_]*", flag):
@@ -1074,20 +1114,18 @@ def serialize_spec(spec: RmasSpec) -> str:
             params = ", ".join(f"{p}: {f}" for p, f in act.params)
             out.append(f"  action {act_name}({params}) {{")
             for eff in act.effects:
-                parts = [f"    {_query_str(eff.guard)} ~>"]
-                if eff.adds:
-                    parts.append("add { " + ", ".join(
-                        f"{t.rel}({', '.join(_term_str(x) for x in t.terms)})" for t in eff.adds
-                    ) + " }")
-                if eff.dels:
-                    parts.append("del { " + ", ".join(
-                        f"{t.rel}({', '.join(_term_str(x) for x in t.terms)})" for t in eff.dels
-                    ) + " }")
-                out.append(" ".join(parts))
+                ren = _away_from(names, eff.guard, Q.free_vars(eff.guard),
+                                 {p for p, _ in act.params})
+                out.append(" ".join([f"    {_query_str(_renamed(eff.guard, ren))} ~>",
+                                     *_templates_str("add", eff.adds, ren),
+                                     *_templates_str("del", eff.dels, ren)]))
             out.append("  }")
         for r in ag.comm_rules:
-            payload = ", ".join(r.payload_vars)
-            out.append(f"  {_query_str(r.query)} enables {r.message}({payload}) to {r.target_var}")
+            own = {*r.payload_vars, r.target_var}
+            ren = _away_from(names, r.query, Q.free_vars(r.query) | own, own)
+            payload = ", ".join(ren.get(v, v) for v in r.payload_vars)
+            out.append(f"  {_query_str(_renamed(r.query, ren))} enables {r.message}({payload}) "
+                       f"to {ren.get(r.target_var, r.target_var)}")
         for r in ag.update_rules:
             kw = "from" if r.direction == M.ON_RECEIVE else "to"
             payload = ", ".join(r.payload_vars)

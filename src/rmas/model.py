@@ -170,14 +170,13 @@ class RmasSpec:
     def dense_types(self) -> list[DataTypeDef]:
         return [t for t in sorted(self.types.values(), key=lambda t: t.name) if t.has_less]
 
-    def union_schema(self) -> dict[str, TypedRelationSchema]:
-        out: dict[str, TypedRelationSchema] = {}
+    def union_schema(self) -> dict[str, Optional[TypedRelationSchema]]:
+        """Every spec's relations by name, None for a name that two specs
+        declare with different typings: no property can type it."""
+        out: dict[str, Optional[TypedRelationSchema]] = {}
         for spec in self.agent_specs.values():
             for name, rs in spec.schema.items():
-                prev = out.get(name)
-                if prev is not None and prev != rs:
-                    raise ModelError(f"relation {name!r} declared with different typings")
-                out[name] = rs
+                out[name] = rs if out.get(name, rs) == rs else None
         return out
 
     def schema_context(self, spec: Optional[AgentSpec] = None) -> Q.SchemaContext:

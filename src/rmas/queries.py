@@ -422,14 +422,15 @@ class Typing:
 class SchemaContext:
     """Everything typechecking needs to resolve relation components."""
 
-    schema: dict[str, TypedRelationSchema]
+    schema: dict[str, Optional[TypedRelationSchema]]  # None: typed two ways
     facets: dict[str, Facet]
     types: dict[str, DataTypeDef]
 
     def component_types(self, rel: str, arity: int) -> list[str]:
         rs = self.schema.get(rel)
         if rs is None:
-            raise IncompatibleQuery(f"unknown relation {rel!r}")
+            raise IncompatibleQuery(f"relation {rel!r} is declared with different typings"
+                                    if rel in self.schema else f"unknown relation {rel!r}")
         if arity != rs.arity:
             raise IncompatibleQuery(
                 f"relation {rel!r} used with {arity} terms, arity is {rs.arity}")

@@ -1,3 +1,4 @@
+import collections
 import itertools
 from dataclasses import replace
 from fractions import Fraction
@@ -30,6 +31,7 @@ from rmas.commitments import CallToken, InconsistentOrder
 from rmas.data import Database, DataObject, mk_rational, mk_symbol
 from rmas.dsl import parse_spec
 from rmas.generators import (
+    ASYNC_DISORDERED,
     ASYNC_ORDERED,
     async_to_sync,
     counter_machine_to_rmas,
@@ -974,6 +976,131 @@ class TestMemoAndInterning:
             dbs = {id(d): d for s in ts.states
                    for d in [db for _, db in s.agent_dbs] + [s.order_db] if d is not None}
             assert len({d.facts for d in dbs.values()}) == len(dbs), name
+
+
+# p sends the judge q a bid of each ticket it has; q notes a bid below its
+# best one (the condition compares the payload with q's objects) and a bid
+# below the constant 5 (the guard compares the payload with a constant)
+BIDS = """
+type Real rational with less
+facet RF of Real
+message bid(RF)
+
+agent p : bidder
+agent q : judge
+
+spec bidder {
+  relation Has(RF)
+  relation Kept(RF)
+
+  Has(t) & a = q enables bid(t) to a
+}
+
+spec judge {
+  relation Best(RF)
+  relation Beaten()
+  relation Cheap()
+
+  action beaten() {
+    true ~> add { Beaten() }
+  }
+  action weigh(t: RF) {
+    t < 5 ~> add { Cheap() }
+  }
+
+  on bid(t) from s if exists b. Best(b) & t < b then beaten()
+  on bid(t) from s if true then weigh(t)
+}
+"""
+
+
+class TestSeenOrder:
+    """An "enabled", "participant" or "accept" key carries only the order
+    facts between objects its evaluation sees: the database's, the dense
+    constants and a participant's payload."""
+
+    @staticmethod
+    def _states(b, orders, has=(), kept=(), best=()):
+        """One state per order (a sequence of tickets, lowest first) with
+        the same databases: p has and keeps the tickets given, q holds its
+        best ones."""
+        s0 = b.initial_state()
+        dbs = dict(s0.agent_dbs)
+        dbs[agent("p")] = dbs[agent("p")].apply(
+            adds=[("Has", (rt(t),)) for t in has] + [("Kept", (rt(t),)) for t in kept], dels=[])
+        dbs[agent("q")] = dbs[agent("q")].apply(adds=[("Best", (rt(t),)) for t in best], dels=[])
+        return [make_state(dbs, B._order_db({"Real": [rt(t) for t in seq]})) for seq in orders]
+
+    @staticmethod
+    def _judge_entries(b):
+        return {k for k in b._memo if k[0] == "participant" and k[1] == "judge"}
+
+    @staticmethod
+    def _judge_facts(states):
+        return [sorted(f[0] for f in s.db(agent("q")).facts if f[0] != "MyName")
+                for s in states]
+
+    def _step_each(self, states, text=BIDS):
+        """Each state's successors from one builder, the judge entries it
+        keeps after each step, and the successors of a builder that keeps
+        no answer."""
+        spec = install_institutional(parse_spec(text))
+        cfg = BuildConfig(mode=MODE_FB_FLAT)
+        b = Builder(spec, cfg)
+        succs, entries = [], []
+        for s in self._states(b, **states):
+            succs.append(b.step_successors(s))
+            entries.append(self._judge_entries(b))
+        kept, uncached = _kept_and_uncached_successors(
+            spec, cfg, self._states(b, **states))
+        assert kept == uncached
+        return succs, entries
+
+    def test_a_rank_the_database_cannot_see_shares_the_entry(self):
+        # p keeps ticket 7, which q never sees: the two orders differ only
+        # in its rank, so q's entry for the bid of 1 is shared
+        succs, entries = self._step_each(dict(
+            orders=[[1, 2, 5, 7], [7, 1, 2, 5]], has=[1], kept=[7], best=[2]))
+        assert len(entries[0]) == 1 and entries[1] == entries[0]
+        (first,), (second,) = succs
+        assert first.agent_dbs == second.agent_dbs
+        assert first.order_db != second.order_db
+        assert self._judge_facts([first]) == [["Beaten", "Best", "Cheap"]]
+
+    def test_a_payload_outside_the_database_decides_the_condition(self):
+        # q holds 2 and reads the bid of 1 against it: the orders differ on
+        # the payload alone
+        succs, entries = self._step_each(dict(
+            orders=[[1, 2, 5], [2, 1, 5]], has=[1], best=[2]))
+        assert len(entries[0]) == 1 and len(entries[1]) == 2
+        assert self._judge_facts([s for (s,) in succs]) == [
+            ["Beaten", "Best", "Cheap"], ["Best", "Cheap"]]
+
+    def test_a_constant_decides_the_guard(self):
+        # q holds nothing: the bid of 1 is compared with the constant 5
+        succs, entries = self._step_each(dict(orders=[[1, 5], [5, 1]], has=[1]))
+        assert len(entries[0]) == 1 and len(entries[1]) == 2
+        assert self._judge_facts([s for (s,) in succs]) == [["Cheap"], []]
+
+    def test_the_senders_objects_decide_an_enabling_comparison(self):
+        # p bids a ticket only if it keeps a greater one
+        text = BIDS.replace("Has(t) & a = q enables", "Has(t) & Kept(k) & t < k & a = q enables")
+        succs, _ = self._step_each(dict(orders=[[1, 5, 7], [7, 1, 5]], has=[1], kept=[7]), text)
+        assert list(map(len, succs)) == [1, 0]
+
+    def test_an_order_no_database_reads_adds_no_entries(self, ping_spec):
+        # the ordered form of ping ranks the buffered message ids of every
+        # agent; each agent's entries see only its own, as in the
+        # disordered form, which keeps the same databases
+        counts = []
+        for form in (ASYNC_ORDERED, ASYNC_DISORDERED):
+            b = Builder(compile_shallow(async_to_sync(ping_spec, form)),
+                        BuildConfig(mode=MODE_ABSTRACT))
+            b.build()
+            counts.append(collections.Counter(k[0] for k in b._memo))
+        assert counts[0] == counts[1]
+        assert (counts[0]["enabled"], counts[0]["accept"], counts[0]["participant"]) == (
+            59, 56, 82)
 
 
 class TestFlatOrder:

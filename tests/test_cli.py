@@ -279,6 +279,36 @@ class TestVerify:
         assert "'g'" in report["result"]["error"]
         assert "states" not in report["result"]  # refused before the build
 
+    # two specs declare R with different typings; a client declares its own
+    # hasSpec, which inst declares with two components
+    TWO_TYPINGS = ("type A symbolic\ntype B symbolic\nfacet AF2 of A\nfacet BF2 of B\n"
+                   "agent u : x\nagent v : y\n"
+                   "spec x {\n  relation R(AF2)\n}\n"
+                   "spec y {\n  relation R(BF2)\n  relation hasSpec(AF)\n}\n")
+
+    @pytest.mark.parametrize("prop, code, error", [
+        ("true", 0, None),
+        ("exists a: agent. Agent@inst(a)", 0, None),
+        ("exists x: A. R@u(x)", 2, "relation 'R' is declared with different typings"),
+        ("exists a: agent. hasSpec@v(a)", 2,
+         "relation 'hasSpec' is declared with different typings"),
+    ])
+    def test_a_relation_typed_two_ways(self, tmp_path, prop, code, error):
+        spec = tmp_path / "two.rmas"
+        spec.write_text(self.TWO_TYPINGS)
+        prop_file = tmp_path / "p.mlp"
+        prop_file.write_text(prop + "\n")
+        assert run_cli("check", str(spec)).returncode == 0
+        out = run_cli("--report", "json", "verify", str(spec), str(prop_file),
+                      "--mode", "abstract-recycle")
+        assert b"Traceback" not in out.stderr
+        report = json.loads(out.stderr)
+        assert out.returncode == report["exit"] == code
+        if error:
+            assert report["result"]["error"] == f"{prop_file}: {error}"
+        else:
+            assert report["result"]["verdict"] is True
+
     def test_many_properties_on_one_build(self, capsys):
         props = [str(p) for p in prop_paths("ticket_mutex")]
 
@@ -397,6 +427,25 @@ class TestTransforms:
                       "--out", str(out_file))
         assert out.returncode == 0
         assert run_cli("check", str(out_file)).returncode == 0
+
+    @pytest.mark.parametrize("names", [{"alice": "m"}, {"alice": "a", "bob": "s"}],
+                             ids=["m", "a-s"])
+    def test_async2sync_output_keeps_its_variables_beside_agents_named_alike(
+            self, tmp_path, capsys, names):
+        # the generated rules and actions use the variables m, a and s
+        text = Path(PING).read_text()
+        for old, new in names.items():
+            text = text.replace(old, new)
+        spec, out_file = tmp_path / "ping.rmas", tmp_path / "sync.rmas"
+        spec.write_text(text)
+        for mode in ("ordered", "disordered"):
+            assert cli.main(["async2sync", str(spec), "--async-mode", mode,
+                             "--out", str(out_file)]) == 0
+            capsys.readouterr()
+            assert cli.main(["--report", "json", "build", str(out_file),
+                             "--mode", "abstract-recycle"]) == 0
+            result = json.loads(capsys.readouterr().err)["result"]
+            assert (result["states"], result["edges"]) == (902, 1600)
 
     def test_compile_twice_is_stable(self, tmp_path):
         once = tmp_path / "once.rmas"

@@ -1,6 +1,8 @@
 import pytest
 
 from rmas import cli, queries as Q
+from rmas.builder import (BuildConfig, MODE_ABSTRACT, build_transition_system,
+                          export_jsonl)
 from rmas.dsl import ParseError, ResolutionError, parse_spec, serialize_spec
 from rmas.model import install_institutional, institutional_actions
 from rmas.queries import Var
@@ -204,6 +206,33 @@ class TestBuiltinActions:
                      f"agent w : {name}\nspec {name} {{\n}}\n"):
             inst = parse_spec(text).inst_spec
             assert {n: inst.actions[n] for n in ("newAg", "remAg")} == institutional_actions()
+
+    @pytest.mark.parametrize("name", ("a", "s", "b"))
+    def test_a_replaced_body_reads_back_beside_an_agent_named_like_its_variables(self, name):
+        # the worker's price facet is checked at run time, so the facet
+        # compiler adds effects to every action, newAg and remAg included;
+        # written with their variables a and s, the bodies would read back
+        # with the agent in their place
+        text = (CORPUS / "registry.rmas").read_text()
+        for old, new in (("(a", "(w"), ("a)", "w)"), ("a.", "w."), ("(s", "(v"), ("s)", "v)"),
+                         ("s =", "v =")):
+            text = text.replace(old, new)
+        text = text.replace("message mkAg(BF)\n", "type P rational with less\n"
+                            "facet PF of P: 0 < x\nservice price() -> PF\nmessage tick()\n"
+                            "message mkAg(BF)\n").replace("spec worker {\n}", (
+                                "spec worker {\n  relation Price(PF)\n"
+                                "  action tick() {\n    true ~> add { Price(price()) }\n  }\n"
+                                "  MyName(m) enables tick() to m\n"
+                                "  on tick() from x if true then tick()\n}"))
+        spec = compile_shallow(install_institutional(
+            parse_spec(text + f"agent {name} : worker\n")))
+        assert spec.inst_spec.actions["newAg"] != institutional_actions()["newAg"]
+        written = serialize_spec(spec)
+        back = install_institutional(parse_spec(written))
+        assert serialize_spec(back) == written
+        cfg = BuildConfig(mode=MODE_ABSTRACT, max_states=60)
+        assert export_jsonl(build_transition_system(back, cfg)) == export_jsonl(
+            build_transition_system(spec, cfg))
 
     def test_spec_named_a_passes_check(self, tmp_path, capsys):
         assert check_exit(tmp_path, capsys, "spec a {\n}\nagent w : a\n") == (0, None)
