@@ -21,7 +21,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import os
 import sys
 from fractions import Fraction
 from typing import Optional
@@ -74,23 +73,28 @@ class CliError(Exception):
 
 
 def _digest(path: str) -> str:
-    with open(path, "rb") as fh:
-        return hashlib.sha256(fh.read()).hexdigest()
-
-
-def _read(path: str) -> str:
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return fh.read()
+        with open(path, "rb") as fh:
+            return hashlib.sha256(fh.read()).hexdigest()
     except OSError as e:
         raise CliError(f"cannot read {path}: {e}", EXIT_USAGE)
 
 
+def _read(path: str) -> str:
+    """The file's text; a file that cannot be opened or is not UTF-8 is a
+    usage error."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except (OSError, UnicodeDecodeError) as e:
+        raise CliError(f"cannot read {path}: {e}", EXIT_USAGE)
+
+
 class Report:
-    def __init__(self, command: str, inputs: list[str]) -> None:
+    def __init__(self, command: str) -> None:
         self.data = {
             "command": command,
-            "inputs": {p: _digest(p) for p in inputs},
+            "inputs": {},
             "config": {},
             "result": {},
             "exit": EXIT_OK,
@@ -139,7 +143,7 @@ def _parse_pools(spec: RmasSpec, entries: list[str]) -> dict[str, tuple[DataObje
                     values.append(mk_integer(tname, int(piece)))
                 else:
                     values.append(DataObject(tname, piece))
-            except ValueError:
+            except (ValueError, ZeroDivisionError):
                 raise CliError(f"bad pool value {piece!r} for type {tname}", EXIT_USAGE)
         pools[tname] = tuple(values)
     return pools
@@ -404,12 +408,10 @@ def main(argv: Optional[list[str]] = None) -> int:
         return EXIT_USAGE if e.code not in (0, None) else 0
     inputs = [p for p in (getattr(args, "spec", None), *getattr(args, "properties", ()),
                           getattr(args, "program", None)) if p]
-    for p in inputs:
-        if not os.path.exists(p):
-            sys.stderr.write(f"error: no such file: {p}\n")
-            return EXIT_USAGE
-    report = Report(args.cmd, inputs)
+    report = Report(args.cmd)
     try:
+        for p in inputs:
+            report.data["inputs"][p] = _digest(p)
         code = args.func(args, report)
     except CliError as e:
         report.data["result"]["error"] = str(e)

@@ -217,7 +217,10 @@ KEYWORDS = {
 
 def _raw_const(tok: Token) -> Const:
     if tok.kind == "number":
-        return Const(DataObject(RAW_NUM, Fraction(tok.value)))
+        try:  # `1/0` has a zero denominator, `1.5/2` no Fraction syntax
+            return Const(DataObject(RAW_NUM, Fraction(tok.value)))
+        except (ValueError, ZeroDivisionError):
+            raise ParseError(f"bad number {tok.value!r}", tok.line, tok.col) from None
     if tok.kind == "string":
         return Const(DataObject(RAW_STR, tok.value[1:-1]))
     raise ParseError(f"not a literal: {tok.value!r}", tok.line, tok.col)
@@ -243,15 +246,19 @@ class QueryParser:
         ts = self.ts
         if ts.at("exists") or ts.at("forall"):
             kw = ts.next().value
-            names = [ts.expect_ident().value]
+            names = [self.parse_binder()]
             while ts.accept(","):
-                names.append(ts.expect_ident().value)
+                names.append(self.parse_binder())
             ts.expect(".")
             body = self.parse_query()
-            for name in reversed(names):
-                body = Q.Exists(name, body) if kw == "exists" else Q.Forall(name, body)
+            for name, t in reversed(names):
+                body = Q.Exists(name, body, t) if kw == "exists" else Q.Forall(name, body, t)
             return body
         return self.parse_implies()
+
+    def parse_binder(self) -> tuple[str, str]:
+        """A quantified variable and its type, "?" until inferred."""
+        return self.ts.expect_ident().value, "?"
 
     def parse_implies(self) -> Query:
         lhs = self.parse_or()

@@ -1,7 +1,13 @@
 """First-order mu-calculus with location atoms over a finite transition system.
 
-Properties query named agents' databases (`R@a(x, y)`), quantify over objects
-live in the current state, and wrap modal steps in liveness guards so that
+A property's first-order part is the query language of `queries`, parsed by
+`dsl.QueryParser`: `TrueQ`, `Not`, `And`, `Or`, `Exists`, `Forall`, `EqAtom`
+and `LessAtom`, without `succ`, `_` and `undef`.  This module adds what only
+properties have: located atoms (`R@a(x, y)`) in place of relation atoms,
+`live[T](x)`, typed binders (`x: T`), fixpoints and next-step modalities.  A
+free name equal to `inst`, an initial agent or a spec is that constant; a
+bound name shadows it.  Quantifiers range over the objects live in the
+current state, and modal steps are wrapped in liveness guards so that
 quantified data survives exactly as long as it persists in some database.
 Fixpoints are computed by Kleene iteration; each approximant maps every
 assignment of the free variables to the bitmask of the states where it holds.
@@ -9,9 +15,10 @@ assignment of the free variables to the bitmask of the states where it holds.
 What lives per transition system (`SystemTables`, kept on the system by its
 first check): the state masks, predecessor masks, database placements, live
 masks and per-type universe, the all-true extension per domain, and each
-atom's rows, keyed by the atom's value so equal atoms of different
-properties share them.  What lives per check (`ModelChecker`): the iteration
-count and the atoms expanded over their domains.
+atom's rows, keyed by the atom's value (and an equality's type) so equal
+atoms of different properties share them.  What lives per check
+(`ModelChecker`): the iteration count and the atoms expanded over their
+domains.
 """
 
 from __future__ import annotations
@@ -25,10 +32,11 @@ from typing import Callable, Iterable, Iterator, Optional
 from .data import AGENT_TYPE, INST_NAME, Database, DataObject, carrier_less, mk_symbol
 from . import model as M
 from .builder import TransitionSystem
-from .dsl import KEYWORDS, ParseError, TokenStream, tokenize, _raw_const, _resolve_literal
+from .dsl import KEYWORDS, ParseError, QueryParser, TokenStream, tokenize, _resolve_literal
 from .model import RmasSpec, initial_data_domain
 from . import queries as Q
-from .queries import Const, Term, Var, lessthan_rel
+from .queries import And, Const, EqAtom, Exists, Forall, LessAtom, Not, Or, Query, Term, TrueQ, Var
+from .queries import lessthan_rel
 from .shallow import is_accessory
 
 
@@ -45,10 +53,10 @@ class UnguardedModalVariables(PropError):
 
 
 # ---------------------------------------------------------------------------
-# AST
+# AST: the query nodes, and these for what only properties have
 
 
-class Prop:
+class Prop(Query):
     pass
 
 
@@ -62,55 +70,9 @@ class LocAtom(Prop):
 
 
 @dataclass(frozen=True)
-class CmpAtom(Prop):
-    """Equality or order comparison between two terms.  `less` reads a
-    state's lessThan facts when the state has an order database, and the
-    carrier's order otherwise."""
-
-    op: str  # "eq" | "less"
-    type_name: Optional[str]
-    left: Term
-    right: Term
-
-
-@dataclass(frozen=True)
 class LiveAtom(Prop):
     type_name: str
     var: str
-
-
-@dataclass(frozen=True)
-class PTrue(Prop):
-    pass
-
-
-@dataclass(frozen=True)
-class PNot(Prop):
-    body: Prop
-
-
-@dataclass(frozen=True)
-class PAnd(Prop):
-    parts: tuple[Prop, ...]
-
-
-@dataclass(frozen=True)
-class POr(Prop):
-    parts: tuple[Prop, ...]
-
-
-@dataclass(frozen=True)
-class PExists(Prop):
-    var: str
-    type_name: str
-    body: Prop
-
-
-@dataclass(frozen=True)
-class PForall(Prop):
-    var: str
-    type_name: str
-    body: Prop
 
 
 @dataclass(frozen=True)
@@ -121,83 +83,60 @@ class PVar(Prop):
 @dataclass(frozen=True)
 class PMu(Prop):
     var: str
-    body: Prop
+    body: Query
 
 
 @dataclass(frozen=True)
 class PNu(Prop):
     var: str
-    body: Prop
+    body: Query
 
 
 @dataclass(frozen=True)
 class PDiamond(Prop):
     guards: tuple[tuple[str, str], ...]  # (var, type): live guards on the step
-    body: Prop
+    body: Query
 
 
 @dataclass(frozen=True)
 class PBox(Prop):
     guards: tuple[tuple[str, str], ...]
-    body: Prop
+    body: Query
 
 
-def p_and(*parts: Prop) -> Prop:
-    flat = [p for p in parts if not isinstance(p, PTrue)]
-    if not flat:
-        return PTrue()
-    if len(flat) == 1:
-        return flat[0]
-    return PAnd(tuple(flat))
-
-
-def p_or(*parts: Prop) -> Prop:
-    if len(parts) == 1:
-        return parts[0]
-    return POr(tuple(parts))
-
-
-def children(p: Prop) -> tuple[Prop, ...]:
-    if isinstance(p, (PAnd, POr)):
-        return p.parts
-    if isinstance(p, (PNot, PExists, PForall, PMu, PNu, PDiamond, PBox)):
+def children(p: Query) -> tuple[Query, ...]:
+    if isinstance(p, (PMu, PNu, PDiamond, PBox)):
         return (p.body,)
-    return ()
+    return Q.children(p)
 
 
-def rebuild(p: Prop, f: Callable[[Prop], Prop],
-            term: Optional[Callable[[Term], Term]] = None) -> Prop:
+def rebuild(p: Query, f: Callable[[Query], Query],
+            term: Optional[Callable[[Term], Term]] = None) -> Query:
     """p of the same kind, with f applied to each of its children and, when
     given, `term` to each term of an atom."""
-    if isinstance(p, (PAnd, POr)):
-        return type(p)(tuple(f(c) for c in p.parts))
-    if isinstance(p, PNot):
-        return PNot(f(p.body))
-    if isinstance(p, (PExists, PForall)):
-        return type(p)(p.var, p.type_name, f(p.body))
+    if not isinstance(p, Prop):
+        return Q.rebuild(p, f, term)
     if isinstance(p, (PMu, PNu)):
         return type(p)(p.var, f(p.body))
     if isinstance(p, (PDiamond, PBox)):
         return type(p)(p.guards, f(p.body))
-    if term is not None and isinstance(p, LocAtom):
+    if isinstance(p, LocAtom) and term is not None:
         return LocAtom(p.name, tuple(map(term, p.terms)), term(p.loc))
-    if term is not None and isinstance(p, CmpAtom):
-        return CmpAtom(p.op, p.type_name, term(p.left), term(p.right))
     return p
 
 
-def free_vars_plus(p: Prop, env: dict[str, frozenset[str]]) -> frozenset[str]:
+def free_vars_plus(p: Query, env: dict[str, frozenset[str]]) -> frozenset[str]:
     """Free first-order variables, a fixpoint variable standing for those of
     its nearest enclosing binder (env maps the binders in scope to theirs)."""
     if isinstance(p, LocAtom):
         return frozenset(_term_vars((p.loc,) + p.terms))
-    if isinstance(p, CmpAtom):
-        return frozenset(_term_vars((p.left, p.right)))
+    if isinstance(p, Q.ATOMS):
+        return frozenset(Q.free_vars(p))
     if isinstance(p, LiveAtom):
         return frozenset({p.var})
     if isinstance(p, PVar):
         return env.get(p.name, frozenset())
-    if isinstance(p, (PExists, PForall)):
+    if isinstance(p, (Exists, Forall)):
         return free_vars_plus(p.body, env) - {p.var}
     if isinstance(p, (PMu, PNu)):
         return binder_fv(p, env)
@@ -207,7 +146,7 @@ def free_vars_plus(p: Prop, env: dict[str, frozenset[str]]) -> frozenset[str]:
     return out
 
 
-def binder_fv(p: Prop, env: dict[str, frozenset[str]]) -> frozenset[str]:
+def binder_fv(p: Query, env: dict[str, frozenset[str]]) -> frozenset[str]:
     """The free first-order variables of a mu/nu formula: the least set its
     body has when the binder's own variable stands for that set."""
     fv: frozenset[str] = frozenset()
@@ -222,97 +161,58 @@ def binder_fv(p: Prop, env: dict[str, frozenset[str]]) -> frozenset[str]:
 # Parsing
 
 
-class PropParser:
+class PropParser(QueryParser):
+    """The query grammar plus typed binders, `mu`/`nu`, `<>`/`[]`,
+    `live[T](x)`, located atoms and fixpoint variables.  It refuses an
+    unlocated relation atom, `succ`, `undef` and `_`."""
+
     def __init__(self, text: str, spec: RmasSpec) -> None:
+        super().__init__(TokenStream([t for t in tokenize(text) if t.kind != "newline"]))
         self.spec = spec
-        tokens = [t for t in tokenize(text) if t.kind != "newline"]
-        self.ts = TokenStream(tokens)
         self.consts: dict[str, DataObject] = {INST_NAME: mk_symbol(AGENT_TYPE, INST_NAME)}
         for name, _ in spec.initial_agents:
             self.consts[name] = mk_symbol(AGENT_TYPE, name)
         for sname in spec.agent_specs:
             self.consts[sname] = mk_symbol("spec", sname)
         self.fix_bound: list[str] = []
-        self._anon = 0
 
-    def parse(self) -> Prop:
-        p = self.parse_prop()
+    def parse(self) -> Query:
+        p = self.parse_query()
         t = self.ts.peek()
         if t.kind != "eof":
             raise ParseError(f"unexpected {t.value!r} after formula", t.line, t.col)
         return p
 
-    def parse_prop(self) -> Prop:
+    def parse_query(self) -> Query:
         ts = self.ts
         if ts.at("mu") or ts.at("nu"):
             kw = ts.next().value
             var = ts.expect_ident().value
             ts.expect(".")
             self.fix_bound.append(var)
-            body = self.parse_prop()
+            body = self.parse_query()
             self.fix_bound.pop()
             return PMu(var, body) if kw == "mu" else PNu(var, body)
-        if ts.at("exists") or ts.at("forall"):
-            kw = ts.next().value
-            names: list[tuple[str, Optional[str]]] = []
-            while True:
-                v = ts.expect_ident().value
-                t = None
-                if ts.accept(":"):
-                    t = ts.expect_ident().value
-                    if t not in self.spec.types:
-                        raise ParseError(f"unknown type {t!r}")
-                names.append((v, t))
-                if not ts.accept(","):
-                    break
-            ts.expect(".")
-            body = self.parse_prop()
-            for v, t in reversed(names):
-                node = PExists(v, t or "?", body) if kw == "exists" else PForall(v, t or "?", body)
-                body = node
-            return body
-        return self.parse_implies()
+        return super().parse_query()
 
-    def parse_implies(self) -> Prop:
-        lhs = self.parse_or()
-        if self.ts.accept("->"):
-            rhs = self.parse_prop()
-            return p_or(PNot(lhs), rhs)
-        return lhs
+    def parse_binder(self) -> tuple[str, str]:
+        v, t = super().parse_binder()
+        if self.ts.accept(":"):
+            t = self.ts.expect_ident().value
+            if t not in self.spec.types:
+                raise ParseError(f"unknown type {t!r}")
+        return v, t
 
-    def parse_or(self) -> Prop:
-        parts = [self.parse_and()]
-        while self.ts.accept("|"):
-            parts.append(self.parse_and())
-        return p_or(*parts)
-
-    def parse_and(self) -> Prop:
-        parts = [self.parse_unary()]
-        while self.ts.accept("&"):
-            parts.append(self.parse_unary())
-        return p_and(*parts)
-
-    def parse_unary(self) -> Prop:
-        ts = self.ts
-        if ts.accept("!") or ts.accept("not"):
-            return PNot(self.parse_unary())
-        if ts.accept("<>"):
+    def parse_unary(self) -> Query:
+        if self.ts.accept("<>"):
             return PDiamond((), self.parse_unary())
-        if ts.accept("[]"):
+        if self.ts.accept("[]"):
             return PBox((), self.parse_unary())
-        if ts.accept("("):
-            p = self.parse_prop()
-            ts.expect(")")
-            return p
-        return self.parse_atom()
+        return super().parse_unary()
 
-    def parse_atom(self) -> Prop:
+    def parse_atom(self) -> Query:
         ts = self.ts
         t = ts.peek()
-        if ts.accept("true"):
-            return PTrue()
-        if ts.accept("false"):
-            return PNot(PTrue())
         if ts.accept("live"):
             ts.expect("[")
             ty = ts.expect_ident().value
@@ -324,27 +224,19 @@ class PropParser:
             ts.expect(")")
             return LiveAtom(ty, v)
         if t.kind == "ident" and t.value not in KEYWORDS:
-            nxt = ts.peek(1).value
-            if nxt == "@":
+            nxt = ts.peek(1)
+            if nxt.value == "@":
                 return self.parse_located()
-            if t.value in self.fix_bound and nxt not in ("(", "@", "=", "!=", "<", ">"):
+            if nxt.value == "(":
+                raise ParseError(f"expected an atom, found {nxt}", nxt.line, nxt.col)
+            if t.value in self.fix_bound and nxt.value not in ("=", "!=", "<", ">"):
                 ts.next()
                 return PVar(t.value)
-        left = self.parse_term()
-        for op in ("=", "!=", "<", ">"):
-            if ts.accept(op):
-                right = self.parse_term()
-                if op == "=":
-                    return CmpAtom("eq", None, left, right)
-                if op == "!=":
-                    return PNot(CmpAtom("eq", None, left, right))
-                if op == "<":
-                    return CmpAtom("less", None, left, right)
-                return CmpAtom("less", None, right, left)
-        tok = ts.peek()
-        raise ParseError(f"expected an atom, found {tok}", tok.line, tok.col)
+        if ts.at("succ"):
+            raise ParseError(f"expected a term, found {t}", t.line, t.col)
+        return super().parse_atom()
 
-    def parse_located(self) -> Prop:
+    def parse_located(self) -> Query:
         ts = self.ts
         name = ts.expect_ident().value
         if is_accessory(name):
@@ -355,15 +247,10 @@ class PropParser:
         return LocAtom(name, tuple(terms), Var(loc_tok.value))
 
     def parse_term(self) -> Term:
-        ts = self.ts
-        t = ts.peek()
-        if t.kind in ("number", "string"):
-            ts.next()
-            return _raw_const(t)
-        if t.kind == "ident" and t.value not in KEYWORDS:
-            ts.next()
-            return Var(t.value)
-        raise ParseError(f"expected a term, found {t}", t.line, t.col)
+        t = self.ts.peek()
+        if self.ts.at("undef") or self.ts.at("_"):
+            raise ParseError(f"expected a term, found {t}", t.line, t.col)
+        return super().parse_term()
 
 
 # ---------------------------------------------------------------------------
@@ -375,15 +262,14 @@ class _PropResolver:
         self.p = parser
         self.spec = parser.spec
         self.ctx = parser.spec.schema_context()
-        literal = partial(_resolve_literal, types=parser.spec.types)
-        self.lit = partial(Q.resolve_raw, literal=literal)
+        self.literal = partial(_resolve_literal, types=parser.spec.types)
 
-    def resolve(self, prop: Prop) -> Prop:
+    def resolve(self, prop: Query) -> Query:
         consts = self.p.consts
         prop = Q.map_free(prop, lambda v: Const(consts[v.name]) if v.name in consts else v,
-                          rebuild, (PExists, PForall))
+                          rebuild)
         self._check_monotone(prop)
-        typing = Q.Typing(children, (PExists, PForall), self._demands, self.spec.types)
+        typing = Q.Typing(children, self._demands, self.spec.types)
         try:
             typing.visit(prop).check()
         except Q.IncompatibleQuery as e:
@@ -392,53 +278,45 @@ class _PropResolver:
             prop = self._finish(prop, iter(typing.solved))
         return self._guard_modalities(prop, {}, frozenset(), typing.free_types())
 
-    def _check_monotone(self, p: Prop, positive: bool = True) -> None:
+    def _check_monotone(self, p: Query, positive: bool = True) -> None:
         if isinstance(p, PVar):
             if not positive:
                 raise NonMonotoneFixpoint(
                     f"fixpoint variable {p.name!r} under an odd number of negations")
             return
-        if isinstance(p, PNot):
-            self._check_monotone(p.body, not positive)
-            return
+        if isinstance(p, Not):
+            positive = not positive
         for c in children(p):
             self._check_monotone(c, positive)
 
-    def _demands(self, p: Prop) -> Optional[list[tuple]]:
+    def _demands(self, p: Query) -> Optional[list[tuple]]:
         if isinstance(p, LocAtom):
             types = self.ctx.component_types(p.name, len(p.terms))
             return [((t,), ct, p.name) for t, ct in zip((p.loc,) + p.terms, [AGENT_TYPE] + types)]
-        if isinstance(p, CmpAtom):
-            return [((p.left, p.right), p.type_name, "<" if p.op == "less" else p.op)]
         if isinstance(p, LiveAtom):
             return [((Var(p.var),), p.type_name, "live")]
-        return None
+        return self.ctx.demands(p)
 
-    def _finish(self, p: Prop, solved: Iterator) -> Prop:
+    def _finish(self, p: Query, solved: Iterator) -> Query:
         """p with the solved types on its binders and comparisons, and its
         raw literals resolved; `solved` follows the order of the walk."""
-        lit = self.lit
-        if isinstance(p, (PExists, PForall)):
-            return type(p)(p.var, next(solved), self._finish(p.body, solved))
         if isinstance(p, LocAtom):
             loc_type, *types = next(solved)
+            lit = partial(Q.resolve_raw, literal=self.literal)
             return LocAtom(p.name, tuple(map(lit, p.terms, types)), lit(p.loc, loc_type))
-        if isinstance(p, CmpAtom):
-            (t,) = next(solved)
-            return CmpAtom(p.op, t, lit(p.left, t), lit(p.right, t))
         if isinstance(p, LiveAtom):
             next(solved)
-        return rebuild(p, lambda c: self._finish(c, solved))
+        again = lambda c: self._finish(c, solved)
+        if isinstance(p, Prop):
+            return rebuild(p, again)
+        return Q.finish(p, solved, self.literal, again)
 
     # attach live guards to modalities; reject unguarded free variables
-    def _guard_modalities(self, p: Prop, env, guards: frozenset[str],
-                          types: dict[str, str]) -> Prop:
+    def _guard_modalities(self, p: Query, env, guards: frozenset[str],
+                          types: dict[str, str]) -> Query:
         """env maps each fixpoint variable in scope to its binder's free
         first-order variables, `types` each first-order variable in scope to
         the type of its nearest binder."""
-        if isinstance(p, PAnd):
-            local = guards | self._guarded_by(p.parts)
-            return PAnd(tuple(self._guard_modalities(c, env, local, types) for c in p.parts))
         if isinstance(p, (PDiamond, PBox)):
             need = sorted(free_vars_plus(p.body, env))
             missing = [v for v in need if v not in guards]
@@ -448,29 +326,27 @@ class _PropResolver:
                     f"guarded by a conjoined live or positive atom")
             gs = tuple((v, types[v]) for v in need)
             return type(p)(gs, self._guard_modalities(p.body, env, frozenset(), types))
-        if isinstance(p, PNot):
-            return PNot(self._guard_modalities(p.body, env, frozenset(), types))
-        if isinstance(p, POr):
-            return POr(tuple(self._guard_modalities(c, env, frozenset(), types) for c in p.parts))
-        if isinstance(p, (PExists, PForall)):
-            inner = {**types, p.var: p.type_name}
-            return type(p)(p.var, p.type_name, self._guard_modalities(p.body, env, guards, inner))
-        if isinstance(p, (PMu, PNu)):
-            inner = {**env, p.var: binder_fv(p, env)}
-            return type(p)(p.var, self._guard_modalities(p.body, inner, guards, types))
-        return p
+        if isinstance(p, And):
+            guards = guards | self._guarded_by(p.parts)
+        elif isinstance(p, (Not, Or)):
+            guards = frozenset()
+        elif isinstance(p, (Exists, Forall)):
+            types = {**types, p.var: p.type_name}
+        elif isinstance(p, (PMu, PNu)):
+            env = {**env, p.var: binder_fv(p, env)}
+        return rebuild(p, lambda c: self._guard_modalities(c, env, guards, types))
 
-    def _guarded_by(self, parts: Iterable[Prop]) -> frozenset[str]:
+    def _guarded_by(self, parts: Iterable[Query]) -> frozenset[str]:
         out: frozenset[str] = frozenset()
         for part in parts:
             if isinstance(part, (LocAtom, LiveAtom)):
                 out |= free_vars_plus(part, {})
-            elif isinstance(part, PAnd):
+            elif isinstance(part, And):
                 out |= self._guarded_by(part.parts)
         return out
 
 
-def parse_property(text: str, spec: RmasSpec) -> Prop:
+def parse_property(text: str, spec: RmasSpec) -> Query:
     """Parse and normalize a closed property, ready for `model_check` on a
     system of any mode; raises on syntax errors, non-monotone fixpoints,
     unguarded modal variables and open formulas."""
@@ -480,7 +356,7 @@ def parse_property(text: str, spec: RmasSpec) -> Prop:
     return prop
 
 
-def flatten_property(p: Prop) -> Prop:
+def flatten_property(p: Query) -> Query:
     """p itself: the checker picks each state's order source.  Kept only
     because the benchmark worker (`perfbench/worker.py`) still calls it."""
     return p
@@ -562,7 +438,7 @@ class SystemTables:
             self.live.setdefault(o.type_name, {})[o] = live[o]
         self.universe = {t: list(per) for t, per in self.live.items()}
         self.tops: dict[tuple[str, ...], dict[tuple, int]] = {}
-        self.rows: dict[Prop, tuple[tuple[str, ...], dict[tuple, int]]] = {}
+        self.rows: dict[tuple, tuple[tuple[str, ...], dict[tuple, int]]] = {}
 
     def fits(self, ts: TransitionSystem, consts: frozenset[DataObject]) -> bool:
         return (self.states is ts.states and self.edges is ts.edges
@@ -578,16 +454,18 @@ class SystemTables:
             self.tops[types] = out
         return out
 
-    def atom_rows(self, atom: Prop) -> tuple[tuple[str, ...], dict[tuple, int]]:
+    def atom_rows(self, atom: Query, eq_type: Optional[str] = None
+                  ) -> tuple[tuple[str, ...], dict[tuple, int]]:
         """The atom's variables, and the states where it holds under each
         binding of them (only bindings that hold somewhere); computed once
-        per atom value."""
-        got = self.rows.get(atom)
+        per atom value and, for an equality, the type it compares at."""
+        got = self.rows.get((atom, eq_type))
         if got is None:
-            got = self.rows[atom] = self._atom_rows(atom)
+            got = self.rows[(atom, eq_type)] = self._atom_rows(atom, eq_type)
         return got
 
-    def _atom_rows(self, atom: Prop) -> tuple[tuple[str, ...], dict[tuple, int]]:
+    def _atom_rows(self, atom: Query, eq_type: Optional[str]
+                   ) -> tuple[tuple[str, ...], dict[tuple, int]]:
         rows: dict[tuple, int] = {}
         if isinstance(atom, LiveAtom):
             for o, m in self.live.get(atom.type_name, {}).items():
@@ -613,14 +491,15 @@ class SystemTables:
                             continue
                     rows[row] = rows.get(row, 0) | states
             return names, rows
-        if isinstance(atom, CmpAtom):
+        if isinstance(atom, (EqAtom, LessAtom)):
             sides = (atom.left, atom.right)
             names = _term_vars(sides)
-            pool = self.universe.get(atom.type_name, [])
-            # the states answered by the carrier: all of them for eq, those
-            # without an order database for less
+            less = isinstance(atom, LessAtom)
+            pool = self.universe.get(atom.type_name if less else eq_type, [])
+            # the states answered by the carrier: all of them for =, those
+            # without an order database for <
             carrier = self.full
-            if atom.op == "less":
+            if less:
                 # the state's lessThan facts between universe objects, read
                 # once per distinct order database
                 members = set(pool)
@@ -634,7 +513,7 @@ class SystemTables:
                         if row is not None and members.issuperset(row):
                             rows[row] = rows.get(row, 0) | states
             if carrier:
-                test = operator.eq if atom.op == "eq" else carrier_less
+                test = carrier_less if less else operator.eq
                 for row in itertools.product(pool, repeat=len(names)):
                     theta = dict(zip(names, row))
                     a, b = (theta[t.name] if isinstance(t, Var) else t.obj for t in sides)
@@ -685,15 +564,20 @@ class ModelChecker:
 
     # -- atoms -------------------------------------------------------------------
 
-    def _atom(self, atom: Prop, dom: Dom) -> dict:
+    def _atom(self, atom: Query, dom: Dom) -> dict:
         """The atom's rows expanded over the positions of dom it leaves free
-        (a shadowed one among them); computed once per atom and dom."""
+        (a shadowed one among them); computed once per atom and dom.  An
+        equality compares at the type of its variables' binders."""
         key = (atom, dom)
         out = self._atoms.get(key)
         if out is not None:
             return out
-        names, rows = self.tables.atom_rows(atom)
         at = _positions(dom)
+        eq_type = None
+        if isinstance(atom, EqAtom):
+            eq_type = next((dom[at[v]][1] for v in _term_vars((atom.left, atom.right))
+                            if v in at), None)
+        names, rows = self.tables.atom_rows(atom, eq_type)
         unbound = set(names).difference(at)
         if unbound:
             raise PropError(f"property must be closed; free variables {sorted(unbound)}")
@@ -710,15 +594,15 @@ class ModelChecker:
 
     # -- evaluation -----------------------------------------------------------------
 
-    def eval(self, p: Prop, dom: Dom, env: dict[str, tuple[Dom, dict]]) -> dict[tuple, int]:
+    def eval(self, p: Query, dom: Dom, env: dict[str, tuple[Dom, dict]]) -> dict[tuple, int]:
         """The extension of p over the assignments to dom, the (variable,
         type) of each binder around p, outermost first; env maps each
         fixpoint variable in scope to its binder's dom and approximant."""
-        if isinstance(p, PTrue):
+        if isinstance(p, TrueQ):
             return self._top(dom)
-        if isinstance(p, (LocAtom, CmpAtom, LiveAtom)):
+        if isinstance(p, (LocAtom, LiveAtom, EqAtom, LessAtom)):
             return self._atom(p, dom)
-        if isinstance(p, PNot):
+        if isinstance(p, Not):
             body = self.eval(p.body, dom, env)
             full = self.full
             out = {}
@@ -727,7 +611,7 @@ class ModelChecker:
                 if m:
                     out[c] = m
             return out
-        if isinstance(p, PAnd):
+        if isinstance(p, And):
             if not p.parts:
                 return self._top(dom)
             out = self.eval(p.parts[0], dom, env)
@@ -740,17 +624,17 @@ class ModelChecker:
                     if m:
                         out[a] = m
             return out
-        if isinstance(p, POr):
+        if isinstance(p, Or):
             out = {}
             for c in p.parts:
                 for a, m in self.eval(c, dom, env).items():
                     out[a] = out.get(a, 0) | m
             return out
-        if isinstance(p, (PExists, PForall)):
+        if isinstance(p, (Exists, Forall)):
             body = self.eval(p.body, dom + ((p.var, p.type_name),), env)
             live = self.live.get(p.type_name, {})
             out = {}
-            if isinstance(p, PExists):
+            if isinstance(p, Exists):
                 for c, m in body.items():
                     m &= live.get(c[-1], 0)
                     if m:
@@ -841,14 +725,14 @@ def _match(names: tuple[str, ...], terms: tuple[Term, ...],
     return tuple(theta[v] for v in names)
 
 
-def check_closed(prop: Prop) -> None:
+def check_closed(prop: Query) -> None:
     """Raise PropError unless prop has no free first-order variable and every
     fixpoint variable is bound by an enclosing mu or nu."""
     free = free_vars_plus(prop, {})
     if free:
         raise PropError(f"property must be closed; free variables {sorted(free)}")
 
-    def walk(p: Prop, bound: frozenset[str]) -> None:
+    def walk(p: Query, bound: frozenset[str]) -> None:
         if isinstance(p, PVar) and p.name not in bound:
             raise PropError(f"fixpoint variable {p.name!r} is not bound by mu or nu")
         if isinstance(p, (PMu, PNu)):
@@ -859,7 +743,7 @@ def check_closed(prop: Prop) -> None:
     walk(prop, frozenset())
 
 
-def model_check(ts: TransitionSystem, spec: RmasSpec, prop: Prop) -> Verdict:
+def model_check(ts: TransitionSystem, spec: RmasSpec, prop: Query) -> Verdict:
     """Evaluate a closed property at the initial state."""
     check_closed(prop)
     checker = ModelChecker(ts, spec)

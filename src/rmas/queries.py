@@ -250,13 +250,13 @@ def map_terms(q: Query, f: Callable[[Term], Term]) -> Query:
 
 
 def map_free(node, f: Callable[[Var], Term], rebuild=rebuild,
-             binders: tuple[type, ...] = (Exists, Forall), bound: frozenset[str] = frozenset()):
-    """node with f applied to each occurrence of a variable no binder
-    around it binds; `rebuild` and `binders` describe the syntax tree, a
-    query's by default."""
-    if isinstance(node, binders):
+             bound: frozenset[str] = frozenset()):
+    """node with f applied to each occurrence of a variable no Exists or
+    Forall around it binds; `rebuild` describes the syntax tree, a query's
+    by default."""
+    if isinstance(node, (Exists, Forall)):
         bound = bound | {node.var}
-    return rebuild(node, lambda c: map_free(c, f, rebuild, binders, bound),
+    return rebuild(node, lambda c: map_free(c, f, rebuild, bound),
                    lambda t: f(t) if isinstance(t, Var) and t.name not in bound else t)
 
 
@@ -284,17 +284,16 @@ class Typing:
     scope, and an equality chain of any length is solved in the one walk.
     The first clash raises TypeClash.
 
-    The two syntax trees pass what differs between them: `children`, the
-    node classes that bind a `var` of a `type_name` ("?" when not declared),
-    and `demands`, which maps an atom to its (terms, fixed type or None,
-    relation) groups and any other node to None.  The relation "<" or
-    "succ" demands a type with that order among `types`.
+    Both syntax trees bind with Exists and Forall, each of a `var` of a
+    `type_name` ("?" when not declared), and pass what differs between
+    them: `children`, and `demands`, which maps an atom to its (terms,
+    fixed type or None, relation) groups and any other node to None.  The
+    relation "<" or "succ" demands a type with that order among `types`.
     """
 
-    def __init__(self, children, binders: tuple[type, ...], demands,
-                 types: dict[str, DataTypeDef],
+    def __init__(self, children, demands, types: dict[str, DataTypeDef],
                  param_types: Optional[dict[str, str]] = None) -> None:
-        self.children, self.binders, self.demands = children, binders, demands
+        self.children, self.demands = children, demands
         self.types = types
         self.up: list[int] = []
         # set on the variable of each type name only, which stays its root
@@ -327,7 +326,7 @@ class Typing:
     def visit(self, node, scope: Optional[dict[str, int]] = None) -> "Typing":
         if scope is None:
             scope = {}
-        if isinstance(node, self.binders):
+        if isinstance(node, (Exists, Forall)):
             v = self._new() if node.type_name == "?" else self._named(node.type_name)
             self.walk.append((node, v, None))
             scope = {**scope, node.var: v}
@@ -467,18 +466,22 @@ def typecheck_query(
     untyped or at a type without its order, and (with require_all) an
     untyped quantified variable.
     """
-    typing = Typing(children, (Exists, Forall), ctx.demands, ctx.types, param_types)
+    typing = Typing(children, ctx.demands, ctx.types, param_types)
     if typing.visit(q).fill(seed_types or {}).check(require_all).stale:
-        q = _finish(q, iter(typing.solved), literal)
+        q = finish(q, iter(typing.solved), literal)
     return q, typing.free_types()
 
 
-def _finish(q: Query, solved: Iterator, literal) -> Query:
+def finish(q: Query, solved: Iterator, literal, again=None) -> Query:
     """q with the solved types on its binders and comparisons and its raw
-    literals resolved; `solved` follows the order of the walk."""
+    literals resolved; `solved` follows the order of the walk.  `again`
+    finishes each child, this function by default; a property passes its
+    own, which knows the nodes only properties have."""
+    if again is None:
+        again = lambda c: finish(c, solved, literal)
     if isinstance(q, (Exists, Forall)):
         t = next(solved)
-        return type(q)(q.var, _finish(q.body, solved, literal), t or "?")
+        return type(q)(q.var, again(q.body), t or "?")
     if isinstance(q, RelAtom):
         ts = next(solved)
         return RelAtom(q.name, tuple(resolve_raw(x, t, literal) for x, t in zip(q.terms, ts)))
@@ -488,7 +491,7 @@ def _finish(q: Query, solved: Iterator, literal) -> Query:
         if isinstance(q, LessAtom):
             return LessAtom(t, left, right)
         return type(q)(left, right)
-    return rebuild(q, lambda c: _finish(c, solved, literal))
+    return rebuild(q, again)
 
 
 def resolve_raw(t: Term, type_name: str, literal) -> Term:

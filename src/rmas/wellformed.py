@@ -76,7 +76,7 @@ class _Checker:
         is a finding, so that every query the checker passes compiles."""
         self.tick(sum(1 for _ in Q.atoms(q)) + 1)
         ctx = self.contexts[ag.name]
-        typing = Q.Typing(Q.children, (Q.Exists, Q.Forall), ctx.demands, ctx.types, param_types)
+        typing = Q.Typing(Q.children, ctx.demands, ctx.types, param_types)
         failing = code
         try:
             types = typing.visit(q).free_types()

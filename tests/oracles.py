@@ -177,7 +177,7 @@ class NaiveChecker:
         pools = [self.universe.get(t, []) for _, t in dom]
         return {(sid, combo) for sid in range(self.n) for combo in itertools.product(*pools)}
 
-    def atom_rows(self, atom, sid: int) -> list[dict[str, DataObject]]:
+    def atom_rows(self, atom, sid: int, dom) -> list[dict[str, DataObject]]:
         s = self.ts.states[sid]
         out: list[dict[str, DataObject]] = []
         if isinstance(atom, mucalc.LocAtom):
@@ -199,17 +199,20 @@ class NaiveChecker:
             return out
         if isinstance(atom, mucalc.LiveAtom):
             return [{atom.var: o} for o in self.live[sid].get(atom.type_name, ())]
-        if isinstance(atom, mucalc.CmpAtom):
+        if isinstance(atom, (Q.EqAtom, Q.LessAtom)):
             vars_ = []
             for side in (atom.left, atom.right):
                 if isinstance(side, Q.Var) and side.name not in vars_:
                     vars_.append(side.name)
-            pool = self.universe.get(atom.type_name, [])
+            # an equality compares at the type of its variables' innermost binder
+            t = atom.type_name if isinstance(atom, Q.LessAtom) else \
+                next((t for v, t in reversed(dom) if v in vars_), None)
+            pool = self.universe.get(t, [])
             for combo in itertools.product(*(pool for _ in vars_)):
                 theta = dict(zip(vars_, combo))
                 a, b = (theta[t.name] if isinstance(t, Q.Var) else t.obj
                         for t in (atom.left, atom.right))
-                if atom.op == "eq":
+                if isinstance(atom, Q.EqAtom):
                     holds = a == b
                 elif s.order_db is None:
                     holds = carrier_less(a, b)
@@ -224,31 +227,31 @@ class NaiveChecker:
         pools = [self.universe.get(t, []) for _, t in dom]
         # the position each variable name denotes: its innermost binder's
         pos = {v: i for i, (v, _) in enumerate(dom)}
-        if isinstance(p, mucalc.PTrue):
+        if isinstance(p, Q.TrueQ):
             return self.space(dom)
-        if isinstance(p, (mucalc.LocAtom, mucalc.CmpAtom, mucalc.LiveAtom)):
+        if isinstance(p, (mucalc.LocAtom, Q.EqAtom, Q.LessAtom, mucalc.LiveAtom)):
             out = set()
             for sid in range(self.n):
-                for theta in self.atom_rows(p, sid):
+                for theta in self.atom_rows(p, sid, dom):
                     assert set(theta) <= set(pos), "unbound atom variable"
                     picks = [[theta[v]] if v in theta and pos[v] == i else pool
                              for i, ((v, _), pool) in enumerate(zip(dom, pools))]
                     out |= {(sid, combo) for combo in itertools.product(*picks)}
             return out
-        if isinstance(p, mucalc.PNot):
+        if isinstance(p, Q.Not):
             return self.space(dom) - self.eval(p.body, dom, env)
-        if isinstance(p, mucalc.PAnd):
+        if isinstance(p, Q.And):
             if not p.parts:
                 return self.space(dom)
             return set.intersection(*(self.eval(c, dom, env) for c in p.parts))
-        if isinstance(p, mucalc.POr):
+        if isinstance(p, Q.Or):
             out = set()
             for c in p.parts:
                 out |= self.eval(c, dom, env)
             return out
-        if isinstance(p, (mucalc.PExists, mucalc.PForall)):
+        if isinstance(p, (Q.Exists, Q.Forall)):
             body = self.eval(p.body, dom + ((p.var, p.type_name),), env)
-            if isinstance(p, mucalc.PExists):
+            if isinstance(p, Q.Exists):
                 return {(sid, combo[:-1]) for (sid, combo) in body
                         if combo[-1] in self.live[sid].get(p.type_name, ())}
             return {(sid, combo) for sid in range(self.n)

@@ -234,17 +234,17 @@ def test_criterion_8_model_checker_oracle():
         oky = model_check(ts, PROP_SPEC, ag).truth == ag_oracle(succ, 0, sat)
         agree += okx and oky
     # duality spot-check on the same random systems
-    from rmas.mucalc import PMu, PNot, PNu, PVar, PAnd, PDiamond, LocAtom
-    from rmas.queries import Const
+    from rmas.mucalc import PMu, PNu, PVar, PDiamond, LocAtom
+    from rmas.queries import And, Const, Not
 
     inst = mk_symbol("agent", "inst")
-    body = PAnd((LocAtom("p", (), Const(inst)), PDiamond((), PVar("Z"))))
-    dual_body = PAnd((LocAtom("p", (), Const(inst)), PDiamond((), PNot(PVar("Z")))))
+    body = And((LocAtom("p", (), Const(inst)), PDiamond((), PVar("Z"))))
+    dual_body = And((LocAtom("p", (), Const(inst)), PDiamond((), Not(PVar("Z")))))
     duality = True
     for _ in range(50):
         ts, _ = random_prop_ts(rng, rng.randint(1, 5))
-        lhs = model_check(ts, PROP_SPEC, PNot(PMu("Z", body))).truth
-        rhs = model_check(ts, PROP_SPEC, PNu("Z", PNot(dual_body))).truth
+        lhs = model_check(ts, PROP_SPEC, Not(PMu("Z", body))).truth
+        rhs = model_check(ts, PROP_SPEC, PNu("Z", Not(dual_body))).truth
         duality &= lhs == rhs
     report(8, f"model checker agrees with reachability/safety oracles on "
               f"{agree}/200 randomized systems; duality holds", agree == 200 and duality)

@@ -86,7 +86,31 @@ spec instSpec institutional {
         assert run_cli("check", str(bad)).returncode == 2
 
     def test_missing_file_usage_error(self):
-        assert run_cli("check", "no-such-file.rmas").returncode == 1
+        out = run_cli("check", "no-such-file.rmas")
+        assert out.returncode == 1
+        assert b"\nerror: cannot read no-such-file.rmas: " in out.stderr
+
+    @pytest.mark.parametrize("role", ["spec", "property"])
+    @pytest.mark.parametrize("content, code", [
+        ("1/0", 2),  # a zero denominator is a parse error at the literal
+        ("latin-1", 1),  # neither a directory nor a non-UTF-8 file can be read
+        ("directory", 1),
+    ])
+    def test_unreadable_input_ends_in_a_report(self, tmp_path, role, content, code):
+        path = tmp_path / "input"
+        if content == "directory":
+            path.mkdir()
+        elif content == "latin-1":
+            path.write_bytes("# caf\u00e9\n".encode("latin-1"))
+        elif role == "spec":
+            path.write_text("type Price rational with less\nfacet PF of Price: x > 1/0\n")
+        else:
+            path.write_text("exists x: Real. x < 1/0\n")
+        out = run_cli(*(("check", str(path)) if role == "spec" else ("verify", TICKET, str(path))))
+        assert out.returncode == code, out.stderr
+        assert b"Traceback" not in out.stderr
+        assert b"\nerror: " in out.stderr
+        assert out.stderr.endswith(f"exit: {code}\n".encode())
 
     def test_template_variable_bound_only_in_the_guard_is_unbound(self, tmp_path):
         # the effect's h is bound inside its guard, so the template cannot use it

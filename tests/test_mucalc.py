@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -7,23 +8,17 @@ from rmas.builder import BuildConfig, TransitionSystem, build_transition_system,
 from rmas.data import Database, DataObject, mk_integer, mk_rational, mk_symbol
 from rmas.dsl import ParseError, parse_spec
 from rmas.model import install_institutional
+from rmas import queries as Q
 from rmas.mucalc import (
     ModelChecker,
-    CmpAtom,
     LiveAtom,
     LocAtom,
     NonMonotoneFixpoint,
-    PAnd,
     PBox,
     PDiamond,
-    PExists,
-    PForall,
     PMu,
-    PNot,
     PNu,
-    POr,
     PropError,
-    PTrue,
     PVar,
     SystemTables,
     UnguardedModalVariables,
@@ -34,10 +29,11 @@ from rmas.mucalc import (
     parse_property,
     rebuild,
 )
-from rmas.queries import Const, Var, lessthan_rel
+from rmas.queries import (
+    And, Const, EqAtom, Exists, Forall, LessAtom, Not, Or, TrueQ, Var, lessthan_rel)
 from rmas.shallow import compile_shallow
 
-from conftest import load_corpus, prop_paths, prop_text, ticket_with_names
+from conftest import CORPUS, load_corpus, prop_paths, prop_text, run_cli, ticket_with_names
 from oracles import NaiveChecker, ag_oracle, ef_oracle, naive_model_check
 
 # a minimal system whose union schema provides propositional (0-ary) atoms
@@ -75,12 +71,12 @@ class TestParse:
     def test_reachability_formula(self):
         p = parse_property("mu Z. Halted@inst | <>Z", _spec_with_halted())
         assert isinstance(p, PMu)
-        assert isinstance(p.body, POr)
+        assert isinstance(p.body, Or)
 
     def test_safety_skeleton(self):
         p = parse_property("nu Z. p@inst & []Z", PROP_SPEC)
         assert isinstance(p, PNu)
-        assert isinstance(p.body, PAnd)
+        assert isinstance(p.body, And)
 
     @pytest.mark.parametrize("text, error", [
         ("nu Z. (forall a: agent. !inCritical@inst(a)) & [ ]Z",
@@ -139,7 +135,7 @@ class TestParse:
         cmps = []
 
         def walk(node):
-            if isinstance(node, CmpAtom):
+            if isinstance(node, LessAtom):
                 cmps.append(node)
             for c in getattr(node, "parts", ()) or ():
                 walk(c)
@@ -218,7 +214,6 @@ class TestModelCheck:
     def test_open_formula_rejected(self):
         p = parse_property("p@inst", PROP_SPEC)
         assert model_check(make_ts([("p",)], []), PROP_SPEC, p).truth
-        bad = PExists("x", "agent", PTrue())
         # a genuinely open AST is refused
         with pytest.raises(PropError):
             model_check(make_ts([()], []), PROP_SPEC, LocAtom("p", (), Var("somewhere")))
@@ -226,13 +221,13 @@ class TestModelCheck:
     def test_unbound_fixpoint_variable_rejected(self):
         # Z has no enclosing mu/nu: it has no free first-order variable, but
         # it is not closed either
-        for bad in (PVar("Z"), PMu("Y", POr((PVar("Y"), PDiamond((), PVar("Z"))))),
-                    PAnd((PNu("Z", PVar("Z")), PVar("Z")))):
+        for bad in (PVar("Z"), PMu("Y", Or((PVar("Y"), PDiamond((), PVar("Z"))))),
+                    And((PNu("Z", PVar("Z")), PVar("Z")))):
             with pytest.raises(PropError, match="'Z' is not bound"):
                 check_closed(bad)
             with pytest.raises(PropError, match="'Z' is not bound"):
                 model_check(make_ts([()], []), PROP_SPEC, bad)
-        check_closed(PNu("Z", PAnd((PVar("Z"), PMu("Y", PVar("Z"))))))
+        check_closed(PNu("Z", And((PVar("Z"), PMu("Y", PVar("Z"))))))
 
     def test_iteration_count_bounded_by_state_space(self):
         ts = make_ts([(), (), (), ("p",)], [(0, 1), (1, 2), (2, 3), (3, 0)])
@@ -283,13 +278,13 @@ class TestOracleAgreement:
 
         def dualize(node):
             if isinstance(node, PVar):
-                return PNot(node)
-            if isinstance(node, PNot):
-                return PNot(dualize(node.body))
-            if isinstance(node, PAnd):
-                return PAnd(tuple(dualize(c) for c in node.parts))
-            if isinstance(node, POr):
-                return POr(tuple(dualize(c) for c in node.parts))
+                return Not(node)
+            if isinstance(node, Not):
+                return Not(dualize(node.body))
+            if isinstance(node, And):
+                return And(tuple(dualize(c) for c in node.parts))
+            if isinstance(node, Or):
+                return Or(tuple(dualize(c) for c in node.parts))
             if isinstance(node, PDiamond):
                 return PDiamond(node.guards, dualize(node.body))
             if isinstance(node, PBox):
@@ -305,9 +300,9 @@ class TestOracleAgreement:
                 ])
             kind = rng.choice(["and", "or", "dia", "box", "atom"])
             if kind == "and":
-                return PAnd((random_body(depth - 1), random_body(depth - 1)))
+                return And((random_body(depth - 1), random_body(depth - 1)))
             if kind == "or":
-                return POr((random_body(depth - 1), random_body(depth - 1)))
+                return Or((random_body(depth - 1), random_body(depth - 1)))
             if kind == "dia":
                 return PDiamond((), random_body(depth - 1))
             if kind == "box":
@@ -318,28 +313,74 @@ class TestOracleAgreement:
         for _ in range(100):
             body = random_body(3)
             ts, _ = random_prop_ts(rng, rng.randint(1, 5))
-            lhs = model_check(ts, PROP_SPEC, PNot(PMu("Z", body))).truth
-            rhs = model_check(ts, PROP_SPEC, PNu("Z", PNot(dualize(body)))).truth
+            lhs = model_check(ts, PROP_SPEC, Not(PMu("Z", body))).truth
+            rhs = model_check(ts, PROP_SPEC, PNu("Z", Not(dualize(body)))).truth
             assert lhs == rhs
             checked += 1
         assert checked == 100
 
 
+def _mapped(value, f):
+    return tuple(map(f, value)) if isinstance(value, tuple) else f(value)
+
+
+def _parts(value, kinds) -> tuple:
+    """A field's value, or the members of a tuple field, that are of kinds."""
+    return tuple(x for x in (value if isinstance(value, tuple) else (value,))
+                 if isinstance(x, kinds))
+
+
 class TestRebuild:
+    """Both syntax trees have one traversal: `children` and `rebuild` of
+    queries, and those of mucalc, which add the property-only nodes."""
+
     def test_identity_and_replacement_on_every_node_kind(self):
         a, b = LocAtom("p", (), Const(INST)), LocAtom("q", (), Const(INST))
-        nodes = [PNot(a), PAnd((a, b)), POr((a, b)), PExists("x", "agent", a),
-                 PForall("x", "agent", a), PMu("Z", a), PNu("Z", a),
-                 PDiamond((("x", "agent"),), a), PBox((), a)]
-        swap = lambda c: b if c == a else a
-        for node in nodes:
-            assert rebuild(node, lambda c: c) == node
-            swapped = rebuild(node, swap)
-            assert type(swapped) is type(node)
-            assert children(swapped) == tuple(swap(c) for c in children(node))
-            assert rebuild(swapped, swap) == node
-        for leaf in (a, PTrue(), PVar("Z"), LiveAtom("agent", "x")):
-            assert rebuild(leaf, swap) is leaf
+        x, c = Var("x"), Const(INST)
+        samples = [
+            TrueQ(), Q.RelAtom("R", (x, c)), EqAtom(x, c), LessAtom("Num", c, x),
+            Q.SuccAtom(x, c), Not(a), And((a, b)), Or((a, b)), Exists("x", a, "agent"),
+            Forall("x", a, "agent"), LocAtom("R", (x, c), Var("l")), LiveAtom("agent", "x"),
+            PVar("Z"), PMu("Z", a), PNu("Z", a), PDiamond((("x", "agent"),), a), PBox((), a)]
+        classes = {k for m in (Q, mucalc) for k in vars(m).values() if isinstance(k, type)
+                   and issubclass(k, Q.Query) and dataclasses.is_dataclass(k)}
+        assert {type(n) for n in samples} == classes
+        swap = lambda n: b if n == a else a
+        term = lambda t: x if isinstance(t, Const) else c
+        terms = (Var, Q.Param, Const)
+        for node in samples:
+            trees = [(children, rebuild)]
+            if getattr(Q, type(node).__name__, None) is type(node):
+                trees.append((Q.children, Q.rebuild))
+            fields = [getattr(node, f.name) for f in dataclasses.fields(node)]
+            for children_, rebuild_ in trees:
+                assert children_(node) == tuple(p for v in fields for p in _parts(v, Q.Query))
+                assert rebuild_(node, lambda n: n) == node
+                for t in (None, term):
+                    got = rebuild_(node, swap, t)
+                    assert type(got) is type(node)
+                    for old, new in zip(fields, (getattr(got, g.name)
+                                                 for g in dataclasses.fields(got))):
+                        if _parts(old, Q.Query):
+                            assert new == _mapped(old, swap), node
+                        elif t is not None and _parts(old, terms):
+                            assert new == _mapped(old, t), node
+                        else:
+                            assert new == old, node
+
+
+@pytest.mark.parametrize("text", [
+    "R(x)", "succ(1, 2)", "undef = undef", "exists t: Real. hasTicket@inst(_, t)"])
+def test_query_only_syntax_is_refused(text, ticket_spec, tmp_path):
+    # an unlocated relation atom, succ, undef and _ belong to spec queries only
+    with pytest.raises((ParseError, PropError)):
+        parse_property(text, ticket_spec)
+    prop = tmp_path / "p.mlp"
+    prop.write_text(text)
+    out = run_cli("verify", str(CORPUS / "ticket_mutex.rmas"), str(prop),
+                  "--mode", "abstract-recycle")
+    assert out.returncode == 2, out.stderr
+    assert b"Traceback" not in out.stderr
 
 
 # ---------------------------------------------------------------------------
@@ -371,7 +412,7 @@ class TestNaiveAgreementOnCorpus:
             prop = parse_property(path.read_text(), spec)
             ops |= _cmp_ops(prop)
             _same_as_naive(ts, spec, prop)
-        assert ops == {"eq", "less"}
+        assert ops == {"EqAtom", "LessAtom"}
         ordered = parse_property(self.TWO_TICKETS_ORDERED, spec)
         _same_as_naive(ts, spec, ordered)
         assert model_check(ts, spec, ordered).truth
@@ -455,13 +496,13 @@ class TestBinderScopes:
         spec, ts = named
         prop = parse_property("forall a, b, c, d, e, f. (a = b & b = c & c = d & d = e & e = f"
                               " & HasT@c1(f)) -> a = b", spec)
-        binders = [n for n, _ in _scoped_nodes(prop, {}) if isinstance(n, PForall)]
+        binders = [n for n, _ in _scoped_nodes(prop, {}) if isinstance(n, Forall)]
         assert [n.type_name for n in binders] == ["Real"] * 6
         _same_as_naive(ts, spec, prop)
 
 
 def _cmp_ops(p) -> set:
-    own = {p.op} if isinstance(p, CmpAtom) else set()
+    own = {type(p).__name__} if isinstance(p, (EqAtom, LessAtom)) else set()
     return own.union(*(_cmp_ops(c) for c in children(p)))
 
 
@@ -557,11 +598,11 @@ def random_data_prop(rng: random.Random, depth: int, scope: dict, fix: tuple):
             return LiveAtom(scope[v], v)
         if kind == "eq":
             t = rng.choice(["Str", "agent"])
-            return CmpAtom("eq", t, term(t), term(t))
+            return EqAtom(term(t), term(t))
         if kind == "cmp":
-            return CmpAtom("less", "Num", term("Num"), term("Num"))
+            return LessAtom("Num", term("Num"), term("Num"))
         if kind == "true":
-            return PTrue()
+            return TrueQ()
         return LocAtom("p", (), Const(INST))
 
     if depth == 0:
@@ -569,13 +610,13 @@ def random_data_prop(rng: random.Random, depth: int, scope: dict, fix: tuple):
     sub = lambda scope=scope, fix=fix: random_data_prop(rng, depth - 1, scope, fix)
     kind = rng.choice(["and", "or", "not", "exists", "forall", "dia", "box", "mu", "nu", "leaf"])
     if kind in ("and", "or"):
-        return (PAnd if kind == "and" else POr)((sub(), sub()))
+        return (And if kind == "and" else Or)((sub(), sub()))
     if kind == "not":
-        return PNot(sub(fix=()))
+        return Not(sub(fix=()))
     if kind in ("exists", "forall"):
         v = f"x{len(scope)}"
         t = rng.choice(["Str", "Num", "Cnt", "agent"])
-        return (PExists if kind == "exists" else PForall)(v, t, sub(scope={**scope, v: t}))
+        return (Exists if kind == "exists" else Forall)(v, sub(scope={**scope, v: t}), t)
     if kind in ("dia", "box"):
         guards = tuple((v, t) for v, t in scope.items() if rng.random() < 0.8)
         return (PDiamond if kind == "dia" else PBox)(guards, sub())
@@ -595,19 +636,19 @@ class TestNaiveAgreementOnRandomSystems:
             check_closed(prop)
             _same_as_naive(ts, DATA_SPEC, prop)
             shapes |= {type(n).__name__ for n, _ in _scoped_nodes(prop, {})}
-        assert shapes >= {"PExists", "PForall", "PDiamond", "PBox", "PMu", "PNu", "PVar"}
+        assert shapes >= {"Exists", "Forall", "PDiamond", "PBox", "PMu", "PNu", "PVar"}
 
     def test_nested_fixpoints_with_free_variables(self):
         # the inner fixpoints' bodies mention the quantified x: their
         # extensions range over assignments to x
         rng = random.Random(7)
         templates = [
-            lambda body: PNu("Z", PAnd((
-                PForall("x", "Str", POr((PNot(LocAtom("R", (Var("x"),), Const(INST))),
-                                         PMu("Y", body)))),
+            lambda body: PNu("Z", And((
+                Forall("x", Or((Not(LocAtom("R", (Var("x"),), Const(INST))),
+                                PMu("Y", body))), "Str"),
                 PBox((), PVar("Z"))))),
-            lambda body: PMu("Z", POr((
-                PExists("x", "Str", PAnd((LiveAtom("Str", "x"), PNu("Y", body)))),
+            lambda body: PMu("Z", Or((
+                Exists("x", And((LiveAtom("Str", "x"), PNu("Y", body))), "Str"),
                 PDiamond((), PVar("Z"))))),
         ]
         checked = 0
@@ -616,7 +657,7 @@ class TestNaiveAgreementOnRandomSystems:
             inner = random_data_prop(rng, rng.randint(1, 3), {"x": "Str"}, ("Y",))
             # the guard re-tests x at every step of the fixpoint
             guarded = rng.choice([PDiamond, PBox])((("x", "Str"),), PVar("Y"))
-            body = rng.choice([POr, PAnd])((inner, guarded))
+            body = rng.choice([Or, And])((inner, guarded))
             for make in templates:
                 _same_as_naive(ts, DATA_SPEC, make(body))
                 checked += 1
@@ -648,16 +689,15 @@ class TestNaiveAgreementOnOpenFormulas:
 
     def test_atoms_over_order_facts_and_repeated_variables(self):
         x, y = Var("x"), Var("y")
-        atoms = [CmpAtom("less", "Num", x, x), CmpAtom("less", "Num", x, y),
-                 CmpAtom("less", "Num", Const(NUMS[0]), y),
-                 CmpAtom("less", "Num", x, Const(NUMS[-1])),
-                 CmpAtom("eq", "Cnt", x, x), LocAtom("T", (x, x), Const(INST)),
-                 LocAtom("T", (x, Const(STRS[1])), Const(INST))]
+        atoms = [(LessAtom("Num", x, x), "Num"), (LessAtom("Num", x, y), "Num"),
+                 (LessAtom("Num", Const(NUMS[0]), y), "Num"),
+                 (LessAtom("Num", x, Const(NUMS[-1])), "Num"),
+                 (EqAtom(x, x), "Cnt"), (LocAtom("T", (x, x), Const(INST)), "Str"),
+                 (LocAtom("T", (x, Const(STRS[1])), Const(INST)), "Str")]
         rng = random.Random(3)
         for _ in range(30):
             ts = random_data_ts(rng, rng.randint(1, 4))
-            for atom in atoms:
-                t = atom.type_name if isinstance(atom, CmpAtom) else "Str"
+            for atom, t in atoms:
                 dom = (("x", t), ("y", t))
                 got = ModelChecker(ts, DATA_SPEC).eval(atom, dom, {})
                 pairs = {(sid, c) for c, m in got.items()
@@ -686,7 +726,7 @@ def _bind_pair(atom, pair):
 def _scoped_nodes(p, scope: dict):
     """Every subformula with its variables in scope, in quantifier order."""
     yield p, scope
-    if isinstance(p, (PExists, PForall)):
+    if isinstance(p, (Exists, Forall)):
         scope = {**scope, p.var: p.type_name}
     for c in children(p):
         yield from _scoped_nodes(c, scope)
@@ -740,10 +780,10 @@ class TestSharedTables:
         reals = tables.universe["Real"]
         x, y = Var("x"), Var("y")
         rel = lessthan_rel("Real")
-        assert tables.atom_rows(CmpAtom("less", "Real", x, y))[1]
-        for atom in (CmpAtom("less", "Real", x, y), CmpAtom("less", "Real", x, x),
-                     CmpAtom("less", "Real", Const(reals[0]), y),
-                     CmpAtom("less", "Real", x, Const(reals[-1]))):
+        assert tables.atom_rows(LessAtom("Real", x, y))[1]
+        for atom in (LessAtom("Real", x, y), LessAtom("Real", x, x),
+                     LessAtom("Real", Const(reals[0]), y),
+                     LessAtom("Real", x, Const(reals[-1]))):
             names, rows = tables.atom_rows(atom)
             want: dict = {}
             for sid, s in enumerate(ts.states):
@@ -784,7 +824,7 @@ class TestSharedTables:
         more = install_institutional(parse_spec(DATA_SPEC_TEXT.replace(
             'init { "k" }', 'init { "k", "z" }')))
         ts = random_data_ts(random.Random(5), 3)
-        node = PNot(LocAtom("R", (Var("x"),), Const(INST)))
+        node = Not(LocAtom("R", (Var("x"),), Const(INST)))
         dom = (("x", "Str"),)
         last = ModelChecker(ts, DATA_SPEC)
         # the system keeps the tables of its last check's constants
