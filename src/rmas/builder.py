@@ -29,6 +29,12 @@ their plans read it, and then only the part the evaluation can see
 "accept", the candidate's under its branch's order), the dense constants
 and, for a participant, the payload.  So states that rank other agents'
 objects differently share an agent's entries.
+What lives for one BFS layer only, in flat modes: each state core's
+successors, where a core is the agents' databases and the dense order over
+the active objects (`_StepCache.dense_order`).  States that differ only in
+the lessThan facts of objects that have just left share one expansion; the
+memo cannot outlive the layer, since the passive pools that recycling draws
+from come from the layer's snapshot of the objects used so far.
 What lives for one step only (`_StepCache`): the state's databases by agent,
 its active objects and passive pools, the indexes over the databases the
 step's queries read, its dense order, and the one successor of every
@@ -38,6 +44,7 @@ its dense order in flat modes, the state itself otherwise.
 
 from __future__ import annotations
 
+import gc
 import itertools
 import json
 from dataclasses import dataclass, field
@@ -60,6 +67,7 @@ from . import queries as Q
 from .commitments import (
     CallToken,
     CommitmentTuple,
+    InconsistentOrder,
     MIDPOINT,
     OPAQUE,
     PoolReservoir,
@@ -71,8 +79,8 @@ from .commitments import (
     enumerate_equality_commitments,
 )
 from .model import CallTerm, CommRule, RmasSpec, UpdateRule, initial_data_domain
-from .queries import (CarrierOrder, Const, FactOrder, Param, Var, conforms, facet_member,
-                      lessthan_rel)
+from .queries import (CarrierOrder, Const, FactOrder, MissingOrderFacts, Param, Var, conforms,
+                      facet_member, lessthan_rel)
 from .shallow import is_accessory, is_shallow
 
 
@@ -570,19 +578,29 @@ class Builder:
 
     def step_successors(
         self, state: SystemState, used_snapshot: Optional[dict[str, set[DataObject]]] = None,
+        layer: Optional[dict[tuple, list[SystemState]]] = None,
     ) -> list[SystemState]:
-        self._step = _StepCache(self, state, used_snapshot)
+        """state's successors.  layer, if given, holds the successors of each
+        state core already expanded under used_snapshot: a state whose core
+        is there gets them, and a state expanded here adds its own."""
+        self._step = step = _StepCache(self, state, used_snapshot)
         try:
+            core = step.core() if layer is not None else None
+            out = layer.get(core) if core is not None else None
+            if out is not None:
+                return out
             cur_as = self.current_agents(state)
             specs = dict(cur_as)
             active = set(specs)
-            out: list[SystemState] = []
+            out = []
             for sender, s_spec in cur_as:
                 for message, payload, target in self.enabled_messages(
                         state, sender, s_spec, active):
                     t_spec = specs[target]
                     out.extend(self._exchange(
                         state, sender, s_spec, target, t_spec, message, payload))
+            if core is not None:
+                layer[core] = out
             return out
         finally:
             self._step = None
@@ -733,6 +751,17 @@ class Builder:
     # -- closure ---------------------------------------------------------------------------
 
     def build(self) -> TransitionSystem:
+        """The closure, with the cyclic garbage collector paused: a build
+        makes no reference cycles, so a collection would only walk its heap."""
+        was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            return self._closure()
+        finally:
+            if was_enabled:
+                gc.enable()
+
+    def _closure(self) -> TransitionSystem:
         ts = TransitionSystem(mode=self.config.mode)
         s0 = self.initial_state()
         self._check_bound(s0)
@@ -753,9 +782,10 @@ class Builder:
                 truncated = True
                 break
             snapshot = {t: set(s) for t, s in used.items()}
+            layer: dict[tuple, list[SystemState]] = {}
             next_frontier: list[int] = []
             for sid in frontier:
-                for succ in self.step_successors(ts.states[sid], snapshot):
+                for succ in self.step_successors(ts.states[sid], snapshot, layer):
                     self._check_bound(succ)
                     key = state_key(succ)
                     tid = index.get(key)
@@ -856,6 +886,20 @@ class _StepCache:
                 got = b._memo[key] = (seqs, b._intern(_order_db(seqs)) if b.flat else None)
             self._dense_order = got
         return self._dense_order
+
+    def core(self) -> Optional[tuple]:
+        """In flat modes, what the step's successors read besides the used
+        objects: each agent's facts and those of the dense order over the
+        active objects, which drops the order facts of objects that have
+        left.  None in the other modes, or where the state does not order
+        its dense objects totally."""
+        if not self.builder.flat:
+            return None
+        try:
+            order = self.dense_order()[1]
+        except (InconsistentOrder, MissingOrderFacts):
+            return None
+        return tuple((name, db.facts) for name, db in self.state.agent_dbs), order.facts
 
     def dense_key(self) -> tuple:
         """What the dense order is read from: the order's facts in flat

@@ -133,25 +133,28 @@ def enumerate_equality_commitments(S: Iterable[Element]) -> Iterator[EqualityCom
     or opens a new one.
     """
     objs, calls = _split(S)
-    cells: list[set[Element]] = [{o} for o in objs]
-
-    def rec(i: int) -> Iterator[EqualityCommitment]:
-        if i == len(calls):
-            yield EqualityCommitment(tuple(frozenset(c) for c in cells))
-            return
-        tok = calls[i]
-        for c in cells:
-            c.add(tok)
-            yield from rec(i + 1)
-            c.remove(tok)
-        cells.append({tok})
-        yield from rec(i + 1)
-        cells.pop()
-
     if not objs and not calls:
         yield EqualityCommitment(())
         return
-    yield from rec(0)
+    yield from _grow([{o} for o in objs], calls, 0)
+
+
+def _grow(cells: list[set[Element]], calls: list[CallToken],
+          i: int) -> Iterator[EqualityCommitment]:
+    """The partitions that place calls[i:] into cells, each one a new cell
+    or an existing one.  A module-level function, not a closure that calls
+    itself, so an enumeration leaves no reference cycle behind."""
+    if i == len(calls):
+        yield EqualityCommitment(tuple(frozenset(c) for c in cells))
+        return
+    tok = calls[i]
+    for c in cells:
+        c.add(tok)
+        yield from _grow(cells, calls, i + 1)
+        c.remove(tok)
+    cells.append({tok})
+    yield from _grow(cells, calls, i + 1)
+    cells.pop()
 
 
 def enumerate_dense_commitments(

@@ -198,9 +198,10 @@ class PropParser(QueryParser):
     def parse_binder(self) -> tuple[str, str]:
         v, t = super().parse_binder()
         if self.ts.accept(":"):
-            t = self.ts.expect_ident().value
+            tok = self.ts.expect_ident()
+            t = tok.value
             if t not in self.spec.types:
-                raise ParseError(f"unknown type {t!r}")
+                raise ParseError(f"unknown type {t!r}", tok.line, tok.col)
         return v, t
 
     def parse_unary(self) -> Query:
@@ -215,9 +216,10 @@ class PropParser(QueryParser):
         t = ts.peek()
         if ts.accept("live"):
             ts.expect("[")
-            ty = ts.expect_ident().value
+            tok = ts.expect_ident()
+            ty = tok.value
             if ty not in self.spec.types:
-                raise ParseError(f"unknown type {ty!r}")
+                raise ParseError(f"unknown type {ty!r}", tok.line, tok.col)
             ts.expect("]")
             ts.expect("(")
             v = ts.expect_ident().value
@@ -238,9 +240,11 @@ class PropParser(QueryParser):
 
     def parse_located(self) -> Query:
         ts = self.ts
-        name = ts.expect_ident().value
+        tok = ts.expect_ident()
+        name = tok.value
         if is_accessory(name):
-            raise ParseError(f"accessory relation {name!r} cannot appear in properties")
+            raise ParseError(f"accessory relation {name!r} cannot appear in properties",
+                             tok.line, tok.col)
         ts.expect("@")
         loc_tok = ts.expect_ident()
         terms = ts.items(self.parse_term) if ts.accept("(") else []
@@ -403,10 +407,12 @@ class SystemTables:
         # each distinct database is read once, with the mask of the states
         # that hold it: `held` for any agent, `placed` for an agent
         # registered there (an Agent fact in inst's database), and `orders`
-        # for the order databases.
+        # for the order databases.  Each of inst's databases is read for its
+        # Agent facts once, into `rosters`.
         held: dict[int, list] = {}  # id(db) -> [db, states]
         placed: dict[tuple, list] = {}  # (agent, id(db)) -> [agent, db, states]
         orders: dict[int, list] = {}  # id(order_db) -> [order_db, states]
+        rosters: dict[int, set] = {}  # id(inst's db) -> the agents it registers
         for sid, s in enumerate(ts.states):
             bit = 1 << sid
             if s.order_db is not None:
@@ -415,7 +421,10 @@ class SystemTables:
                     got = orders[id(s.order_db)] = [s.order_db, 0]
                 got[1] |= bit
             inst_db = s.db(inst)
-            agents = {args[0] for args in inst_db.facts_for(M.AGENT_REL)} if inst_db else set()
+            agents = rosters.get(id(inst_db))
+            if agents is None:
+                agents = rosters[id(inst_db)] = {
+                    args[0] for args in inst_db.facts_for(M.AGENT_REL)} if inst_db else set()
             for agent, db in s.agent_dbs:
                 got = held.get(id(db))
                 if got is None:

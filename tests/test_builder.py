@@ -1,4 +1,5 @@
 import collections
+import gc
 import itertools
 from dataclasses import replace
 from fractions import Fraction
@@ -562,6 +563,15 @@ def _ping_ordered(ping_spec):
     return compile_shallow(async_to_sync(ping_spec, ASYNC_ORDERED))
 
 
+def _flat_builds(ticket_spec, ping_spec, name):
+    """The spec and config of a flat-mode build by name."""
+    return {
+        "ticket3-abstract": (_ticket3_spec(), BuildConfig(mode=MODE_ABSTRACT)),
+        "ticket-flat-200": (ticket_spec, BuildConfig(mode=MODE_FB_FLAT, max_states=200)),
+        "ping-ordered": (_ping_ordered(ping_spec), BuildConfig(mode=MODE_ABSTRACT)),
+    }[name]
+
+
 def _dedup_builds(ticket_spec, ping_spec):
     return [
         ("ticket-abstract", ticket_spec, BuildConfig(mode=MODE_ABSTRACT)),
@@ -768,11 +778,7 @@ class TestMemoAndInterning:
 
     @pytest.mark.parametrize("name", ["ticket3-abstract", "ticket-flat-200", "ping-ordered"])
     def test_memoized_answers_equal_fresh_ones(self, ticket_spec, ping_spec, name):
-        spec, cfg = {
-            "ticket3-abstract": (_ticket3_spec(), BuildConfig(mode=MODE_ABSTRACT)),
-            "ticket-flat-200": (ticket_spec, BuildConfig(mode=MODE_FB_FLAT, max_states=200)),
-            "ping-ordered": (_ping_ordered(ping_spec), BuildConfig(mode=MODE_ABSTRACT)),
-        }[name]
+        spec, cfg = _flat_builds(ticket_spec, ping_spec, name)
         warm = Builder(spec, cfg)
         ts = warm.build()
         want = [_local_answers(warm, s) for s in ts.states]
@@ -1110,11 +1116,7 @@ class TestFlatOrder:
 
     @pytest.mark.parametrize("name", ["ticket3-abstract", "ticket-flat-200", "ping-ordered"])
     def test_order_relates_the_objects_of_both_ends(self, ticket_spec, ping_spec, name):
-        spec, cfg = {
-            "ticket3-abstract": (_ticket3_spec(), BuildConfig(mode=MODE_ABSTRACT)),
-            "ticket-flat-200": (ticket_spec, BuildConfig(mode=MODE_FB_FLAT, max_states=200)),
-            "ping-ordered": (_ping_ordered(ping_spec), BuildConfig(mode=MODE_ABSTRACT)),
-        }[name]
+        spec, cfg = _flat_builds(ticket_spec, ping_spec, name)
         b = Builder(spec, cfg)
         ts = b.build()
         assert b.dense_types and len(ts.edges) > 100
@@ -1125,3 +1127,114 @@ class TestFlatOrder:
                 pairs = t.order_db.facts_for(lessthan_rel(ty))
                 assert {o for pair in pairs for o in pair} == (objs if len(objs) > 1 else set())
                 assert len(pairs) == len(objs) * (len(objs) - 1) // 2, (name, src, dst)
+
+
+class _KeepNoCore(Builder):
+    """A builder whose layer memo keeps nothing, so it expands every state."""
+
+    def step_successors(self, state, used_snapshot=None, layer=None):
+        return super().step_successors(state, used_snapshot, _Forgetful())
+
+
+class TestLayerMemo:
+    """In the flat modes a state's successors read its core, the agents'
+    databases and the dense order over its active objects, and the layer's
+    used objects; `build` expands each core once per layer."""
+
+    @pytest.mark.parametrize("name", ["ticket3-abstract", "ticket-flat-200", "ping-ordered"])
+    def test_the_core_order_is_the_order_among_active_objects(
+            self, ticket_spec, ping_spec, name):
+        b = Builder(*_flat_builds(ticket_spec, ping_spec, name))
+        ts = b.build()
+        residue = 0
+        for s in ts.states:
+            active = s.adom() | set().union(*b.const_domain.values())
+            among = {f for f in s.order_db.facts if set(f[1]) <= active}
+            assert B._StepCache(b, s).dense_order()[1].facts == among
+            residue += among != s.order_db.facts
+        assert residue  # some state keeps the order facts of objects that left
+
+    @pytest.mark.parametrize("name", ["ticket3-abstract", "ticket-flat-200", "ping-ordered"])
+    def test_sharing_a_core_changes_no_build(self, ticket_spec, ping_spec, name):
+        spec, cfg = _flat_builds(ticket_spec, ping_spec, name)
+        b = Builder(spec, cfg)
+        lists = []
+        step = b.step_successors
+
+        def note(*args):
+            lists.append(step(*args))
+            return lists[-1]
+
+        b.step_successors = note
+        ts = b.build()
+        plain = _KeepNoCore(spec, cfg).build()
+        assert [state_key(s) for s in ts.states] == [state_key(s) for s in plain.states]
+        assert ts.edges == plain.edges
+        # some expansions were shared, each with every state of its core
+        assert len({id(got) for got in lists}) < len(lists) == len(ts.states)
+
+    @pytest.mark.parametrize("name", ["ticket3-abstract", "ping-ordered"])
+    def test_one_core_under_other_passive_pools_is_expanded_again(self, ping_spec, name):
+        # as in `test_kept_branches_equal_fresh_ones`: the pools come from the
+        # constants alone, then from every object used; each state is met
+        # after its twin without the order facts of the objects that left,
+        # so with the twin's core
+        spec, cfg = _flat_builds(None, ping_spec, name)
+        ts = build_transition_system(spec, cfg)
+        kept, fresh = Builder(spec, cfg), Builder(spec, cfg)
+        consts = {t: set(objs) for t, objs in kept.const_domain.items()}
+        used = {t: set(objs) for t, objs in consts.items()}
+        for s in ts.states:
+            kept._note_used(used, s, set())
+        pairs = [(B.SystemState(s.agent_dbs, B._StepCache(kept, s).dense_order()[1]), s)
+                 for s in ts.states]
+        assert any(twin.order_db.facts != s.order_db.facts for twin, s in pairs)
+        got = {}
+        for label, snapshot in (("consts", consts), ("used", used)):
+            layer: dict = {}
+            got[label] = []
+            for twin, s in pairs:
+                first = kept.step_successors(twin, snapshot, layer)
+                assert kept.step_successors(s, snapshot, layer) is first
+                want = fresh.step_successors(s, snapshot)
+                assert list(map(state_key, first)) == list(map(state_key, want))
+                got[label].append(list(map(state_key, first)))
+        assert got["consts"] != got["used"]  # the passive pool changes some successors
+
+    def test_a_direct_call_shares_nothing(self, ping_spec):
+        spec, cfg = _flat_builds(None, ping_spec, "ping-ordered")
+        b = Builder(spec, cfg)
+        s0 = b.initial_state()
+        assert b.step_successors(s0) is not b.step_successors(s0)
+
+    @pytest.mark.parametrize("name", ["ticket3-abstract", "ticket-flat-200", "ping-ordered"])
+    def test_a_build_makes_no_reference_cycle(self, ticket_spec, ping_spec, name):
+        # so a build with the collector paused leaves nothing for it
+        b = Builder(*_flat_builds(ticket_spec, ping_spec, name))
+        gc.collect()
+        assert b.build().states
+        assert gc.collect() == 0
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_build_pauses_the_collector_and_restores_it(self, ticket_spec, enabled):
+        was = gc.isenabled()
+        seen = []
+        b = Builder(ticket_spec, BuildConfig(mode=MODE_ABSTRACT))
+        step = b.step_successors
+
+        def note(*args):
+            seen.append(gc.isenabled())
+            return step(*args)
+
+        b.step_successors = note
+        try:
+            (gc.enable if enabled else gc.disable)()
+            assert b.build().states
+            assert gc.isenabled() is enabled
+            with pytest.raises(StateBoundExceeded):
+                build_transition_system(
+                    ticket_spec, BuildConfig(mode=MODE_ABSTRACT, state_bound=3))
+            assert gc.isenabled() is enabled
+        finally:
+            (gc.enable if was else gc.disable)()
+        assert seen and not any(seen)

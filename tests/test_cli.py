@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -11,7 +14,7 @@ from rmas.model import install_institutional
 from rmas.queries import MissingOrderFacts
 from rmas.shallow import compile_shallow
 
-from conftest import CORPUS, prop_paths, run_cli, ticket_with_names
+from conftest import CORPUS, ROOT, prop_paths, run_cli, ticket_with_names
 
 TICKET = str(CORPUS / "ticket_mutex.rmas")
 PING = str(CORPUS / "ping.rmas")
@@ -84,6 +87,16 @@ spec instSpec institutional {
         bad = tmp_path / "broken.rmas"
         bad.write_text("type ^ string\n")
         assert run_cli("check", str(bad)).returncode == 2
+
+    def test_package_runs_as_a_module(self):
+        # `python -m rmas` is the `rmas` command, report and exit code alike
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [str(ROOT / "src")] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH")
+                                   else [])))
+        out = subprocess.run([sys.executable, "-m", "rmas", "check", "corpus/ping.rmas"],
+                             capture_output=True, cwd=str(ROOT), env=env)
+        assert out.returncode == 0, out.stderr
+        assert out.stderr == run_cli("check", "corpus/ping.rmas").stderr
 
     def test_missing_file_usage_error(self):
         out = run_cli("check", "no-such-file.rmas")

@@ -92,7 +92,7 @@ def test_verify_refusals():
     assert text == (GOLDEN / "verify_refusals.txt").read_bytes()
     # each property is refused before the build, with one error line
     runs = text.split(b"== ")[1:]
-    assert len(runs) == 11
+    assert len(runs) == 12
     for run in runs:
         assert b"\nexit: 2\n" in run and run.count(b"\nerror: ") == 1
 

@@ -10,6 +10,11 @@ import pytest
 from conftest import ROOT
 
 
+# successors per workload at seed 1: a step that drops or repeats a
+# successor changes the count
+SUCCESSORS = {"ticket3-verify": 4470, "async-ping": 3200, "ticket-flat-stream": 3471}
+
+
 @pytest.mark.parametrize("workload,steps", [
     ("ticket3-verify", 895), ("async-ping", 1804), ("ticket-flat-stream", 1000)])
 def test_traced_worker_passes_its_span_self_test(workload, steps):
@@ -21,3 +26,4 @@ def test_traced_worker_passes_its_span_self_test(workload, steps):
     run = json.loads(out.stdout.decode().splitlines()[-1])
     assert run["failures"] == []
     assert run["layers"]["builder.steps"] == steps
+    assert run["layers"]["builder.successors"] == SUCCESSORS[workload]

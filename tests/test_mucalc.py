@@ -125,6 +125,17 @@ class TestParse:
         with pytest.raises(ParseError):
             parse_property("mu Z. __input_getQuote@inst | <>Z", contract_shallow)
 
+    @pytest.mark.parametrize("text, error", [
+        ("exists x: Nope. true", "1:11: unknown type 'Nope'"),
+        ("exists x: agent. live[Nope](x)", "1:23: unknown type 'Nope'"),
+        ("exists a: agent. __input_askTicket@inst(a)",
+         "1:18: accessory relation '__input_askTicket' cannot appear in properties"),
+    ])
+    def test_name_refusals_point_at_the_name(self, ticket_spec, text, error):
+        with pytest.raises(ParseError) as e:
+            parse_property(text, ticket_spec)
+        assert str(e.value) == error
+
     def test_unknown_relation(self):
         with pytest.raises(PropError):
             parse_property("mu Z. nope@inst | <>Z", PROP_SPEC)
@@ -743,6 +754,23 @@ class TestSharedTables:
     """Every check on one transition system shares its `SystemTables`; a
     system that changed since, or a spec with other constants, gets fresh
     ones."""
+
+    def test_placements_follow_each_states_roster(self, registry_spec):
+        # agents join and leave, so the states' rosters differ
+        ts = build_transition_system(registry_spec, BuildConfig(mode="abstract-recycle"))
+        want: dict = {}
+        rosters = set()
+        for sid, s in enumerate(ts.states):
+            roster = frozenset(args[0] for args in s.inst_db().facts_for("Agent"))
+            rosters.add(roster)
+            for agent, db in s.agent_dbs:
+                if agent in roster:
+                    want[(agent, db.facts)] = want.get((agent, db.facts), 0) | 1 << sid
+        got: dict = {}
+        for agent, db, states in SystemTables(ts, frozenset()).placed:
+            got[(agent, db.facts)] = got.get((agent, db.facts), 0) | states
+        assert got == want
+        assert len(rosters) > 1
 
     def test_six_checks_on_one_system(self, ticket_shallow, monkeypatch):
         made = []
