@@ -15,7 +15,8 @@ the carrier); one `Database` per distinct fact set (`_intern`), so states
 share equal databases; each database's objects by type and each order's
 ranked objects; and, keyed by the facts they read, the answers of
 `enabled_messages` and `_acceptable`, the roster of registered agents
-(`current_agents`) and the ranked dense order.  Two more kinds serve
+(`current_agents`, the one reader of inst's hasSpec facts, read once per
+inst fact set) and the ranked dense order.  Two more kinds serve
 `_exchange`: a participant's next database ("participant"), keyed by its
 spec, direction(s), the message, payload and peer and its database's
 facts; an entry whose facts carry call tokens also keeps its substitution
@@ -40,6 +41,9 @@ its active objects and passive pools, the indexes over the databases the
 step's queries read, its dense order, and the one successor of every
 exchange that calls no service and changes no database: the state under
 its dense order in flat modes, the state itself otherwise.
+`step_successors` makes the step and passes it to every per-step method
+(`enabled_messages`, `collect_reactions`, `get_facts`, `_exchange` and the
+service-result branches); a caller outside a build makes its own.
 """
 
 from __future__ import annotations
@@ -295,26 +299,16 @@ class Builder:
             for dirs in ((d,), (M.ON_SEND, M.ON_RECEIVE)):
                 key = ("participant", s, dirs, m)
                 self._reads_order[key] = self._reads_order.get(key, False) or reads
-        self._step: Optional[_StepCache] = None
 
     # -- initial state ----------------------------------------------------------
 
     def initial_state(self) -> SystemState:
-        spec = self.spec
-        d0_inst = spec.inst_spec.initial_db
-        dbs: dict[DataObject, Database] = {INST: d0_inst}
-        for args in d0_inst.facts_for(M.HASSPEC_REL):
-            agent, spec_obj = args
-            if agent == INST:
-                continue
-            sname = spec_obj.value
-            ag = spec.agent_specs.get(sname)
-            if ag is None:
-                raise BuildError(f"initial agent {agent!r} has unknown spec {sname!r}")
-            dbs[agent] = ag.initial_db.apply(
-                adds=[(M.MYNAME_REL, (agent,))], dels=[])
+        """Each agent that inst's initial database registers, inst among
+        them, with its first database."""
+        dbs = {agent: self._newcomer(agent, sname)
+               for agent, sname in self.current_agents(self.spec.inst_spec.initial_db)}
         order_db = self._intern(self._initial_order_db()) if self.flat else None
-        return make_state({a: self._intern(d) for a, d in dbs.items()}, order_db)
+        return make_state(dbs, order_db)
 
     def _initial_order_db(self) -> Database:
         # on a dense type's carrier the canonical sort is the carrier order
@@ -357,30 +351,18 @@ class Builder:
             return frozenset()
         return frozenset(f for f in facts if f[1][0] not in hidden and f[1][1] not in hidden)
 
-    # -- query plumbing -----------------------------------------------------------
-
-    def _cache(self, state: SystemState) -> "_StepCache":
-        """The caches of the step expanding state, or fresh ones for a call
-        made outside `step_successors`."""
-        step = self._step
-        if step is None or step.state is not state:
-            step = _StepCache(self, state)
-        return step
-
     # -- figure building blocks ----------------------------------------------------
 
-    def current_agents(self, state: SystemState) -> list[tuple[DataObject, str]]:
-        """The registered agents and their specs, in agent order; read once
-        per inst fact set, a failing one on every call."""
-        inst_db = state.inst_db()
+    def current_agents(self, inst_db: Database) -> list[tuple[DataObject, str]]:
+        """The agents that inst_db registers and their specs, in agent
+        order; read once per fact set, a failing one on every call."""
         key = ("agents", inst_db.facts)
         got = self._memo.get(key)
         if got is None:
             out = []
             bound: dict[DataObject, str] = {}
-            for args in sorted(inst_db.facts_for(M.HASSPEC_REL),
-                               key=lambda a: tuple(x.sort_key() for x in a)):
-                agent, spec_obj = args
+            for agent, spec_obj in sorted(inst_db.facts_for(M.HASSPEC_REL),
+                                          key=lambda a: tuple(x.sort_key() for x in a)):
                 sname = spec_obj.value
                 if sname not in self.spec.agent_specs:
                     raise BuildError(f"agent {agent!r} has unknown spec {sname!r}")
@@ -392,11 +374,16 @@ class Builder:
             got = self._memo[key] = tuple(out)
         return list(got)
 
+    def _newcomer(self, agent: DataObject, sname: str) -> Database:
+        """A newly registered agent's first database: its spec's initial
+        database and its name."""
+        return self._intern(self.spec.agent_specs[sname].initial_db.apply(
+            adds=[(M.MYNAME_REL, (agent,))], dels=[]))
+
     def enabled_messages(
-        self, state: SystemState, sender: DataObject, sname: str,
+        self, step: _StepCache, sender: DataObject, sname: str,
         active: set[DataObject],
     ) -> list[tuple[str, tuple[DataObject, ...], DataObject]]:
-        step = self._cache(state)
         db = step.dbs[sender]
         key = ("enabled", sender, sname, db.facts,
                self._seen_order(step.order, db) if self._reads_order[("enabled", sname)]
@@ -425,10 +412,9 @@ class Builder:
         return [m for m in msgs if m[2] in active]
 
     def collect_reactions(
-        self, state: SystemState, agent: DataObject, sname: str, direction: str,
+        self, step: _StepCache, agent: DataObject, sname: str, direction: str,
         message: str, payload: tuple[DataObject, ...], peer: DataObject,
     ) -> list[tuple[str, tuple[DataObject, ...]]]:
-        step = self._cache(state)
         ix = step.index(step.dbs[agent])
         ag = self.spec.agent_specs[sname]
         out: set[tuple[str, tuple[DataObject, ...]]] = set()
@@ -449,10 +435,9 @@ class Builder:
         return sorted(out, key=_instance_key)
 
     def get_facts(
-        self, state: SystemState, agent: DataObject, sname: str,
+        self, step: _StepCache, agent: DataObject, sname: str,
         instances: list[tuple[str, tuple[DataObject, ...]]],
     ) -> tuple[frozenset[Fact], frozenset[PendingFact]]:
-        step = self._cache(state)
         ix = step.index(step.dbs[agent])
         ag = self.spec.agent_specs[sname]
         to_del: set[Fact] = set()
@@ -474,13 +459,13 @@ class Builder:
     # -- service results -------------------------------------------------------------
 
     def _sigma_branches(
-        self, state: SystemState, calls: set[CallToken],
+        self, step: _StepCache, calls: set[CallToken],
     ) -> Iterable[tuple[dict[CallToken, DataObject], Optional[Database]]]:
         """All choices of service results, with the rebuilt full order DB in
         flat modes (None otherwise); do not mutate."""
         if not self.config.uses_commitments:
             return self._pool_branches(calls)
-        return self._commitment_branches(state, calls)
+        return self._commitment_branches(step, calls)
 
     def _pool_branches(self, calls):
         tokens = sorted(calls, key=CallToken.sort_key)
@@ -500,14 +485,13 @@ class Builder:
         for combo in itertools.product(*choices):
             yield dict(zip(tokens, combo)), None
 
-    def _commitment_branches(self, state, calls):
+    def _commitment_branches(self, step, calls):
         """One branch per commitment tuple over the types that receive a call
         result.  A step without calls has the one branch that substitutes
         nothing and keeps the step's order.  The branches depend only on the
         calls, the step's dense order, each result type's active objects and,
         when recycling, its passive pool, which the reservoir draws from: the
         builder keeps them by those (a raising enumeration keeps nothing)."""
-        step = self._cache(state)
         seqs, order_now = step.dense_order()
         if not calls:
             return (({}, order_now),)
@@ -580,33 +564,31 @@ class Builder:
         self, state: SystemState, used_snapshot: Optional[dict[str, set[DataObject]]] = None,
         layer: Optional[dict[tuple, list[SystemState]]] = None,
     ) -> list[SystemState]:
-        """state's successors.  layer, if given, holds the successors of each
-        state core already expanded under used_snapshot: a state whose core
-        is there gets them, and a state expanded here adds its own."""
-        self._step = step = _StepCache(self, state, used_snapshot)
-        try:
-            core = step.core() if layer is not None else None
-            out = layer.get(core) if core is not None else None
-            if out is not None:
-                return out
-            cur_as = self.current_agents(state)
-            specs = dict(cur_as)
-            active = set(specs)
-            out = []
-            for sender, s_spec in cur_as:
-                for message, payload, target in self.enabled_messages(
-                        state, sender, s_spec, active):
-                    t_spec = specs[target]
-                    out.extend(self._exchange(
-                        state, sender, s_spec, target, t_spec, message, payload))
-            if core is not None:
-                layer[core] = out
+        """state's successors, from one `_StepCache` that every per-step
+        method takes.  layer, if given, holds the successors of each state
+        core already expanded under used_snapshot: a state whose core is
+        there gets them, and a state expanded here adds its own."""
+        step = _StepCache(self, state, used_snapshot)
+        core = step.core() if layer is not None else None
+        out = layer.get(core) if core is not None else None
+        if out is not None:
             return out
-        finally:
-            self._step = None
+        cur_as = self.current_agents(state.inst_db())
+        specs = dict(cur_as)
+        active = set(specs)
+        out = []
+        for sender, s_spec in cur_as:
+            for message, payload, target in self.enabled_messages(
+                    step, sender, s_spec, active):
+                t_spec = specs[target]
+                out.extend(self._exchange(
+                    step, sender, s_spec, target, t_spec, message, payload))
+        if core is not None:
+            layer[core] = out
+        return out
 
     def _exchange(
-        self, state, sender, s_spec, target, t_spec, message, payload,
+        self, step, sender, s_spec, target, t_spec, message, payload,
     ) -> list[SystemState]:
         if sender == target:
             participants = [(sender, s_spec, (M.ON_SEND, M.ON_RECEIVE), sender)]
@@ -618,7 +600,6 @@ class Builder:
         # otherwise its next facts but those, those facts, their calls and
         # the candidates substituted so far by the calls' results; kept by
         # what its reactions and their effects read
-        step = self._cache(state)
         pend: dict[DataObject, Union[Database, tuple]] = {}
         calls: set[CallToken] = set()
         for agent, sname, dirs, peer in participants:
@@ -629,8 +610,8 @@ class Builder:
             nxt = self._memo.get(key)
             if nxt is None:
                 acts = sorted({a for d in dirs for a in self.collect_reactions(
-                    state, agent, sname, d, message, payload, peer)}, key=_instance_key)
-                to_del, to_add = self.get_facts(state, agent, sname, acts)
+                    step, agent, sname, d, message, payload, peer)}, key=_instance_key)
+                to_del, to_add = self.get_facts(step, agent, sname, acts)
                 ground = set(db.facts - to_del)
                 tokened, toks = [], set()
                 for fact in to_add:
@@ -659,7 +640,7 @@ class Builder:
                     return []  # inputs break the service typing: no successor here
 
         out: list[SystemState] = []
-        for sigma, order_full in self._sigma_branches(state, calls):
+        for sigma, order_full in self._sigma_branches(step, calls):
             # a participant whose candidate breaks a constraint keeps its
             # database; an unchanged one keeps it either way
             dbs = dict(step.dbs)
@@ -701,15 +682,9 @@ class Builder:
 
     def _registered(self, dbs, cur_dbs):
         """The databases of the agents that inst's new database registers;
-        a newly registered agent starts from its spec's initial database."""
-        out: dict[DataObject, Database] = {}
-        for agent, spec_obj in dbs[INST].facts_for(M.HASSPEC_REL):
-            sname = spec_obj.value
-            if sname not in self.spec.agent_specs:
-                raise BuildError(f"agent {agent!r} bound to unknown spec {sname!r}")
-            out[agent] = dbs[agent] if agent in cur_dbs else \
-                self._intern(self.spec.agent_specs[sname].initial_db.apply(
-                    adds=[(M.MYNAME_REL, (agent,))], dels=[]))
+        a newcomer gets its first one."""
+        out = {agent: dbs[agent] if agent in cur_dbs else self._newcomer(agent, sname)
+               for agent, sname in self.current_agents(dbs[INST])}
         if INST not in out:
             raise BuildError("institutional agent was removed")
         return out

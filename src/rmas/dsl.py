@@ -234,13 +234,14 @@ class QueryParser:
     def __init__(self, ts: TokenStream) -> None:
         self.ts = ts
         self._anon = 0
-        self._minted: set[str] = set()
+        self._minted: dict[str, Var] = {}  # each "_" not yet closed, by name
 
-    def fresh_anon(self) -> str:
+    def fresh_anon(self, taken: frozenset[str] | set[str] = frozenset()) -> str:
+        """The next of `_1`, `_2`, ... that is not in taken."""
         self._anon += 1
-        name = f"_{self._anon}"
-        self._minted.add(name)
-        return name
+        while f"_{self._anon}" in taken:
+            self._anon += 1
+        return f"_{self._anon}"
 
     def parse_query(self) -> Query:
         ts = self.ts
@@ -324,11 +325,16 @@ class QueryParser:
         raise ParseError(f"expected comparison operator, found {op_tok}", op_tok.line, op_tok.col)
 
     def _close_anon(self, atom: Query, terms) -> Query:
-        # "_" desugars to a fresh existential scoped to its own atom.
-        for t in reversed(list(terms)):
-            if isinstance(t, Var) and t.name in self._minted:
-                atom = Q.Exists(t.name, atom)
-                self._minted.discard(t.name)
+        # "_" desugars to a fresh existential scoped to its own atom, named
+        # apart from the variables written in the atom
+        anon = [t for t in terms if isinstance(t, Var) and self._minted.get(t.name) is t]
+        written = {t.name for t in terms if isinstance(t, Var) and not any(t is a for a in anon)}
+        renamed = {id(t): Var(self.fresh_anon(written)) for t in anon if t.name in written}
+        if renamed:
+            atom = Q.map_terms(atom, lambda t: renamed.get(id(t), t))
+        for t in reversed(anon):
+            del self._minted[t.name]
+            atom = Q.Exists(renamed.get(id(t), t).name, atom)
         return atom
 
     def parse_term(self) -> Term:
@@ -340,7 +346,9 @@ class QueryParser:
         if ts.accept("undef"):
             return Const(DataObject(RAW_UNDEF, UNDEF))
         if ts.accept("_"):
-            return Var(self.fresh_anon())
+            name = self.fresh_anon()
+            var = self._minted[name] = Var(name)
+            return var
         if t.kind == "ident" and t.value not in KEYWORDS:
             ts.next()
             return Var(t.value)
@@ -420,7 +428,8 @@ class _SpecShell:
     schema: dict[str, TypedRelationSchema] = field(default_factory=dict)
     constraints: list[Query] = field(default_factory=list)
     init_facts: list[tuple[str, tuple[Term, ...]]] = field(default_factory=list)
-    comm_rules: list[CommRule] = field(default_factory=list)
+    # (query, message, payload terms, target name), desugared on resolution
+    comm_rules: list[tuple[Query, str, tuple[Term, ...], str]] = field(default_factory=list)
     actions: dict[str, UpdateAction] = field(default_factory=dict)
     update_rules: list[UpdateRule] = field(default_factory=list)
 
@@ -692,20 +701,10 @@ class SpecParser:
         ts.expect("enables")
         msg_tok = ts.expect_ident()
         ts.expect("(")
-        payload: list[str] = []
-        extra: list[Query] = []
-        for term in ts.items(qp.parse_term):
-            if isinstance(term, Var):
-                payload.append(term.name)
-            else:
-                fresh = f"_p{len(extra) + 1}"
-                payload.append(fresh)
-                extra.append(Q.EqAtom(Var(fresh), term))
+        payload = tuple(ts.items(qp.parse_term))
         ts.expect("to")
         target = ts.expect_ident().value
-        if extra:
-            query = Q.q_and(query, *extra)
-        shell.comm_rules.append(CommRule(query, msg_tok.value, tuple(payload), target))
+        shell.comm_rules.append((query, msg_tok.value, payload, target))
         ts.end_statement()
 
     def _parse_update_rule(self, shell: _SpecShell) -> None:
@@ -777,34 +776,33 @@ class SpecParser:
         init_facts = [resolver.resolve_fact(rel, terms) for rel, terms in shell.init_facts]
         constraints = tuple(resolver.resolve_query(c) for c in shell.constraints)
         comm = []
-        for r in shell.comm_rules:
-            msg = self.messages.get(r.message)
+        for query, message, terms, target in shell.comm_rules:
+            msg = self.messages.get(message)
             if msg is None:
-                raise ResolutionError(f"unknown message {r.message!r} in spec {shell.name!r}")
-            # payload or target positions naming a declared constant desugar
-            # to a fresh variable equated with it
-            payload: list[str] = []
+                raise ResolutionError(f"unknown message {message!r} in spec {shell.name!r}")
+            # a payload term other than a variable, and a target naming a
+            # declared constant, desugar to a fresh variable equated with it,
+            # named apart from every variable of the rule
+            taken = {t.name for a in Q.atoms(query) for t in Q.atom_terms(a)
+                     if isinstance(t, Var)}
+            taken |= {t.name for t in terms if isinstance(t, Var)} | {target}
             extra: list[Query] = []
-            for i, v in enumerate(r.payload_vars):
-                if v in self.const_names:
-                    fresh = f"_pc{i + 1}"
-                    payload.append(fresh)
-                    extra.append(Q.EqAtom(Var(fresh), Const(self.const_names[v])))
-                else:
-                    payload.append(v)
-            target = r.target_var
-            if target in self.const_names:
-                fresh = "_pt"
-                extra.append(Q.EqAtom(Var(fresh), Const(self.const_names[target])))
-                target = fresh
-            query = Q.q_and(r.query, *extra)
+
+            def apart(t: Term, base: str) -> str:
+                if isinstance(t, Var) and t.name not in self.const_names:
+                    return t.name
+                while base in taken:
+                    base = "_" + base
+                taken.add(base)
+                extra.append(Q.EqAtom(Var(base), Const(self.const_names[t.name])
+                                      if isinstance(t, Var) else t))
+                return base
+
+            payload = tuple(apart(t, f"_p{i}") for i, t in enumerate(terms, 1))
+            target = apart(Var(target), "_pt")
             seeds = msg.var_types(payload, target, self.facets)
-            comm.append(replace(
-                r,
-                query=resolver.resolve_query(query, seed_types=seeds),
-                payload_vars=tuple(payload),
-                target_var=target,
-            ))
+            comm.append(CommRule(resolver.resolve_query(Q.q_and(query, *extra), seed_types=seeds),
+                                 message, payload, target))
         # an untouched built-in body is resolved already: its variables are
         # never the spec's names
         builtin = M.institutional_actions()

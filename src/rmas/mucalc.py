@@ -13,10 +13,10 @@ Fixpoints are computed by Kleene iteration; each approximant maps every
 assignment of the free variables to the bitmask of the states where it holds.
 
 What lives per transition system (`SystemTables`, kept on the system by its
-first check): the state masks, predecessor masks, database placements, live
-masks and per-type universe, the all-true extension per domain, and each
-atom's rows, keyed by the atom's value (and an equality's type) so equal
-atoms of different properties share them.  What lives per check
+first check): the state masks, each state's predecessors, database
+placements, live masks and per-type universe, the all-true extension per
+domain, and each atom's rows, keyed by the atom's value (and an equality's
+type) so equal atoms of different properties share them.  What lives per check
 (`ModelChecker`): the iteration count and the atoms expanded over their
 domains.
 """
@@ -149,12 +149,9 @@ def free_vars_plus(p: Query, env: dict[str, frozenset[str]]) -> frozenset[str]:
 def binder_fv(p: Query, env: dict[str, frozenset[str]]) -> frozenset[str]:
     """The free first-order variables of a mu/nu formula: the least set its
     body has when the binder's own variable stands for that set."""
-    fv: frozenset[str] = frozenset()
-    while True:
-        nxt = free_vars_plus(p.body, {**env, p.var: fv})
-        if nxt == fv:
-            return fv
-        fv = nxt
+    # The body's set is F(S) = F(empty) | (S minus the names bound on the
+    # way to each occurrence), so F(F(empty)) = F(empty): one pass reaches it.
+    return free_vars_plus(p.body, {**env, p.var: frozenset()})
 
 
 # ---------------------------------------------------------------------------
@@ -384,7 +381,8 @@ class Verdict:
 class SystemTables:
     """What every check on one transition system shares, built by its first
     check and kept on the system (`TransitionSystem.check_tables`): the
-    all-states mask, the predecessor masks, each (agent, database) placement
+    all-states mask, each state's predecessor ids (memory grows with the
+    edges, not the square of the states), each (agent, database) placement
     with the states that hold it, each object's live mask, the per-type
     universe, the all-true extension per domain and each atom's rows.  They
     stay valid while the system's `states` and `edges` lists are the same
@@ -395,10 +393,10 @@ class SystemTables:
         self.sizes = (len(ts.states), len(ts.edges))
         n = len(ts.states)
         self.full = (1 << n) - 1
-        # pred[sid]: the states with an edge into sid
-        self.pred = [0] * n
+        # pred[sid]: the states with an edge into sid, one id per edge
+        self.pred: list[list[int]] = [[] for _ in range(n)]
         for a, b in ts.edges:
-            self.pred[b] |= 1 << a
+            self.pred[b].append(a)
         inst = mk_symbol(AGENT_TYPE, INST_NAME)
         # the states where each object is live, for every object stored
         # anywhere and every initial constant
@@ -565,11 +563,12 @@ class ModelChecker:
 
     def _pre(self, m: int) -> int:
         """The states with a successor in m."""
-        out = 0
         pred = self.pred
+        mark = bytearray(len(pred))
         for sid in _bits(m):
-            out |= pred[sid]
-        return out
+            for a in pred[sid]:
+                mark[a] = 1
+        return int(mark[::-1].translate(_BIT_DIGITS), 2)
 
     # -- atoms -------------------------------------------------------------------
 
@@ -762,6 +761,9 @@ def model_check(ts: TransitionSystem, spec: RmasSpec, prop: Query) -> Verdict:
         extension=frozenset((sid, ()) for sid in _bits(mask)),
         iterations=checker.iterations,
     )
+
+
+_BIT_DIGITS = bytes.maketrans(b"\0\1", b"01")
 
 
 def _bits(m: int) -> Iterator[int]:

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Optional
 
 from rmas import mucalc, queries as Q
-from rmas.builder import BuildConfig, Builder, SystemState, make_state
+from rmas.builder import BuildConfig, Builder, SystemState, _StepCache, make_state
 from rmas.data import (AGENT_TYPE, INST_NAME, Database, DataObject, carrier_less,
                        carrier_succ, mk_symbol)
 from rmas.model import ON_RECEIVE, ON_SEND, RmasSpec
@@ -390,17 +390,17 @@ def queue_simulate(spec: RmasSpec, ordered: bool, buffer_cap: int = 2,
 
     helper = Builder(spec, BuildConfig(mode="concrete-bounded"))
     s0 = helper.initial_state()
-    agents = [(a, s) for a, s in helper.current_agents(s0)]
+    agents = [(a, s) for a, s in helper.current_agents(s0.inst_db())]
     dbs0 = {a: s0.db(a) for a, _ in agents}
     bufs0 = {a: () for a, _ in agents}
     start = _freeze(dbs0, bufs0, ordered)
 
     def apply_actions(dbs, participants):
         # participants: list of (agent, spec name, ground action instances)
-        state = make_state(dict(dbs), None)
+        step = _StepCache(helper, make_state(dict(dbs), None))
         new = dict(dbs)
         for agent, sname, acts in participants:
-            to_del, to_add = helper.get_facts(state, agent, sname, acts)
+            to_del, to_add = helper.get_facts(step, agent, sname, acts)
             assert not any(isinstance(x, tuple) and any(
                 not isinstance(a, DataObject) for a in x[1]) for x in to_add) or True
             ground_adds = set()
@@ -420,18 +420,18 @@ def queue_simulate(spec: RmasSpec, ordered: bool, buffer_cap: int = 2,
         st = work.pop()
         dbs = st.db_map()
         bufs = {a: list(seq) for a, seq in st.buffers}
-        state = make_state(dict(dbs), None)
+        step = _StepCache(helper, make_state(dict(dbs), None))
         active = {a for a, _ in agents}
         nexts = []
         # (a) a sender emits an enabled message
         for sender, sname in agents:
-            for msg, payload, target in helper.enabled_messages(state, sender, sname, active):
+            for msg, payload, target in helper.enabled_messages(step, sender, sname, active):
                 if target == sender:
                     acts = sorted(set(
-                        helper.collect_reactions(state, sender, sname, ON_SEND,
+                        helper.collect_reactions(step, sender, sname, ON_SEND,
                                                  msg, payload, target)
                     ) | set(
-                        helper.collect_reactions(state, sender, sname, ON_RECEIVE,
+                        helper.collect_reactions(step, sender, sname, ON_RECEIVE,
                                                  msg, payload, sender)
                     ))
                     new_dbs = apply_actions(dbs, [(sender, sname, acts)])
@@ -439,7 +439,7 @@ def queue_simulate(spec: RmasSpec, ordered: bool, buffer_cap: int = 2,
                 else:
                     if len(bufs[target]) >= buffer_cap:
                         continue
-                    acts = helper.collect_reactions(state, sender, sname, ON_SEND,
+                    acts = helper.collect_reactions(step, sender, sname, ON_SEND,
                                                     msg, payload, target)
                     new_dbs = apply_actions(dbs, [(sender, sname, acts)])
                     new_bufs = {a: list(b) for a, b in bufs.items()}
@@ -453,7 +453,7 @@ def queue_simulate(spec: RmasSpec, ordered: bool, buffer_cap: int = 2,
             indices = [0] if ordered else range(len(buf))
             for i in indices:
                 msg, payload, sender = buf[i]
-                acts = helper.collect_reactions(state, agent, sname, ON_RECEIVE,
+                acts = helper.collect_reactions(step, agent, sname, ON_RECEIVE,
                                                 msg, payload, sender)
                 new_dbs = apply_actions(dbs, [(agent, sname, acts)])
                 new_bufs = {a: list(b) for a, b in bufs.items()}

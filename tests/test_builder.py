@@ -75,15 +75,16 @@ class TestEnabledMessages:
         # order facts must mention the new ticket in flat mode
         order = Database.of([*(s0.order_db or Database()).facts])
         state = make_state(dbs, order)
-        active = {a for a, _ in b.current_agents(state)}
-        out = b.enabled_messages(state, agent("inst"), "instSpec", active)
+        active = {a for a, _ in b.current_agents(state.inst_db())}
+        out = b.enabled_messages(B._StepCache(b, state), agent("inst"), "instSpec", active)
         assert ("giveTicket", (rt("7/2"),), agent("c1")) in out
 
     def test_no_rules_no_messages(self):
         spec = install_institutional(parse_spec(""))
         b = Builder(spec, BuildConfig(mode=MODE_CONCRETE))
         s0 = b.initial_state()
-        assert b.enabled_messages(s0, agent("inst"), "instSpec", {agent("inst")}) == []
+        step = B._StepCache(b, s0)
+        assert b.enabled_messages(step, agent("inst"), "instSpec", {agent("inst")}) == []
 
     def test_inactive_target_excluded(self, ticket_spec):
         b = Builder(ticket_spec, BuildConfig(mode=MODE_ABSTRACT))
@@ -96,11 +97,12 @@ class TestEnabledMessages:
         dbs = {a: d for a, d in s0.agent_dbs if a != agent("c2")}
         dbs[agent("inst")] = inst_db
         state = make_state(dbs, s0.order_db)
-        active = {a for a, _ in b.current_agents(state)}
+        active = {a for a, _ in b.current_agents(state.inst_db())}
         assert agent("c2") not in active
         # no enabled message may target the deregistered agent
-        for sender, sname in b.current_agents(state):
-            for (_, _, target) in b.enabled_messages(state, sender, sname, active):
+        step = B._StepCache(b, state)
+        for sender, sname in b.current_agents(state.inst_db()):
+            for (_, _, target) in b.enabled_messages(step, sender, sname, active):
                 assert target != agent("c2")
 
 
@@ -108,22 +110,22 @@ class TestReactionsAndFacts:
     def test_give_ticket_triggers_bind(self, ticket_spec, ticket_builder):
         b = ticket_builder
         s0 = b.initial_state()
-        out = b.collect_reactions(
-            s0, agent("inst"), "instSpec", ON_SEND, "giveTicket", (rt(1),), agent("c1"))
+        out = b.collect_reactions(B._StepCache(b, s0), agent("inst"), "instSpec", ON_SEND,
+                                  "giveTicket", (rt(1),), agent("c1"))
         assert out == [("bindTicket", (agent("c1"), rt(1)))]
 
     def test_no_matching_rules(self, ticket_spec, ticket_builder):
         b = ticket_builder
         s0 = b.initial_state()
-        out = b.collect_reactions(
-            s0, agent("c1"), "client", ON_SEND, "giveTicket", (rt(1),), agent("inst"))
+        out = b.collect_reactions(B._StepCache(b, s0), agent("c1"), "client", ON_SEND,
+                                  "giveTicket", (rt(1),), agent("inst"))
         assert out == []
 
     def test_gen_ticket_fact_embeds_call(self, ticket_spec, ticket_builder):
         b = ticket_builder
         s0 = b.initial_state()
         to_del, to_add = b.get_facts(
-            s0, agent("inst"), "instSpec", [("genTicket", (agent("c1"),))])
+            B._StepCache(b, s0), agent("inst"), "instSpec", [("genTicket", (agent("c1"),))])
         assert to_del == set()
         assert to_add == {("Assigned", (agent("c1"), CallToken("getTicket", ())))}
 
@@ -132,7 +134,7 @@ class TestReactionsAndFacts:
         s0 = b.initial_state()
         # bindTicket's guards are true but the dels mention the arguments
         to_del, to_add = b.get_facts(
-            s0, agent("inst"), "instSpec", [("bindTicket", (agent("c1"), rt(1)))])
+            B._StepCache(b, s0), agent("inst"), "instSpec", [("bindTicket", (agent("c1"), rt(1)))])
         assert to_add == {("hasTicket", (agent("c1"), rt(1)))}
         assert to_del == {("Assigned", (agent("c1"), rt(1)))}
 
@@ -147,7 +149,8 @@ spec instSpec institutional {
 """))
         b = Builder(spec, BuildConfig(mode=MODE_CONCRETE))
         s0 = b.initial_state()
-        assert b.get_facts(s0, agent("inst"), "instSpec", [("never", ())]) == (set(), set())
+        step = B._StepCache(b, s0)
+        assert b.get_facts(step, agent("inst"), "instSpec", [("never", ())]) == (set(), set())
 
     def test_rem_ag_deletes_registry_rows(self, registry_spec):
         b = Builder(registry_spec, BuildConfig(mode=MODE_ABSTRACT))
@@ -160,7 +163,7 @@ spec instSpec institutional {
         dbs[agent("inst")] = inst_db
         state = make_state(dbs, s0.order_db)
         to_del, to_add = b.get_facts(
-            state, agent("inst"), "instSpec", [("remAg", (w,))])
+            B._StepCache(b, state), agent("inst"), "instSpec", [("remAg", (w,))])
         assert ("Agent", (w,)) in to_del
         assert ("hasSpec", (w, mk_symbol("spec", "worker"))) in to_del
 
@@ -191,7 +194,7 @@ class TestStepSuccessors:
         order = Database.of([(lessthan_rel("Real"), (rt(1), rt(2)))])
         state = make_state(dbs, order)
         succs = b._exchange(
-            state, agent("c1"), "client", agent("inst"), "instSpec",
+            B._StepCache(b, state), agent("c1"), "client", agent("inst"), "instSpec",
             "askTicket", ())
         assert len(succs) == 5
         # the ordering constraint commits only the above-everything branch;
@@ -215,7 +218,7 @@ class TestStepSuccessors:
         # c1 asks; the only pool ticket (1) ties with c2's and violates the
         # ordering constraint, so inst must roll back
         succs = b._exchange(
-            state, agent("c1"), "client", agent("inst"), "instSpec",
+            B._StepCache(b, state), agent("c1"), "client", agent("inst"), "instSpec",
             "askTicket", ())
         assert len(succs) == 1
         assert succs[0].db(agent("inst")) == inst_db
@@ -234,7 +237,7 @@ class TestStepSuccessors:
         b = Builder(spec2, BuildConfig(mode=MODE_SHALLOW))
         s0 = b.initial_state()
         succs = b._exchange(
-            s0, agent("alice"), "pinger", agent("bob"), "ponger",
+            B._StepCache(b, s0), agent("alice"), "pinger", agent("bob"), "ponger",
             "ping", (DataObject("Str", "hi"),))
         (s1,) = succs
         assert s1.db(agent("bob")) == s0.db(agent("bob"))  # rolled back
@@ -248,7 +251,7 @@ class TestStepSuccessors:
         dbs[agent("inst")] = s0.inst_db().apply(adds=[("Bogus", (agent("c1"),))], dels=[])
         state = make_state(dbs, None)
         return b, state, lambda: b._exchange(
-            state, agent("c1"), "client", agent("inst"), "instSpec",
+            B._StepCache(b, state), agent("c1"), "client", agent("inst"), "instSpec",
             "askTicket", ())
 
     def test_out_of_schema_fact_rolls_back(self, ticket_spec):
@@ -483,9 +486,10 @@ class TestDeterminism:
 
         b = Builder(ticket_spec, BuildConfig(mode=MODE_FB))
         s0 = b.initial_state()
-        cur = b.current_agents(s0)
+        cur = b.current_agents(s0.inst_db())
+        step = B._StepCache(b, s0)
         total_msgs = sum(
-            len(b.enabled_messages(s0, a, sn, {x for x, _ in cur})) for a, sn in cur
+            len(b.enabled_messages(step, a, sn, {x for x, _ in cur})) for a, sn in cur
         )
         succs = b.step_successors(s0)
         # |ADom| per type at the first step is at most 4 here
@@ -649,12 +653,13 @@ class TestCommitmentsOnlyForCalls:
         dbs = {a: d for a, d in s0.agent_dbs if a != agent("c2")}
         dbs[agent("inst")] = inst_db
         state = make_state(dbs, Database.of(order_facts))
-        cur = b.current_agents(state)
+        cur = b.current_agents(state.inst_db())
         active = {a for a, _ in cur}
-        msgs = [(s, m) for s, sn in cur for m in b.enabled_messages(state, s, sn, active)]
+        step = B._StepCache(b, state)
+        msgs = [(s, m) for s, sn in cur for m in b.enabled_messages(step, s, sn, active)]
         assert msgs == [(agent("c1"), ("askTicket", (), agent("inst")))]
-        _, to_add = b.get_facts(state, agent("inst"), "instSpec", b.collect_reactions(
-            state, agent("inst"), "instSpec", ON_RECEIVE, "askTicket", (), agent("c1")))
+        _, to_add = b.get_facts(step, agent("inst"), "instSpec", b.collect_reactions(
+            step, agent("inst"), "instSpec", ON_RECEIVE, "askTicket", (), agent("c1")))
         assert not to_add
         return state
 
@@ -679,14 +684,15 @@ def _local_answers(b, state):
     message the reactions of sender and target, their facts, and the
     acceptance of the update made of the facts without a call result."""
     order = Q.CarrierOrder() if state.order_db is None else Q.FactOrder(state.order_db)
-    specs = dict(b.current_agents(state))
-    out = [b._cache(state).dense_order()]
+    specs = dict(b.current_agents(state.inst_db()))
+    step = B._StepCache(b, state)
+    out = [step.dense_order()]
     for agent, sname in specs.items():
         out.append(b._acceptable(sname, state.db(agent), order))
-        for msg, payload, target in b.enabled_messages(state, agent, sname, set(specs)):
+        for msg, payload, target in b.enabled_messages(step, agent, sname, set(specs)):
             for who, peer, direction in ((agent, target, ON_SEND), (target, agent, ON_RECEIVE)):
-                acts = b.collect_reactions(state, who, specs[who], direction, msg, payload, peer)
-                to_del, to_add = b.get_facts(state, who, specs[who], acts)
+                acts = b.collect_reactions(step, who, specs[who], direction, msg, payload, peer)
+                to_del, to_add = b.get_facts(step, who, specs[who], acts)
                 ground = {f for f in to_add if not any(isinstance(a, CallToken) for a in f[1])}
                 cand = Database((state.db(who).facts - to_del) | ground)
                 out.append((msg, payload, target, acts, to_del, to_add,
@@ -898,7 +904,8 @@ class TestMemoAndInterning:
 
         def reactions(order_facts):
             state = make_state(dbs, Database.of(order_facts))
-            return b.collect_reactions(state, agent("inst"), "instSpec", ON_RECEIVE,
+            return b.collect_reactions(B._StepCache(b, state), agent("inst"), "instSpec",
+                                       ON_RECEIVE,
                                        "cMsg", (rt(1),), agent("c1"))
 
         # c1 holds the least ticket only where 1 < 2
@@ -919,7 +926,7 @@ class TestMemoAndInterning:
             dbs = dict(s0.agent_dbs)
             dbs[agent("inst")] = s0.inst_db().apply(
                 adds=[("hasTicket", (agent("c1"), rt(t))) for t in tickets], dels=[])
-            return b._cache(make_state(dbs, order)).dense_order()
+            return B._StepCache(b, make_state(dbs, order)).dense_order()
 
         two, three = dense_order(1, 2), dense_order(1, 2, 3)
         assert two[0]["Real"] == [rt(1), rt(2)]
@@ -966,10 +973,31 @@ class TestMemoAndInterning:
         twice = make_state(dbs, s0.order_db)
         for _ in range(2):
             with pytest.raises(BuildError, match="two specs"):
-                b.current_agents(twice)
-        roster = b.current_agents(s0)
+                b.current_agents(twice.inst_db())
+        roster = b.current_agents(s0.inst_db())
         roster.clear()  # each caller gets its own list
-        assert [a for a, _ in b.current_agents(s0)] == [agent("c1"), agent("c2"), agent("inst")]
+        assert [a for a, _ in b.current_agents(s0.inst_db())] == [
+            agent("c1"), agent("c2"), agent("inst")]
+
+    def test_an_unknown_spec_has_one_message(self, ticket_spec):
+        # the initial state and a later inst database meet it in one reader
+        inst = ticket_spec.inst_spec
+        initial_db = inst.initial_db.apply(
+            adds=[("hasSpec", (agent("c3"), mk_symbol("spec", "nope")))], dels=[])
+        spec = replace(ticket_spec, agent_specs={**ticket_spec.agent_specs,
+                                                 inst.name: replace(inst, initial_db=initial_db)})
+        message = "^agent 'c3':agent has unknown spec 'nope'$"
+        with pytest.raises(BuildError, match=message):
+            Builder(spec, BuildConfig(mode=MODE_ABSTRACT)).initial_state()
+        with pytest.raises(BuildError, match=message):
+            Builder(ticket_spec, BuildConfig(mode=MODE_ABSTRACT)).current_agents(initial_db)
+
+    def test_a_second_spec_fails_the_exchange_that_registers_it(self):
+        # flip registers p under right as well as left
+        text = SWITCHED_SPEC.replace("del { hasSpec(p, left) } add", "add")
+        b = Builder(install_institutional(parse_spec(text)), BuildConfig(mode=MODE_CONCRETE))
+        with pytest.raises(BuildError, match="registered under two specs"):
+            b.step_successors(b.initial_state())
 
     def test_databases_are_interned(self, ticket_spec, ping_spec, registry_spec):
         builds = _dedup_builds(ticket_spec, ping_spec) + [

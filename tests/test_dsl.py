@@ -7,6 +7,7 @@ from rmas.dsl import ParseError, ResolutionError, parse_spec, serialize_spec
 from rmas.model import install_institutional, institutional_actions
 from rmas.queries import Var
 from rmas.shallow import compile_shallow
+from rmas.wellformed import check_well_formed
 
 from conftest import CORPUS, load_corpus
 
@@ -123,6 +124,26 @@ spec instSpec institutional {
         assert v.startswith("_p")
         assert v in Q.free_vars(rule.query)
 
+    @pytest.mark.parametrize("rule, name", [
+        ("W(_p1) & MyName(t) enables m(_p1, 3) to t", "_p1"),  # a literal payload
+        ("W(_p2) & MyName(t) enables m(_p2, 3) to t", "_p2"),
+        ("Friend(_pc1) & MyName(t) enables n(a1, _pc1) to t", "_pc1"),  # a constant one
+        ("Friend(_p1) & MyName(t) enables n(a1, _p1) to t", "_p1"),
+        ("Friend(_pt) enables n(_pt, _pt) to a1", "_pt"),  # a constant target
+        ("Pair(_, _1) & MyName(t) enables m(_1, 3) to t", "_1"),  # "_" beside "_1"
+    ])
+    def test_a_desugared_name_captures_no_variable(self, rule, name):
+        # the rule builds what its twin with u for name builds
+        def run(rule):
+            spec = install_institutional(parse_spec(CAPTURE.replace("RULE", rule)))
+            assert check_well_formed(spec).ok
+            ts = build_transition_system(spec, BuildConfig(mode=MODE_ABSTRACT))
+            return len(ts.states), len(ts.edges)
+
+        twin = run(rule.replace(name, "u"))
+        assert twin[1] > 0
+        assert run(rule) == twin
+
     def test_empty_spec_defaults(self):
         spec = install_institutional(parse_spec(""))
         assert spec.institutional == "instSpec"
@@ -132,6 +153,43 @@ spec instSpec institutional {
         spec = parse_spec('mode "unsafe-succ"\n')
         assert "unsafe-succ" in spec.mode_flags
         assert parse_spec(serialize_spec(spec)).mode_flags == spec.mode_flags
+
+
+# each agent may send itself m or n (RULE); a received m notes its second
+# payload, a received n its second one
+CAPTURE = """
+type Num rational with less
+facet NF of Num
+message m(NF, NF)
+message n(AF, AF)
+
+agent a1 : s
+agent a2 : s
+
+spec s {
+  relation W(NF)
+  relation Pair(NF, NF)
+  relation Friend(AF)
+  relation Got(NF)
+  relation Met(AF)
+
+  init W(2)
+  init Pair(1, 2)
+  init Friend(a2)
+
+  RULE
+
+  action got(k: NF) {
+    true ~> add { Got(k) }
+  }
+  action met(y: AF) {
+    true ~> add { Met(y) }
+  }
+
+  on m(x, k) from p if true then got(k)
+  on n(x, y) from p if true then met(y)
+}
+"""
 
 
 def check_exit(tmp_path, capsys, text):

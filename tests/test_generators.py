@@ -1,5 +1,6 @@
 import pytest
 
+import rmas.builder as B
 from rmas import queries as Q
 from rmas.builder import (
     BuildConfig,
@@ -180,8 +181,8 @@ spec instSpec institutional {
             (lessthan_rel("MsgId"), (mid(Fraction(1)), mid(Fraction(2)))),
         ])
         state = make_state(dbs, order)
-        active = {a for a, _ in b.current_agents(state)}
-        enabled = b.enabled_messages(state, bob, "ponger", active)
+        active = {a for a, _ in b.current_agents(state.inst_db())}
+        enabled = b.enabled_messages(B._StepCache(b, state), bob, "ponger", active)
         next_msgs = [(m, p) for m, p, t in enabled if m == "nextM"]
         assert next_msgs == [("nextM", (mid(Fraction(1)),))]
 

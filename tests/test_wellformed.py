@@ -130,8 +130,34 @@ spec instSpec institutional {
 """
         assert "WF-EFFECT-DEL" in codes(wf(text))
 
+    def test_parameter_added_at_another_type(self):
+        text = BASE + """
+spec instSpec institutional {
+  relation W(SF)
+  action bad(p: NF) {
+    true ~> add { W(p) }
+  }
+}
+"""
+        assert [(f.code, f.message) for f in wf(text).findings] == [
+            ("WF-EFFECT-ADD", "parameter 'p' has type Num, W[1] wants Str")]
+
 
 class TestUpdateRules:
+    def test_payload_used_at_another_type_in_the_condition(self):
+        text = BASE + """
+spec instSpec institutional {
+  relation N(NF)
+  relation Done()
+  action note() {
+    true ~> add { Done() }
+  }
+  on m(g) from s if N(g) then note()
+}
+"""
+        assert [(f.code, f.message) for f in wf(text).findings] == [
+            ("WF-RULE-COND-TYPE", "payload variable 'g' used at Num, message says Str")]
+
     def test_scope_violation(self):
         text = BASE + """
 spec instSpec institutional {
@@ -231,6 +257,17 @@ spec instSpec institutional {
         untyped = tuple(replace(c, type_name="?") for c in inst.constraints)
         spec = replace(spec, agent_specs={"instSpec": replace(inst, constraints=untyped)})
         assert [f.code for f in check_well_formed(spec).findings] == ["WF-INIT-CONSTRAINT"]
+
+
+    def test_open_constraint(self):
+        text = BASE + """
+spec instSpec institutional {
+  relation W(SF)
+  constraint W(x)
+}
+"""
+        assert [(f.code, f.message) for f in wf(text).findings] == [
+            ("WF-QUERY", "constraints must be closed formulas")]
 
 
 class TestLinearity:
