@@ -51,6 +51,7 @@ from __future__ import annotations
 import gc
 import itertools
 import json
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Iterator, Optional, Union
@@ -174,6 +175,20 @@ class SystemState:
 def make_state(dbs: dict[DataObject, Database], order_db: Optional[Database]) -> SystemState:
     items = tuple(sorted(dbs.items(), key=lambda kv: kv[0].sort_key()))
     return SystemState(items, order_db)
+
+
+@contextmanager
+def collector_paused() -> Iterator[None]:
+    """Run the body with the cyclic garbage collector paused.  A build or a
+    check makes many objects and no reference cycles, so a collection would
+    only walk its heap."""
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if was_enabled:
+            gc.enable()
 
 
 def state_key(state: SystemState) -> tuple:
@@ -726,15 +741,9 @@ class Builder:
     # -- closure ---------------------------------------------------------------------------
 
     def build(self) -> TransitionSystem:
-        """The closure, with the cyclic garbage collector paused: a build
-        makes no reference cycles, so a collection would only walk its heap."""
-        was_enabled = gc.isenabled()
-        gc.disable()
-        try:
+        """The closure, with the cyclic garbage collector paused."""
+        with collector_paused():
             return self._closure()
-        finally:
-            if was_enabled:
-                gc.enable()
 
     def _closure(self) -> TransitionSystem:
         ts = TransitionSystem(mode=self.config.mode)

@@ -13,12 +13,18 @@ Fixpoints are computed by Kleene iteration; each approximant maps every
 assignment of the free variables to the bitmask of the states where it holds.
 
 What lives per transition system (`SystemTables`, kept on the system by its
-first check): the state masks, each state's predecessors, database
-placements, live masks and per-type universe, the all-true extension per
-domain, and each atom's rows, keyed by the atom's value (and an equality's
-type) so equal atoms of different properties share them.  What lives per check
-(`ModelChecker`): the iteration count and the atoms expanded over their
-domains.
+first check): each state's predecessor ids, the ids of the states holding
+each (agent, database) placement and each order database, each object's live
+mask and the per-type universe, the all-true extension per domain, and each
+atom's rows, keyed by the atom's value (and an equality's type) so equal atoms
+of different properties share them.  The tables hold no mask per database: a
+row or live mask is made by marking state ids into one `bytearray`, so the
+build is linear in the states' placements.  What lives per check
+(`ModelChecker`): the iteration count, the atoms expanded over their domains,
+and the step memo: per `<>`/`[]` node, dom and assignment, the last mask the
+step read and its predecessors, so that an approximant that grew costs only
+the predecessors of its new states.  A verdict keeps the initial-state
+extension as a mask and lists its pairs only when `extension` is read.
 """
 
 from __future__ import annotations
@@ -31,7 +37,7 @@ from typing import Callable, Iterable, Iterator, Optional
 
 from .data import AGENT_TYPE, INST_NAME, Database, DataObject, carrier_less, mk_symbol
 from . import model as M
-from .builder import TransitionSystem
+from .builder import TransitionSystem, collector_paused
 from .dsl import KEYWORDS, ParseError, QueryParser, TokenStream, tokenize, _resolve_literal
 from .model import RmasSpec, initial_data_domain
 from . import queries as Q
@@ -279,14 +285,20 @@ class _PropResolver:
             prop = self._finish(prop, iter(typing.solved))
         return self._guard_modalities(prop, {}, frozenset(), typing.free_types())
 
-    def _check_monotone(self, p: Query, positive: bool = True) -> None:
+    def _check_monotone(self, p: Query, positive: Optional[dict[str, bool]] = None) -> None:
+        """Refuse a fixpoint variable under an odd number of negations,
+        counted from its own binder: `positive` maps each fixpoint variable
+        in scope to whether that count is even so far."""
+        positive = positive or {}
         if isinstance(p, PVar):
-            if not positive:
+            if not positive.get(p.name, True):
                 raise NonMonotoneFixpoint(
                     f"fixpoint variable {p.name!r} under an odd number of negations")
             return
         if isinstance(p, Not):
-            positive = not positive
+            positive = {v: not even for v, even in positive.items()}
+        elif isinstance(p, (PMu, PNu)):
+            positive = {**positive, p.var: True}
         for c in children(p):
             self._check_monotone(c, positive)
 
@@ -373,83 +385,99 @@ Dom = tuple[tuple[str, str], ...]
 
 @dataclass
 class Verdict:
+    """A check's outcome: `mask` has bit `sid` set for each state where the
+    property holds, and `extension` lists those states as (sid, ()) pairs,
+    computed when it is read."""
+
     truth: bool
-    extension: frozenset = frozenset()
+    mask: int = 0
     iterations: int = 0
+
+    @property
+    def extension(self) -> frozenset:
+        return frozenset((sid, ()) for sid in _bits(self.mask))
+
+
+def _constants(spec: RmasSpec) -> frozenset[DataObject]:
+    return frozenset(o for cs in initial_data_domain(spec).values() for o in cs)
 
 
 class SystemTables:
     """What every check on one transition system shares, built by its first
     check and kept on the system (`TransitionSystem.check_tables`): the
-    all-states mask, each state's predecessor ids (memory grows with the
-    edges, not the square of the states), each (agent, database) placement
-    with the states that hold it, each object's live mask, the per-type
-    universe, the all-true extension per domain and each atom's rows.  They
-    stay valid while the system's `states` and `edges` lists are the same
-    objects of the same lengths and the spec's constants are the same."""
+    all-states mask, each state's predecessor ids, the ids of the states
+    holding each (agent, database) placement and each order database, each
+    object's live mask, the per-type universe, the all-true extension per
+    domain and each atom's rows.  Memory grows with the edges and the
+    placements, not with the states times the databases: the only masks are
+    the live masks and the rows some check asked for.  The tables stay valid
+    while the system's `states` and `edges` lists are the same objects of the
+    same lengths and the spec's constants are the same; `spec` is the last
+    spec they were found to fit, whose constants need no second look."""
 
     def __init__(self, ts: TransitionSystem, consts: frozenset[DataObject]) -> None:
         self.states, self.edges, self.consts = ts.states, ts.edges, consts
+        self.spec: Optional[RmasSpec] = None
         self.sizes = (len(ts.states), len(ts.edges))
-        n = len(ts.states)
+        n = self.n = len(ts.states)
         self.full = (1 << n) - 1
         # pred[sid]: the states with an edge into sid, one id per edge
         self.pred: list[list[int]] = [[] for _ in range(n)]
         for a, b in ts.edges:
             self.pred[b].append(a)
         inst = mk_symbol(AGENT_TYPE, INST_NAME)
-        # the states where each object is live, for every object stored
-        # anywhere and every initial constant
-        live: dict[DataObject, int] = dict.fromkeys(consts, 0)
         # States share the databases of the agents a step leaves alone, so
-        # each distinct database is read once, with the mask of the states
-        # that hold it: `held` for any agent, `placed` for an agent
-        # registered there (an Agent fact in inst's database), and `orders`
+        # each (agent, database) pair is read once, with the ids of the
+        # states that hold it, keyed apart by whether the agent is registered
+        # there (an Agent fact in inst's database); `orders` does the same
         # for the order databases.  Each of inst's databases is read for its
         # Agent facts once, into `rosters`.
-        held: dict[int, list] = {}  # id(db) -> [db, states]
-        placed: dict[tuple, list] = {}  # (agent, id(db)) -> [agent, db, states]
-        orders: dict[int, list] = {}  # id(order_db) -> [order_db, states]
+        holds: dict[tuple, tuple[DataObject, Database, list[int]]] = {}
+        orders: dict[int, tuple[Database, list[int]]] = {}
         rosters: dict[int, set] = {}  # id(inst's db) -> the agents it registers
         for sid, s in enumerate(ts.states):
-            bit = 1 << sid
             if s.order_db is not None:
                 got = orders.get(id(s.order_db))
                 if got is None:
-                    got = orders[id(s.order_db)] = [s.order_db, 0]
-                got[1] |= bit
+                    got = orders[id(s.order_db)] = (s.order_db, [])
+                got[1].append(sid)
             inst_db = s.db(inst)
             agents = rosters.get(id(inst_db))
             if agents is None:
                 agents = rosters[id(inst_db)] = {
                     args[0] for args in inst_db.facts_for(M.AGENT_REL)} if inst_db else set()
             for agent, db in s.agent_dbs:
-                got = held.get(id(db))
+                key = (agent, id(db), agent in agents)
+                got = holds.get(key)
                 if got is None:
-                    got = held[id(db)] = [db, 0]
-                got[1] |= bit
-                if agent in agents:
-                    got = placed.get((agent, id(db)))
-                    if got is None:
-                        got = placed[(agent, id(db))] = [agent, db, 0]
-                    got[2] |= bit
-        for db, states in held.values():
+                    got = holds[key] = (agent, db, [])
+                got[2].append(sid)
+        self.placed = [got for key, got in holds.items() if key[2]]
+        self.orders = list(orders.values())
+        # the states where each object is live, for every object stored
+        # anywhere and every initial constant: the ids of each pair that
+        # stores it
+        holders: dict[DataObject, list[list[int]]] = {o: [] for o in consts}
+        for _, db, ids in holds.values():
             for o in {o for _, args in db.facts for o in args}:
-                live[o] = live.get(o, 0) | states
-        self.placed: list[tuple[DataObject, Database, int]] = [
-            tuple(got) for got in placed.values()]
-        self.orders: list[tuple[Database, int]] = [tuple(got) for got in orders.values()]
+                holders.setdefault(o, []).append(ids)
         # per type: the universe in canonical order, and each object's live mask
         self.live: dict[str, dict[DataObject, int]] = {}
-        for o in sorted(live, key=DataObject.sort_key):
-            self.live.setdefault(o.type_name, {})[o] = live[o]
+        for o in sorted(holders, key=DataObject.sort_key):
+            self.live.setdefault(o.type_name, {})[o] = _mask(n, holders[o])
         self.universe = {t: list(per) for t, per in self.live.items()}
         self.tops: dict[tuple[str, ...], dict[tuple, int]] = {}
         self.rows: dict[tuple, tuple[tuple[str, ...], dict[tuple, int]]] = {}
 
-    def fits(self, ts: TransitionSystem, consts: frozenset[DataObject]) -> bool:
-        return (self.states is ts.states and self.edges is ts.edges
-                and self.sizes == (len(ts.states), len(ts.edges)) and self.consts == consts)
+    def fits(self, ts: TransitionSystem, spec: RmasSpec) -> bool:
+        if not (self.states is ts.states and self.edges is ts.edges
+                and self.sizes == (len(ts.states), len(ts.edges))):
+            return False
+        if spec is not self.spec:
+            if _constants(spec) != self.consts:
+                return False
+            self.spec = spec
+        return True
 
     def top(self, types: tuple[str, ...]) -> dict[tuple, int]:
         """Every assignment to variables of these types, true in every state."""
@@ -473,12 +501,11 @@ class SystemTables:
 
     def _atom_rows(self, atom: Query, eq_type: Optional[str]
                    ) -> tuple[tuple[str, ...], dict[tuple, int]]:
-        rows: dict[tuple, int] = {}
         if isinstance(atom, LiveAtom):
-            for o, m in self.live.get(atom.type_name, {}).items():
-                if m:
-                    rows[(o,)] = m
-            return (atom.var,), rows
+            return (atom.var,), {(o,): m for o, m in self.live.get(atom.type_name, {}).items()
+                                 if m}
+        # each row's id lists: the states of each database that holds it
+        hits: dict[tuple, list[list[int]]] = {}
         if isinstance(atom, LocAtom):
             terms = (atom.loc,) + atom.terms
             names = _term_vars(terms)
@@ -486,7 +513,7 @@ class SystemTables:
             # distinct variables and no constants in the terms: a fact's
             # arguments are the row
             plain = len(names) == len(atom.terms) + (loc is None)
-            for agent, db, states in self.placed:
+            for agent, db, ids in self.placed:
                 if loc is not None and agent != loc:
                     continue
                 for args in db.facts_for(atom.name):
@@ -496,8 +523,8 @@ class SystemTables:
                         row = _match(names, terms, (agent,) + args)
                         if row is None:
                             continue
-                    rows[row] = rows.get(row, 0) | states
-            return names, rows
+                    hits.setdefault(row, []).append(ids)
+            return names, {row: _mask(self.n, lists) for row, lists in hits.items()}
         if isinstance(atom, (EqAtom, LessAtom)):
             sides = (atom.left, atom.right)
             names = _term_vars(sides)
@@ -511,14 +538,15 @@ class SystemTables:
                 # once per distinct order database
                 members = set(pool)
                 rel = lessthan_rel(atom.type_name)
-                for order_db, states in self.orders:
-                    carrier ^= states
+                for order_db, ids in self.orders:
                     for pair in order_db.facts_for(rel):
                         if pair[0] == pair[1]:
                             continue
                         row = _match(names, sides, pair)
                         if row is not None and members.issuperset(row):
-                            rows[row] = rows.get(row, 0) | states
+                            hits.setdefault(row, []).append(ids)
+                carrier ^= _mask(self.n, [ids for _, ids in self.orders])
+            rows = {row: _mask(self.n, lists) for row, lists in hits.items()}
             if carrier:
                 test = carrier_less if less else operator.eq
                 for row in itertools.product(pool, repeat=len(names)):
@@ -542,14 +570,16 @@ class ModelChecker:
     """
 
     def __init__(self, ts: TransitionSystem, spec: RmasSpec) -> None:
-        consts = frozenset(o for cs in initial_data_domain(spec).values() for o in cs)
         tables = ts.check_tables
-        if tables is None or not tables.fits(ts, consts):
-            tables = ts.check_tables = SystemTables(ts, consts)
+        if tables is None or not tables.fits(ts, spec):
+            tables = ts.check_tables = SystemTables(ts, _constants(spec))
+            tables.spec = spec
         self.tables = tables
         self.full, self.pred = tables.full, tables.pred
         self.live, self.universe = tables.live, tables.universe
         self._atoms: dict[tuple, dict[tuple, int]] = {}
+        # per <>/[] node and dom: each assignment's last mask and its _pre
+        self._steps: dict[tuple, dict[tuple, tuple[int, int]]] = {}
         self.iterations = 0
 
     # -- assignments -------------------------------------------------------------
@@ -564,11 +594,19 @@ class ModelChecker:
     def _pre(self, m: int) -> int:
         """The states with a successor in m."""
         pred = self.pred
-        mark = bytearray(len(pred))
-        for sid in _bits(m):
-            for a in pred[sid]:
-                mark[a] = 1
-        return int(mark[::-1].translate(_BIT_DIGITS), 2)
+        return _mask(len(pred), map(pred.__getitem__, _bits(m)))
+
+    def _pre_since(self, last: Optional[tuple[int, int]], m: int) -> int:
+        """`_pre(m)`, given the last mask read for the same assignment and
+        its `_pre`: when m contains that mask, only m's new states are read,
+        since pre distributes over union.  Any earlier pair is exact, so a
+        stale one costs time, never a wrong mask."""
+        if last is not None:
+            old, pre = last
+            if m & old == old:
+                new = m ^ old
+                return pre | self._pre(new) if new else pre
+        return self._pre(m)
 
     # -- atoms -------------------------------------------------------------------
 
@@ -667,25 +705,20 @@ class ModelChecker:
             body = self.eval(p.body, dom, env)
             at = _positions(dom)
             guards = [(at[v], self.live.get(t, {})) for v, t in p.guards]
-            full = self.full
+            # diamond: the guarded states with a successor in body; box:
+            # those with no successor outside it
+            diamond = isinstance(p, PDiamond)
+            flip = 0 if diamond else self.full
+            last = self._steps.setdefault((id(p), dom), {})
             pre: dict[int, int] = {}  # many assignments share a mask
             out = {}
-            if isinstance(p, PDiamond):
-                for c, on in body.items():
-                    m = pre.get(on)
-                    if m is None:
-                        m = pre[on] = self._pre(on)
-                    for i, live in guards:
-                        m &= live.get(c[i], 0)
-                    if m:
-                        out[c] = m
-                return out
-            # box: the guarded states with no successor outside body
-            for c in self._top(dom):
-                off = full ^ body.get(c, 0)
-                m = pre.get(off)
+            for c in body if diamond else self._top(dom):
+                on = flip ^ body.get(c, 0)
+                m = pre.get(on)
                 if m is None:
-                    m = pre[off] = full ^ self._pre(off)
+                    m = pre[on] = self._pre_since(last.get(c), on)
+                last[c] = (on, m)
+                m ^= flip
                 for i, live in guards:
                     m &= live.get(c[i], 0)
                 if m:
@@ -754,16 +787,24 @@ def check_closed(prop: Query) -> None:
 def model_check(ts: TransitionSystem, spec: RmasSpec, prop: Query) -> Verdict:
     """Evaluate a closed property at the initial state."""
     check_closed(prop)
-    checker = ModelChecker(ts, spec)
-    mask = checker.eval(prop, (), {}).get((), 0)
-    return Verdict(
-        truth=bool(mask >> ts.initial & 1),
-        extension=frozenset((sid, ()) for sid in _bits(mask)),
-        iterations=checker.iterations,
-    )
+    with collector_paused():
+        checker = ModelChecker(ts, spec)
+        mask = checker.eval(prop, (), {}).get((), 0)
+    return Verdict(truth=bool(mask >> ts.initial & 1), mask=mask,
+                   iterations=checker.iterations)
 
 
 _BIT_DIGITS = bytes.maketrans(b"\0\1", b"01")
+
+
+def _mask(n: int, id_lists: Iterable[Iterable[int]]) -> int:
+    """The mask of the ids in id_lists, in a system of n states: each id is
+    marked in one bytearray, converted to an int once."""
+    mark = bytearray(n)
+    for ids in id_lists:
+        for i in ids:
+            mark[i] = 1
+    return int(mark[::-1].translate(_BIT_DIGITS) or b"0", 2)
 
 
 def _bits(m: int) -> Iterator[int]:

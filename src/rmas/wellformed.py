@@ -56,6 +56,20 @@ class _Checker:
     def base_type(self, facet_name: str) -> str:
         return self.spec.facets[facet_name].base_type
 
+    def payload_retyped(self, ag: AgentSpec, where: str, msg: M.MessageDef,
+                        payload_vars: tuple[str, ...], code: str) -> bool:
+        """Whether a payload variable repeats at positions of different
+        base types, which one variable cannot take; reported as `code`."""
+        seen: dict[str, tuple[int, str]] = {}  # variable -> its first position, type
+        for i, (v, f) in enumerate(zip(payload_vars, msg.payload_facets), 1):
+            t = self.base_type(f)
+            first, ft = seen.setdefault(v, (i, t))
+            if ft != t:
+                self.find(code, ag.name, where, f"payload variable {v!r} is at position "
+                          f"{first} of type {ft} and at position {i} of type {t}")
+                return True
+        return False
+
     # -- query typing ---------------------------------------------------------
 
     def type_query(
@@ -102,6 +116,8 @@ class _Checker:
             if len(rule.payload_vars) != msg.arity:
                 self.find("WF-COMM-PAYLOAD", ag.name, where,
                           f"payload has {len(rule.payload_vars)} variables, message arity is {msg.arity}")
+                continue
+            if self.payload_retyped(ag, where, msg, rule.payload_vars, "WF-COMM-PAYLOAD"):
                 continue
             gaps = msg.var_types(rule.payload_vars, rule.target_var, self.spec.facets)
             expected = set(gaps)
@@ -251,6 +267,8 @@ class _Checker:
             if len(rule.payload_vars) != msg.arity:
                 self.find("WF-RULE-COND-TYPE", ag.name, where,
                           f"payload has {len(rule.payload_vars)} variables, arity is {msg.arity}")
+                continue
+            if self.payload_retyped(ag, where, msg, rule.payload_vars, "WF-RULE-COND-TYPE"):
                 continue
             act = ag.actions.get(rule.action)
             if act is None:

@@ -134,11 +134,12 @@ def naive_model_check(ts, spec: RmasSpec, prop) -> "mucalc.Verdict":
     contract as `mucalc.model_check`."""
     checker = NaiveChecker(ts, spec)
     ext = checker.eval(prop, (), {})
-    return mucalc.Verdict(
-        truth=(ts.initial, ()) in ext,
-        extension=frozenset(ext),
-        iterations=checker.iterations,
-    )
+    verdict = mucalc.Verdict(truth=(ts.initial, ()) in ext,
+                             mask=sum(1 << sid for sid, _ in ext),
+                             iterations=checker.iterations)
+    # the pairs read back from the mask are the oracle's own
+    assert verdict.extension == ext
+    return verdict
 
 
 class NaiveChecker:

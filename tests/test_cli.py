@@ -154,6 +154,24 @@ spec instSpec institutional {
         assert out.returncode == 6
         assert b"[WF-COMM-PAYLOAD]" in out.stderr and b"[WF-RULE-COND-TYPE]" in out.stderr
 
+    def test_payload_variable_at_two_types(self, tmp_path):
+        # built, the rule would send m(2, 2): a number in an agent slot
+        spec = tmp_path / "twice.rmas"
+        spec.write_text("""
+type Num rational
+facet NF of Num
+message m(AF, NF)
+spec instSpec institutional {
+  relation W(NF)
+  init W(2)
+  W(u) & MyName(t) enables m(u, u) to t
+}
+""")
+        out = run_cli("check", str(spec))
+        assert out.returncode == 6
+        assert b"findings: [WF-COMM-PAYLOAD] instSpec: comm rule #1 (m): payload variable 'u' " \
+            b"is at position 1 of type agent and at position 2 of type Num\n" in out.stderr
+
     def test_untypeable_comparison_names_its_variables(self, tmp_path):
         spec = tmp_path / "untyped.rmas"
         spec.write_text(ticket_with_names("forall a, b. a = b"))

@@ -13,6 +13,9 @@ from conftest import ROOT
 # successors per workload at seed 1: a step that drops or repeats a
 # successor changes the count
 SUCCESSORS = {"ticket3-verify": 4470, "async-ping": 3200, "ticket-flat-stream": 3471}
+# Kleene iterations of all the workload's checks at seed 1: an evaluation
+# change that alters a fixpoint's iteration count changes the sum
+ITERATIONS = {"ticket3-verify": 22, "async-ping": 30, "ticket-flat-stream": 0}
 
 
 @pytest.mark.parametrize("workload,steps", [
@@ -27,3 +30,4 @@ def test_traced_worker_passes_its_span_self_test(workload, steps):
     assert run["failures"] == []
     assert run["layers"]["builder.steps"] == steps
     assert run["layers"]["builder.successors"] == SUCCESSORS[workload]
+    assert run["iterations"] == ITERATIONS[workload]

@@ -118,8 +118,21 @@ class TestParse:
         assert p is not None
 
     def test_non_monotone_fixpoint_rejected(self):
-        with pytest.raises(NonMonotoneFixpoint):
-            parse_property("mu Z. !Z", PROP_SPEC)
+        # Z is counted from its own binder, through a negated inner one too
+        for text in ("mu Z. !Z", "mu Z. !(mu Y. Z | <>Y)",
+                     "nu Z. q@inst & !(nu Y. Z & []Y) & []Z"):
+            with pytest.raises(NonMonotoneFixpoint):
+                parse_property(text, PROP_SPEC)
+
+    @pytest.mark.parametrize("text", [
+        "!(mu Y. (exists a: agent. inCritical@inst(a)) | <>Y)",
+        "nu Z. !(mu Y. (exists a: agent. inCritical@inst(a)) | <>Y) & []Z",
+        "mu Z. !(!Z)"])
+    def test_negated_closed_fixpoint_is_monotone(self, text, ticket_shallow):
+        # negations are counted from each variable's own binder, not the root
+        prop = parse_property(text, ticket_shallow)
+        ts = build_transition_system(ticket_shallow, BuildConfig(mode="abstract-recycle"))
+        _same_as_naive(ts, ticket_shallow, prop)
 
     def test_accessory_relations_rejected(self, contract_shallow):
         with pytest.raises(ParseError):
@@ -184,6 +197,13 @@ class TestModelCheck:
         v = model_check(ts, PROP_SPEC, p)
         assert v.truth
         assert {sid for sid, _ in v.extension} == {0, 1}
+
+    def test_empty_system(self):
+        # no state to mark: every mask is 0, and nothing holds at state 0
+        ts = make_ts([], [])
+        for text in ("mu Z. p@inst | <>Z", "nu Z. true & []Z", "exists a: agent. Agent@inst(a)"):
+            v = model_check(ts, PROP_SPEC, parse_property(text, PROP_SPEC))
+            assert (v.truth, v.extension) == (False, frozenset())
 
     def test_box_vacuous_on_terminal_state(self):
         ts = make_ts([()], [])
@@ -765,10 +785,12 @@ class TestSharedTables:
             rosters.add(roster)
             for agent, db in s.agent_dbs:
                 if agent in roster:
-                    want[(agent, db.facts)] = want.get((agent, db.facts), 0) | 1 << sid
+                    want.setdefault((agent, db.facts), set()).add(sid)
         got: dict = {}
-        for agent, db, states in SystemTables(ts, frozenset()).placed:
-            got[(agent, db.facts)] = got.get((agent, db.facts), 0) | states
+        for agent, db, ids in SystemTables(ts, frozenset()).placed:
+            # each state that holds the placement, once, in id order
+            assert ids == sorted(set(ids))
+            got.setdefault((agent, db.facts), set()).update(ids)
         assert got == want
         assert len(rosters) > 1
 
@@ -864,3 +886,84 @@ class TestSharedTables:
             assert (got.tables is last.tables) == shared
             assert (DataObject("Str", "z") in got.universe["Str"]) == (spec is more)
             last = got
+
+    def test_six_checks_read_the_constants_once(self, ticket_shallow, monkeypatch):
+        # later checks with the same spec object reuse the tables' constants
+        read = []
+        real = mucalc.initial_data_domain
+        monkeypatch.setattr(mucalc, "initial_data_domain", lambda spec: read.append(spec)
+                            or real(spec))
+        ts = build_transition_system(ticket_shallow, BuildConfig(mode="abstract-recycle"))
+        for path in prop_paths("ticket_mutex"):
+            model_check(ts, ticket_shallow, parse_property(path.read_text(), ticket_shallow))
+        assert read == [ticket_shallow]
+
+
+class TestIncrementalSteps:
+    """A `<>`/`[]` step whose mask grew since its last evaluation reads the
+    predecessors of the new states only; one whose mask shrank reads all of
+    them again."""
+
+    @staticmethod
+    def _spy(monkeypatch):
+        """Record, for each `_pre_since` call, whether it had an earlier mask
+        and whether that mask was contained in the new one, and the number
+        of states each `_pre` call reads."""
+        steps, read = [], []
+        since, pre = ModelChecker._pre_since, ModelChecker._pre
+
+        def spy_since(self, last, m):
+            steps.append((last is not None, last is not None and last[0] & m == last[0]))
+            return since(self, last, m)
+
+        def spy_pre(self, m):
+            read.append(bin(m).count("1"))
+            return pre(self, m)
+
+        monkeypatch.setattr(ModelChecker, "_pre_since", spy_since)
+        monkeypatch.setattr(ModelChecker, "_pre", spy_pre)
+        return steps, read
+
+    @pytest.mark.parametrize("text,labels", [
+        # the mu grows by one state per iteration, from the end of the chain
+        ("mu Z. q@inst | <>Z", lambda i, n: ("q",) if i == n - 1 else ()),
+        # the nu shrinks by one per iteration, so []'s complement grows
+        ("nu Z. p@inst & []Z", lambda i, n: ("p",) if i < n - 1 else ())])
+    def test_a_grown_mask_reads_only_its_new_states(self, text, labels, monkeypatch):
+        n = 40
+        ts = make_ts([labels(i, n) for i in range(n)],
+                     [(i, i + 1) for i in range(n - 1)] + [(n - 1, n - 1)])
+        prop = parse_property(text, PROP_SPEC)
+        steps, read = self._spy(monkeypatch)
+        got = model_check(ts, PROP_SPEC, prop)
+        assert got.iterations == n + 1
+        # every state enters the approximant's mask once; a full
+        # recomputation would read 1 + 2 + ... + n of them
+        assert sum(read) == n
+        # only the first evaluation of the step had no earlier mask to grow
+        assert steps[0] == (False, False) and set(steps[1:]) == {(True, True)}
+        _same_as_naive(ts, PROP_SPEC, prop)
+
+    def test_alternating_fixpoints_agree_with_naive(self, monkeypatch):
+        # an inner fixpoint restarts on each outer iteration, so a step's mask
+        # can shrink between two evaluations of the step
+        templates = [
+            lambda a, b: PNu("Z", PMu("Y", Or((And((a, PBox((), PVar("Z")))),
+                                               PDiamond((), PVar("Y")))))),
+            lambda a, b: PMu("Z", PNu("Y", And((Or((a, PDiamond((), PVar("Z")))),
+                                                PBox((), PVar("Y")))))),
+            lambda a, b: PNu("Z", Forall("x", Or((
+                Not(LocAtom("R", (Var("x"),), Const(INST))),
+                PMu("Y", Or((And((b, PBox((("x", "Str"),), PVar("Z")))),
+                             PDiamond((("x", "Str"),), PVar("Y"))))))), "Str")),
+        ]
+        steps, _ = self._spy(monkeypatch)
+        rng = random.Random(20261020)
+        for _ in range(40):
+            ts = random_data_ts(rng, rng.randint(2, 6))
+            a = random_data_prop(rng, rng.randint(1, 3), {}, ("Z", "Y"))
+            b = random_data_prop(rng, rng.randint(1, 3), {"x": "Str"}, ("Z", "Y"))
+            for make in templates:
+                _same_as_naive(ts, DATA_SPEC, make(a, b))
+        # both ways of reading a step with an earlier mask were taken
+        assert (True, False) in steps and (True, True) in steps

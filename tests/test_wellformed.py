@@ -71,6 +71,20 @@ spec instSpec institutional {
 """
         assert "WF-COMM-VARS" in codes(wf(text))
 
+    @pytest.mark.parametrize("facets,findings", [
+        ("AF, NF", [("WF-COMM-PAYLOAD", "payload variable 'u' is at position 1 of type "
+                     "agent and at position 2 of type Num")]),
+        ("NF, NF", [])])
+    def test_payload_variable_repeated(self, facets, findings):
+        # one variable cannot carry an agent and a number
+        text = BASE.replace("message m(SF)", f"message m({facets})") + """
+spec instSpec institutional {
+  relation W(NF)
+  W(u) & MyName(t) enables m(u, u) to t
+}
+"""
+        assert [(f.code, f.message) for f in wf(text).findings] == findings
+
 
 class TestEffects:
     def test_service_input_type_mismatch(self):
@@ -213,6 +227,20 @@ spec instSpec institutional {
 }
 """
         assert "WF-RULE-PEER-PARAM" in codes(wf(text))
+
+    def test_payload_variable_repeated_at_two_types(self):
+        text = BASE.replace("message m(SF)", "message m(SF, NF)") + """
+spec instSpec institutional {
+  relation W(SF)
+  action note(v: SF) {
+    true ~> add { W(v) }
+  }
+  on m(g, g) from s if true then note(g)
+}
+"""
+        assert [(f.code, f.message) for f in wf(text).findings] == [
+            ("WF-RULE-COND-TYPE", "payload variable 'g' is at position 1 of type Str "
+             "and at position 2 of type Num")]
 
 
 class TestInitialData:
