@@ -11,7 +11,9 @@ result); exit codes are a total function of the outcome:
 
     0  success / property holds        5  successor relation rejected
     1  usage error                     6  well-formedness findings
-    2  parse or resolution failure     7  engine error (order, reservoir, build)
+    2  parse or resolution failure,    7  engine error (order, reservoir,
+       input nested too deeply            build), out of memory, or nesting
+                                          too deep for a build or check
     3  exploration truncated          10  property violated
     4  state bound exceeded
 """
@@ -149,12 +151,23 @@ def _parse_pools(spec: RmasSpec, entries: list[str]) -> dict[str, tuple[DataObje
     return pools
 
 
+NESTED_TOO_DEEPLY = "input nested too deeply"
+
+
+def _out_of_resources(e: Exception) -> CliError:
+    """Exit 7 for a build or check that ran out of stack or memory."""
+    why = NESTED_TOO_DEEPLY if isinstance(e, RecursionError) else "out of memory"
+    return CliError(f"{type(e).__name__}: {why}", EXIT_ENGINE)
+
+
 def _load_spec(path: str) -> RmasSpec:
     text = _read(path)
     try:
         return install_institutional(parse_spec(text))
     except ParseError as e:
         raise CliError(f"{path}: {e}", EXIT_PARSE)
+    except RecursionError:
+        raise CliError(f"{path}: {NESTED_TOO_DEEPLY}", EXIT_PARSE) from None
 
 
 # the exploration caps, each a flag and a config-file key of the same name
@@ -237,6 +250,8 @@ def _build(spec: RmasSpec, config: BuildConfig, report: Report) -> TransitionSys
         raise CliError(str(e), EXIT_USAGE)
     except (BuildError, CommitmentError, MissingOrderFacts) as e:
         raise CliError(f"{type(e).__name__}: {e}", EXIT_ENGINE)
+    except (RecursionError, MemoryError) as e:
+        raise _out_of_resources(e) from None
     report.data["result"].update(ts.stats)
     report.data["result"]["truncated"] = ts.truncated
     return ts
@@ -310,10 +325,15 @@ def cmd_verify(args, report: Report) -> int:
             props[path] = parse_property(_read(path), built_spec)
         except (ParseError, PropError) as e:
             raise CliError(f"{path}: {e}", EXIT_PARSE)
+        except RecursionError:
+            raise CliError(f"{path}: {NESTED_TOO_DEEPLY}", EXIT_PARSE) from None
     ts = _build(built_spec, config, report)
     if ts.truncated:
         return EXIT_TRUNCATED
-    verdicts = {path: model_check(ts, built_spec, prop) for path, prop in props.items()}
+    try:
+        verdicts = {path: model_check(ts, built_spec, prop) for path, prop in props.items()}
+    except (RecursionError, MemoryError) as e:
+        raise _out_of_resources(e) from None
     if len(args.properties) == 1:
         (verdict,) = verdicts.values()
         report.data["result"]["verdict"] = verdict.truth

@@ -27,7 +27,8 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from typing import Optional
+from functools import partial
+from typing import NamedTuple, Optional
 
 from .data import (
     AGENT_TYPE,
@@ -80,20 +81,22 @@ class ResolutionError(ParseError):
 
 TOKEN_RE = re.compile(
     r"""
-    (?P<ws>[^\S\n]+)
-  | (?P<comment>\#[^\n]*)
-  | (?P<newline>\n)
-  | (?P<number>-?\d+(?:\.\d+)?(?:/\d+)?)
-  | (?P<string>"[^"\n]*")
-  | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
-  | (?P<op>~>|->|!=|<=|>=|<>|\[\]|[(){}\[\],.:=<>!&|@_])
+    [^\S\n]*(?:\#[^\n]*)?  # whitespace, then a comment: skipped
+    (?:
+      (?P<newline>\n)
+    | (?P<number>-?\d+(?:\.\d+)?(?:/\d+)?)
+    | (?P<string>"[^"\n]*")
+    | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
+    | (?P<op>~>|->|!=|<=|>=|<>|\[\]|[(){}\[\],.:=<>!&|@_])
+    | \Z
+    | (?P<bad>.)  # a character no token starts with
+    )
     """,
     re.VERBOSE,
 )
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str  # ident, number, string, op, newline, eof
     value: str
     line: int
@@ -104,78 +107,87 @@ class Token:
         return "end of input" if self.kind == "eof" else repr(self.value)
 
 
+_token = partial(tuple.__new__, Token)  # Token(*fields) without a Python frame
+
+
 def tokenize(text: str) -> list[Token]:
+    """Each match is one token with the whitespace and comment before it.
+    Every match starts where the last one ended, so one pass reads the text
+    and no search runs ahead of a character that starts no token."""
     tokens: list[Token] = []
-    line, col = 1, 1
-    pos = 0
+    append = tokens.append
+    line, bol = 1, 0  # the current line's number and start offset
     depth = 0
-    end = (1, 1)  # just after the last token but a newline: where input ends
-    while pos < len(text):
-        m = TOKEN_RE.match(text, pos)
-        if m is None:
-            raise ParseError(f"unexpected character {text[pos]!r}", line, col)
+    for m in TOKEN_RE.finditer(text):
         kind = m.lastgroup
-        value = m.group()
-        if kind == "newline":
-            if depth == 0:
-                tokens.append(Token("newline", value, line, col))
-            line += 1
-            col = 1
-        else:
-            if kind not in ("ws", "comment"):
-                if value == "(":
-                    depth += 1
-                elif value == ")":
-                    depth = max(0, depth - 1)
-                k = "op" if kind == "op" else kind
-                tokens.append(Token(k, value, line, col))
-                end = (line, col + len(value))
-            col += len(value)
         pos = m.end()
-    tokens.append(Token("eof", "", *end))
+        if kind == "newline":
+            if not depth:
+                append(_token((kind, "\n", line, pos - bol)))
+            line += 1
+            bol = pos
+        elif kind is None:  # end of input
+            break
+        elif kind == "bad":
+            raise ParseError(f"unexpected character {m[kind]!r}", line, pos - bol)
+        else:
+            value = m[kind]
+            if value == "(":
+                depth += 1
+            elif value == ")" and depth:
+                depth -= 1
+            append(_token((kind, value, line, pos - bol - len(value) + 1)))
+    # input ends just after its last token but a newline
+    last = next((t for t in reversed(tokens) if t.kind != "newline"), None)
+    end = (last.line, last.col + len(last.value)) if last else (1, 1)
+    append(Token("eof", "", *end))
     return tokens
 
 
 class TokenStream:
     def __init__(self, tokens: list[Token]) -> None:
-        self.tokens = tokens
+        self.tokens = tokens  # the last one, and only it, is eof
         self.i = 0
 
     def peek(self, ahead: int = 0) -> Token:
-        j = min(self.i + ahead, len(self.tokens) - 1)
-        return self.tokens[j]
+        if ahead:
+            return self.tokens[min(self.i + ahead, len(self.tokens) - 1)]
+        return self.tokens[self.i]
 
     def next(self) -> Token:
-        t = self.peek()
+        t = self.tokens[self.i]
         if t.kind != "eof":
             self.i += 1
         return t
 
     def skip_newlines(self) -> None:
-        while self.peek().kind == "newline":
-            self.next()
+        while self.tokens[self.i].kind == "newline":
+            self.i += 1
 
     def at(self, value: str) -> bool:
-        t = self.peek()
+        t = self.tokens[self.i]
         return t.value == value and t.kind in ("op", "ident")
 
     def accept(self, value: str) -> bool:
-        if self.at(value):
-            self.next()
+        t = self.tokens[self.i]
+        if t.value == value and t.kind in ("op", "ident"):
+            self.i += 1
             return True
         return False
 
     def expect(self, value: str) -> Token:
-        t = self.peek()
-        if not self.at(value):
+        t = self.tokens[self.i]
+        if t.value != value or t.kind not in ("op", "ident"):
             raise ParseError(f"expected {value!r}, found {t}", t.line, t.col)
-        return self.next()
+        self.i += 1
+        return t
 
     def expect_ident(self) -> Token:
-        t = self.peek()
+        t = self.tokens[self.i]
         if t.kind != "ident":
             raise ParseError(f"expected identifier, found {t}", t.line, t.col)
-        return self.next()
+        self.i += 1
+        return t
 
     def items(self, item, close: str = ")") -> list:
         """What `item` reads, again and again, up to and including the token

@@ -7,10 +7,12 @@ as little code as possible with the paths under test.
 from __future__ import annotations
 
 import itertools
+import re
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional
 
 from rmas import mucalc, queries as Q
+from rmas.dsl import ParseError, Token
 from rmas.builder import BuildConfig, Builder, SystemState, _StepCache, make_state
 from rmas.data import (AGENT_TYPE, INST_NAME, Database, DataObject, carrier_less,
                        carrier_succ, mk_symbol)
@@ -480,3 +482,53 @@ def project_system_state(s: SystemState, hide: frozenset[str]):
         facts = frozenset(f for f in db.facts if f[0] not in hide)
         out.append((agent, facts))
     return tuple(out)
+
+
+# ---------------------------------------------------------------------------
+# A lexer that matches each whitespace run, comment and token on its own and
+# counts columns as it goes: the reference for `dsl.tokenize`, kept as written.
+
+TOKEN_RE = re.compile(
+    r"""
+    (?P<ws>[^\S\n]+)
+  | (?P<comment>\#[^\n]*)
+  | (?P<newline>\n)
+  | (?P<number>-?\d+(?:\.\d+)?(?:/\d+)?)
+  | (?P<string>"[^"\n]*")
+  | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
+  | (?P<op>~>|->|!=|<=|>=|<>|\[\]|[(){}\[\],.:=<>!&|@_])
+    """,
+    re.VERBOSE,
+)
+
+
+def reference_tokenize(text: str) -> list[Token]:
+    tokens: list[Token] = []
+    line, col = 1, 1
+    pos = 0
+    depth = 0
+    end = (1, 1)  # just after the last token but a newline: where input ends
+    while pos < len(text):
+        m = TOKEN_RE.match(text, pos)
+        if m is None:
+            raise ParseError(f"unexpected character {text[pos]!r}", line, col)
+        kind = m.lastgroup
+        value = m.group()
+        if kind == "newline":
+            if depth == 0:
+                tokens.append(Token("newline", value, line, col))
+            line += 1
+            col = 1
+        else:
+            if kind not in ("ws", "comment"):
+                if value == "(":
+                    depth += 1
+                elif value == ")":
+                    depth = max(0, depth - 1)
+                k = "op" if kind == "op" else kind
+                tokens.append(Token(k, value, line, col))
+                end = (line, col + len(value))
+            col += len(value)
+        pos = m.end()
+    tokens.append(Token("eof", "", *end))
+    return tokens

@@ -452,6 +452,53 @@ class TestEngineErrors:
         assert ("compiled" in report["result"]) == (cmd == "build")
 
 
+class TestOutOfResources:
+    """Input nested past the interpreter's recursion limit, and a build or
+    check that runs out of memory, end in a report."""
+
+    @pytest.mark.parametrize("prop", [
+        "(" * 1000 + "true" + ")" * 1000,  # too deep to parse
+        "!" * 300 + "true",  # parses; too deep to resolve
+        "<>" * 600 + "true",
+    ], ids=["parentheses", "negations", "diamonds"])
+    def test_deep_property_exits_two(self, prop, tmp_path):
+        path = tmp_path / "deep.mlp"
+        path.write_text(prop)
+        out = run_cli("--report", "json", "verify", PING, str(path), "--mode", "abstract-recycle")
+        assert out.returncode == 2
+        assert b"Traceback" not in out.stderr
+        assert json.loads(out.stderr)["result"]["error"] == f"{path}: input nested too deeply"
+
+    def test_deep_constraint_exits_two(self, tmp_path):
+        path = tmp_path / "deep.rmas"
+        path.write_text(Path(PING).read_text().replace(
+            "  init Idle()\n", "  init Idle()\n  constraint " + "(" * 400 + "Idle()" + ")" * 400 + "\n"))
+        out = run_cli("--report", "json", "check", str(path))
+        assert out.returncode == 2
+        assert b"Traceback" not in out.stderr
+        assert json.loads(out.stderr)["result"]["error"] == f"{path}: input nested too deeply"
+
+    @pytest.mark.parametrize("cmd, stage", [
+        ("build", "build_transition_system"),
+        ("verify", "build_transition_system"),
+        ("verify", "model_check"),
+    ])
+    @pytest.mark.parametrize("error, why", [
+        (MemoryError, "out of memory"),
+        (RecursionError, "input nested too deeply"),
+    ], ids=["memory", "recursion"])
+    def test_build_or_check_exits_seven(self, cmd, stage, error, why, monkeypatch, capsys):
+        def failing(*args):
+            raise error()
+
+        monkeypatch.setattr(cli, stage, failing)
+        args = ["--report", "json", cmd, PING] + ([REACH_GOT] if cmd == "verify" else [])
+        assert cli.main(args + ["--mode", "abstract-recycle"]) == 7
+        report = json.loads(capsys.readouterr().err)
+        assert report["exit"] == 7
+        assert report["result"]["error"] == f"{error.__name__}: {why}"
+
+
 class TestUnwritableOut:
     @pytest.mark.parametrize("args", [
         ["build", PING, "--mode", "abstract-recycle"],

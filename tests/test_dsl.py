@@ -1,15 +1,20 @@
+import time
+
 import pytest
+from hypothesis import given, seed, settings, strategies as st
 
 from rmas import cli, queries as Q
 from rmas.builder import (BuildConfig, MODE_ABSTRACT, build_transition_system,
                           export_jsonl)
-from rmas.dsl import ParseError, ResolutionError, parse_spec, serialize_spec
+from rmas.dsl import ParseError, ResolutionError, parse_spec, serialize_spec, tokenize
 from rmas.model import install_institutional, institutional_actions
+from rmas.mucalc import parse_property
 from rmas.queries import Var
 from rmas.shallow import compile_shallow
 from rmas.wellformed import check_well_formed
 
-from conftest import CORPUS, load_corpus
+from conftest import CORPUS, ROOT, load_corpus
+from oracles import reference_tokenize
 
 CORPUS_NAMES = ("ticket_mutex", "contract_net", "ping", "registry")
 
@@ -96,8 +101,34 @@ class TestErrors:
         assert err.value.msg == "expected identifier, found end of input"
 
     def test_unexpected_character(self):
-        with pytest.raises(ParseError):
+        with pytest.raises(ParseError) as err:
             parse_spec("type ^ string\n")
+        assert (err.value.line, err.value.col) == (1, 6)
+        assert err.value.msg == "unexpected character '^'"
+
+    @pytest.mark.parametrize("text, where", [
+        ("type\t^ string\n", (1, 6)),
+        ("# a comment\n  ^\n", (2, 3)),
+        ("type T string\n^", (2, 1)),
+    ], ids=["after-a-tab", "after-a-comment-line", "last-line-without-newline"])
+    def test_unexpected_character_position(self, text, where):
+        with pytest.raises(ParseError) as err:
+            parse_spec(text)
+        assert (err.value.line, err.value.col, err.value.msg) == (*where, "unexpected character '^'")
+
+    def test_unexpected_character_after_a_long_blank_run(self):
+        # a lexer that searches ahead from each offset after a failed match
+        # takes time quadratic in the blank run: tens of seconds for this one
+        start = time.perf_counter()
+        with pytest.raises(ParseError) as err:
+            tokenize(" " * 20_000 + "$")
+        assert (err.value.line, err.value.col) == (1, 20_001)
+        assert time.perf_counter() - start < 2.0
+
+    def test_unexpected_character_in_a_property(self):
+        with pytest.raises(ParseError) as err:
+            parse_property("mu Z.\n  ^ | <>Z", load_corpus("ping"))
+        assert (err.value.line, err.value.col, err.value.msg) == (2, 3, "unexpected character '^'")
 
 
 class TestDesugaring:
@@ -313,3 +344,45 @@ class TestLists:
         with pytest.raises(ParseError) as err:
             parse_spec("spec instSpec institutional {\n  constraint " + query)
         assert (err.value.line, err.value.col, err.value.msg) == (*where, msg)
+
+
+# ---------------------------------------------------------------------------
+# The one-pass lexer against the reference lexer in `oracles`
+
+LEXED_FILES = sorted([*CORPUS.glob("*.rmas"), *CORPUS.glob("props/**/*.mlp"),
+                      *(ROOT / "tests" / "golden").glob("**/*.rmas"),
+                      *(ROOT / "tests" / "golden").glob("**/*.mlp")])
+
+# pieces of text the lexer takes, and characters it must refuse
+ACCEPTED = [
+    "spec", "x_1", "_", "A9", "exists", "inst", "0", "-12", "3.25", "-1/2", "1.5/2",
+    "1/0", "٣", '"a b"', '""', '"#"', "~>", "->", "!=", "<=", ">=", "<>", "[]", "(", ")",
+    "{", "}", "[", "]", ",", ".", ":", "=", "<", ">", "!", "&", "|", "@",
+    " ", "   ", "\t", "\r", "\x0b", "\xa0", "\n", "\r\n", "\n\n", "# note", "#", "# (\t) ]",
+]
+REJECTED = ["$", "^", "?", "'", '"open', "-", "~", "é", "\x00", "\u2028x$"]
+
+
+def lexed(tokenize, text: str):
+    try:
+        return [(t.kind, t.value, t.line, t.col) for t in tokenize(text)]
+    except ParseError as e:
+        return ("ParseError", e.msg, e.line, e.col)
+
+
+@pytest.mark.parametrize("path", LEXED_FILES, ids=lambda p: str(p.relative_to(ROOT)))
+def test_lexer_matches_the_reference_on_file(path):
+    text = path.read_text()
+    assert lexed(tokenize, text) == lexed(reference_tokenize, text)
+    assert lexed(tokenize, text)[-1][0] == "eof"
+
+
+@seed(7)
+@settings(max_examples=400, deadline=None)
+@given(st.tuples(st.lists(st.sampled_from(ACCEPTED), max_size=30),
+                 st.lists(st.sampled_from(REJECTED), max_size=1),
+                 st.lists(st.sampled_from(ACCEPTED), max_size=30)).map(
+                     lambda parts: "".join(parts[0] + parts[1] + parts[2])))
+def test_lexer_matches_the_reference(text):
+    assert lexed(tokenize, text) == lexed(reference_tokenize, text)
+
