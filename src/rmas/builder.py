@@ -11,7 +11,11 @@ What a builder keeps for its whole life: one plan per distinct typed query
 (with its variables' types and inputs), compiled when the builder is made,
 so specs that repeat a guard or a constraint share its plan, with whether
 each group of plans reads the order's facts (never where comparisons run on
-the carrier); one `Database` per distinct fact set (`_intern`), so states
+the carrier); for each exchange participant's spec, direction(s) and
+message, whether any update rule reacts and whether the actions it calls
+write hasSpec (`_reacting`), so that `_exchange` skips a participant no rule
+reacts to and reads the roster again only after an action that writes
+hasSpec; one `Database` per distinct fact set (`_intern`), so states
 share equal databases; each database's objects by type and each order's
 ranked objects; and, keyed by the facts they read, the answers of
 `enabled_messages` and `_acceptable`, the roster of registered agents
@@ -306,14 +310,20 @@ class Builder:
         groups = [(("enabled", s), [p for _, p in ps]) for s, ps in self.comm_plans.items()]
         groups += [(("accept", s), ps) for s, ps in self.constraint_plans.items()]
         self._reads_order = {k: self.flat and any(p.reads_order for p in ps) for k, ps in groups}
-        # a participant's rules for a message and its direction(s) read the
-        # order through their conditions or the guards of the actions they call
+        # per participant group (spec, direction(s), message) that some rule
+        # reacts to: whether its rules read the order through their
+        # conditions or the guards of the actions they call, and whether
+        # those actions write hasSpec, the only facts that change the roster
+        self._reacting: dict[tuple[str, tuple[str, ...], str], tuple[bool, bool]] = {}
         for (s, d, m), ps in self.rules_by_msg.items():
             reads = self.flat and (any(p.reads_order for _, p in ps) or any(
                 g.reads_order for rule, _ in ps for g in self.guard_plans[(s, rule.action)]))
+            writes = any(tpl.rel == M.HASSPEC_REL for rule, _ in ps
+                         for eff in spec.agent_specs[s].actions[rule.action].effects
+                         for tpl in eff.adds + eff.dels)
             for dirs in ((d,), (M.ON_SEND, M.ON_RECEIVE)):
-                key = ("participant", s, dirs, m)
-                self._reads_order[key] = self._reads_order.get(key, False) or reads
+                old = self._reacting.get((s, dirs, m), (False, False))
+                self._reacting[(s, dirs, m)] = (old[0] or reads, old[1] or writes)
 
     # -- initial state ----------------------------------------------------------
 
@@ -611,17 +621,23 @@ class Builder:
             participants = [(sender, s_spec, (M.ON_SEND,), target),
                             (target, t_spec, (M.ON_RECEIVE,), sender)]
 
-        # per participant: its next database if no fact carries a call token,
-        # otherwise its next facts but those, those facts, their calls and
-        # the candidates substituted so far by the calls' results; kept by
-        # what its reactions and their effects read
+        # per participant that some rule reacts to: its next database if no
+        # fact carries a call token, otherwise its next facts but those, those
+        # facts, their calls and the candidates substituted so far by the
+        # calls' results; kept by what its reactions and their effects read.
+        # A participant that no rule reacts to keeps its database
         pend: dict[DataObject, Union[Database, tuple]] = {}
         calls: set[CallToken] = set()
+        roster = False  # whether a reacting action writes hasSpec
         for agent, sname, dirs, peer in participants:
+            group = self._reacting.get((sname, dirs, message))
+            if group is None:
+                continue
+            reads, writes = group
+            roster = roster or writes
             db = step.dbs[agent]
             key = ("participant", sname, dirs, message, payload, peer, db.facts,
-                   self._seen_order(step.order, db, payload) if self._reads_order.get(
-                       ("participant", sname, dirs, message)) else None)
+                   self._seen_order(step.order, db, payload) if reads else None)
             nxt = self._memo.get(key)
             if nxt is None:
                 acts = sorted({a for d in dirs for a in self.collect_reactions(
@@ -673,8 +689,9 @@ class Builder:
                             Database(ground | _substitute(tokened, sigma)))
                 if cand is not dbs[agent] and self._acceptable(sname, cand, order):
                     dbs[agent] = cand
-            # only a change to inst's database can change the active agents
-            same_agents = dbs[INST] is step.dbs[INST]
+            # only a change to inst's hasSpec facts can change the active
+            # agents, and only a reacting action that writes hasSpec makes one
+            same_agents = not roster or dbs[INST] is step.dbs[INST]
             if not same_agents:
                 dbs = self._registered(dbs, step.dbs)
 

@@ -84,7 +84,7 @@ TOKEN_RE = re.compile(
     [^\S\n]*(?:\#[^\n]*)?  # whitespace, then a comment: skipped
     (?:
       (?P<newline>\n)
-    | (?P<number>-?\d+(?:\.\d+)?(?:/\d+)?)
+    | (?P<number>-?[0-9]+(?:\.[0-9]+)?(?:/[0-9]+)?)
     | (?P<string>"[^"\n]*")
     | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
     | (?P<op>~>|->|!=|<=|>=|<>|\[\]|[(){}\[\],.:=<>!&|@_])

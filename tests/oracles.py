@@ -486,14 +486,15 @@ def project_system_state(s: SystemState, hide: frozenset[str]):
 
 # ---------------------------------------------------------------------------
 # A lexer that matches each whitespace run, comment and token on its own and
-# counts columns as it goes: the reference for `dsl.tokenize`, kept as written.
+# counts columns as it goes: the reference for `dsl.tokenize`, kept as written
+# but for its digit class, which takes ASCII digits only, like the lexer's.
 
 TOKEN_RE = re.compile(
     r"""
     (?P<ws>[^\S\n]+)
   | (?P<comment>\#[^\n]*)
   | (?P<newline>\n)
-  | (?P<number>-?\d+(?:\.\d+)?(?:/\d+)?)
+  | (?P<number>-?[0-9]+(?:\.[0-9]+)?(?:/[0-9]+)?)
   | (?P<string>"[^"\n]*")
   | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
   | (?P<op>~>|->|!=|<=|>=|<>|\[\]|[(){}\[\],.:=<>!&|@_])

@@ -573,6 +573,8 @@ def _flat_builds(ticket_spec, ping_spec, name):
         "ticket3-abstract": (_ticket3_spec(), BuildConfig(mode=MODE_ABSTRACT)),
         "ticket-flat-200": (ticket_spec, BuildConfig(mode=MODE_FB_FLAT, max_states=200)),
         "ping-ordered": (_ping_ordered(ping_spec), BuildConfig(mode=MODE_ABSTRACT)),
+        # the corpus spec whose reactions write hasSpec
+        "registry-abstract": (load_corpus("registry"), BuildConfig(mode=MODE_ABSTRACT)),
     }[name]
 
 
@@ -760,6 +762,48 @@ spec right {
 }
 """
 
+# inst pokes p, which notes it; inst may drop p from the roster and then
+# register it again, both by writing hasSpec directly rather than through
+# remAg and newAg
+DIRECT_ROSTER = """
+message poke()
+message leave()
+message back()
+
+agent p : worker
+
+spec instSpec institutional {
+  relation Left()
+  relation Back()
+
+  a = p & !Left() enables poke() to a
+  MyName(m) & !Left() enables leave() to m
+  MyName(m) & Left() & !Back() enables back() to m
+
+  action drop() {
+    true ~> del { hasSpec(p, worker) } add { Left() }
+  }
+  action readd() {
+    true ~> add { hasSpec(p, worker), Back() }
+  }
+
+  on leave() from x if true then drop()
+  on back() from x if true then readd()
+}
+
+spec worker {
+  relation W()
+  relation Poked()
+  init W()
+
+  action poked() {
+    true ~> add { Poked() }
+  }
+
+  on poke() from s if true then poked()
+}
+"""
+
 
 class _Forgetful(dict):
     """A memo that keeps nothing, so every lookup computes afresh."""
@@ -782,7 +826,8 @@ class TestMemoAndInterning:
     agent-local calls, each exchange participant's next database and each
     situation's service-call branches for its whole life."""
 
-    @pytest.mark.parametrize("name", ["ticket3-abstract", "ticket-flat-200", "ping-ordered"])
+    @pytest.mark.parametrize("name", ["ticket3-abstract", "ticket-flat-200", "ping-ordered",
+                                      "registry-abstract"])
     def test_memoized_answers_equal_fresh_ones(self, ticket_spec, ping_spec, name):
         spec, cfg = _flat_builds(ticket_spec, ping_spec, name)
         warm = Builder(spec, cfg)
@@ -823,21 +868,20 @@ class TestMemoAndInterning:
         assert under_consts != want  # the passive pool changes some branches
 
     @pytest.mark.parametrize("name", [
-        "ticket3-abstract", "ticket-flat-200", "ping-ordered", "self-and-other",
-        "switched-spec"])
+        "ticket3-abstract", "ticket-flat-200", "ping-ordered", "registry-abstract",
+        "self-and-other", "switched-spec", "direct-roster"])
     def test_kept_next_databases_equal_uncached_ones(self, ticket_spec, ping_spec, name):
         # an answer kept under a key that left out something the participant
         # reads would reach a later state, or a later exchange of the same
         # state, that the uncached builder answers afresh
         spec, cfg = {
-            "ticket3-abstract": (_ticket3_spec(), BuildConfig(mode=MODE_ABSTRACT)),
-            "ticket-flat-200": (ticket_spec, BuildConfig(mode=MODE_FB_FLAT, max_states=200)),
-            "ping-ordered": (_ping_ordered(ping_spec), BuildConfig(mode=MODE_ABSTRACT)),
             "self-and-other": (install_institutional(parse_spec(SELF_AND_OTHER)),
                                BuildConfig(mode=MODE_CONCRETE)),
             "switched-spec": (install_institutional(parse_spec(SWITCHED_SPEC)),
                               BuildConfig(mode=MODE_CONCRETE)),
-        }[name]
+            "direct-roster": (install_institutional(parse_spec(DIRECT_ROSTER)),
+                              BuildConfig(mode=MODE_CONCRETE)),
+        }.get(name) or _flat_builds(ticket_spec, ping_spec, name)
         ts = build_transition_system(spec, cfg)
         kept, uncached = _kept_and_uncached_successors(spec, cfg, ts.states)
         assert kept == uncached
@@ -999,6 +1043,27 @@ class TestMemoAndInterning:
         with pytest.raises(BuildError, match="registered under two specs"):
             b.step_successors(b.initial_state())
 
+    def test_an_agent_registered_again_gets_its_first_database(self):
+        # readd writes hasSpec without newAg: p comes back with W() and its
+        # name, not with the Poked() it held before drop removed it
+        spec = install_institutional(parse_spec(DIRECT_ROSTER))
+        b = Builder(spec, BuildConfig(mode=MODE_CONCRETE))
+        ts = b.build()
+        first = b.initial_state().db(agent("p"))
+        assert first.facts == {("MyName", (agent("p"),)), ("W", ())}
+
+        def inst_has(s, rel):
+            return any(f[0] == rel for f in s.inst_db().facts)
+
+        left = [s for s in ts.states if inst_has(s, "Left") and not inst_has(s, "Back")]
+        back = [s for s in ts.states if inst_has(s, "Back")]
+        assert left and all(s.db(agent("p")) is None for s in left)
+        assert back and all(s.db(agent("p")) is first for s in back)
+        # p was poked before it left on some path
+        assert any(("Poked", ()) in s.db(agent("p")).facts
+                   for s in ts.states if not inst_has(s, "Left"))
+        assert (len(ts.states), len(ts.edges)) == (4, 5)
+
     def test_databases_are_interned(self, ticket_spec, ping_spec, registry_spec):
         builds = _dedup_builds(ticket_spec, ping_spec) + [
             ("registry-abstract", registry_spec, BuildConfig(mode=MODE_ABSTRACT)),
@@ -1135,6 +1200,22 @@ class TestSeenOrder:
         assert counts[0] == counts[1]
         assert (counts[0]["enabled"], counts[0]["accept"], counts[0]["participant"]) == (
             59, 56, 82)
+
+    def test_a_participant_no_rule_reacts_to_adds_no_entries(self):
+        # no client rule reacts to a client's own askTicket or cMsg, and no
+        # inst rule to inst's goCritical: those participants keep their
+        # databases without a key
+        b = Builder(_ticket3_spec(), BuildConfig(mode=MODE_ABSTRACT))
+        b.build()
+        counts = collections.Counter(k[0] for k in b._memo)
+        assert (counts["enabled"], counts["accept"], counts["participant"]) == (
+            205, 523, 1278)
+        groups = {k[1:4] for k in b._memo if k[0] == "participant"}
+        assert all(any((s, d, m) in b.rules_by_msg for d in dirs) for s, dirs, m in groups)
+        silent = {("client", (ON_SEND,), "askTicket"), ("client", (ON_SEND,), "cMsg"),
+                  ("instSpec", (ON_SEND,), "goCritical")}
+        assert not any((s, d, m) in b.rules_by_msg for s, (d,), m in silent)
+        assert not groups & silent
 
 
 class TestFlatOrder:

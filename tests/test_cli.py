@@ -88,6 +88,15 @@ spec instSpec institutional {
         bad.write_text("type ^ string\n")
         assert run_cli("check", str(bad)).returncode == 2
 
+    def test_a_non_ascii_digit_exits_two(self, tmp_path):
+        bad = tmp_path / "digit.rmas"
+        # an Arabic-Indic digit three, which is not read as 3
+        bad.write_text("type Num rational\nfacet NF of Num\nspec instSpec institutional {\n"
+                       "  relation R(NF)\n  init R(\u0663)\n}\n", encoding="utf-8")
+        out = run_cli("check", str(bad))
+        assert out.returncode == 2
+        assert "5:10: unexpected character '\u0663'" in out.stderr.decode()
+
     def test_package_runs_as_a_module(self):
         # `python -m rmas` is the `rmas` command, report and exit code alike
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(

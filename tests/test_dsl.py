@@ -71,6 +71,11 @@ class TestTicketGolden:
         )
 
 
+# a number literal written with an Arabic-Indic digit three
+ARABIC_THREE = ("type Num rational\nfacet NF of Num\nspec instSpec institutional {\n"
+                "  relation R(NF)\n  init R(\u0663)\n}\n")
+
+
 class TestErrors:
     def test_malformed_rule_keyword_location(self):
         text = "spec instSpec institutional {\n  on ping(g) mangled a if true then x(g)\n}\n"
@@ -129,6 +134,17 @@ class TestErrors:
         with pytest.raises(ParseError) as err:
             parse_property("mu Z.\n  ^ | <>Z", load_corpus("ping"))
         assert (err.value.line, err.value.col, err.value.msg) == (2, 3, "unexpected character '^'")
+
+    def test_a_non_ascii_digit_is_an_unexpected_character(self):
+        # numbers take ASCII digits only, as identifiers do: an Arabic-Indic
+        # three is not read as 3, and ends a number that precedes it
+        with pytest.raises(ParseError) as err:
+            parse_spec(ARABIC_THREE)
+        assert (err.value.line, err.value.col, err.value.msg) == (
+            5, 10, "unexpected character '\u0663'")
+        with pytest.raises(ParseError) as err:
+            tokenize("x = 1\u0663")
+        assert (err.value.line, err.value.col) == (1, 6)
 
 
 class TestDesugaring:
@@ -356,11 +372,11 @@ LEXED_FILES = sorted([*CORPUS.glob("*.rmas"), *CORPUS.glob("props/**/*.mlp"),
 # pieces of text the lexer takes, and characters it must refuse
 ACCEPTED = [
     "spec", "x_1", "_", "A9", "exists", "inst", "0", "-12", "3.25", "-1/2", "1.5/2",
-    "1/0", "٣", '"a b"', '""', '"#"', "~>", "->", "!=", "<=", ">=", "<>", "[]", "(", ")",
+    "1/0", '"a b"', '""', '"#"', "~>", "->", "!=", "<=", ">=", "<>", "[]", "(", ")",
     "{", "}", "[", "]", ",", ".", ":", "=", "<", ">", "!", "&", "|", "@",
     " ", "   ", "\t", "\r", "\x0b", "\xa0", "\n", "\r\n", "\n\n", "# note", "#", "# (\t) ]",
 ]
-REJECTED = ["$", "^", "?", "'", '"open', "-", "~", "é", "\x00", "\u2028x$"]
+REJECTED = ["$", "^", "?", "'", '"open', "-", "~", "é", "٣", "\x00", "\u2028x$"]
 
 
 def lexed(tokenize, text: str):
