@@ -42,12 +42,14 @@ memo cannot outlive the layer, since the passive pools that recycling draws
 from come from the layer's snapshot of the objects used so far.
 What lives for one step only (`_StepCache`): the state's databases by agent,
 its active objects and passive pools, the indexes over the databases the
-step's queries read, its dense order, and the one successor of every
-exchange that calls no service and changes no database: the state under
-its dense order in flat modes, the state itself otherwise.
+step's queries read, and its dense order and that order's key.
 `step_successors` makes the step and passes it to every per-step method
 (`enabled_messages`, `collect_reactions`, `get_facts`, `_exchange` and the
 service-result branches); a caller outside a build makes its own.
+Skipped, since it cannot change a successor: (1) the unchanged successor of
+all but a step's first exchange that changes nothing; (2) evaluating a true
+condition or guard; (3) the acceptance check (and memo entry) of a spec with
+no constraints, unless conformance is checked; (4) an unset state bound.
 """
 
 from __future__ import annotations
@@ -185,13 +187,18 @@ def make_state(dbs: dict[DataObject, Database], order_db: Optional[Database]) ->
 def collector_paused() -> Iterator[None]:
     """Run the body with the cyclic garbage collector paused.  A build or a
     check makes many objects and no reference cycles, so a collection would
-    only walk its heap."""
+    only walk its heap.  Then a freeze and a thaw hand every object to the
+    oldest generation unwalked, unless objects are frozen already."""
     was_enabled = gc.isenabled()
+    hand_off = gc.get_freeze_count() == 0
     gc.disable()
     try:
         yield
     finally:
         if was_enabled:
+            if hand_off:
+                gc.freeze()
+                gc.unfreeze()
             gc.enable()
 
 
@@ -264,18 +271,20 @@ class Builder:
         # runs plans
         plans: dict[tuple, Q.Plan] = {}
 
-        def plan(q, ctx, seeds, param_types=None, inputs=()) -> Q.Plan:
+        def plan(q, ctx, seeds, param_types=None, inputs=(), literal=False) -> Optional[Q.Plan]:
             typed, var_types = Q.typecheck_query(q, ctx, param_types=param_types,
                                                  seed_types=seeds)
             key = (typed, tuple(sorted(var_types.items())), frozenset(inputs))
             got = plans.get(key)
             if got is None:
                 got = plans[key] = Q.compile_query(typed, var_types, inputs)
-            return got
+            return None if literal and isinstance(typed, Q.TrueQ) else got
 
         self.comm_plans: dict[str, list[tuple[CommRule, Q.Plan]]] = {}
-        self.rules_by_msg: dict[tuple[str, str, str], list[tuple[UpdateRule, Q.Plan]]] = {}
-        self.guard_plans: dict[tuple[str, str], list[Q.Plan]] = {}
+        # a literal true condition or guard has the plan None
+        self.rules_by_msg: dict[tuple[str, str, str],
+                                list[tuple[UpdateRule, Optional[Q.Plan]]]] = {}
+        self.guard_plans: dict[tuple[str, str], list[Optional[Q.Plan]]] = {}
         self.constraint_plans: dict[str, list[Q.Plan]] = {}
         # for the builder's life: one database per fact set, each one's
         # objects by type, each order's ranked objects, and the answers of
@@ -297,13 +306,16 @@ class Builder:
                 seeds = spec.messages[rule.message].var_types(
                     rule.payload_vars, rule.peer_var, spec.facets)
                 self.rules_by_msg.setdefault((sname, rule.direction, rule.message), []).append(
-                    (rule, plan(rule.condition, ctx, seeds, inputs=seeds)))
+                    (rule, plan(rule.condition, ctx, seeds, inputs=seeds, literal=True)))
             for aname, act in ag.actions.items():
                 ptypes = {p: spec.facets[f].base_type for p, f in act.params}
                 self.guard_plans[(sname, aname)] = [
-                    plan(eff.guard, ctx, {}, ptypes) for eff in act.effects
+                    plan(eff.guard, ctx, {}, ptypes, literal=True) for eff in act.effects
                 ]
             self.constraint_plans[sname] = [plan(c, ctx, {}) for c in ag.constraints]
+        # specs whose candidates have nothing to check
+        self._unchecked = frozenset() if self.config.check_conformance else frozenset(
+            s for s, ps in self.constraint_plans.items() if not ps)
         # whether a group of plans reads the order's facts, by the memo kind
         # and the key of the group's plans (see `_seen_order`): never where
         # comparisons run on the carrier
@@ -316,8 +328,8 @@ class Builder:
         # those actions write hasSpec, the only facts that change the roster
         self._reacting: dict[tuple[str, tuple[str, ...], str], tuple[bool, bool]] = {}
         for (s, d, m), ps in self.rules_by_msg.items():
-            reads = self.flat and (any(p.reads_order for _, p in ps) or any(
-                g.reads_order for rule, _ in ps for g in self.guard_plans[(s, rule.action)]))
+            reads = self.flat and (any(p and p.reads_order for _, p in ps) or any(
+                g and g.reads_order for rule, _ in ps for g in self.guard_plans[(s, rule.action)]))
             writes = any(tpl.rel == M.HASSPEC_REL for rule, _ in ps
                          for eff in spec.agent_specs[s].actions[rule.action].effects
                          for tpl in eff.adds + eff.dels)
@@ -446,7 +458,7 @@ class Builder:
         for rule, plan in self.rules_by_msg.get((sname, direction, message), ()):
             binding = {rule.peer_var: peer}
             binding.update(dict(zip(rule.payload_vars, payload)))
-            if not Q.eval_query(plan, ix, step.order, binding=binding):
+            if plan and not Q.eval_query(plan, ix, step.order, binding=binding):
                 continue
             act = ag.actions[rule.action]
             args = tuple(
@@ -471,7 +483,7 @@ class Builder:
             act = ag.actions[aname]
             values = {p: v for (p, _), v in zip(act.params, args)}
             for eff, plan in zip(act.effects, self.guard_plans[(sname, aname)]):
-                for theta in Q.eval_query(plan, ix, step.order, params=values):
+                for theta in Q.eval_query(plan, ix, step.order, params=values) if plan else ({},):
                     for tpl in eff.adds:
                         to_add.add(_ground_template(tpl, theta, values))
                     for tpl in eff.dels:
@@ -592,7 +604,8 @@ class Builder:
         """state's successors, from one `_StepCache` that every per-step
         method takes.  layer, if given, holds the successors of each state
         core already expanded under used_snapshot: a state whose core is
-        there gets them, and a state expanded here adds its own."""
+        there gets them, and a state expanded here adds its own.  Only the
+        first exchange that changes nothing adds the unchanged successor."""
         step = _StepCache(self, state, used_snapshot)
         core = step.core() if layer is not None else None
         out = layer.get(core) if core is not None else None
@@ -602,19 +615,24 @@ class Builder:
         specs = dict(cur_as)
         active = set(specs)
         out = []
+        noop = False  # whether out holds the unchanged successor
         for sender, s_spec in cur_as:
             for message, payload, target in self.enabled_messages(
                     step, sender, s_spec, active):
-                t_spec = specs[target]
-                out.extend(self._exchange(
-                    step, sender, s_spec, target, t_spec, message, payload))
+                succs = self._exchange(
+                    step, sender, s_spec, target, specs[target], message, payload)
+                if succs is None:
+                    succs, noop = [] if noop else [step.unchanged()], True
+                out.extend(succs)
         if core is not None:
             layer[core] = out
         return out
 
     def _exchange(
         self, step, sender, s_spec, target, t_spec, message, payload,
-    ) -> list[SystemState]:
+    ) -> Optional[list[SystemState]]:
+        """The successors of one exchange, or None where it calls no service
+        and changes no database."""
         if sender == target:
             participants = [(sender, s_spec, (M.ON_SEND, M.ON_RECEIVE), sender)]
         else:
@@ -661,7 +679,7 @@ class Builder:
                 continue
             pend[agent] = nxt
         if not calls and not pend:
-            return [step.unchanged()]
+            return None
 
         if self.config.check_conformance:
             for tok in sorted(calls, key=CallToken.sort_key):
@@ -722,6 +740,8 @@ class Builder:
         return out
 
     def _acceptable(self, sname: str, cand: Database, order) -> bool:
+        if sname in self._unchecked:
+            return True
         key = ("accept", sname, cand.facts, self._seen_order(order, cand)
                if self._reads_order[("accept", sname)] else None)
         ok = self._memo.get(key)
@@ -738,14 +758,18 @@ class Builder:
         return ok
 
     def _note_used(self, used: dict[str, set[DataObject]], state: SystemState,
-                   noted: set[frozenset[Fact]]) -> None:
+                   noted: set[frozenset[Fact]]) -> int:
         """Add the objects of state's databases to used, reading only the
-        fact sets not in noted, which it then holds."""
+        fact sets not in noted, which it then holds; the most any of those
+        stores (`_stored`)."""
+        most = 0
         for _, db in state.agent_dbs:
             if db.facts not in noted:
                 noted.add(db.facts)
+                most = max(most, _stored(db))
                 for t, objs in self._objects_by_type(db).items():
                     used[t].update(objs)
+        return most
 
     def _check_bound(self, state: SystemState) -> None:
         b = self.config.state_bound
@@ -772,8 +796,9 @@ class Builder:
         # const_domain has a key for every type of the spec
         used = {t: set(objs) for t, objs in self.const_domain.items()}
         noted: set[frozenset[Fact]] = set()  # the fact sets read into used
-        self._note_used(used, s0, noted)
+        max_adom = self._note_used(used, s0, noted)
 
+        bounded = self.config.state_bound is not None
         frontier = [0]
         depth = 0
         peak = 1
@@ -787,7 +812,8 @@ class Builder:
             next_frontier: list[int] = []
             for sid in frontier:
                 for succ in self.step_successors(ts.states[sid], snapshot, layer):
-                    self._check_bound(succ)
+                    if bounded:
+                        self._check_bound(succ)
                     key = state_key(succ)
                     tid = index.get(key)
                     if tid is None:
@@ -799,7 +825,7 @@ class Builder:
                         ts.states.append(succ)
                         index[key] = tid
                         next_frontier.append(tid)
-                        self._note_used(used, succ, noted)
+                        max_adom = max(max_adom, self._note_used(used, succ, noted))
                     edges.add((sid, tid))
             frontier = next_frontier
             peak = max(peak, len(frontier))
@@ -807,9 +833,6 @@ class Builder:
 
         ts.edges = sorted(edges)
         ts.truncated = truncated
-        # states share their databases: measure each one once
-        dbs = {id(db): db for s in ts.states for _, db in s.agent_dbs}
-        max_adom = max(map(_stored, dbs.values()), default=0)
         ts.stats = {
             "states": len(ts.states),
             "edges": len(ts.edges),
@@ -823,9 +846,8 @@ class Builder:
 class _StepCache:
     """What one exploration step reuses: the state's databases by agent, its
     order source, an index per database it reads, the order of its dense
-    objects, each type's passive pool and the successor of an exchange that
-    changes nothing, each built on first use and dropped with the step, so
-    no retained state carries them."""
+    objects and its key, and each type's passive pool, each built on first
+    use and dropped with the step, so no retained state carries them."""
 
     def __init__(self, builder: Builder, state: SystemState,
                  used: Optional[dict[str, set[DataObject]]] = None) -> None:
@@ -838,7 +860,7 @@ class _StepCache:
         self._active: dict[str, frozenset[DataObject]] = {}
         self._dense_order: Optional[tuple[dict[str, list[DataObject]], Optional[Database]]] = None
         self._passive: dict[str, frozenset[DataObject]] = {}
-        self._unchanged: Optional[SystemState] = None
+        self._dense_key: Optional[tuple] = None
 
     def index(self, db: Database) -> Q.DbIndex:
         ix = self._indexes.get(id(db))
@@ -865,10 +887,9 @@ class _StepCache:
         """The successor of an exchange that calls no service and changes no
         database: the state under its dense order in flat modes, the state
         itself otherwise."""
-        if self._unchanged is None:
-            self._unchanged = SystemState(self.state.agent_dbs, self.dense_order()[1]) \
-                if self.builder.flat else self.state
-        return self._unchanged
+        if self.builder.flat:
+            return SystemState(self.state.agent_dbs, self.dense_order()[1])
+        return self.state
 
     def dense_order(self) -> tuple[dict[str, list[DataObject]], Optional[Database]]:
         """The active objects of each dense type, lowest first, and in flat
@@ -904,10 +925,12 @@ class _StepCache:
 
     def dense_key(self) -> tuple:
         """What the dense order is read from: the order's facts in flat
-        modes, and each dense type's active objects."""
-        b = self.builder
-        return (self.order.order_db.facts if b.flat else None,
-                tuple(self.active(t) for t in b.dense_types))
+        modes, and each dense type's active objects; built once per step."""
+        if self._dense_key is None:
+            b = self.builder
+            self._dense_key = (self.order.order_db.facts if b.flat else None,
+                               tuple(self.active(t) for t in b.dense_types))
+        return self._dense_key
 
     def less(self, t: str):
         """The state's strict order on dense type t."""

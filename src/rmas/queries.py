@@ -849,8 +849,8 @@ class _Compiler:
             join, unit = (_both, TrueQ()) if isinstance(q, And) else (_either, Not(TrueQ()))
             return reduce(join, [self.test(p, scope, bound) for p in q.parts or (unit,)])
         if isinstance(q, Exists):
-            inner, body = self.binders(q, scope)
-            return self.node(body, inner, bound, _stop)
+            inner, body, vacuous = self.binders(q, scope)
+            return self.node(body, inner, bound, self.enumerate(vacuous, _stop))
         if self.ranges_var(q):
             return self.test(Not(self.negate(q)), scope, bound)
         if isinstance(q, Forall):
@@ -1022,19 +1022,25 @@ class _Compiler:
 
         return fn
 
-    def binders(self, q: Exists, scope: dict[str, int]) -> tuple[dict[str, int], Query]:
-        """A nested chain of Exists as one scope with a slot per binder."""
+    def binders(self, q: Exists, scope: dict[str, int]) -> tuple[dict, Query, list[int]]:
+        """A nested chain of Exists as one scope with a slot per binder, its
+        body, and the slots of the binders the body does not read: those
+        still range over their universes, so hold nowhere if one is empty."""
         inner = dict(scope)
+        slots = []
         while isinstance(q, Exists):
             inner[q.var] = self.slot(q.var, q.type_name)
+            slots.append(inner[q.var])
             q = q.body
-        return inner, q
+        free = self.free(q, inner)
+        return inner, q, [s for s in slots if s not in free]
 
     def exists(self, q: Exists, scope, bound, cont: Node) -> Node:
         out = tuple(sorted(self.free(q, scope) - bound))
-        inner, body = self.binders(q, scope)
+        inner, body, vacuous = self.binders(q, scope)
         seen = self.slot("|exists")
-        body_fn = self.node(body, inner, bound, self._dedup(out, seen, cont))
+        body_fn = self.node(body, inner, bound,
+                            self.enumerate(vacuous, self._dedup(out, seen, cont)))
 
         def fn(run: _Run, env: list) -> bool:
             env[seen] = set()

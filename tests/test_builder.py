@@ -1209,7 +1209,7 @@ class TestSeenOrder:
         b.build()
         counts = collections.Counter(k[0] for k in b._memo)
         assert (counts["enabled"], counts["accept"], counts["participant"]) == (
-            205, 523, 1278)
+            205, 508, 1278)
         groups = {k[1:4] for k in b._memo if k[0] == "participant"}
         assert all(any((s, d, m) in b.rules_by_msg for d in dirs) for s, dirs, m in groups)
         silent = {("client", (ON_SEND,), "askTicket"), ("client", (ON_SEND,), "cMsg"),
@@ -1347,3 +1347,151 @@ class TestLayerMemo:
         finally:
             (gc.enable if was else gc.disable)()
         assert seen and not any(seen)
+
+    def test_a_build_hands_its_objects_to_the_oldest_generation(self, ticket_spec):
+        # so the first young collection after the build does not walk them;
+        # not where objects are frozen already (Python 3.12 starts so)
+        handed = gc.get_freeze_count() == 0
+        was = gc.isenabled()
+        try:
+            gc.enable()
+            ts = build_transition_system(ticket_spec, BuildConfig(mode=MODE_ABSTRACT))
+            oldest = {id(o) for o in gc.get_objects(generation=2)}
+        finally:
+            (gc.enable if was else gc.disable)()
+        assert len(ts.states) > 10
+        if handed:
+            assert all(id(s) in oldest for s in ts.states)
+
+    def test_a_callers_frozen_objects_stay_frozen(self, ticket_spec):
+        was = gc.isenabled()
+        gc.enable()
+        gc.freeze()
+        try:
+            frozen = gc.get_freeze_count()
+            assert build_transition_system(ticket_spec, BuildConfig(mode=MODE_ABSTRACT)).states
+            assert gc.isenabled() and gc.get_freeze_count() == frozen > 0
+        finally:
+            gc.unfreeze()
+            (gc.enable if was else gc.disable)()
+
+
+class _EveryUnchanged(Builder):
+    """A builder that adds the unchanged successor once for each exchange
+    that calls no service and changes no database."""
+
+    def _exchange(self, step, *args):
+        out = super()._exchange(step, *args)
+        return [step.unchanged()] if out is None else out
+
+
+class _EvaluatesTrue(Builder):
+    """A builder that evaluates a condition or guard that is the literal
+    true like any other."""
+
+    def _prepare(self):
+        super()._prepare()
+        true = Q.compile_query(Q.TrueQ(), {})
+        self.rules_by_msg = {k: [(rule, p or true) for rule, p in ps]
+                             for k, ps in self.rules_by_msg.items()}
+        self.guard_plans = {k: [p or true for p in ps] for k, ps in self.guard_plans.items()}
+
+
+class TestSkippedWork:
+    """A step skips what cannot change a successor: a second exchange that
+    changes nothing, the evaluation of a literal true, and the acceptance
+    check of a spec with nothing to check."""
+
+    def test_a_step_adds_its_unchanged_successor_once(self):
+        # c1 is critical, c2 and c3 busy-wait with cMsg, and inst tells c1
+        # to go critical again: three exchanges change nothing
+        spec, cfg = _ticket3_spec(), BuildConfig(mode=MODE_ABSTRACT)
+
+        def successors(b):
+            s0 = b.initial_state()
+            dbs = dict(s0.agent_dbs)
+            dbs[agent("inst")] = s0.inst_db().apply(adds=[
+                ("inCritical", (agent("c1"),)), ("hasTicket", (agent("c2"), rt(2))),
+                ("hasTicket", (agent("c3"), rt(3)))], dels=[])
+            dbs[agent("c1")] = dbs[agent("c1")].apply(adds=[("InC", ())], dels=[])
+            for c, t in (("c2", 2), ("c3", 3)):
+                dbs[agent(c)] = dbs[agent(c)].apply(adds=[("HasT", (rt(t),))], dels=[])
+            # a database the build meets is the builder's one with its facts
+            state = make_state({a: b._intern(d) for a, d in dbs.items()},
+                               B._order_db({"Real": [rt(2), rt(3)]}))
+            same = state_key(B._StepCache(b, state).unchanged())
+            return same, list(map(state_key, b.step_successors(state)))
+
+        same, got = successors(Builder(spec, cfg))
+        _, every = successors(_EveryUnchanged(spec, cfg))
+        assert got.count(same) == 1 and every.count(same) == 3
+        first = every.index(same)
+        assert got == [k for i, k in enumerate(every) if k != same or i == first]
+        assert len(got) > 1
+
+    def test_a_literal_true_is_never_evaluated(self, monkeypatch):
+        # the plans of true by id; holding them keeps each id unique
+        trues, evaluated = {}, collections.Counter()
+        compile_query, eval_query = Q.compile_query, Q.eval_query
+
+        def compile_(q, var_types, inputs=()):
+            plan = compile_query(q, var_types, inputs)
+            if isinstance(q, Q.TrueQ):
+                trues[id(plan)] = plan
+            return plan
+
+        def eval_(plan, *args, **kwargs):
+            evaluated[id(plan) in trues] += 1
+            return eval_query(plan, *args, **kwargs)
+
+        monkeypatch.setattr(Q, "compile_query", compile_)
+        monkeypatch.setattr(Q, "eval_query", eval_)
+        spec, cfg = _ticket3_spec(), BuildConfig(mode=MODE_ABSTRACT)
+        ts = Builder(spec, cfg).build()
+        assert evaluated[False] > 0 and evaluated[True] == 0
+        skipped = evaluated[False]
+        both = _EvaluatesTrue(spec, cfg).build()
+        assert evaluated[True] > 0 and evaluated[False] == 2 * skipped
+        assert [state_key(s) for s in ts.states] == [state_key(s) for s in both.states]
+        assert ts.edges == both.edges
+
+    def test_a_spec_without_constraints_keeps_no_acceptance(self, ticket_spec):
+        b = Builder(_ticket3_spec(), BuildConfig(mode=MODE_ABSTRACT))
+        b.build()
+        accepted = {k[1] for k in b._memo if k[0] == "accept"}
+        assert not b.spec.agent_specs["client"].constraints
+        assert accepted == {"instSpec"}
+        # under conformance a client's candidate is still checked
+        b = Builder(ticket_spec, BuildConfig(mode=MODE_CONCRETE,
+                                             pools=rational_pool("Real", [1, 2])))
+        c1 = b.initial_state().db(agent("c1"))
+        bogus = c1.apply(adds=[("Bogus", (agent("c1"),))], dels=[])
+        assert b._acceptable("client", c1, Q.CarrierOrder())
+        assert not b._acceptable("client", bogus, Q.CarrierOrder())
+        assert {k[1] for k in b._memo if k[0] == "accept"} == {"client"}
+
+    @pytest.mark.parametrize("name", ["contract_net", "ping", "registry", "ticket_mutex"])
+    def test_max_agent_adom_is_the_most_any_state_stores(self, name):
+        spec = load_corpus(name)
+        pools = {**rational_pool("Real", [1, 2]), **rational_pool("Price", [1, 2]),
+                 "agent": (agent("w1"), agent("w2"))}
+        for mode in B.MODES:
+            cfg = BuildConfig(mode=mode, max_states=300, pools=pools)
+            ts = build_transition_system(spec if mode == MODE_CONCRETE else compile_shallow(spec),
+                                         cfg)
+            assert ts.stats["max_agent_adom"] == max(
+                B._stored(db) for s in ts.states for _, db in s.agent_dbs), (name, mode)
+
+    @pytest.mark.parametrize("name,bound,size", [
+        ("ticket_mutex", 4, 5), ("ticket_mutex", 5, 6), ("registry", 3, 4)])
+    def test_a_state_bound_raises_where_it_did(self, name, bound, size):
+        # the initial state breaks the first bound, a successor the others
+        spec, cfg = load_corpus(name), BuildConfig(mode=MODE_ABSTRACT)
+        with pytest.raises(StateBoundExceeded) as err:
+            build_transition_system(spec, replace(cfg, state_bound=bound))
+        assert (err.value.agent, err.value.size) == ("inst", size)
+        # a bound that every state meets changes nothing
+        ts = build_transition_system(spec, cfg)
+        bounded = build_transition_system(
+            spec, replace(cfg, state_bound=ts.stats["max_agent_adom"]))
+        assert export_jsonl(bounded) == export_jsonl(ts)

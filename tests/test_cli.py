@@ -258,6 +258,13 @@ class TestBuild:
                       "--max-states", "1")
         assert out.returncode == 3
 
+    @pytest.mark.parametrize("cap", ["0", "1"])
+    def test_the_initial_state_counts_toward_the_cap(self, cap):
+        # a cap of 0 still keeps the initial state
+        out = run_cli("build", PING, "--mode", "abstract-recycle", "--max-states", cap)
+        assert out.returncode == 3
+        assert b"\nstates: 1\n" in out.stderr and b"\ntruncated: True\n" in out.stderr
+
     def test_state_bound_exit_four(self):
         out = run_cli("build", TICKET, "--mode", "abstract-recycle",
                       "--state-bound", "3")

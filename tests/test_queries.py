@@ -124,6 +124,17 @@ class TestEval:
         q = Q.Exists("x", Q.RelAtom("S", (Var("x"),)))
         assert eval_query(q, Database(), CarrierOrder(), {"x": "Rat"}, NO_CONSTS) == []
 
+    def test_a_binder_the_body_does_not_read_needs_an_object(self):
+        # y is not free in the body, yet exists y holds only where y's type
+        # has an object; the body alone would answer x = a1
+        db = Database.of([("S", (r(1),))])
+        q = Q.Exists("y", Q.RelAtom("S", (Var("x"),)), "Str")
+        assert eval_query(q, db, CarrierOrder(), {"x": "Rat"}, NO_CONSTS) == []
+        assert eval_query(q, db.apply(adds=[("T", (s("a"),))], dels=[]), CarrierOrder(),
+                          {"x": "Rat"}, NO_CONSTS) == [{"x": r(1)}]
+        assert eval_query(Q.Exists("x", Q.TrueQ(), "Rat"), Database(), CarrierOrder(),
+                          {}, NO_CONSTS) == []
+
     def test_constants_of_initial_domain_enter_quantifier_range(self):
         q = Q.Exists("x", Q.EqAtom(Var("x"), Var("x")), "Rat")
         consts = {"Rat": frozenset({r(9)}), "Str": frozenset()}
@@ -395,6 +406,19 @@ def test_reused_binder_names_match_naive():
         assert canon(got) == canon(naive_eval(q, db, CarrierOrder(), types, CONSTS)), q
         checked += 1
     assert checked > 150 and shadowed > 20 and retyped > 15
+
+
+def test_empty_universes_match_naive():
+    # without constants, a type the database does not mention has no object:
+    # a binder whose variable its body never reads then ranges over nothing
+    checked = vacuous = 0
+    for _, q, types, db in typed_random_cases(31, 400):
+        got = eval_query(q, db, CarrierOrder(), types, NO_CONSTS)
+        assert canon(got) == canon(naive_eval(q, db, CarrierOrder(), types, NO_CONSTS)), q
+        checked += 1
+        vacuous += any(isinstance(n, Q.Exists) and n.var not in free_vars(n.body)
+                       for n in _subqueries(q))
+    assert checked > 150 and vacuous > 20
 
 
 def test_parameter_slots_match_substitution():
