@@ -184,16 +184,19 @@ class RmasSpec:
         return Q.SchemaContext(schema=schema, facets=self.facets, types=self.types)
 
 
-def spec_constants(spec: RmasSpec) -> set[DataObject]:
-    """Every data object textually mentioned anywhere in the specification."""
+def spec_constants(spec: RmasSpec, registry: bool = True) -> set[DataObject]:
+    """Every data object textually mentioned anywhere in the specification;
+    with registry False, not those that only the agent declarations and the
+    institutional agent's initial Agent and hasSpec facts mention."""
     out: set[DataObject] = set()
     for f in spec.facets.values():
         out |= f.initial_objects
         if not f.is_base():
             out |= Q.constants(f.formula)
-    for ag in spec.agent_specs.values():
-        for _, args in ag.initial_db:
-            out |= set(args)
+    for sname, ag in spec.agent_specs.items():
+        for rel, args in ag.initial_db:
+            if registry or sname != spec.institutional or rel not in (AGENT_REL, HASSPEC_REL):
+                out |= set(args)
         for c in ag.constraints:
             out |= Q.constants(c)
         for r in ag.comm_rules:
@@ -207,7 +210,7 @@ def spec_constants(spec: RmasSpec) -> set[DataObject]:
                 for tpl in eff.adds + eff.dels:
                     out |= _template_constants(tpl)
     out.add(mk_symbol(AGENT_TYPE, INST_NAME))
-    for name, _ in spec.initial_agents:
+    for name, _ in spec.initial_agents if registry else ():
         out.add(mk_symbol(AGENT_TYPE, name))
     for sname in spec.agent_specs:
         out.add(mk_symbol(SPEC_TYPE, sname))

@@ -1,6 +1,7 @@
 import collections
 import gc
 import itertools
+import random
 from dataclasses import replace
 from fractions import Fraction
 
@@ -469,13 +470,15 @@ class TestDeterminism:
                                              pools=rational_pool("Real", [1, 2])))
         # every comm rule, update rule, effect guard and constraint is typed,
         # and each distinct typed query, with its types and inputs, compiled
-        # once: the spec repeats some of them
+        # once: the spec repeats some of them.  A literal true condition or
+        # guard is never run, so never compiled; the spec has no other true
         assert len(typed) == sum(
             len(ag.comm_rules) + len(ag.update_rules) + len(ag.constraints)
             + sum(len(act.effects) for act in ag.actions.values())
             for ag in b.spec.agent_specs.values())
         assert len(compiled) == len(set(compiled)) < len(typed)
-        assert {q for q, _, _ in compiled} == set(typed)
+        assert Q.TrueQ() in typed
+        assert {q for q, _, _ in compiled} == set(typed) - {Q.TrueQ()}
         before = len(compiled)
         assert len(b.build().states) > 10
         assert len(compiled) == before  # none per state
@@ -819,6 +822,15 @@ def _kept_and_uncached_successors(spec, cfg, states):
     uncached._memo = _Forgetful()
     return ([list(map(state_key, kept.step_successors(s))) for s in states],
             [list(map(state_key, uncached.step_successors(s))) for s in states])
+
+
+class _NoSymmetry(Builder):
+    """A builder that forms no group of interchangeable agents, so it
+    expands every state whose core its layer has not met."""
+
+    def _prepare(self):
+        super()._prepare()
+        self._groups = ()
 
 
 class TestMemoAndInterning:
@@ -1204,8 +1216,9 @@ class TestSeenOrder:
     def test_a_participant_no_rule_reacts_to_adds_no_entries(self):
         # no client rule reacts to a client's own askTicket or cMsg, and no
         # inst rule to inst's goCritical: those participants keep their
-        # databases without a key
-        b = Builder(_ticket3_spec(), BuildConfig(mode=MODE_ABSTRACT))
+        # databases without a key.  Pinned on a builder that expands every
+        # state, as `Builder` did before it derived states from their class
+        b = _NoSymmetry(_ticket3_spec(), BuildConfig(mode=MODE_ABSTRACT))
         b.build()
         counts = collections.Counter(k[0] for k in b._memo)
         assert (counts["enabled"], counts["accept"], counts["participant"]) == (
@@ -1216,6 +1229,16 @@ class TestSeenOrder:
                   ("instSpec", (ON_SEND,), "goCritical")}
         assert not any((s, d, m) in b.rules_by_msg for s, (d,), m in silent)
         assert not groups & silent
+
+    def test_derived_states_add_no_entries(self):
+        # the 152 classes of the 895 states are expanded, the other states
+        # derived from them: they read no memo key
+        b = Builder(_ticket3_spec(), BuildConfig(mode=MODE_ABSTRACT))
+        b.build()
+        counts = collections.Counter(k[0] for k in b._memo)
+        assert (counts["enabled"], counts["accept"], counts["participant"]) == (
+            105, 171, 424)
+        assert len(b._classes) == 152
 
 
 class TestFlatOrder:
@@ -1495,3 +1518,163 @@ class TestSkippedWork:
         bounded = build_transition_system(
             spec, replace(cfg, state_bound=ts.stats["max_agent_adom"]))
         assert export_jsonl(bounded) == export_jsonl(ts)
+
+
+def _ticket_clients(names, text=None):
+    """The ticket corpus spec (or text) with clients of these names."""
+    text = text or (CORPUS / "ticket_mutex.rmas").read_text()
+    decl = "agent c1 : client\nagent c2 : client\n"
+    assert decl in text
+    return install_institutional(parse_spec(text.replace(
+        decl, "".join(f"agent {n} : client\n" for n in names))))
+
+
+def _renamed_state(state, rho):
+    """state's facts with each agent a renamed rho.get(a, a), as sets: the
+    agents with their facts, and the order's facts."""
+    def name(o):
+        return rho.get(o, o)
+
+    return (frozenset((name(a), frozenset((rel, tuple(map(name, args))) for rel, args in db.facts))
+                      for a, db in state.agent_dbs),
+            None if state.order_db is None else state.order_db.facts)
+
+
+class _InstBlindKeys(Builder):
+    """A builder whose class keys leave out the hash of the other agents'
+    facts; it counts the expansions it derives and those it refuses."""
+
+    refused = derived = 0
+
+    def _class_key(self, step, order_facts):
+        labels, key = super()._class_key(step, order_facts)
+        return labels, key[:-1]
+
+    def _derive(self, step, got, labels):
+        out = super()._derive(step, got, labels)
+        if out is None:
+            self.refused += 1
+        else:
+            self.derived += 1
+        return out
+
+
+class TestSymmetry:
+    """In the flat modes a state whose class, the states equal to it up to
+    renaming interchangeable agents, was expanded already gets its
+    successors by renaming that expansion: the build is the same."""
+
+    @pytest.mark.parametrize("name,members", [
+        ("contract_net", [("anna", "bert")]), ("ping", []), ("registry", []),
+        ("ticket_mutex", [("c1", "c2")])])
+    @pytest.mark.parametrize("mode,cap", [(MODE_ABSTRACT, None), (MODE_FB_FLAT, 300)])
+    def test_every_corpus_spec_exports_the_same_bytes(self, name, members, mode, cap):
+        # ping's agents run two specs, and registry's reactions write hasSpec
+        spec, cfg = compile_shallow(load_corpus(name)), BuildConfig(mode=mode, max_states=cap)
+        b = Builder(spec, cfg)
+        assert b._groups == tuple(tuple(map(agent, g)) for g in members)
+        ts = b.build()
+        assert export_jsonl(ts) == export_jsonl(_NoSymmetry(spec, cfg).build())
+        # with a group, some state is derived
+        assert (0 < len(b._classes) < len(ts.states)) == bool(members)
+
+    def test_a_state_of_another_class_under_one_key_is_expanded(self):
+        # keys without the hash of inst's facts: the states whose clients
+        # hold the same databases share one, and each expansion checks inst
+        spec, cfg = _ticket3_spec(), BuildConfig(mode=MODE_ABSTRACT)
+        b = _InstBlindKeys(spec, cfg)
+        ts = b.build()
+        assert b.refused and b.derived
+        assert export_jsonl(ts) == export_jsonl(_NoSymmetry(spec, cfg).build())
+
+    @pytest.mark.parametrize("clients", [3, 4])
+    def test_more_clients_export_the_same_bytes(self, clients):
+        spec = _ticket_clients([f"c{i}" for i in range(1, clients + 1)])
+        cfg = BuildConfig(mode=MODE_ABSTRACT)
+        b = Builder(spec, cfg)
+        ts = b.build()
+        assert len(b._groups[0]) == clients
+        assert len(b._classes) * 4 < len(ts.states)  # most states are derived
+        assert export_jsonl(ts) == export_jsonl(_NoSymmetry(spec, cfg).build())
+
+    def test_a_client_that_a_rule_names_is_in_no_group(self):
+        text = (CORPUS / "ticket_mutex.rmas").read_text()
+        rule = "on exitC() from a if inCritical(a) then leaveCritical(a)"
+        assert rule in text
+        spec = _ticket_clients(["c1", "c2", "c3"], text.replace(
+            rule, "on exitC() from a if inCritical(a) | a = c1 then leaveCritical(a)"))
+        cfg = BuildConfig(mode=MODE_ABSTRACT)
+        b = Builder(spec, cfg)
+        assert b._groups == ((agent("c2"), agent("c3")),)
+        assert export_jsonl(b.build()) == export_jsonl(_NoSymmetry(spec, cfg).build())
+
+    def test_a_service_that_takes_an_agent_forms_no_group(self):
+        text = (CORPUS / "ticket_mutex.rmas").read_text()
+        for old, new in [("service getTicket() -> RF", "service getTicket(AF) -> RF"),
+                         ("Assigned(a, getTicket())", "Assigned(a, getTicket(a))")]:
+            assert old in text
+            text = text.replace(old, new)
+        spec = _ticket_clients(["c1", "c2", "c3"], text)
+        assert Builder(spec, BuildConfig(mode=MODE_ABSTRACT))._groups == ()
+        assert Builder(_ticket3_spec(), BuildConfig(mode=MODE_ABSTRACT))._groups
+
+    def test_a_roster_that_changes_forms_no_group(self):
+        # inst retires a client once it leaves the critical section
+        text = (CORPUS / "ticket_mutex.rmas").read_text()
+        rule = "on exitC() from a if inCritical(a) then leaveCritical(a)"
+        assert rule in text
+        spec = _ticket_clients(["c1", "c2", "c3"], text.replace(
+            rule, rule + "\n  on exitC() from a if inCritical(a) then remAg(a)"))
+        cfg = BuildConfig(mode=MODE_ABSTRACT)
+        b = Builder(spec, cfg)
+        assert b._groups == ()
+        ts = b.build()
+        assert any(len(s.agent_dbs) < 4 for s in ts.states)
+        assert export_jsonl(ts) == export_jsonl(_NoSymmetry(spec, cfg).build())
+
+    def test_a_class_met_under_other_passive_pools_is_expanded_again(self):
+        # each state's class is expanded under the constants' pools, then
+        # its mirror (c1 and c2 swapped) is met under the pools of every
+        # object the build used
+        spec, cfg = _ticket3_spec(), BuildConfig(mode=MODE_ABSTRACT)
+        ts = build_transition_system(spec, cfg)
+        kept, fresh = Builder(spec, cfg), Builder(spec, cfg)
+        consts = {t: set(objs) for t, objs in kept.const_domain.items()}
+        used = {t: set(objs) for t, objs in consts.items()}
+        for s in ts.states:
+            kept._note_used(used, s, set())
+        swap = {agent("c1"): agent("c2"), agent("c2"): agent("c1")}
+
+        def mirror(b, s):
+            # a state the build of b could meet holds b's databases
+            return make_state({swap.get(a, a): b._intern(Database(B._renamed(db.facts, swap.get)))
+                               for a, db in s.agent_dbs}, b._intern(s.order_db))
+
+        differ = 0
+        for s in ts.states:
+            kept.step_successors(mirror(kept, mirror(kept, s)), consts, {})
+            got = list(map(state_key, kept.step_successors(mirror(kept, s), used, {})))
+            assert got == list(map(state_key, fresh.step_successors(mirror(fresh, s), used)))
+            differ += got != list(map(state_key, fresh.step_successors(mirror(fresh, s), consts)))
+        assert differ  # the pools change some successors
+
+    @pytest.mark.parametrize("mode", [MODE_CONCRETE, MODE_SHALLOW, MODE_FB])
+    def test_modes_that_are_not_flat_form_no_group(self, mode):
+        cfg = BuildConfig(mode=mode, pools=rational_pool("Real", [1, 2]))
+        assert Builder(_ticket3_spec(), cfg)._groups == ()
+
+    def test_two_namings_build_one_system_up_to_the_renaming(self):
+        # the names are drawn so that their order is not the clients' own:
+        # the BFS then meets the states in another order
+        drawn = ["zu", "ba", "mo"]
+        random.Random(25).shuffle(drawn)
+        rho = {agent(d): agent(f"c{i}") for i, d in enumerate(drawn, 1)}
+        cfg = BuildConfig(mode=MODE_ABSTRACT)
+        plain = build_transition_system(_ticket_clients(["c1", "c2", "c3"]), cfg)
+        other = build_transition_system(_ticket_clients(drawn), cfg)
+        ids = {_renamed_state(s, {}): i for i, s in enumerate(plain.states)}
+        back = [ids[_renamed_state(s, rho)] for s in other.states]
+        assert sorted(back) == list(range(len(plain.states)))
+        assert back != list(range(len(back)))
+        assert sorted((back[a], back[b]) for a, b in other.edges) == plain.edges
+        assert back[other.initial] == plain.initial
