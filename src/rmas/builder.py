@@ -50,24 +50,15 @@ Skipped, since it cannot change a successor: (1) the unchanged successor of
 all but a step's first exchange that changes nothing; (2) evaluating a true
 condition or guard; (3) the acceptance check (and memo entry) of a spec with
 no constraints, unless conformance is checked; (4) an unset state bound.
-Symmetry: agents of one spec that no spec text names but inst's initial
-Agent and hasSpec facts are interchangeable (`_interchangeable`), in the
-flat modes where no reacting action writes hasSpec and no service that a
-rule calls takes or returns an agent.  Renaming them maps a state's
-successors onto the renamed state's.  So the builder expands one state per
-class of states equal up to that renaming, keeps its exchanges, and gives a
-later state of the class, under the same passive pools, the kept successors
-renamed and sorted as its own expansion would be (`_by_symmetry`).  The
-states, edges and exports are those of expanding every state; fewer
-messages, query evaluations and acceptance checks are made (the traced
-`builder.messages`, `queries.evals` and `builder.accept_evals` fall),
-while the steps and successors are the same (`builder.steps`,
-`builder.successors`).
+Symmetry: a flat build expands one state per class of states equal up to
+renaming interchangeable agents (`symmetry`) and derives the other states'
+successors by renaming (`_by_symmetry`).  It builds the system that
+expanding every state builds, with the same steps and successors but fewer
+messages, query evaluations and acceptance checks.
 """
 
 from __future__ import annotations
 
-import collections
 import gc
 import itertools
 import json
@@ -89,6 +80,7 @@ from .data import (
 )
 from . import model as M
 from . import queries as Q
+from . import symmetry
 from .commitments import (
     CallToken,
     CommitmentTuple,
@@ -197,14 +189,22 @@ def make_state(dbs: dict[DataObject, Database], order_db: Optional[Database]) ->
     return SystemState(items, order_db)
 
 
+# the objects frozen that no caller froze: from Python 3.12 on, the
+# interpreter's start-up objects until a hand-off thaws them; else none
+_frozen_unasked = gc.get_freeze_count()
+
+
 @contextmanager
 def collector_paused() -> Iterator[None]:
     """Run the body with the cyclic garbage collector paused.  A build or a
     check makes many objects and no reference cycles, so a collection would
     only walk its heap.  Then a freeze and a thaw hand every object to the
-    oldest generation unwalked, unless objects are frozen already."""
+    oldest generation unwalked, unless a caller has frozen objects.  On
+    Python 3.12 the first thaw also thaws the interpreter's start-up
+    objects, which it froze itself."""
+    global _frozen_unasked
     was_enabled = gc.isenabled()
-    hand_off = gc.get_freeze_count() == 0
+    hand_off = gc.get_freeze_count() <= _frozen_unasked
     gc.disable()
     try:
         yield
@@ -213,6 +213,7 @@ def collector_paused() -> Iterator[None]:
             if hand_off:
                 gc.freeze()
                 gc.unfreeze()
+                _frozen_unasked = 0
             gc.enable()
 
 
@@ -352,46 +353,16 @@ class Builder:
             for dirs in ((d,), (M.ON_SEND, M.ON_RECEIVE)):
                 old = self._reacting.get((s, dirs, m), (False, False))
                 self._reacting[(s, dirs, m)] = (old[0] or reads, old[1] or writes)
-        # the groups of interchangeable agents, the expansion of each class of
-        # states equal up to renaming them, and what `_by_symmetry` keeps to
-        # find and rename one: each member database's signature, the hash of
-        # the other agents' facts under each labeling, and each renaming
-        # with the databases it gave
-        self._groups = self._interchangeable()
-        self._abstracted = dict.fromkeys(itertools.chain(*self._groups), _OTHER)
-        self._classes: dict[tuple, _Expansion] = {}
-        self._hashes: dict[tuple, dict[tuple, int]] = {}
+        # the groups of interchangeable agents and their labeler; the kept
+        # expansions of each class of states equal up to renaming them, by
+        # the passive pools they read; each renaming between two labelings,
+        # and by renaming the images of the fact sets met so far
+        self._groups = symmetry.groups(spec, self.flat and not any(
+            writes for _, writes in self._reacting.values()))
+        self._labeler = symmetry.Labeler(self._groups)
+        self._classes: dict[tuple, dict[frozenset, _Expansion]] = {}
         self._renamings: dict[tuple, tuple] = {}
         self._images: dict[tuple, dict[frozenset[Fact], Database]] = {}
-        self._sigs: dict[DataObject, dict[frozenset[Fact], tuple[int, Optional[frozenset]]]] = {
-            a: {} for a in self._abstracted}
-
-    def _interchangeable(self) -> tuple[tuple[DataObject, ...], ...]:
-        """The groups of interchangeable agents, each in agent order: two or
-        more agents of one spec, not inst, that inst's initial facts register
-        and no spec text names but those facts.  None outside the flat modes,
-        where a reacting action writes hasSpec (the roster is not static) or
-        where an action that a rule calls calls a service that takes or
-        returns an agent."""
-        spec = self.spec
-        if not self.flat or any(writes for _, writes in self._reacting.values()):
-            return ()
-        called = {term.service for ag in spec.agent_specs.values() for rule in ag.update_rules
-                  for eff in ag.actions[rule.action].effects for tpl in eff.adds + eff.dels
-                  for term in tpl.terms if isinstance(term, CallTerm)}
-        if any(spec.facets[f].base_type == AGENT_TYPE for name in called
-               for f in spec.services[name].input_facets + (spec.services[name].output_facet,)):
-            return ()
-        named = M.spec_constants(spec, registry=False)
-        registered = spec.inst_spec.initial_db.facts_for(M.HASSPEC_REL)
-        specs_of = collections.Counter(agent for agent, _ in registered)
-        groups: dict[DataObject, list[DataObject]] = {}
-        for agent, sname in registered:
-            if agent != INST and agent not in named and specs_of[agent] == 1:
-                groups.setdefault(sname, []).append(agent)
-        return tuple(tuple(sorted(g, key=DataObject.sort_key))
-                     for _, g in sorted(groups.items(), key=lambda kv: kv[0].sort_key())
-                     if len(g) > 1)
 
     # -- initial state ----------------------------------------------------------
 
@@ -703,17 +674,21 @@ class Builder:
     def _by_symmetry(self, step: _StepCache, core: tuple) -> list[SystemState]:
         """The step's successors.  Its class is the states equal to it up to
         renaming the members of each group; the builder keeps one expansion
-        per class key (`_class_key`).  One made under the passive pools the
-        step reads, of a state in the step's class, gives them by renaming
-        (`_derive`); else the step is expanded, and its expansion kept."""
-        labels, key = self._class_key(step, core[1])
-        got = self._classes.get(key)
-        out = self._derive(step, got, labels) if got is not None else None
-        if out is not None:
-            return out
+        per class key (`symmetry.Labeler.label`) and passive pools read.
+        One made under the passive pools the step reads, of a state in the
+        step's class, gives them by renaming (`_derive`); else the step is
+        expanded, and its expansion kept."""
+        labels, key = self._labeler.label(*core)
+        kept = self._classes.setdefault(key, {})
+        for pools, got in kept.items():
+            if all(step.passive(t) == pool for t, pool in pools):
+                out = self._derive(step, got, labels)
+                if out is not None:
+                    return out
+                break
         exchanges: list[tuple] = []
         out = self._expand(step, exchanges)
-        kept = []
+        flats = []
         for sender, message, payload, target, succs in exchanges:
             if succs is not None:
                 flat: list = []
@@ -721,83 +696,44 @@ class Builder:
                     flat.append(succ.order_db)
                     flat += [db for _, db in succ.agent_dbs]
                 succs = tuple(flat)
-            kept.append((sender, message, payload, target, succs))
-        self._classes[key] = _Expansion(
-            labels, tuple(step._passive.items()), step.state.agent_dbs,
-            len({x[:2] for x in exchanges}) == len(exchanges), tuple(kept))
+            flats.append((sender, message, payload, target, succs))
+        kept[frozenset(step._passive.items())] = _Expansion(
+            labels, step.state.agent_dbs, tuple(flats))
         return out
-
-    def _class_key(self, step: _StepCache, order_facts: frozenset[Fact]) -> tuple[tuple, tuple]:
-        """The step's canonical labeling and its class's key.  In each group,
-        the members, sorted by the hashes of their databases' signatures
-        (`_signature`) and ties by agent order, take the group's names in
-        agent order; the labeling holds the (member, label) pairs whose
-        label is not the member's name.  The key is order_facts, the
-        members' databases renamed by the labeling in that order (a
-        signature, for one that names no other member), and the hash of the
-        other agents' facts renamed so, kept by the labeling and those facts."""
-        dbs = step.dbs
-        pairs: list[tuple[DataObject, DataObject]] = []
-        ranks = []
-        for group in self._groups:
-            ranked = sorted([(self._signature(a, dbs[a]), a) for a in group],
-                            key=lambda x: x[0][0])
-            ranks += ranked
-            pairs += [(a, label) for (_, a), label in zip(ranked, group) if a is not label]
-        labels = tuple(pairs)
-        to = dict(pairs).get
-        key: list = [order_facts]
-        key += [sig if sig is not None else _renamed(dbs[a].facts, to) for (_, sig), a in ranks]
-        hashes = self._hashes.get(labels)
-        if hashes is None:
-            hashes = self._hashes[labels] = {}
-        others = tuple(db.facts for a, db in step.state.agent_dbs if a not in self._abstracted)
-        h = hashes.get(others)
-        if h is None:
-            h = hashes[others] = hash(tuple(_renamed(f, to) for f in others))
-        key.append(h)
-        return labels, tuple(key)
-
-    def _signature(self, agent: DataObject, db: Database) -> tuple[int, Optional[frozenset]]:
-        """A member's database's signature, its facts with its name and
-        every other member's abstracted: their hash, and the facts unless
-        they name another member (then None).  Kept by agent and facts."""
-        sigs = self._sigs[agent]
-        got = sigs.get(db.facts)
-        if got is None:
-            facts = _renamed(db.facts, {**self._abstracted, agent: _SELF}.get)
-            got = sigs[db.facts] = (hash(facts), None if any(
-                _OTHER in args for _, args in facts) else facts)
-        return got
 
     def _derive(self, step: _StepCache, got: _Expansion,
                 labels: tuple) -> Optional[list[SystemState]]:
-        """The step's successors from got, the expansion kept under the
-        step's class key, renamed by sigma (`_renaming`): the exchanges in
-        the order of the step's own (by sender, then message, payload and
-        target), each changed database renamed and the others the step's
-        own.  None unless sigma maps the other agents' databases of got's
-        state onto the step's too (the key holds only their hash), and the
-        step reads got's passive pools."""
-        if any(step.passive(t) != pool for t, pool in got.pools):
-            return None
+        """The step's successors from got, an expansion kept under the
+        step's class key, renamed by sigma (`symmetry.Labeler.sigma`): the
+        exchanges in the order of the step's own (by sender, then message,
+        payload and target), each changed database renamed and the others
+        the step's own.  None unless sigma maps the other agents' databases
+        of got's state onto the step's too (the key holds only their hash).
+        Kept by the two labelings: sigma as to(a, a), the position of each
+        agent's image (the roster is static, so they hold for every state)
+        and, by fact set, the interned database of its image met so far."""
         agent_dbs = step.state.agent_dbs
-        to, at, images = self._renaming(got.labels, labels, agent_dbs)
+        renaming = self._renamings.get((got.labels, labels))
+        if renaming is None:
+            sigma = self._labeler.sigma(got.labels, labels)
+            at = {a: i for i, (a, _) in enumerate(agent_dbs)}
+            renaming = self._renamings[(got.labels, labels)] = (
+                sigma.get, {a: at[sigma.get(a, a)] for a in at},
+                self._images.setdefault(tuple(sigma.items()), {}))
+        to, at, images = renaming
         for a, old in got.dbs:
-            if a in self._abstracted:
+            if a in self._labeler.members:
                 continue
             db = agent_dbs[at[a]][1]
             if images.get(old.facts) is not db:
-                if _renamed(old.facts, to) != db.facts:
+                if symmetry.renamed(old.facts, to) != db.facts:
                     return None
                 images[old.facts] = db
         out: list[SystemState] = []
         noop = False
         width = len(agent_dbs) + 1
-        for *_, succs in sorted(got.exchanges, key=(
-                lambda x: (at[x[0]], x[1])) if got.stable else (
-                lambda x: (at[x[0]], x[1], tuple(to(o, o).sort_key() for o in x[2]),
-                           to(x[3], x[3]).sort_key()))):
+        for *_, succs in sorted(got.exchanges, key=lambda x: (
+                at[x[0]], x[1], tuple([to(o, o).sort_key() for o in x[2]]), at[x[3]])):
             if succs is None:
                 if not noop:
                     out.append(step.unchanged())
@@ -811,38 +747,15 @@ class Builder:
                         img = images.get(nxt.facts)
                         if img is None:
                             # db is old renamed: rename what the exchange changed
-                            facts = db.facts.difference(_renamed(old.facts - nxt.facts, to)).union(
-                                _renamed(nxt.facts - old.facts, to))
+                            facts = db.facts.difference(
+                                symmetry.renamed(old.facts - nxt.facts, to)).union(
+                                symmetry.renamed(nxt.facts - old.facts, to))
                             img = self._dbs.get(facts)
                             img = images[nxt.facts] = (
                                 img if img is not None else self._intern(Database(facts)))
                         new[at[a]] = name, img
                 out.append(SystemState(tuple(new), succs[k]))
         return out
-
-    def _renaming(self, rep: tuple, labels: tuple, agent_dbs: tuple) -> tuple:
-        """sigma, the map from the agents of a state labeled rep to those of
-        one labeled labels (each member to the member of its label), as
-        to(a, a); the position of each agent's image in agent order; and,
-        by fact set, the interned database of each fact set's image under
-        sigma met so far.  Kept by the two labelings; the roster is static,
-        so the positions hold for every state."""
-        got = self._renamings.get((rep, labels))
-        if got is None:
-            name_of = {label: a for a, label in labels}
-            rep_labels = dict(rep)
-            sigma = {}
-            for a in self._abstracted:
-                label = rep_labels.get(a, a)
-                b = name_of.get(label, label)
-                if b is not a:
-                    sigma[a] = b
-            to = sigma.get
-            at = {a: i for i, (a, _) in enumerate(agent_dbs)}
-            got = self._renamings[(rep, labels)] = (
-                to, {a: at[to(a, a)] for a in at},
-                self._images.setdefault(tuple(sigma.items()), {}))
-        return got
 
     def _exchange(
         self, step, sender, s_spec, target, t_spec, message, payload,
@@ -1157,28 +1070,14 @@ class _StepCache:
 
 class _Expansion(NamedTuple):
     """The expansion of a state kept for its class: the state's labeling,
-    the passive pools its step read and its agents' databases; whether no
-    two of its exchanges have one sender and one message; and its
-    exchanges in order.  An exchange is its sender, message, payload and
-    target, and the order and the databases in agent order of each
-    successor, one after the other; or None for successors where it calls
-    no service and changes no database."""
+    its agents' databases and its exchanges in order.  An exchange is its
+    sender, message, payload and target, and the order and the databases in
+    agent order of each successor, one after the other; or None for
+    successors where it calls no service and changes no database."""
 
     labels: tuple[tuple[DataObject, DataObject], ...]
-    pools: tuple[tuple[str, frozenset[DataObject]], ...]
     dbs: tuple[tuple[DataObject, Database], ...]
-    stable: bool
     exchanges: tuple[tuple, ...]
-
-
-# what a member's signature holds in place of its name and of the names of
-# the other members of its group
-_SELF, _OTHER = 0, 1
-
-
-def _renamed(facts: Iterable[Fact], to) -> frozenset[Fact]:
-    """facts with each argument o replaced by to(o, o)."""
-    return frozenset([(rel, tuple(map(to, args, args))) for rel, args in facts])
 
 
 def _order_db(seqs: dict[str, list[DataObject]]) -> Database:

@@ -9,6 +9,7 @@ import pytest
 
 import rmas.builder as B
 from rmas import queries as Q
+from rmas import symmetry
 from rmas.builder import (
     BuildConfig,
     BuildError,
@@ -1231,14 +1232,14 @@ class TestSeenOrder:
         assert not groups & silent
 
     def test_derived_states_add_no_entries(self):
-        # the 152 classes of the 895 states are expanded, the other states
+        # the 113 classes of the 895 states are expanded, the other states
         # derived from them: they read no memo key
         b = Builder(_ticket3_spec(), BuildConfig(mode=MODE_ABSTRACT))
         b.build()
         counts = collections.Counter(k[0] for k in b._memo)
         assert (counts["enabled"], counts["accept"], counts["participant"]) == (
-            105, 171, 424)
-        assert len(b._classes) == 152
+            84, 144, 316)
+        assert len(b._classes) == 113
 
 
 class TestFlatOrder:
@@ -1372,9 +1373,8 @@ class TestLayerMemo:
         assert seen and not any(seen)
 
     def test_a_build_hands_its_objects_to_the_oldest_generation(self, ticket_spec):
-        # so the first young collection after the build does not walk them;
-        # not where objects are frozen already (Python 3.12 starts so)
-        handed = gc.get_freeze_count() == 0
+        # so the first young collection after the build does not walk them
+        assert gc.get_freeze_count() <= B._frozen_unasked  # no caller froze any
         was = gc.isenabled()
         try:
             gc.enable()
@@ -1382,9 +1382,29 @@ class TestLayerMemo:
             oldest = {id(o) for o in gc.get_objects(generation=2)}
         finally:
             (gc.enable if was else gc.disable)()
-        assert len(ts.states) > 10
-        if handed:
-            assert all(id(s) in oldest for s in ts.states)
+        assert len(ts.states) > 10 and all(id(s) in oldest for s in ts.states)
+
+    def test_objects_frozen_before_the_import_do_not_stop_the_hand_off(
+            self, ticket_spec, monkeypatch):
+        # as on Python 3.12, which starts with objects frozen: the first
+        # hand-off thaws them too, and every later build hands off again
+        was = gc.isenabled()
+        gc.enable()
+        gc.freeze()
+        try:
+            monkeypatch.setattr(B, "_frozen_unasked", gc.get_freeze_count())
+            assert B._frozen_unasked > 0
+            builds = []
+            for _ in range(2):
+                ts = build_transition_system(ticket_spec, BuildConfig(mode=MODE_ABSTRACT))
+                oldest = {id(o) for o in gc.get_objects(generation=2)}
+                assert gc.get_freeze_count() == 0
+                builds.append((ts, oldest))
+        finally:
+            gc.unfreeze()
+            (gc.enable if was else gc.disable)()
+        for ts, oldest in builds:
+            assert len(ts.states) > 10 and all(id(s) in oldest for s in ts.states)
 
     def test_a_callers_frozen_objects_stay_frozen(self, ticket_spec):
         was = gc.isenabled()
@@ -1532,23 +1552,20 @@ def _ticket_clients(names, text=None):
 def _renamed_state(state, rho):
     """state's facts with each agent a renamed rho.get(a, a), as sets: the
     agents with their facts, and the order's facts."""
-    def name(o):
-        return rho.get(o, o)
-
-    return (frozenset((name(a), frozenset((rel, tuple(map(name, args))) for rel, args in db.facts))
+    return (frozenset((rho.get(a, a), symmetry.renamed(db.facts, rho.get))
                       for a, db in state.agent_dbs),
             None if state.order_db is None else state.order_db.facts)
 
 
-class _InstBlindKeys(Builder):
-    """A builder whose class keys leave out the hash of the other agents'
-    facts; it counts the expansions it derives and those it refuses."""
+class _Counting(Builder):
+    """A builder that counts the steps it expands, and the kept expansions
+    it derives successors from and those it refuses."""
 
-    refused = derived = 0
+    expanded = refused = derived = 0
 
-    def _class_key(self, step, order_facts):
-        labels, key = super()._class_key(step, order_facts)
-        return labels, key[:-1]
+    def _expand(self, step, exchanges=None):
+        self.expanded += 1
+        return super()._expand(step, exchanges)
 
     def _derive(self, step, got, labels):
         out = super()._derive(step, got, labels)
@@ -1557,6 +1574,21 @@ class _InstBlindKeys(Builder):
         else:
             self.derived += 1
         return out
+
+
+class _InstBlindLabeler(symmetry.Labeler):
+    """A labeler whose class keys leave out the hash of the other agents'
+    facts."""
+
+    def label(self, agents, order_facts):
+        labels, key = super().label(agents, order_facts)
+        return labels, key[:-1]
+
+
+class _InstBlindKeys(_Counting):
+    def _prepare(self):
+        super()._prepare()
+        self._labeler = _InstBlindLabeler(self._groups)
 
 
 class TestSymmetry:
@@ -1635,10 +1667,11 @@ class TestSymmetry:
     def test_a_class_met_under_other_passive_pools_is_expanded_again(self):
         # each state's class is expanded under the constants' pools, then
         # its mirror (c1 and c2 swapped) is met under the pools of every
-        # object the build used
+        # object the build used; met again under the constants' pools, the
+        # state derives from the expansion kept for those
         spec, cfg = _ticket3_spec(), BuildConfig(mode=MODE_ABSTRACT)
         ts = build_transition_system(spec, cfg)
-        kept, fresh = Builder(spec, cfg), Builder(spec, cfg)
+        kept, fresh = _Counting(spec, cfg), Builder(spec, cfg)
         consts = {t: set(objs) for t, objs in kept.const_domain.items()}
         used = {t: set(objs) for t, objs in consts.items()}
         for s in ts.states:
@@ -1647,15 +1680,20 @@ class TestSymmetry:
 
         def mirror(b, s):
             # a state the build of b could meet holds b's databases
-            return make_state({swap.get(a, a): b._intern(Database(B._renamed(db.facts, swap.get)))
-                               for a, db in s.agent_dbs}, b._intern(s.order_db))
+            return make_state({swap.get(a, a): b._intern(Database(
+                symmetry.renamed(db.facts, swap.get))) for a, db in s.agent_dbs},
+                b._intern(s.order_db))
 
         differ = 0
         for s in ts.states:
-            kept.step_successors(mirror(kept, mirror(kept, s)), consts, {})
+            first = kept.step_successors(mirror(kept, mirror(kept, s)), consts, {})
             got = list(map(state_key, kept.step_successors(mirror(kept, s), used, {})))
             assert got == list(map(state_key, fresh.step_successors(mirror(fresh, s), used)))
             differ += got != list(map(state_key, fresh.step_successors(mirror(fresh, s), consts)))
+            expanded = kept.expanded
+            again = kept.step_successors(mirror(kept, mirror(kept, s)), consts, {})
+            assert kept.expanded == expanded
+            assert list(map(state_key, again)) == list(map(state_key, first))
         assert differ  # the pools change some successors
 
     @pytest.mark.parametrize("mode", [MODE_CONCRETE, MODE_SHALLOW, MODE_FB])
