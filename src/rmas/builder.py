@@ -5,7 +5,8 @@ conformance vs. constraints alone), how service results are chosen (finite
 pools vs. commitment tuples), whether dense comparisons run on the carrier or
 on maintained lessThan facts, and where fresh values come from (synthesis vs.
 recycling of passive objects).  Exploration is a breadth-first closure that
-merges states with equal fact sets; repeated builds are byte-identical.
+merges equal states, each a tuple of frozensets of facts and its own dedup
+key; repeated builds are byte-identical.
 
 What a builder keeps for its whole life: one plan per distinct typed query
 (with its variables' types and inputs), compiled when the builder is made,
@@ -157,10 +158,9 @@ class BuildConfig:
         return self.mode == MODE_CONCRETE
 
 
-@dataclass(frozen=True)
-class SystemState:
+class SystemState(NamedTuple):
     """Databases of the active agents (inst always present) plus, in flat
-    modes, the explicit order-fact database."""
+    modes, the explicit order-fact database; its own dedup key."""
 
     agent_dbs: tuple[tuple[DataObject, Database], ...]  # sorted by agent key
     order_db: Optional[Database] = None
@@ -217,15 +217,14 @@ def collector_paused() -> Iterator[None]:
             gc.enable()
 
 
-def state_key(state: SystemState) -> tuple:
-    """Dedup key: ((agent, fact set) per active agent, order fact set or
-    None without an order database).  Equal keys iff the same agents hold
-    the same facts and the order facts are the same.  The key holds the
-    state's own frozensets, so it copies no fact, and a database reused from
-    the parent state hashes at no cost: a frozenset caches its hash."""
-    order = state.order_db
-    return (tuple((name, db.facts) for name, db in state.agent_dbs),
-            None if order is None else order.facts)
+def state_key(state: SystemState) -> SystemState:
+    """Dedup key: the state itself.  Two states are equal iff the same
+    agents hold the same facts and the order facts are the same, and a
+    database reused from the parent state hashes at no cost: a frozenset
+    caches its hash.  The function stays only because the benchmark's span
+    tracer wraps it and counts one call per successor and per build; ROADMAP
+    item 1 can drop it together with `mucalc.flatten_property`."""
+    return state
 
 
 @dataclass
@@ -306,10 +305,10 @@ class Builder:
         # for the builder's life: one database per fact set, each one's
         # objects by type, each order's ranked objects, and the answers of
         # the agent-local calls
-        self._dbs: dict[frozenset[Fact], Database] = {}
-        self._adoms: dict[frozenset[Fact], dict[str, tuple[DataObject, ...]]] = {}
+        self._dbs: dict[Database, Database] = {}
+        self._adoms: dict[Database, dict[str, tuple[DataObject, ...]]] = {}
         self._memo: dict[tuple, object] = {}
-        self._ranked: dict[frozenset[Fact], frozenset[DataObject]] = {}
+        self._ranked: dict[Database, frozenset[DataObject]] = {}
         self._dense_consts = frozenset().union(
             *(self.const_domain.get(t, ()) for t in self.dense_types))
         for sname, ag in spec.agent_specs.items():
@@ -362,7 +361,7 @@ class Builder:
         self._labeler = symmetry.Labeler(self._groups)
         self._classes: dict[tuple, dict[frozenset, _Expansion]] = {}
         self._renamings: dict[tuple, tuple] = {}
-        self._images: dict[tuple, dict[frozenset[Fact], Database]] = {}
+        self._images: dict[tuple, dict[Database, Database]] = {}
 
     # -- initial state ----------------------------------------------------------
 
@@ -384,13 +383,13 @@ class Builder:
 
     def _intern(self, db: Database) -> Database:
         """The builder's one database with db's facts."""
-        return self._dbs.setdefault(db.facts, db)
+        return self._dbs.setdefault(db, db)
 
     def _objects_by_type(self, db: Database) -> dict[str, tuple[DataObject, ...]]:
         """db's objects by type, read once per fact set; do not mutate."""
-        objs = self._adoms.get(db.facts)
+        objs = self._adoms.get(db)
         if objs is None:
-            objs = self._adoms[db.facts] = {
+            objs = self._adoms[db] = {
                 t: tuple(o) for t, o in Q.objects_by_type(db).items()}
         return objs
 
@@ -402,7 +401,7 @@ class Builder:
         they include every object it ranks, and no fact when they include at
         most one, since `FactOrder.less` never reads a fact to compare an
         object with itself."""
-        facts = order.order_db.facts
+        facts = order.order_db
         ranked = self._ranked.get(facts)
         if ranked is None:
             ranked = self._ranked[facts] = frozenset(o for _, args in facts for o in args)
@@ -420,7 +419,7 @@ class Builder:
     def current_agents(self, inst_db: Database) -> list[tuple[DataObject, str]]:
         """The agents that inst_db registers and their specs, in agent
         order; read once per fact set, a failing one on every call."""
-        key = ("agents", inst_db.facts)
+        key = ("agents", inst_db)
         got = self._memo.get(key)
         if got is None:
             out = []
@@ -449,7 +448,7 @@ class Builder:
         active: set[DataObject],
     ) -> list[tuple[str, tuple[DataObject, ...], DataObject]]:
         db = step.dbs[sender]
-        key = ("enabled", sender, sname, db.facts,
+        key = ("enabled", sender, sname, db,
                self._seen_order(step.order, db) if self._reads_order[("enabled", sname)]
                else None)
         msgs = self._memo.get(key)
@@ -725,10 +724,10 @@ class Builder:
             if a in self._labeler.members:
                 continue
             db = agent_dbs[at[a]][1]
-            if images.get(old.facts) is not db:
-                if symmetry.renamed(old.facts, to) != db.facts:
+            if images.get(old) is not db:
+                if symmetry.renamed(old, to) != db:
                     return None
-                images[old.facts] = db
+                images[old] = db
         out: list[SystemState] = []
         noop = False
         width = len(agent_dbs) + 1
@@ -744,14 +743,13 @@ class Builder:
                 for (a, old), nxt in zip(got.dbs, succs[k + 1:k + width]):
                     if nxt is not old:
                         name, db = agent_dbs[at[a]]
-                        img = images.get(nxt.facts)
+                        img = images.get(nxt)
                         if img is None:
                             # db is old renamed: rename what the exchange changed
-                            facts = db.facts.difference(
-                                symmetry.renamed(old.facts - nxt.facts, to)).union(
-                                symmetry.renamed(nxt.facts - old.facts, to))
+                            facts = db.difference(symmetry.renamed(old - nxt, to)).union(
+                                symmetry.renamed(nxt - old, to))
                             img = self._dbs.get(facts)
-                            img = images[nxt.facts] = (
+                            img = images[nxt] = (
                                 img if img is not None else self._intern(Database(facts)))
                         new[at[a]] = name, img
                 out.append(SystemState(tuple(new), succs[k]))
@@ -783,14 +781,14 @@ class Builder:
             reads, writes = group
             roster = roster or writes
             db = step.dbs[agent]
-            key = ("participant", sname, dirs, message, payload, peer, db.facts,
+            key = ("participant", sname, dirs, message, payload, peer, db,
                    self._seen_order(step.order, db, payload) if reads else None)
             nxt = self._memo.get(key)
             if nxt is None:
                 acts = sorted({a for d in dirs for a in self.collect_reactions(
                     step, agent, sname, d, message, payload, peer)}, key=_instance_key)
                 to_del, to_add = self.get_facts(step, agent, sname, acts)
-                ground = set(db.facts - to_del)
+                ground = set(db - to_del)
                 tokened, toks = [], set()
                 for fact in to_add:
                     fact_toks = [a for a in fact[1] if isinstance(a, CallToken)]
@@ -801,7 +799,7 @@ class Builder:
                         ground.add(fact)
                 nxt = self._memo[key] = (
                     (frozenset(ground), tuple(tokened), tuple(toks), {}) if tokened
-                    else self._intern(Database(frozenset(ground))))
+                    else self._intern(Database(ground)))
             if not isinstance(nxt, Database):
                 calls.update(nxt[2])
             elif nxt is db:
@@ -851,8 +849,8 @@ class Builder:
                 drop = {o for o in sigma.values() if o not in step.active(o.type_name) and not any(
                     o in objs.get(o.type_name, ()) for objs in changed)}
                 if drop:
-                    order_db = self._intern(Database.of(
-                        f for f in order_full.facts
+                    order_db = self._intern(Database(
+                        f for f in order_full
                         if f[1][0] not in drop and f[1][1] not in drop))
             # the same agents are still in the state's order
             out.append(SystemState(tuple(dbs.items()), order_db) if same_agents
@@ -871,7 +869,7 @@ class Builder:
     def _acceptable(self, sname: str, cand: Database, order) -> bool:
         if sname in self._unchecked:
             return True
-        key = ("accept", sname, cand.facts, self._seen_order(order, cand)
+        key = ("accept", sname, cand, self._seen_order(order, cand)
                if self._reads_order[("accept", sname)] else None)
         ok = self._memo.get(key)
         if ok is None:
@@ -887,14 +885,14 @@ class Builder:
         return ok
 
     def _note_used(self, used: dict[str, set[DataObject]], state: SystemState,
-                   noted: set[frozenset[Fact]]) -> int:
+                   noted: set[Database]) -> int:
         """Add the objects of state's databases to used, reading only the
         fact sets not in noted, which it then holds; the most any of those
         stores (`_stored`)."""
         most = 0
         for _, db in state.agent_dbs:
-            if db.facts not in noted:
-                noted.add(db.facts)
+            if db not in noted:
+                noted.add(db)
                 most = max(most, _stored(db))
                 for t, objs in self._objects_by_type(db).items():
                     used[t].update(objs)
@@ -919,12 +917,12 @@ class Builder:
         ts = TransitionSystem(mode=self.config.mode)
         s0 = self.initial_state()
         self._check_bound(s0)
-        index: dict[tuple, int] = {state_key(s0): 0}
+        index: dict[SystemState, int] = {state_key(s0): 0}
         ts.states.append(s0)
         edges: set[tuple[int, int]] = set()
         # const_domain has a key for every type of the spec
         used = {t: set(objs) for t, objs in self.const_domain.items()}
-        noted: set[frozenset[Fact]] = set()  # the fact sets read into used
+        noted: set[Database] = set()  # the databases read into used
         max_adom = self._note_used(used, s0, noted)
 
         bounded = self.config.state_bound is not None
@@ -984,7 +982,8 @@ class _StepCache:
         self.state = state
         self._used = used or {}
         self.dbs = dict(state.agent_dbs)
-        self.order = FactOrder(state.order_db or Database()) if builder.flat else CarrierOrder()
+        order = Database() if state.order_db is None else state.order_db
+        self.order = FactOrder(order) if builder.flat else CarrierOrder()
         self._indexes: dict[int, Q.DbIndex] = {}  # by id; each index holds its database
         self._active: dict[str, frozenset[DataObject]] = {}
         self._dense_order: Optional[tuple[dict[str, list[DataObject]], Optional[Database]]] = None
@@ -1040,8 +1039,8 @@ class _StepCache:
 
     def core(self) -> Optional[tuple]:
         """In flat modes, what the step's successors read besides the used
-        objects: each agent's facts and those of the dense order over the
-        active objects, which drops the order facts of objects that have
+        objects: the state's (agent, database) pairs and the dense order over
+        the active objects, which drops the order facts of objects that have
         left.  None in the other modes, or where the state does not order
         its dense objects totally."""
         if not self.builder.flat:
@@ -1050,14 +1049,14 @@ class _StepCache:
             order = self.dense_order()[1]
         except (InconsistentOrder, MissingOrderFacts):
             return None
-        return tuple((name, db.facts) for name, db in self.state.agent_dbs), order.facts
+        return self.state.agent_dbs, order
 
     def dense_key(self) -> tuple:
         """What the dense order is read from: the order's facts in flat
         modes, and each dense type's active objects; built once per step."""
         if self._dense_key is None:
             b = self.builder
-            self._dense_key = (self.order.order_db.facts if b.flat else None,
+            self._dense_key = (self.order.order_db if b.flat else None,
                                tuple(self.active(t) for t in b.dense_types))
         return self._dense_key
 
@@ -1089,12 +1088,12 @@ def _order_db(seqs: dict[str, list[DataObject]]) -> Database:
             for b in seq[i + 1:]:
                 if a != b:
                     facts.add((rel, (a, b)))
-    return Database.of(facts)
+    return Database(facts)
 
 
 def _stored(db: Database) -> int:
     """How many objects db stores outside accessory relations."""
-    return len({o for rel, args in db.facts if not is_accessory(rel) for o in args})
+    return len({o for rel, args in db if not is_accessory(rel) for o in args})
 
 
 def _instance_key(inst: tuple[str, tuple[DataObject, ...]]) -> tuple:
@@ -1166,7 +1165,7 @@ def _db_json(db: Database):
 
 
 def _db_from_json(rows) -> Database:
-    return Database.of(
+    return Database(
         (rel, tuple(_obj_from_json(a) for a in args)) for rel, args in rows
     )
 

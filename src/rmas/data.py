@@ -3,9 +3,10 @@
 Every value in the system is a DataObject tagged with the name of its data
 type; domains of distinct types are disjoint by construction.  Data objects
 are interned: there is one live object per (type name, literal) pair, so
-facts and databases compare and hash their arguments by identity.
-Rationals are exact fractions (midpoint arguments for dense orders must
-never round).
+facts and databases compare and hash their arguments by identity.  A
+database is a frozenset of facts: it hashes and compares in C, caches its
+hash, and equals the plain frozenset of its facts.  Rationals are exact
+fractions (midpoint arguments for dense orders must never round).
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from __future__ import annotations
 import weakref
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import TYPE_CHECKING, Iterable, Iterator, Optional, Union
+from typing import TYPE_CHECKING, Iterable, Optional, Union
 
 if TYPE_CHECKING:
     from .queries import Query
@@ -254,40 +255,27 @@ class Violation:
     facet: str
 
 
-@dataclass(frozen=True)
-class Database:
-    """A finite set of facts under set semantics; immutable and hashable."""
+class Database(frozenset):
+    """A finite set of facts under set semantics: the frozenset of its facts,
+    so it hashes and compares as that set does."""
 
-    facts: frozenset[Fact] = frozenset()
-
-    @staticmethod
-    def of(facts: Iterable[Fact]) -> "Database":
-        return Database(frozenset(facts))
-
-    def __iter__(self) -> Iterator[Fact]:
-        return iter(self.facts)
-
-    def __len__(self) -> int:
-        return len(self.facts)
+    __slots__ = ()
 
     def facts_for(self, rel: str) -> list[tuple[DataObject, ...]]:
-        return [args for (r, args) in self.facts if r == rel]
-
-    def has(self, rel: str, args: tuple[DataObject, ...]) -> bool:
-        return (rel, args) in self.facts
+        return [args for (r, args) in self if r == rel]
 
     def adom(self, type_name: Optional[str] = None) -> set[DataObject]:
-        objs = {o for (_, args) in self.facts for o in args}
+        objs = {o for (_, args) in self for o in args}
         if type_name is None:
             return objs
         return {o for o in objs if o.type_name == type_name}
 
     def apply(self, adds: Iterable[Fact], dels: Iterable[Fact]) -> "Database":
         # Parallel update with priority to additions.
-        return Database(frozenset((self.facts - frozenset(dels)) | frozenset(adds)))
+        return Database(self.difference(dels).union(adds))
 
     def canonical(self) -> list[Fact]:
-        return sorted(self.facts, key=fact_key)
+        return sorted(self, key=fact_key)
 
 
 def active_domain(dbs: Iterable[Database], t: DataTypeDef) -> set[DataObject]:

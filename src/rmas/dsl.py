@@ -850,7 +850,7 @@ class SpecParser:
             name=shell.name,
             schema=dict(shell.schema),
             constraints=constraints,
-            initial_db=Database.of(init_facts),
+            initial_db=Database(init_facts),
             comm_rules=tuple(comm),
             actions=actions,
             update_rules=tuple(rules),

@@ -362,7 +362,7 @@ def install_institutional(spec: RmasSpec) -> RmasSpec:
         constraints.append(fresh_c)
 
     inst_obj = mk_symbol(AGENT_TYPE, INST_NAME)
-    init = set(inst.initial_db.facts)
+    init = set(inst.initial_db)
     init.add((AGENT_REL, (inst_obj,)))
     init.add((MYNAME_REL, (inst_obj,)))
     init.add((HASSPEC_REL, (inst_obj, mk_symbol(SPEC_TYPE, spec.institutional))))
@@ -378,7 +378,7 @@ def install_institutional(spec: RmasSpec) -> RmasSpec:
         inst,
         actions=actions,
         constraints=tuple(constraints),
-        initial_db=Database.of(init),
+        initial_db=Database(init),
     )
 
     return replace(

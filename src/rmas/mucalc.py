@@ -444,8 +444,8 @@ class SystemTables:
             inst_db = s.db(inst)
             agents = rosters.get(id(inst_db))
             if agents is None:
-                agents = rosters[id(inst_db)] = {
-                    args[0] for args in inst_db.facts_for(M.AGENT_REL)} if inst_db else set()
+                agents = rosters[id(inst_db)] = set() if inst_db is None else {
+                    args[0] for args in inst_db.facts_for(M.AGENT_REL)}
             for agent, db in s.agent_dbs:
                 key = (agent, id(db), agent in agents)
                 got = holds.get(key)
@@ -459,7 +459,7 @@ class SystemTables:
         # stores it
         holders: dict[DataObject, list[list[int]]] = {o: [] for o in consts}
         for _, db, ids in holds.values():
-            for o in {o for _, args in db.facts for o in args}:
+            for o in db.adom():
                 holders.setdefault(o, []).append(ids)
         # per type: the universe in canonical order, and each object's live mask
         self.live: dict[str, dict[DataObject, int]] = {}

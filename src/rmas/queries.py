@@ -522,9 +522,9 @@ class FactOrder:
         if a == b:
             return False
         rel = lessthan_rel(type_name)
-        if self.order_db.has(rel, (a, b)):
+        if (rel, (a, b)) in self.order_db:
             return True
-        if self.order_db.has(rel, (b, a)):
+        if (rel, (b, a)) in self.order_db:
             return False
         raise MissingOrderFacts(f"no order fact relating {a!r} and {b!r} in {type_name}")
 
@@ -569,7 +569,7 @@ class DbIndex:
     def rows(self, rel: str) -> list[tuple[DataObject, ...]]:
         if self._rows is None:
             self._rows = {}
-            for r, args in self.db.facts:
+            for r, args in self.db:
                 bucket = self._rows.get(r)
                 if bucket is None:
                     self._rows[r] = [args]
@@ -620,7 +620,7 @@ class DbIndex:
 def objects_by_type(db: Database) -> dict[str, set[DataObject]]:
     """The objects occurring in db, grouped by type name."""
     out: dict[str, set[DataObject]] = {}
-    for _, args in db.facts:
+    for _, args in db:
         for o in args:
             out.setdefault(o.type_name, set()).add(o)
     return out
@@ -634,7 +634,7 @@ class _Run:
 
     def __init__(self, index: DbIndex, order: OrderSource) -> None:
         self.index = index
-        self.facts = index.db.facts
+        self.facts = index.db
         self.less = order.less
         self.out: list[tuple] = []
         self.seen: set[tuple] = set()
@@ -1136,7 +1136,7 @@ def conforms(
     UnknownRelation if a fact's relation is not in the schema.
     """
     out: list[Violation] = []
-    for fact in sorted(db.facts, key=fact_key):
+    for fact in sorted(db, key=fact_key):
         rel, args = fact
         rs = schema.get(rel)
         if rs is None:

@@ -100,7 +100,7 @@ def _naive_holds(q, db, order, const_domain, theta) -> bool:
     if isinstance(q, Q.TrueQ):
         return True
     if isinstance(q, Q.RelAtom):
-        return (q.name, tuple(val(t) for t in q.terms)) in db.facts
+        return (q.name, tuple(val(t) for t in q.terms)) in db
     if isinstance(q, Q.EqAtom):
         return val(q.left) == val(q.right)
     if isinstance(q, Q.LessAtom):
@@ -172,8 +172,8 @@ class NaiveChecker:
                 per.setdefault(o.type_name, set()).add(o)
             self.live.append(per)
             inst_db = s.db(inst)
-            self.active.append(
-                {args[0] for args in inst_db.facts_for(M.AGENT_REL)} if inst_db else set())
+            self.active.append(set() if inst_db is None else {
+                args[0] for args in inst_db.facts_for(M.AGENT_REL)})
         self.iterations = 0
 
     def space(self, dom) -> set:
@@ -220,7 +220,7 @@ class NaiveChecker:
                 elif s.order_db is None:
                     holds = carrier_less(a, b)
                 else:
-                    holds = a != b and s.order_db.has(Q.lessthan_rel(atom.type_name), (a, b))
+                    holds = a != b and (Q.lessthan_rel(atom.type_name), (a, b)) in s.order_db
                 if holds:
                     out.append(theta)
             return out
@@ -410,8 +410,8 @@ def queue_simulate(spec: RmasSpec, ordered: bool, buffer_cap: int = 2,
             for rel, args in to_add:
                 assert all(isinstance(a, DataObject) for a in args)
                 ground_adds.add((rel, args))
-            cand = Database(frozenset(
-                (f for f in dbs[agent].facts if f not in to_del)) | ground_adds)
+            cand = Database(
+                {f for f in dbs[agent] if f not in to_del} | ground_adds)
             if helper._acceptable(sname, cand, Q.CarrierOrder()):
                 new[agent] = cand
         return new
@@ -471,15 +471,13 @@ def queue_simulate(spec: RmasSpec, ordered: bool, buffer_cap: int = 2,
 
 
 def project_qstate(s: QState):
-    return tuple(
-        (agent, frozenset(db.facts)) for agent, db in s.dbs
-    )
+    return s.dbs
 
 
 def project_system_state(s: SystemState, hide: frozenset[str]):
     out = []
     for agent, db in s.agent_dbs:
-        facts = frozenset(f for f in db.facts if f[0] not in hide)
+        facts = frozenset(f for f in db if f[0] not in hide)
         out.append((agent, facts))
     return tuple(out)
 

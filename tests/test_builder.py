@@ -1,5 +1,6 @@
 import collections
 import gc
+import hashlib
 import itertools
 import random
 from dataclasses import replace
@@ -75,7 +76,7 @@ class TestEnabledMessages:
         dbs = {a: d for a, d in s0.agent_dbs}
         dbs[agent("inst")] = inst_db
         # order facts must mention the new ticket in flat mode
-        order = Database.of([*(s0.order_db or Database()).facts])
+        order = Database() if s0.order_db is None else s0.order_db
         state = make_state(dbs, order)
         active = {a for a, _ in b.current_agents(state.inst_db())}
         out = b.enabled_messages(B._StepCache(b, state), agent("inst"), "instSpec", active)
@@ -92,8 +93,8 @@ class TestEnabledMessages:
         b = Builder(ticket_spec, BuildConfig(mode=MODE_ABSTRACT))
         s0 = b.initial_state()
         # drop c2 from the registry: its askTicket rule can no longer fire
-        inst_db = Database.of([
-            f for f in s0.inst_db().facts
+        inst_db = Database([
+            f for f in s0.inst_db()
             if not (f[0] in ("Agent", "hasSpec") and f[1][0] == agent("c2"))
         ])
         dbs = {a: d for a, d in s0.agent_dbs if a != agent("c2")}
@@ -193,7 +194,7 @@ class TestStepSuccessors:
         ], dels=[])
         dbs = {a: d for a, d in s0.agent_dbs}
         dbs[agent("inst")] = inst_db
-        order = Database.of([(lessthan_rel("Real"), (rt(1), rt(2)))])
+        order = Database([(lessthan_rel("Real"), (rt(1), rt(2)))])
         state = make_state(dbs, order)
         succs = b._exchange(
             B._StepCache(b, state), agent("c1"), "client", agent("inst"), "instSpec",
@@ -206,7 +207,7 @@ class TestStepSuccessors:
         assert len({state_key(s) for s in succs}) == 2
         (assigned,) = committed[0].db(agent("inst")).facts_for("Assigned")
         new_ticket = assigned[1]
-        pairs = {(a, c) for _, (a, c) in committed[0].order_db.facts}
+        pairs = {(a, c) for _, (a, c) in committed[0].order_db}
         assert (rt(1), new_ticket) in pairs and (rt(2), new_ticket) in pairs
 
     def test_constraint_rollback_keeps_old_db(self, ticket_spec):
@@ -243,7 +244,7 @@ class TestStepSuccessors:
             "ping", (DataObject("Str", "hi"),))
         (s1,) = succs
         assert s1.db(agent("bob")) == s0.db(agent("bob"))  # rolled back
-        assert ("Waiting", ()) in s1.db(agent("alice")).facts  # committed
+        assert ("Waiting", ()) in s1.db(agent("alice"))  # committed
 
     def _ask_ticket_with_bogus_fact(self, ticket_spec):
         b = Builder(ticket_spec, BuildConfig(mode=MODE_CONCRETE,
@@ -316,10 +317,10 @@ class TestBuild:
 
     def test_order_db_is_strict_total_order(self, ticket_abstract_ts):
         for s in ticket_abstract_ts.states:
-            order = s.order_db or Database()
+            order = Database() if s.order_db is None else s.order_db
             by_type: dict[str, set] = {}
             pairs: dict[str, set] = {}
-            for rel, (a, c) in order.facts:
+            for rel, (a, c) in order:
                 t = rel[len("__lt_"):]
                 by_type.setdefault(t, set()).update({a, c})
                 pairs.setdefault(t, set()).add((a, c))
@@ -520,11 +521,17 @@ class TestStateKey:
     def test_insertion_order_irrelevant(self):
         f1 = ("R", (agent("a"),))
         f2 = ("S", (agent("b"),))
-        d1 = Database.of([f1, f2])
-        d2 = Database.of([f2, f1])
+        d1 = Database([f1, f2])
+        d2 = Database([f2, f1])
         s1 = make_state({agent("inst"): d1}, None)
         s2 = make_state({agent("inst"): d2}, None)
         assert state_key(s1) == state_key(s2)
+
+    @pytest.mark.parametrize("mode,cap", [(MODE_ABSTRACT, None), (MODE_FB_FLAT, 300)])
+    def test_a_state_is_its_own_key(self, mode, cap):
+        ts = build_transition_system(_ticket3_spec(), BuildConfig(mode=mode, max_states=cap))
+        assert len(ts.states) == (895 if cap is None else 300)
+        assert all(state_key(s) is s for s in ts.states)
 
 
 class TestExport:
@@ -652,13 +659,13 @@ class TestCommitmentsOnlyForCalls:
         """c1 alone is registered and may only ask for a ticket, which inst
         refuses without a call because c1 holds two tickets already."""
         s0 = b.initial_state()
-        inst_db = Database.of(
-            [f for f in s0.inst_db().facts
+        inst_db = Database(
+            [f for f in s0.inst_db()
              if not (f[0] in ("Agent", "hasSpec") and f[1][0] == agent("c2"))]
             + [("hasTicket", (agent("c1"), rt(1))), ("hasTicket", (agent("c1"), rt(2)))])
         dbs = {a: d for a, d in s0.agent_dbs if a != agent("c2")}
         dbs[agent("inst")] = inst_db
-        state = make_state(dbs, Database.of(order_facts))
+        state = make_state(dbs, Database(order_facts))
         cur = b.current_agents(state.inst_db())
         active = {a for a, _ in cur}
         step = B._StepCache(b, state)
@@ -681,7 +688,7 @@ class TestCommitmentsOnlyForCalls:
             b.step_successors(unordered)
         ordered = self._two_ticket_state(b, [(lt, (rt(1), rt(2)))])
         (succ,) = b.step_successors(ordered)
-        assert succ.order_db.facts == ordered.order_db.facts
+        assert succ.order_db == ordered.order_db
 
 
 def _local_answers(b, state):
@@ -700,7 +707,7 @@ def _local_answers(b, state):
                 acts = b.collect_reactions(step, who, specs[who], direction, msg, payload, peer)
                 to_del, to_add = b.get_facts(step, who, specs[who], acts)
                 ground = {f for f in to_add if not any(isinstance(a, CallToken) for a in f[1])}
-                cand = Database((state.db(who).facts - to_del) | ground)
+                cand = Database((state.db(who) - to_del) | ground)
                 out.append((msg, payload, target, acts, to_del, to_add,
                             b._acceptable(specs[who], cand, order)))
     return out
@@ -908,7 +915,7 @@ class TestMemoAndInterning:
         assert (len(ts.states), len(ts.edges)) == (14, 53)
 
         def noted(s):
-            return tuple(tuple(sorted(args[0].value for rel, args in d.facts if rel == "Noted"))
+            return tuple(tuple(sorted(args[0].value for rel, args in d if rel == "Noted"))
                          for a, d in s.agent_dbs if a.value != "inst")
 
         b = Builder(spec, BuildConfig(mode=MODE_CONCRETE))
@@ -943,7 +950,7 @@ class TestMemoAndInterning:
             ("hasTicket", (agent("c1"), rt(1))), ("hasTicket", (agent("c2"), rt(2)))], dels=[])
         dbs[agent("c1")] = dbs[agent("c1")].apply(adds=[("HasT", (rt(1),))], dels=[])
         lt = lessthan_rel("Real")
-        states = [make_state(dbs, Database.of([(lt, (a, b))])) for a, b in
+        states = [make_state(dbs, Database([(lt, (a, b))])) for a, b in
                   [(rt(1), rt(2)), (rt(2), rt(1))]]
         kept, uncached = _kept_and_uncached_successors(spec, cfg, states)
         assert kept == uncached
@@ -960,7 +967,7 @@ class TestMemoAndInterning:
             ("hasTicket", (agent("c1"), rt(1))), ("hasTicket", (agent("c2"), rt(2)))], dels=[])
 
         def reactions(order_facts):
-            state = make_state(dbs, Database.of(order_facts))
+            state = make_state(dbs, Database(order_facts))
             return b.collect_reactions(B._StepCache(b, state), agent("inst"), "instSpec",
                                        ON_RECEIVE,
                                        "cMsg", (rt(1),), agent("c1"))
@@ -977,7 +984,7 @@ class TestMemoAndInterning:
         lt = lessthan_rel("Real")
         b = Builder(ticket_spec, BuildConfig(mode=MODE_FB_FLAT))
         s0 = b.initial_state()
-        order = Database.of((lt, (rt(x), rt(y))) for x, y in [(1, 2), (1, 3), (2, 3)])
+        order = Database((lt, (rt(x), rt(y))) for x, y in [(1, 2), (1, 3), (2, 3)])
 
         def dense_order(*tickets):
             dbs = dict(s0.agent_dbs)
@@ -987,9 +994,9 @@ class TestMemoAndInterning:
 
         two, three = dense_order(1, 2), dense_order(1, 2, 3)
         assert two[0]["Real"] == [rt(1), rt(2)]
-        assert two[1].facts == {(lt, (rt(1), rt(2)))}
+        assert two[1] == {(lt, (rt(1), rt(2)))}
         assert three[0]["Real"] == [rt(1), rt(2), rt(3)]
-        assert three[1].facts == order.facts
+        assert three[1] == order
         # another state with the first one's key gets its answer
         assert dense_order(2, 1) is two
 
@@ -1007,7 +1014,7 @@ class TestMemoAndInterning:
             "  on poke() from a if true then stamp(a)\n").replace(
             "spec client {\n", "spec client {\n  a = inst enables poke() to a\n")
         spec = install_institutional(parse_spec(text))
-        order = Database.of([(lessthan_rel("Real"), (rt(1), rt(2)))])
+        order = Database([(lessthan_rel("Real"), (rt(1), rt(2)))])
 
         def successors(b, *holders):
             s0 = b.initial_state()
@@ -1063,17 +1070,17 @@ class TestMemoAndInterning:
         b = Builder(spec, BuildConfig(mode=MODE_CONCRETE))
         ts = b.build()
         first = b.initial_state().db(agent("p"))
-        assert first.facts == {("MyName", (agent("p"),)), ("W", ())}
+        assert first == {("MyName", (agent("p"),)), ("W", ())}
 
         def inst_has(s, rel):
-            return any(f[0] == rel for f in s.inst_db().facts)
+            return any(f[0] == rel for f in s.inst_db())
 
         left = [s for s in ts.states if inst_has(s, "Left") and not inst_has(s, "Back")]
         back = [s for s in ts.states if inst_has(s, "Back")]
         assert left and all(s.db(agent("p")) is None for s in left)
         assert back and all(s.db(agent("p")) is first for s in back)
         # p was poked before it left on some path
-        assert any(("Poked", ()) in s.db(agent("p")).facts
+        assert any(("Poked", ()) in s.db(agent("p"))
                    for s in ts.states if not inst_has(s, "Left"))
         assert (len(ts.states), len(ts.edges)) == (4, 5)
 
@@ -1087,7 +1094,7 @@ class TestMemoAndInterning:
             ts = build_transition_system(spec, cfg)
             dbs = {id(d): d for s in ts.states
                    for d in [db for _, db in s.agent_dbs] + [s.order_db] if d is not None}
-            assert len({d.facts for d in dbs.values()}) == len(dbs), name
+            assert len(set(dbs.values())) == len(dbs), name
 
 
 # p sends the judge q a bid of each ticket it has; q notes a bid below its
@@ -1149,7 +1156,7 @@ class TestSeenOrder:
 
     @staticmethod
     def _judge_facts(states):
-        return [sorted(f[0] for f in s.db(agent("q")).facts if f[0] != "MyName")
+        return [sorted(f[0] for f in s.db(agent("q")) if f[0] != "MyName")
                 for s in states]
 
     def _step_each(self, states, text=BIDS):
@@ -1282,9 +1289,9 @@ class TestLayerMemo:
         residue = 0
         for s in ts.states:
             active = s.adom() | set().union(*b.const_domain.values())
-            among = {f for f in s.order_db.facts if set(f[1]) <= active}
-            assert B._StepCache(b, s).dense_order()[1].facts == among
-            residue += among != s.order_db.facts
+            among = {f for f in s.order_db if set(f[1]) <= active}
+            assert B._StepCache(b, s).dense_order()[1] == among
+            residue += among != s.order_db
         assert residue  # some state keeps the order facts of objects that left
 
     @pytest.mark.parametrize("name", ["ticket3-abstract", "ticket-flat-200", "ping-ordered"])
@@ -1321,7 +1328,7 @@ class TestLayerMemo:
             kept._note_used(used, s, set())
         pairs = [(B.SystemState(s.agent_dbs, B._StepCache(kept, s).dense_order()[1]), s)
                  for s in ts.states]
-        assert any(twin.order_db.facts != s.order_db.facts for twin, s in pairs)
+        assert any(twin.order_db != s.order_db for twin, s in pairs)
         got = {}
         for label, snapshot in (("consts", consts), ("used", used)):
             layer: dict = {}
@@ -1552,9 +1559,9 @@ def _ticket_clients(names, text=None):
 def _renamed_state(state, rho):
     """state's facts with each agent a renamed rho.get(a, a), as sets: the
     agents with their facts, and the order's facts."""
-    return (frozenset((rho.get(a, a), symmetry.renamed(db.facts, rho.get))
+    return (frozenset((rho.get(a, a), symmetry.renamed(db, rho.get))
                       for a, db in state.agent_dbs),
-            None if state.order_db is None else state.order_db.facts)
+            state.order_db)
 
 
 class _Counting(Builder):
@@ -1619,15 +1626,21 @@ class TestSymmetry:
         assert b.refused and b.derived
         assert export_jsonl(ts) == export_jsonl(_NoSymmetry(spec, cfg).build())
 
-    @pytest.mark.parametrize("clients", [3, 4])
-    def test_more_clients_export_the_same_bytes(self, clients):
+    @pytest.mark.parametrize("clients,states,edges,digest", [
+        (3, 895, 2517, "c27bfb14bceb8605988a5c07a8398ddd5baba8d668f7b651366dea71714e96ef"),
+        (4, 12821, 36456, "9f0b46687e7c1d93d9eca54f0ba0c4a11ce974076addadfa8f98ee706f48b6b0"),
+    ], ids=["3", "4"])
+    def test_more_clients_export_the_same_bytes(self, clients, states, edges, digest):
         spec = _ticket_clients([f"c{i}" for i in range(1, clients + 1)])
         cfg = BuildConfig(mode=MODE_ABSTRACT)
         b = Builder(spec, cfg)
         ts = b.build()
         assert len(b._groups[0]) == clients
         assert len(b._classes) * 4 < len(ts.states)  # most states are derived
-        assert export_jsonl(ts) == export_jsonl(_NoSymmetry(spec, cfg).build())
+        assert (len(ts.states), len(ts.edges)) == (states, edges)
+        data = export_jsonl(ts)
+        assert hashlib.sha256(data).hexdigest() == digest
+        assert data == export_jsonl(_NoSymmetry(spec, cfg).build())
 
     def test_a_client_that_a_rule_names_is_in_no_group(self):
         text = (CORPUS / "ticket_mutex.rmas").read_text()
@@ -1681,7 +1694,7 @@ class TestSymmetry:
         def mirror(b, s):
             # a state the build of b could meet holds b's databases
             return make_state({swap.get(a, a): b._intern(Database(
-                symmetry.renamed(db.facts, swap.get))) for a, db in s.agent_dbs},
+                symmetry.renamed(db, swap.get))) for a, db in s.agent_dbs},
                 b._intern(s.order_db))
 
         differ = 0

@@ -156,29 +156,29 @@ FACETS = {"Bool": BOOL, "Age": AGE, "SF": BASE_STR}
 
 class TestConforms:
     def test_clean(self):
-        db = Database.of([("R", (s("t"),))])
+        db = Database([("R", (s("t"),))])
         assert conforms(SCHEMA, db, FACETS, TYPES) == []
 
     def test_violation_position(self):
-        db = Database.of([("R", (s("maybe"),))])
+        db = Database([("R", (s("maybe"),))])
         v = conforms(SCHEMA, db, FACETS, TYPES)
         assert len(v) == 1
         assert v[0].position == 1
         assert v[0].fact == ("R", (s("maybe"),))
 
     def test_age_fact(self):
-        db = Database.of([("P", (r(70),))])
+        db = Database([("P", (r(70),))])
         assert conforms(SCHEMA, db, FACETS, TYPES) == []
 
     def test_unknown_relation(self):
-        db = Database.of([("Nope", (s("t"),))])
+        db = Database([("Nope", (s("t"),))])
         with pytest.raises(UnknownRelation):
             conforms(SCHEMA, db, FACETS, TYPES)
 
     def test_monotone_adding_facts_never_removes_violations(self):
         bad = ("R", (s("maybe"),))
-        db1 = Database.of([bad])
-        db2 = Database.of([bad, ("R", (s("t"),)), ("P", (r(70),))])
+        db1 = Database([bad])
+        db2 = Database([bad, ("R", (s("t"),)), ("P", (r(70),))])
         v1 = {(v.fact, v.position) for v in conforms(SCHEMA, db1, FACETS, TYPES)}
         v2 = {(v.fact, v.position) for v in conforms(SCHEMA, db2, FACETS, TYPES)}
         assert v1 <= v2
@@ -186,15 +186,15 @@ class TestConforms:
 
 class TestActiveDomain:
     def test_picks_only_matching_type(self):
-        db = Database.of([("R", (r("3/2"),)), ("S", (s("a"),))])
+        db = Database([("R", (r("3/2"),)), ("S", (s("a"),))])
         assert active_domain([db], RAT) == {r("3/2")}
 
     def test_empty_collection(self):
         assert active_domain([], RAT) == set()
 
     def test_union_across_databases(self):
-        db1 = Database.of([("R", (r(1),))])
-        db2 = Database.of([("R", (r(2),))])
+        db1 = Database([("R", (r(1),))])
+        db2 = Database([("R", (r(2),))])
         assert active_domain([db1, db2], RAT) == {r(1), r(2)}
         assert active_domain([db1, db2], RAT) == (
             active_domain([db1], RAT) | active_domain([db2], RAT))
@@ -221,9 +221,17 @@ class TestDataObjects:
             DataTypeDef("T", "rational", has_succ=True)
 
     def test_database_apply_add_priority(self):
-        db = Database.of([("R", (s("a"),))])
+        db = Database([("R", (s("a"),))])
         out = db.apply(adds=[("R", (s("a"),))], dels=[("R", (s("a"),))])
-        assert ("R", (s("a"),)) in out.facts
+        assert ("R", (s("a"),)) in out
+
+    def test_a_database_is_the_frozenset_of_its_facts(self):
+        fs = [("R", (s("a"),)), ("P", (r(1),)), ("R", (s("a"),))]
+        db = Database(fs)
+        assert isinstance(db, frozenset)
+        assert db == frozenset(fs) and hash(db) == hash(frozenset(fs))
+        assert len(Database()) == 0 and not Database()
+        assert type(db.apply(adds=[], dels=fs[:1])) is Database
 
 
 class TestInterning:
@@ -309,7 +317,7 @@ class TestInterning:
                 if state.order_db is not None:
                     dbs.append(state.order_db)
                 yield from (name for name, _ in state.agent_dbs)
-                yield from (o for db in dbs for _, args in db.facts for o in args)
+                yield from (o for db in dbs for _, args in db for o in args)
 
         built = {id(o): o for o in objects(ts)}
         got = {id(o): o for o in objects(back)}

@@ -80,7 +80,7 @@ class TestCounterMachine:
         assert model_check(ts, spec, parse_property(HALT_REACH, spec)).truth
         halted = [
             s for s in ts.states
-            if ("Halted", ()) in s.inst_db().facts
+            if ("Halted", ()) in s.inst_db()
         ]
         assert halted
         for s in halted:
@@ -177,7 +177,7 @@ spec instSpec institutional {
             (OLDM, (mid(Fraction(1)),)), (OLDM, (mid(Fraction(2)),)),
         ], dels=[])
         from rmas.queries import lessthan_rel
-        order = Database.of(list((s0.order_db or Database()).facts) + [
+        order = Database(list(() if s0.order_db is None else s0.order_db) + [
             (lessthan_rel("MsgId"), (mid(Fraction(1)), mid(Fraction(2)))),
         ])
         state = make_state(dbs, order)

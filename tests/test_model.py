@@ -24,10 +24,10 @@ class TestInstallInstitutional:
         assert {"newAg", "remAg"} <= set(inst.actions)
         assert {AGENT_REL, SPEC_REL, HASSPEC_REL, "OldAg", "FreshAg"} <= set(inst.schema)
         inst_obj = mk_symbol("agent", "inst")
-        assert (AGENT_REL, (inst_obj,)) in inst.initial_db.facts
-        assert (MYNAME_REL, (inst_obj,)) in inst.initial_db.facts
-        assert (HASSPEC_REL, (inst_obj, mk_symbol("spec", "instSpec"))) in inst.initial_db.facts
-        assert (SPEC_REL, (mk_symbol("spec", "instSpec"),)) in inst.initial_db.facts
+        assert (AGENT_REL, (inst_obj,)) in inst.initial_db
+        assert (MYNAME_REL, (inst_obj,)) in inst.initial_db
+        assert (HASSPEC_REL, (inst_obj, mk_symbol("spec", "instSpec"))) in inst.initial_db
+        assert (SPEC_REL, (mk_symbol("spec", "instSpec"),)) in inst.initial_db
 
     def test_idempotent(self):
         spec = install_institutional(parse_spec(""))

@@ -57,7 +57,7 @@ BASE_FACTS = [
 
 def prop_state(*labels: str):
     facts = list(BASE_FACTS) + [(l, ()) for l in labels]
-    return make_state({INST: Database.of(facts)}, None)
+    return make_state({INST: Database(facts)}, None)
 
 
 def make_ts(labels_per_state, edges):
@@ -222,10 +222,10 @@ class TestModelCheck:
             ("hasSpec", (INST, SPEC_OBJ)), ("Spec", (SPEC_OBJ,)),
         ]
         with_ticket = make_state(
-            {INST: Database.of(base + [("Agent", (c1,)), ("hasTicket", (c1, rt(1)))])},
+            {INST: Database(base + [("Agent", (c1,)), ("hasTicket", (c1, rt(1)))])},
             None)
         without = make_state(
-            {INST: Database.of(base + [("Agent", (c1,))])}, None)
+            {INST: Database(base + [("Agent", (c1,))])}, None)
         ts = TransitionSystem()
         ts.states = [with_ticket, without]
         ts.edges = [(0, 1), (1, 1)]
@@ -587,10 +587,10 @@ def random_data_ts(rng: random.Random, n_states: int) -> TransitionSystem:
         facts += [("C", (x,)) for x in some(CNTS)]
         if rng.random() < 0.5:
             facts.append(("p", ()))
-        dbs = {INST: Database.of(facts)}
+        dbs = {INST: Database(facts)}
         if rng.random() < 0.8:
-            dbs[B] = Database.of([("MyName", (B,))] + [("W", (s,)) for s in some(STRS)])
-        order = Database.of((lessthan_rel("Num"), (x, y))
+            dbs[B] = Database([("MyName", (B,))] + [("W", (s,)) for s in some(STRS)])
+        order = Database((lessthan_rel("Num"), (x, y))
                             for x in NUMS for y in NUMS if rng.random() < 0.3)
         states.append(make_state(dbs, order if rng.random() < 0.7 else None))
     ts = TransitionSystem()
@@ -785,12 +785,12 @@ class TestSharedTables:
             rosters.add(roster)
             for agent, db in s.agent_dbs:
                 if agent in roster:
-                    want.setdefault((agent, db.facts), set()).add(sid)
+                    want.setdefault((agent, db), set()).add(sid)
         got: dict = {}
         for agent, db, ids in SystemTables(ts, frozenset()).placed:
             # each state that holds the placement, once, in id order
             assert ids == sorted(set(ids))
-            got.setdefault((agent, db.facts), set()).update(ids)
+            got.setdefault((agent, db), set()).update(ids)
         assert got == want
         assert len(rosters) > 1
 

@@ -95,13 +95,13 @@ class TestTypecheck:
 
 class TestEval:
     def test_single_atom(self):
-        db = Database.of([("S", (r(1),))])
+        db = Database([("S", (r(1),))])
         q = Q.RelAtom("S", (Var("x"),))
         out = eval_query(q, db, CarrierOrder(), {"x": "Rat"}, NO_CONSTS)
         assert out == [{"x": r(1)}]
 
     def test_boolean_query_conventions(self):
-        db = Database.of([("S", (r(1),))])
+        db = Database([("S", (r(1),))])
         yes = Q.Exists("x", Q.RelAtom("S", (Var("x"),)))
         no = Q.Exists("x", Q.RelAtom("T", (Var("x"),)))
         assert eval_query(yes, db, CarrierOrder(), {"x": "Rat"}, NO_CONSTS) == [{}]
@@ -109,7 +109,7 @@ class TestEval:
 
     def test_lowest_price_guard(self):
         # exists p2. PropPrice(_, t, p2) & p2 < p  with p bound to 5
-        db = Database.of([("R", (s("task"), r(3)))])
+        db = Database([("R", (s("task"), r(3)))])
         q = Q.Exists("w", Q.Exists("p2", Q.q_and(
             Q.RelAtom("R", (Var("w"), Var("p2"))),
             Q.LessAtom("Rat", Var("p2"), Var("p")),
@@ -127,7 +127,7 @@ class TestEval:
     def test_a_binder_the_body_does_not_read_needs_an_object(self):
         # y is not free in the body, yet exists y holds only where y's type
         # has an object; the body alone would answer x = a1
-        db = Database.of([("S", (r(1),))])
+        db = Database([("S", (r(1),))])
         q = Q.Exists("y", Q.RelAtom("S", (Var("x"),)), "Str")
         assert eval_query(q, db, CarrierOrder(), {"x": "Rat"}, NO_CONSTS) == []
         assert eval_query(q, db.apply(adds=[("T", (s("a"),))], dels=[]), CarrierOrder(),
@@ -142,7 +142,7 @@ class TestEval:
 
     def test_fact_order_mode(self):
         # the lessThan facts put 2 below 1, against the carrier
-        order_db = Database.of([(lessthan_rel("Rat"), (r(2), r(1)))])
+        order_db = Database([(lessthan_rel("Rat"), (r(2), r(1)))])
         q = Q.LessAtom("Rat", Const(r(2)), Const(r(1)))
         assert eval_query(q, Database(), FactOrder(order_db), {}, NO_CONSTS) == [{}]
         assert eval_query(q, Database(), CarrierOrder(), {}, NO_CONSTS) == []
@@ -151,7 +151,7 @@ class TestEval:
         assert eval_query(q2, Database(), CarrierOrder(), {}, NO_CONSTS) == [{}]
 
     def test_missing_order_facts(self):
-        order_db = Database.of([(lessthan_rel("Rat"), (r(1), r(2)))])
+        order_db = Database([(lessthan_rel("Rat"), (r(1), r(2)))])
         q = Q.LessAtom("Rat", Const(r(1)), Const(r(7)))
         with pytest.raises(MissingOrderFacts):
             eval_query(q, Database(), FactOrder(order_db), {}, NO_CONSTS)
@@ -161,8 +161,8 @@ class TestShortCircuit:
     """A conjunction stops at its first false part and a disjunction at its
     first true one: the part after it, which would raise, is not run."""
 
-    ORDER = FactOrder(Database.of([(lessthan_rel("Rat"), (r(1), r(2)))]))
-    DB = Database.of([("S", (r(1),))])
+    ORDER = FactOrder(Database([(lessthan_rel("Rat"), (r(1), r(2)))]))
+    DB = Database([("S", (r(1),))])
     YES = Q.RelAtom("S", (Const(r(1)),))
     NO = Q.RelAtom("S", (Const(r(2)),))
     RAISES = Q.LessAtom("Rat", Const(r(1)), Const(r(7)))  # no order fact for 7
@@ -198,12 +198,12 @@ class TestPlanShapes:
         return got
 
     def test_repeated_variable_in_one_atom(self):
-        db = Database.of([("P", (r(1), r(2))), ("P", (r(3), r(3)))])
+        db = Database([("P", (r(1), r(2))), ("P", (r(3), r(3)))])
         got = self.agree(Q.RelAtom("P", (Var("x"), Var("x"))), db, {"x": "Rat"})
         assert got == [{"x": r(3)}]
 
     def test_equality_of_two_unbound_variables(self):
-        db = Database.of([("S", (r(1),)), ("S", (r(2),))])
+        db = Database([("S", (r(1),)), ("S", (r(2),))])
         q = Q.q_and(Q.EqAtom(Var("x"), Var("y")), Q.Not(Q.RelAtom("S", (Var("y"),))))
         got = self.agree(q, db, {"x": "Rat", "y": "Rat"}, {"Rat": frozenset({r(1), r(5)})})
         assert got == [{"x": r(5), "y": r(5)}]
@@ -212,7 +212,7 @@ class TestPlanShapes:
         # the universe of x is empty, so the universal holds vacuously
         q = Q.Forall("x", Q.q_false(), "Rat")
         assert self.agree(q, Database(), {}) == [{}]
-        assert self.agree(q, Database.of([("S", (r(1),))]), {}) == []
+        assert self.agree(q, Database([("S", (r(1),))]), {}) == []
 
 
 # ---------------------------------------------------------------------------
@@ -258,7 +258,7 @@ def random_db(rng):
         facts.add(("R", (rng.choice(strs), rng.choice(rats))))
     for _ in range(rng.randint(0, 3)):
         facts.add(("S", (rng.choice(rats),)))
-    return Database.of(facts)
+    return Database(facts)
 
 
 def test_eval_matches_naive_enumeration():
@@ -305,7 +305,7 @@ def test_carrier_equals_flat_on_full_order_restriction():
             (lessthan_rel("Rat"), (a, b))
             for a, b in itertools.combinations(objs, 2)
         ]
-        got = eval_query(q, db, FactOrder(Database.of(facts)), types, consts)
+        got = eval_query(q, db, FactOrder(Database(facts)), types, consts)
         want = eval_query(q, db, CarrierOrder(), types, consts)
         canon = lambda rows: sorted(
             tuple(sorted((k, v.sort_key()) for k, v in row.items())) for row in rows
@@ -459,7 +459,7 @@ def test_less_fact_atoms_under_a_total_fact_order_match_naive():
         # a random strict total order on the universe, not the carrier's
         objs = sorted(db.adom("Rat") | CONSTS["Rat"], key=DataObject.sort_key)
         rng.shuffle(objs)
-        order = FactOrder(Database.of(
+        order = FactOrder(Database(
             (lessthan_rel("Rat"), (a, b)) for a, b in itertools.combinations(objs, 2)))
         got = eval_query(q, db, order, types, CONSTS)
         assert canon(got) == canon(naive_eval(q, db, order, types, CONSTS)), q
@@ -468,7 +468,7 @@ def test_less_fact_atoms_under_a_total_fact_order_match_naive():
 
 
 def test_filter_before_binder_matches_naive():
-    db = Database.of([("S", (r(1),)), ("S", (r(3),)), ("R", (s("a"), r(2)))])
+    db = Database([("S", (r(1),)), ("S", (r(3),)), ("R", (s("a"), r(2)))])
     # the filter names v before S binds it: v ranges over S, not the universe
     q = Q.And((Q.LessAtom("Rat", Var("v"), Const(r(2))), Q.RelAtom("S", (Var("v"),))))
     types = {"v": "Rat"}

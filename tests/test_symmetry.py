@@ -32,10 +32,6 @@ def _population(name, k):
         decl, "".join(f"agent {n} : {sname}\n" for n in names[:k])))))
 
 
-def _agents(state):
-    return [(a, db.facts) for a, db in state.agent_dbs]
-
-
 def _renamings(group):
     """Every renaming of group, each as to(a, a), with a memo of the fact
     sets it renames."""
@@ -65,7 +61,7 @@ def test_every_renaming_of_a_state_gets_its_key(name, k, classes):
     labeler = symmetry.Labeler((group,))
     renamings = _renamings(group)
     for state in ts.states:
-        agents, order = _agents(state), state.order_db.facts
+        agents, order = state
         _, key = labeler.label(agents, order)
         for to, memo in renamings:
             assert labeler.label(_image(agents, to, memo), order)[1] == key
@@ -78,7 +74,7 @@ def test_sigma_maps_a_state_onto_each_renaming_of_it():
     labeler = symmetry.Labeler((group,))
     moved = 0
     for state in ts.states:
-        agents, order = _agents(state), state.order_db.facts
+        agents, order = state
         labels, key = labeler.label(agents, order)
         for to, memo in _renamings(group):
             image = _image(agents, to, memo)
